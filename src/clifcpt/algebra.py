@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -57,6 +58,13 @@ class MetricSignature:
             return 1
         return 1 if i <= self.p else -1
 
+    @cached_property
+    def neg_mask(self) -> int:
+        """Blade mask of the generators that square to -1."""
+        if self.field == COMPLEX:
+            return 0
+        return ((1 << self.n) - 1) ^ ((1 << self.p) - 1)
+
 
 def grade(mask: int) -> int:
     return mask.bit_count()
@@ -94,8 +102,8 @@ def blade_product(x: int, y: int, sig: MetricSignature) -> tuple[int, int]:
     """Product of two basis blades: (sign, result mask).
 
     The sign counts the transpositions needed to sort the concatenated
-    index sequence plus the metric signs of repeated indices; the result
-    is the symmetric difference of the masks.
+    index sequence plus the repeated indices that square to -1; the
+    result is the symmetric difference of the masks.
     """
     limit = 1 << sig.n
     if x >= limit or y >= limit or x < 0 or y < 0:
@@ -105,15 +113,8 @@ def blade_product(x: int, y: int, sig: MetricSignature) -> tuple[int, int]:
     while a:
         swaps += (a & y).bit_count()
         a >>= 1
-    sign = -1 if swaps & 1 else 1
-    common = x & y
-    i = 1
-    while common:
-        if common & 1 and sig.metric_sign(i) < 0:
-            sign = -sign
-        common >>= 1
-        i += 1
-    return sign, x ^ y
+    swaps += (x & y & sig.neg_mask).bit_count()
+    return (-1 if swaps & 1 else 1), x ^ y
 
 
 def blade_square_sign(mask: int, sig: MetricSignature) -> int:
@@ -180,21 +181,21 @@ class Multivector:
         acc = dict(self.terms)
         for m, c in other.terms.items():
             acc[m] = acc.get(m, ZERO) + c
-        return Multivector(self.sig, acc)
+        return _nonzero(self.sig, acc)
 
     def __sub__(self, other: Multivector) -> Multivector:
         self._check(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
             acc[m] = acc.get(m, ZERO) - c
-        return Multivector(self.sig, acc)
+        return _nonzero(self.sig, acc)
 
     def __neg__(self) -> Multivector:
-        return Multivector(self.sig, {m: -c for m, c in self.terms.items()})
+        return _multivector(self.sig, {m: -c for m, c in self.terms.items()})
 
     def scale(self, s: Scalarish) -> Multivector:
         s = _coerce(s)
-        return Multivector(self.sig, {m: c * s for m, c in self.terms.items()})
+        return _nonzero(self.sig, {m: c * s for m, c in self.terms.items()})
 
     def __mul__(self, other: Multivector) -> Multivector:
         self._check(other)
@@ -206,12 +207,12 @@ class Multivector:
                 if sign < 0:
                     add = -add
                 acc[m] = acc.get(m, ZERO) + add
-        return Multivector(self.sig, acc)
+        return _nonzero(self.sig, acc)
 
     # --- the four fundamental maps + the pseudo map ---------------------
     def grade_involution(self) -> Multivector:
         """Negate odd-grade terms; homomorphism."""
-        return Multivector(
+        return _multivector(
             self.sig,
             {m: (-c if grade(m) & 1 else c) for m, c in self.terms.items()},
         )
@@ -222,7 +223,7 @@ class Multivector:
         for m, c in self.terms.items():
             k = grade(m)
             out[m] = -c if (k * (k - 1) // 2) & 1 else c
-        return Multivector(self.sig, out)
+        return _multivector(self.sig, out)
 
     def conjugation(self) -> Multivector:
         """Composition of reversion and grade involution."""
@@ -230,11 +231,11 @@ class Multivector:
         for m, c in self.terms.items():
             k = grade(m)
             out[m] = -c if (k * (k + 1) // 2) & 1 else c
-        return Multivector(self.sig, out)
+        return _multivector(self.sig, out)
 
     def complex_conjugation(self) -> Multivector:
         """Conjugate every coefficient; blades are fixed, product preserved."""
-        return Multivector(self.sig, {m: c.conjugate() for m, c in self.terms.items()})
+        return _multivector(self.sig, {m: c.conjugate() for m, c in self.terms.items()})
 
     # --- inspection -----------------------------------------------------
     def coefficient(self, mask: int) -> GaussRational:
@@ -272,8 +273,19 @@ class Multivector:
         return f"Multivector({self.sig}, {str(self)!r})"
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
+def _multivector(sig: MetricSignature, terms: dict[int, GaussRational]) -> Multivector:
+    """Internal constructor for in-range masks with nonzero GaussRational
+    coefficients, which is what the ring operations and involutions of
+    valid multivectors produce; the public constructor re-checks both."""
+    mv = object.__new__(Multivector)
+    mv.sig = sig
+    mv.terms = terms
+    return mv
+
+
+def _nonzero(sig: MetricSignature, terms: dict[int, GaussRational]) -> Multivector:
+    """Internal constructor that drops the coefficients that cancelled."""
+    return _multivector(sig, {m: c for m, c in terms.items() if c})
 
 
 def volume_element(sig: MetricSignature) -> Multivector:

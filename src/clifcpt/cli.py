@@ -12,20 +12,26 @@ from .algebra import COMPLEX, REAL
 from .autmat import ConditionError
 from .classify import IdempotentSearchError
 from .covering import TableLookupError, TheoremCoverageError
-from .fingroup import ClassificationError, ClosureError
-from .pipeline import BasisSpecError
+from .fingroup import ClassificationError, ClosureError, GroupStructureError
+from .pipeline import MAX_DIM, BasisSpecError
 from .spinrep import CertificationError, SpinBasisFileError, UnsupportedSignatureError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
-_USAGE_ERRORS = (BasisSpecError, UnsupportedSignatureError, SpinBasisFileError)
+
+class UsageError(ValueError):
+    """A command-line value lies outside its documented range."""
+
+
+_USAGE_ERRORS = (UsageError, BasisSpecError, UnsupportedSignatureError, SpinBasisFileError)
 _VERIFY_ERRORS = (
     ConditionError,
     CertificationError,
     ClassificationError,
     ClosureError,
+    GroupStructureError,
     IdempotentSearchError,
     TheoremCoverageError,
     TableLookupError,
@@ -126,7 +132,13 @@ def _classify_markdown(result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_signature(args) -> None:
+    if args.p < 0 or args.q < 0 or args.p + args.q > MAX_DIM:
+        raise UsageError(f"--p and --q must be nonnegative with p + q <= {MAX_DIM}")
+
+
 def cmd_classify(args) -> int:
+    _check_signature(args)
     result = pipeline.classify_cell(args.p, args.q, args.field, args.basis)
     if args.format == "json":
         sys.stdout.write(pipeline.to_json(result))
@@ -136,10 +148,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not 0 <= args.max_dim <= 12:
-        raise BasisSpecError("--max-dim must be between 0 and 12")
+    if not 0 <= args.max_dim <= MAX_DIM:
+        raise UsageError(f"--max-dim must be between 0 and {MAX_DIM}")
     if args.jobs < 1:
-        raise BasisSpecError("--jobs must be positive")
+        raise UsageError("--jobs must be positive")
     result = pipeline.sweep(args.max_dim, args.field, args.jobs)
     if args.format == "json":
         content = pipeline.to_json(result)
@@ -153,6 +165,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cayley(args) -> int:
+    _check_signature(args)
     table, legend = pipeline.cayley_for(args.p, args.q, args.table_set, args.basis)
     if args.format == "md":
         sys.stdout.write(table.to_markdown(legend))
@@ -164,6 +177,8 @@ def cmd_cayley(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 <= args.max_dim <= MAX_DIM:
+        raise UsageError(f"--max-dim must be between 0 and {MAX_DIM}")
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = verify.run_suites(names, args.max_dim)
     failures = 0

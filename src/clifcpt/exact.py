@@ -35,23 +35,23 @@ class GaussRational:
 
     def __add__(self, other: Scalarish) -> GaussRational:
         other = _coerce(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        return _exact(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: Scalarish) -> GaussRational:
         other = _coerce(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
+        return _exact(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: Scalarish) -> GaussRational:
         other = _coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         # Fast paths for the values that dominate monomial-matrix work.
         if b == 0 and d == 0:
-            return GaussRational(a * c)
+            return _exact(a * c, b)
         if b == 0:
-            return GaussRational(a * c, a * d)
+            return _exact(a * c, a * d)
         if d == 0:
-            return GaussRational(a * c, b * c)
-        return GaussRational(a * c - b * d, a * d + b * c)
+            return _exact(a * c, b * c)
+        return _exact(a * c - b * d, a * d + b * c)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -64,16 +64,16 @@ class GaussRational:
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero GaussRational")
-        return GaussRational(
+        return _exact(
             (self.re * other.re + self.im * other.im) / norm,
             (self.im * other.re - self.re * other.im) / norm,
         )
 
     def __neg__(self) -> GaussRational:
-        return GaussRational(-self.re, -self.im)
+        return _exact(-self.re, -self.im)
 
     def conjugate(self) -> GaussRational:
-        return GaussRational(self.re, -self.im)
+        return _exact(self.re, -self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -100,6 +100,18 @@ class GaussRational:
     @classmethod
     def parse(cls, text: str) -> GaussRational:
         return parse_gauss(text)
+
+
+def _exact(re: Fraction, im: Fraction) -> GaussRational:
+    """Internal constructor for parts that are already Fractions.
+
+    Fraction arithmetic returns values in lowest terms, so results of
+    GaussRational arithmetic skip the public constructor's coercion.
+    """
+    z = object.__new__(GaussRational)
+    z.re = re
+    z.im = im
+    return z
 
 
 def _coerce(value: Scalarish) -> GaussRational:
@@ -362,22 +374,6 @@ class GaussMatrix:
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]]) -> GaussMatrix:
         return cls([[parse_gauss(e) for e in row] for row in rows])
-
-
-def mat_mul(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
-    return a * b
-
-
-def mat_transpose(a: GaussMatrix) -> GaussMatrix:
-    return a.transpose()
-
-
-def mat_conj(a: GaussMatrix) -> GaussMatrix:
-    return a.conj()
-
-
-def mat_inverse(a: GaussMatrix) -> GaussMatrix:
-    return a.inverse()
 
 
 def kron(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:

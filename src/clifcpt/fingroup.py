@@ -23,6 +23,13 @@ class ClassificationError(ValueError):
     """A signature tuple falls outside the admissible census."""
 
 
+class GroupStructureError(ValueError):
+    """Matrices handed to a group routine break its structural invariant:
+    no generators or mixed dimensions, a square other than +-I, a product
+    outside the signed representative set, or an order too large to
+    identify."""
+
+
 @dataclass(frozen=True)
 class SignedGroup:
     elements: tuple[GaussMatrix, ...]
@@ -49,7 +56,7 @@ def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
     -I appears exactly when some product generates it.
     """
     if not gens:
-        raise ValueError("need at least one generator")
+        raise GroupStructureError("need at least one generator")
     dim = gens[0].dim
     eye = GaussMatrix.identity(dim)
     seen: dict[GaussMatrix, int] = {}
@@ -57,7 +64,7 @@ def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
     queue: list[GaussMatrix] = []
     for g in gens:
         if g.dim != dim:
-            raise ValueError("generators have mixed dimensions")
+            raise GroupStructureError("generators have mixed dimensions")
         if g not in seen:
             seen[g] = len(order)
             order.append(g)
@@ -96,7 +103,7 @@ def order_structure(reps: Sequence[GaussMatrix]) -> tuple[int, int]:
     for m in reps:
         sq = (m * m).pm_identity()
         if sq is None:
-            raise ValueError("representative square is not +-I")
+            raise GroupStructureError("representative square is not +-I")
         if m == eye:
             continue
         if sq == 1:
@@ -171,7 +178,7 @@ def identify_abstract(group: SignedGroup) -> dict:
     elems = group.elements
     n = len(elems)
     if n > 32:
-        raise ValueError("identification supported only up to order 32")
+        raise GroupStructureError("identification supported only up to order 32")
     abelian = True
     center = 0
     for x in elems:
@@ -260,7 +267,7 @@ def cayley_table(labeled: Sequence[tuple[str, GaussMatrix]]) -> CayleyTable:
                     hit = (-1, lab)
                     break
             if hit is None:
-                raise ValueError("product falls outside the signed representative set")
+                raise GroupStructureError("product falls outside the signed representative set")
             row.append(hit)
         cells.append(tuple(row))
     return CayleyTable(labels, tuple(cells))

@@ -63,6 +63,11 @@ SWEEP_CSV_COLUMNS = [
 ]
 
 
+# Largest p + q any command accepts: the atlas and the schemas stop here,
+# and the blade and matrix sizes grow as 2^(p+q).
+MAX_DIM = 12
+
+
 class BasisSpecError(ValueError):
     """The requested basis does not apply to the requested signature."""
 
@@ -220,32 +225,15 @@ def _arith_section(p: int, q: int) -> dict:
 def classify_cell(p: int, q: int, field: str = REAL, basis_spec: str = "canonical") -> dict:
     if field == COMPLEX:
         return _classify_complex(p, q)
-    n = p + q
-    out: dict = {"p": p, "q": q, "n": n, "field": REAL}
-    out.update(_arith_section(p, q))
-    if n % 2 == 1:
-        out["status"] = "reduced"
-        red = covering.reduce_odd(p, q)
-        summaries = []
-        for tp, tq in red.targets:
-            target = classify_cell(tp, tq, REAL, "canonical")
-            summaries.append(
-                {
-                    "p": tp,
-                    "q": tq,
-                    "ring": target["ring"],
-                    "signatures": [r["signature"] for r in target["realizations"]],
-                    "labels": [r["label"] for r in target["realizations"]],
-                    "cpt_fibers": [r["cpt_cover"]["fiber"] for r in target["realizations"]],
-                }
-            )
-        out["reduction"] = {
-            "targets": [list(t) for t in red.targets],
-            "omega_sq": red.omega_sq,
-            "complex_target": red.complex_target,
-            "target_summaries": summaries,
-        }
+    if (p + q) % 2 == 1:
+        out = _reduced_cell(p, q)
+        red = out["reduction"]
+        red["target_summaries"] = [
+            _target_summary(classify_cell(tp, tq)) for tp, tq in red["targets"]
+        ]
         return out
+    out: dict = {"p": p, "q": q, "n": p + q, "field": REAL}
+    out.update(_arith_section(p, q))
     out["status"] = "matrix"
     basis = resolve_basis(p, q, REAL, basis_spec)
     prof = certify_spinbasis(basis)
@@ -254,6 +242,32 @@ def classify_cell(p: int, q: int, field: str = REAL, basis_spec: str = "canonica
         realization_record(p, q, prof, r) for r in enumerate_realizations(basis)
     ]
     return out
+
+
+def _reduced_cell(p: int, q: int) -> dict:
+    """An odd real cell without its `target_summaries`, which come from
+    the canonical classification of its even reduction targets."""
+    out: dict = {"p": p, "q": q, "n": p + q, "field": REAL}
+    out.update(_arith_section(p, q))
+    out["status"] = "reduced"
+    red = covering.reduce_odd(p, q)
+    out["reduction"] = {
+        "targets": [list(t) for t in red.targets],
+        "omega_sq": red.omega_sq,
+        "complex_target": red.complex_target,
+    }
+    return out
+
+
+def _target_summary(target: dict) -> dict:
+    return {
+        "p": target["p"],
+        "q": target["q"],
+        "ring": target["ring"],
+        "signatures": [r["signature"] for r in target["realizations"]],
+        "labels": [r["label"] for r in target["realizations"]],
+        "cpt_fibers": [r["cpt_cover"]["fiber"] for r in target["realizations"]],
+    }
 
 
 def _classify_complex(p: int, q: int) -> dict:
@@ -383,13 +397,19 @@ def cayley_for(p: int, q: int, set_name: str, basis_spec: str = "canonical"):
 
 def _sweep_cell(args) -> dict:
     p, q, field = args
+    if field == REAL and (p + q) % 2 == 1:
+        return _reduced_cell(p, q)
     return classify_cell(p, q, field, "canonical")
 
 
 def sweep(max_dim: int, field: str = REAL, jobs: int = 1) -> dict:
-    """Classify every signature with p+q <= max_dim; deterministic order."""
-    if max_dim < 0 or max_dim > 12:
-        raise ValueError("max_dim must be between 0 and 12")
+    """Classify every signature with p+q <= max_dim; deterministic order.
+
+    Each cell is classified once: an odd real cell takes the summaries of
+    its even reduction targets from the even cells of the same sweep.
+    """
+    if not 0 <= max_dim <= MAX_DIM:
+        raise ValueError(f"max_dim must be between 0 and {MAX_DIM}")
     if field == COMPLEX:
         tasks = [(n, 0, COMPLEX) for n in range(0, max_dim + 1)]
     else:
@@ -403,6 +423,13 @@ def sweep(max_dim: int, field: str = REAL, jobs: int = 1) -> dict:
     else:
         cells = [_sweep_cell(t) for t in tasks]
     cells.sort(key=lambda c: (c["n"], c["p"]))
+    matrix_cells = {(c["p"], c["q"]): c for c in cells if c["status"] == "matrix"}
+    for cell in cells:
+        red = cell.get("reduction", {})
+        if "targets" in red:
+            red["target_summaries"] = [
+                _target_summary(matrix_cells[tuple(t)]) for t in red["targets"]
+            ]
 
     census = fingroup.census_64()
     realized: dict[int, int] = {}

@@ -189,33 +189,14 @@ class SpinBasis:
         return self.gens[0].dim if self.gens else 1
 
 
-def _brauer_weyl(n: int) -> list[GaussMatrix]:
-    """Anticommuting generators over the complex field, all squares +I.
-
-    Generator 2k-1 carries a Pauli-1 factor (real symmetric) and
-    generator 2k a Pauli-2 factor (imaginary antisymmetric), each behind
-    k-1 Pauli-3 factors and padded with identities.
-    """
-    if n % 2 != 0:
-        raise UnsupportedSignatureError("Brauer-Weyl tower needs even n")
-    m = n // 2
-    gens = []
-    for kk in range(1, m + 1):
-        for core in (PAULI_1, PAULI_2):
-            g = GaussMatrix.identity(1)
-            for _ in range(kk - 1):
-                g = kron(g, PAULI_3)
-            g = kron(g, core)
-            for _ in range(m - kk):
-                g = kron(g, I2)
-            gens.append(g)
-    return gens
-
-
 def _bw_pool(m: int) -> tuple[list[GaussMatrix], list[GaussMatrix], GaussMatrix]:
     """The 2m+1 pairwise-anticommuting pool behind the even towers:
     m real symmetric generators (Pauli-1 cores), m imaginary antisymmetric
-    ones (Pauli-2 cores), and the all-Pauli-3 tail; every square is +I."""
+    ones (Pauli-2 cores), and the all-Pauli-3 tail; every square is +I.
+
+    Generator kk of each list carries its core behind kk-1 Pauli-3 factors
+    and is padded with identities; interleaving the two lists gives the
+    Brauer-Weyl tower of the complex field."""
     reals, imags = [], []
     for kk in range(1, m + 1):
         for core, bucket in ((PAULI_1, reals), (PAULI_2, imags)):
@@ -307,7 +288,8 @@ def build_spinbasis(sig: MetricSignature) -> SpinBasis:
             f"the even reduction targets (covering.reduce_odd)"
         )
     if sig.field == COMPLEX:
-        gens = _brauer_weyl(n)
+        reals, imags, _ = _bw_pool(n // 2)
+        gens = [g for pair in zip(reals, imags) for g in pair]
     elif sig.p - sig.q in (0, 2):
         gens = _real_tower(sig.p, sig.q)
     else:

@@ -7,8 +7,10 @@ being verified.
 
 from __future__ import annotations
 
+import os
 import random
 import time
+import traceback
 from dataclasses import dataclass
 from itertools import product as iterproduct
 
@@ -22,7 +24,7 @@ from .algebra import (
     involution_via_omega_check,
     random_multivector,
 )
-from .autmat import enumerate_realizations, sig_str
+from .autmat import Realization, enumerate_realizations, sig_str
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, radon_hurwitz, ring_type
 from .fingroup import (
     cayley_table,
@@ -40,7 +42,7 @@ from .goldens import (
     signed_cells,
 )
 from .pipeline import ext_reps, predictor_analysis, wigner_reps
-from .spinrep import build_spinbasis, certify_spinbasis, preset_spinbasis
+from .spinrep import SpinBasis, build_spinbasis, certify_spinbasis, preset_spinbasis
 
 SUITE_NAMES = ("automorphisms", "theorems", "groups", "coverings")
 
@@ -57,6 +59,7 @@ class CheckResult:
 
 
 def _run(suite: str, name: str, fn) -> CheckResult:
+    """Run one check; a check that raises fails, and the run goes on."""
     t0 = time.monotonic()
     try:
         detail = fn() or ""
@@ -64,7 +67,20 @@ def _run(suite: str, name: str, fn) -> CheckResult:
     except AssertionError as exc:
         detail = str(exc)
         passed = False
+    except Exception as exc:
+        # A check that crashes must not lose the results of the others.
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        at = f"{os.path.basename(where.filename)}:{where.lineno}"
+        detail = f"{type(exc).__name__}: {exc} (at {at})"
+        passed = False
     return CheckResult(suite, name, passed, detail, time.monotonic() - t0)
+
+
+def _realizations(table: dict, basis: SpinBasis) -> list[Realization]:
+    """The realizations of `basis`, enumerated once per verify run."""
+    if basis not in table:
+        table[basis] = enumerate_realizations(basis)
+    return table[basis]
 
 
 def _real_sigs(max_dim: int):
@@ -99,7 +115,9 @@ def _maps(sig: MetricSignature):
     return apply
 
 
-def suite_automorphisms(max_dim: int) -> list[CheckResult]:
+def suite_automorphisms(max_dim: int, realizations: dict | None = None) -> list[CheckResult]:
+    """Laws of the four involutions; `realizations` is unused here and is
+    accepted so that every suite takes the run's realization table."""
     rng = random.Random(_SEED)
     out = []
 
@@ -176,7 +194,8 @@ def suite_automorphisms(max_dim: int) -> list[CheckResult]:
 # --- theorem suite -----------------------------------------------------------
 
 
-def suite_theorems(max_dim: int) -> list[CheckResult]:
+def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[CheckResult]:
+    realizations = {} if realizations is None else realizations
     out = []
 
     def predictor_agreement():
@@ -184,7 +203,7 @@ def suite_theorems(max_dim: int) -> list[CheckResult]:
         for sig in _even_real_sigs(max_dim):
             basis = build_spinbasis(sig)
             prof = certify_spinbasis(basis)
-            for r in enumerate_realizations(basis):
+            for r in _realizations(realizations, basis):
                 rep = predictor_analysis(sig.p, sig.q, prof, r)
                 assert rep["verdict"] == "agree", (
                     f"Cl({sig.p},{sig.q}): {rep['verdict']}"
@@ -222,7 +241,7 @@ def suite_theorems(max_dim: int) -> list[CheckResult]:
         for n in range(0, max_dim + 1, 2):
             bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
         for basis in bases:
-            for r in enumerate_realizations(basis):
+            for r in _realizations(realizations, basis):
                 a = r.aut
                 for checker, m in (
                     (check_W, a.W),
@@ -244,12 +263,12 @@ def suite_theorems(max_dim: int) -> list[CheckResult]:
 # --- group suite --------------------------------------------------------------
 
 
-def suite_groups(max_dim: int) -> list[CheckResult]:
+def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckResult]:
+    realizations = {} if realizations is None else realizations
     out = []
 
     def dirac_goldens():
-        basis = preset_spinbasis("dirac")
-        r = enumerate_realizations(basis)[0]
+        r = _realizations(realizations, preset_spinbasis("dirac"))[0]
         assert r.signature == DIRAC_EXT_SIGNATURE, sig_str(r.signature)
         table = cayley_table(ext_reps(r.aut))
         assert table.cells == signed_cells(DIRAC_EXT_TABLE), "extended-set table mismatch"
@@ -279,8 +298,7 @@ def suite_groups(max_dim: int) -> list[CheckResult]:
     out.append(_run("groups", "wigner-reflection-set", wigner_goldens))
 
     def closure_closedness():
-        basis = preset_spinbasis("dirac")
-        r = enumerate_realizations(basis)[0]
+        r = _realizations(realizations, preset_spinbasis("dirac"))[0]
         closure = signed_closure(list(r.aut.matrices()))
         elems = set(closure.elements)
         for x in closure.elements:
@@ -302,8 +320,7 @@ def suite_groups(max_dim: int) -> list[CheckResult]:
         from .autmat import minus_count
 
         for sig in _even_real_sigs(max_dim):
-            basis = build_spinbasis(sig)
-            for r in enumerate_realizations(basis):
+            for r in _realizations(realizations, build_spinbasis(sig)):
                 assert minus_count(r.signature) in (0, 2, 4, 6), sig_str(r.signature)
                 label = signature_label(r.signature, r.abelian)
                 assert label.consistent, f"Cl({sig.p},{sig.q}): {label.note}"
@@ -316,7 +333,8 @@ def suite_groups(max_dim: int) -> list[CheckResult]:
 # --- covering suite -----------------------------------------------------------
 
 
-def suite_coverings(max_dim: int) -> list[CheckResult]:
+def suite_coverings(max_dim: int, realizations: dict | None = None) -> list[CheckResult]:
+    realizations = {} if realizations is None else realizations
     out = []
 
     def pt_rows():
@@ -390,8 +408,7 @@ def suite_coverings(max_dim: int) -> list[CheckResult]:
         }
         count = 0
         for sig in _even_real_sigs(max_dim):
-            basis = build_spinbasis(sig)
-            for r in enumerate_realizations(basis):
+            for r in _realizations(realizations, build_spinbasis(sig)):
                 tag = signature_label(r.signature, r.abelian).tag
                 fiber = covering.cpt_cover_label(r.signature, r.abelian).fiber
                 assert fiber == family[tag], f"Cl({sig.p},{sig.q}): {tag} vs {fiber}"
@@ -428,9 +445,10 @@ _SUITES = {
 
 
 def run_suites(names, max_dim: int = 8) -> list[CheckResult]:
+    realizations: dict[SpinBasis, list[Realization]] = {}
     results = []
     for name in names:
-        results.extend(_SUITES[name](max_dim))
+        results.extend(_SUITES[name](max_dim, realizations))
     return results
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from clifcpt.algebra import (
     COMPLEX,
+    REAL,
     MetricSignature,
     Multivector,
     OddDimensionError,
@@ -156,3 +157,45 @@ def test_representation_matches_blade_arithmetic():
         bx = Multivector.blade(CL13, x)
         by = Multivector.blade(CL13, y)
         assert represent(basis, bx * by) == represent(basis, bx) * represent(basis, by)
+
+
+def _blade_product_per_bit(x, y, sig):
+    """The reference: reorder swaps, then one metric_sign call per shared generator."""
+    a = x >> 1
+    swaps = 0
+    while a:
+        swaps += (a & y).bit_count()
+        a >>= 1
+    sign = -1 if swaps & 1 else 1
+    common = x & y
+    i = 1
+    while common:
+        if common & 1 and sig.metric_sign(i) < 0:
+            sign = -sign
+        common >>= 1
+        i += 1
+    return sign, x ^ y
+
+
+def test_blade_product_matches_per_bit_reference():
+    for n in range(6):
+        for sig in [MetricSignature(p, n - p, f) for p in range(n + 1) for f in (REAL, COMPLEX)]:
+            for x in range(1 << n):
+                for y in range(1 << n):
+                    assert blade_product(x, y, sig) == _blade_product_per_bit(x, y, sig)
+
+
+def test_operation_results_match_public_constructor():
+    rng = random.Random(31)
+    for sig in (CL13, MetricSignature(2, 3), MetricSignature(4, 0, COMPLEX)):
+        for _ in range(60):
+            a = random_multivector(sig, rng, allow_complex_coeffs=True)
+            b = random_multivector(sig, rng, allow_complex_coeffs=True)
+            s = GaussRational(rng.randint(-2, 2), rng.randint(-1, 1))
+            results = [
+                a + b, a - b, a - a, a * b, -a, a.scale(s), a.scale(0),
+                a.grade_involution(), a.reversion(), a.conjugation(), a.complex_conjugation(),
+            ]
+            for got in results:
+                want = Multivector(got.sig, got.terms)
+                assert got == want and hash(got) == hash(want)

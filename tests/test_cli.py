@@ -256,10 +256,53 @@ def test_verify_exit_1_on_failing_check(capsys, monkeypatch):
     from clifcpt import verify as vf
     from clifcpt.verify import CheckResult
 
-    def fake_suite(max_dim):
+    def fake_suite(max_dim, realizations):
         return [CheckResult("coverings", "stub", False, "forced failure", 0.0)]
 
     monkeypatch.setitem(vf._SUITES, "coverings", fake_suite)
     code, out, _ = run_cli(["verify", "--suite", "coverings"], capsys)
     assert code == 1
     assert "FAIL" in out and "forced failure" in out
+
+
+def test_out_of_range_inputs_exit_2(capsys):
+    for argv in (
+        ["classify", "--p", "20", "--q", "20"],
+        ["classify", "--p", "-1", "--q", "3"],
+        ["cayley", "--p", "7", "--q", "6", "--set", "ext"],
+        ["verify", "--max-dim", "13"],
+        ["verify", "--max-dim", "-1"],
+    ):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and "12" in err
+
+
+def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
+    from clifcpt import verify as vf
+    from clifcpt.autmat import ConditionError
+
+    def broken_census():
+        raise ConditionError("census table unavailable")
+
+    monkeypatch.setattr(vf, "census_64", broken_census)
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "2"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "16/17 checks passed"
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert "signature-census" in failed[0]
+    assert "ConditionError: census table unavailable" in failed[0]
+
+
+def test_group_invariant_failure_exits_1(capsys, monkeypatch):
+    from clifcpt import pipeline
+    from gammas import gamma_matrices
+
+    g0, g1, _, _ = gamma_matrices()
+    monkeypatch.setattr(pipeline, "wigner_reps", lambda basis: [("A", g0), ("B", g1)])
+    code, _, err = run_cli(
+        ["cayley", "--p", "1", "--q", "3", "--basis", "dirac", "--set", "cpt-wigner"], capsys
+    )
+    assert code == 1
+    assert "outside the signed representative set" in err

@@ -197,3 +197,35 @@ def test_kron_block_structure():
     assert k.rows[0][1] == GaussRational(1)
     assert k.rows[2][3] == GaussRational(-1)
     assert k * k == GaussMatrix.identity(4)
+
+
+def _random_scalar(rng):
+    """A GaussRational with either part possibly zero."""
+    parts = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(2)]
+    zeroed = rng.randrange(4)  # 0: real part zero, 1: imaginary part zero, else both kept
+    if zeroed < 2:
+        parts[zeroed] = Fraction(0)
+    return GaussRational(*parts)
+
+
+def test_arithmetic_results_match_public_constructor():
+    rng = random.Random(29)
+    for _ in range(400):
+        a, b = _random_scalar(rng), _random_scalar(rng)
+        ar, ai, br, bi = a.re, a.im, b.re, b.im
+        cases = [
+            (a + b, (ar + br, ai + bi)),
+            (a - b, (ar - br, ai - bi)),
+            (a * b, (ar * br - ai * bi, ar * bi + ai * br)),
+            (-a, (-ar, -ai)),
+            (a.conjugate(), (ar, -ai)),
+            (a * 3, (ar * 3, ai * 3)),
+            (2 - a, (2 - ar, -ai)),
+        ]
+        if not b.is_zero():
+            norm = br * br + bi * bi
+            cases.append((a / b, ((ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm)))
+        for got, (re, im) in cases:
+            want = GaussRational(re, im)
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+            assert got == want and hash(got) == hash(want)

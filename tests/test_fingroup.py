@@ -5,6 +5,7 @@ from clifcpt.exact import GaussMatrix, GaussRational
 from clifcpt.fingroup import (
     CLOSURE_LIMIT,
     ClassificationError,
+    GroupStructureError,
     aut_label,
     cayley_table,
     census_64,
@@ -154,7 +155,7 @@ def test_cayley_specific_cells():
 
 def test_cayley_rejects_non_closed_set():
     g0, g1, _, _ = gamma_matrices()
-    with pytest.raises(ValueError):
+    with pytest.raises(GroupStructureError):
         cayley_table([("A", g0), ("B", g1)])  # product g0*g1 is outside
 
 
@@ -179,5 +180,5 @@ def test_census_64():
 
 def test_closure_limit_guard():
     assert CLOSURE_LIMIT == 256
-    with pytest.raises(ValueError):
+    with pytest.raises(GroupStructureError):
         signed_closure([])
