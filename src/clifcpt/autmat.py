@@ -16,13 +16,26 @@ its defining intertwining condition exhaustively over all generators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 from .algebra import blade_indices
 from .exact import GaussMatrix
 from .spinrep import BasisProfile, SpinBasis, certify_spinbasis, product_over
 
 ELEMENT_NAMES = ("I", "W", "E", "C", "Pi", "K", "S", "F")
+
+# The intertwining condition of each element as (transpose, conjugate,
+# sign): M * g' * M^-1 = sign * g on every generator g, where g' is g,
+# transposed and/or complex-conjugated as flagged.
+CONDITIONS = {
+    "W": (False, False, -1),
+    "E": (True, False, +1),
+    "C": (True, False, -1),
+    "Pi": (False, True, +1),
+    "K": (False, True, -1),
+    "S": (True, True, +1),
+    "F": (True, True, -1),
+}
 
 SKEW_PRODUCT = "skew_product"
 SYM_PRODUCT = "sym_product"
@@ -60,6 +73,7 @@ class AutMatrixSet:
     choice_e: str
     choice_pi: str
     rep_signs: dict  # element name -> +-1 vs increasing-index product
+    reps: tuple[GaussMatrix, ...]  # increasing-index products over the masks, I first
 
     def matrices(self) -> tuple[GaussMatrix, ...]:
         eye = GaussMatrix.identity(self.basis.dim)
@@ -69,59 +83,58 @@ class AutMatrixSet:
         return (self.W, self.E, self.C, self.Pi, self.K, self.S, self.F)
 
 
-def _check(
-    name: str,
-    m: GaussMatrix,
-    basis: SpinBasis,
-    transform: Callable[[GaussMatrix], GaussMatrix],
-    expect_sign: int,
-) -> list[str]:
+def check(name: str, m: GaussMatrix, basis: SpinBasis) -> list[str]:
+    """The generators on which `m` fails the condition of element `name`."""
+    transpose, conjugate, sign = CONDITIONS[name]
     inv = m.inverse()
     bad = []
     for i, g in enumerate(basis.gens, start=1):
-        lhs = m * transform(g) * inv
-        rhs = g if expect_sign > 0 else -g
-        if lhs != rhs:
+        t = g.transpose() if transpose else g
+        if conjugate:
+            t = t.conj()
+        if m * t * inv != (g if sign > 0 else -g):
             bad.append(f"{name} condition fails on generator {i}")
     return bad
 
 
-def check_W(m, basis):
-    return _check("W", m, basis, lambda g: g, -1)
+def _checked(name: str, m: GaussMatrix, basis: SpinBasis) -> GaussMatrix:
+    bad = check(name, m, basis)
+    if bad:
+        raise ConditionError("; ".join(bad))
+    return m
 
 
-def check_E(m, basis):
-    return _check("E", m, basis, lambda g: g.transpose(), +1)
-
-
-def check_C(m, basis):
-    return _check("C", m, basis, lambda g: g.transpose(), -1)
-
-
-def check_Pi(m, basis):
-    return _check("Pi", m, basis, lambda g: g.conj(), +1)
-
-
-def check_K(m, basis):
-    return _check("K", m, basis, lambda g: g.conj(), -1)
-
-
-def check_S(m, basis):
-    return _check("S", m, basis, lambda g: g.transpose().conj(), +1)
-
-
-def check_F(m, basis):
-    return _check("F", m, basis, lambda g: g.transpose().conj(), -1)
+def _sign(m: GaussMatrix, ref: GaussMatrix, failure: str) -> int:
+    """The sign s with m == s * ref."""
+    if m == ref:
+        return 1
+    if m == -ref:
+        return -1
+    raise ConditionError(failure)
 
 
 def build_W(basis: SpinBasis) -> GaussMatrix:
     """Product of all generators in index order."""
-    full = (1 << basis.sig.n) - 1
-    w = product_over(basis, full)
-    bad = check_W(w, basis)
-    if bad:
-        raise ConditionError("; ".join(bad))
-    return w
+    return _checked("W", product_over(basis, (1 << basis.sig.n) - 1), basis)
+
+
+def _candidates(basis: SpinBasis, name: str, candidates, failure: str):
+    """The (matrix, choice, mask) of each distinct candidate product that
+    meets the condition of `name`; ConditionError when none does."""
+    out = []
+    seen = set()
+    failures = []
+    for mask, choice in candidates:
+        m = product_over(basis, mask)
+        bad = check(name, m, basis)
+        if bad:
+            failures.append(f"{choice}: {'; '.join(bad)}")
+        elif m not in seen:
+            seen.add(m)
+            out.append((m, choice, mask))
+    if not out:
+        raise ConditionError(failure + " | ".join(failures))
+    return out
 
 
 def find_E(basis: SpinBasis, prof: BasisProfile | None = None):
@@ -132,37 +145,14 @@ def find_E(basis: SpinBasis, prof: BasisProfile | None = None):
     exactly one candidate survives.
     """
     prof = prof or certify_spinbasis(basis)
-    candidates = [
-        (prof.skew_mask, SKEW_PRODUCT),
-        (prof.sym_mask, SYM_PRODUCT),
-    ]
-    out = []
-    seen = set()
-    failures = []
-    for mask, choice in candidates:
-        m = product_over(basis, mask)
-        bad = check_E(m, basis)
-        if bad:
-            failures.append(f"{choice}: {'; '.join(bad)}")
-            continue
-        if m in seen:
-            continue
-        seen.add(m)
-        out.append((m, choice, mask))
-    if not out:
-        raise ConditionError("no valid reversion matrix: " + " | ".join(failures))
-    return out
+    candidates = [(prof.skew_mask, SKEW_PRODUCT), (prof.sym_mask, SYM_PRODUCT)]
+    return _candidates(basis, "E", candidates, "no valid reversion matrix: ")
 
 
 def build_C(e: GaussMatrix, w: GaussMatrix, basis: SpinBasis) -> GaussMatrix:
     """C = E * W^T; also verified to equal E * W up to sign."""
-    c = e * w.transpose()
-    bad = check_C(c, basis)
-    if bad:
-        raise ConditionError("; ".join(bad))
-    ew = e * w
-    if c != ew and c != -ew:
-        raise ConditionError("E*W^T differs from E*W by more than a sign")
+    c = _checked("C", e * w.transpose(), basis)
+    _sign(c, e * w, "E*W^T differs from E*W by more than a sign")
     return c
 
 
@@ -180,69 +170,26 @@ def find_Pi(basis: SpinBasis, prof: BasisProfile | None = None):
         candidates.append((prof.complex_mask, COMPLEX_PRODUCT))
     if prof.b % 2 == 1:
         candidates.append((prof.real_mask, REAL_PRODUCT))
-    out = []
-    seen = set()
-    failures = []
-    for mask, choice in candidates:
-        m = product_over(basis, mask)
-        bad = check_Pi(m, basis)
-        if bad:
-            failures.append(f"{choice}: {'; '.join(bad)}")
-            continue
-        if m in seen:
-            continue
-        seen.add(m)
-        out.append((m, choice, mask))
-    if not out:
-        raise ConditionError(
-            "pseudoautomorphism not representable in this basis: " + " | ".join(failures)
-        )
-    return out
+    return _candidates(
+        basis, "Pi", candidates, "pseudoautomorphism not representable in this basis: "
+    )
 
 
-def build_K(pi: GaussMatrix, w: GaussMatrix, basis: SpinBasis) -> GaussMatrix:
-    k = pi * w
-    bad = check_K(k, basis)
-    if bad:
-        raise ConditionError("; ".join(bad))
-    return k
-
-
-def build_S(pi: GaussMatrix, e: GaussMatrix, basis: SpinBasis) -> GaussMatrix:
-    s = pi * e
-    bad = check_S(s, basis)
-    if bad:
-        raise ConditionError("; ".join(bad))
-    return s
-
-
-def build_F(pi: GaussMatrix, c: GaussMatrix, basis: SpinBasis, s: GaussMatrix, w: GaussMatrix) -> GaussMatrix:
-    f = pi * c
-    bad = check_F(f, basis)
-    if bad:
-        raise ConditionError("; ".join(bad))
-    sw = s * w
-    if f != sw and f != -sw:
-        raise ConditionError("F = Pi*C differs from S*W by more than a sign")
-    return f
-
-
-def signature(aut: AutMatrixSet) -> SigTuple:
-    """Signs of the squares of W, E, C, Pi, K, S, F; each square must be
-    exactly +I or -I."""
+def square_signs(mats: Sequence[GaussMatrix]) -> tuple[int, ...]:
+    """Signs of the squares of W, E, C, ... (ELEMENT_NAMES order, from W);
+    each square must be exactly +I or -I."""
     signs = []
-    for name, m in zip(ELEMENT_NAMES[1:], aut.seven()):
+    for name, m in zip(ELEMENT_NAMES[1:], mats):
         s = (m * m).pm_identity()
         if s is None:
             raise ConditionError(f"{name}^2 is not +-I; broken construction")
         signs.append(s)
-    return tuple(signs)  # type: ignore[return-value]
+    return tuple(signs)
 
 
-def commutation_table(aut: AutMatrixSet) -> tuple[tuple[int, ...], ...]:
-    """Sign eps with X*Y = eps * Y*X for each ordered pair of the eight
-    elements (I first); every pair must commute or anticommute."""
-    mats = aut.matrices()
+def commutation_table(mats: Sequence[GaussMatrix]) -> tuple[tuple[int, ...], ...]:
+    """Sign eps with X*Y = eps * Y*X for each ordered pair of the matrices;
+    every pair must commute or anticommute."""
     table = []
     for x in mats:
         row = []
@@ -278,15 +225,6 @@ class Realization:
         return sig_str(self.signature)
 
 
-def _rep_sign(built: GaussMatrix, basis: SpinBasis, mask: int) -> int:
-    rep = product_over(basis, mask)
-    if built == rep:
-        return 1
-    if built == -rep:
-        return -1
-    raise ConditionError("built matrix is not a signed increasing-index generator product")
-
-
 def complete_set(
     basis: SpinBasis,
     w: GaussMatrix,
@@ -299,9 +237,10 @@ def complete_set(
 ) -> AutMatrixSet:
     full = (1 << basis.sig.n) - 1
     c = build_C(e, w, basis)
-    k = build_K(pi, w, basis)
-    s = build_S(pi, e, basis)
-    f = build_F(pi, c, basis, s, w)
+    k = _checked("K", pi * w, basis)
+    s = _checked("S", pi * e, basis)
+    f = _checked("F", pi * c, basis)
+    _sign(f, s * w, "F = Pi*C differs from S*W by more than a sign")
     masks = {
         "W": full,
         "E": e_mask,
@@ -311,8 +250,14 @@ def complete_set(
         "S": pi_mask ^ e_mask,
         "F": pi_mask ^ full ^ e_mask,
     }
-    mats = {"W": w, "E": e, "C": c, "Pi": pi, "K": k, "S": s, "F": f}
-    rep_signs = {name: _rep_sign(mats[name], basis, masks[name]) for name in mats}
+    built = (w, e, c, pi, k, s, f)
+    reps = (GaussMatrix.identity(basis.dim),) + tuple(
+        product_over(basis, masks[name]) for name in ELEMENT_NAMES[1:]
+    )
+    rep_signs = {
+        name: _sign(m, rep, "built matrix is not a signed increasing-index generator product")
+        for name, m, rep in zip(ELEMENT_NAMES[1:], built, reps[1:])
+    }
     return AutMatrixSet(
         basis=basis,
         W=w,
@@ -326,6 +271,7 @@ def complete_set(
         choice_e=e_choice,
         choice_pi=pi_choice,
         rep_signs=rep_signs,
+        reps=reps,
     )
 
 
@@ -339,8 +285,8 @@ def enumerate_realizations(basis: SpinBasis) -> list[Realization]:
     for e, e_choice, e_mask in find_E(basis, prof):
         for pi, pi_choice, pi_mask in find_Pi(basis, prof):
             aut = complete_set(basis, w, e, e_choice, e_mask, pi, pi_choice, pi_mask)
-            sig = signature(aut)
-            table = commutation_table(aut)
+            sig = square_signs(aut.seven())
+            table = commutation_table(aut.matrices())
             key = (sig, table)
             if key in seen:
                 continue

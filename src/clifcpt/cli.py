@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     except _VERIFY_ERRORS as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return EXIT_VERIFY
-    except (_USAGE_ERRORS + (ValueError,)) as exc:
+    except _USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iterproduct
+from math import lcm
 from typing import Sequence
 
 from .autmat import minus_count, sig_str
@@ -25,19 +26,25 @@ class ClassificationError(ValueError):
 
 class GroupStructureError(ValueError):
     """Matrices handed to a group routine break its structural invariant:
-    no generators or mixed dimensions, a square other than +-I, a product
-    outside the signed representative set, or an order too large to
-    identify."""
+    no generators or mixed dimensions, a closure without the identity, a
+    square other than +-I, a product outside the signed representative
+    set, or an order too large to identify."""
 
 
 @dataclass(frozen=True)
 class SignedGroup:
     elements: tuple[GaussMatrix, ...]
-    contains_minus_I: bool
+    mul: tuple[tuple[int, ...], ...]  # mul[i][j]: index of elements[i] * elements[j]
+    identity: int  # index of I
+    minus_identity: int | None  # index of -I, if present
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def contains_minus_I(self) -> bool:
+        return self.minus_identity is not None
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,8 @@ class GroupLabel:
 
 
 def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
-    """Fixed-point closure of the given matrices under multiplication.
+    """Fixed-point closure of the given matrices under multiplication,
+    with the index of every product.
 
     Elements are visited breadth-first in deterministic insertion order;
     -I appears exactly when some product generates it.
@@ -61,38 +69,32 @@ def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
     eye = GaussMatrix.identity(dim)
     seen: dict[GaussMatrix, int] = {}
     order: list[GaussMatrix] = []
-    queue: list[GaussMatrix] = []
     for g in gens:
         if g.dim != dim:
             raise GroupStructureError("generators have mixed dimensions")
         if g not in seen:
             seen[g] = len(order)
             order.append(g)
-            queue.append(g)
+    products: dict[tuple[int, int], int] = {}
     head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for g in order[: len(order)]:
-            for prod in (x * g, g * x):
-                if prod not in seen:
+    while head < len(order):
+        x = order[head]
+        for j, g in enumerate(order[: len(order)]):
+            for pair, prod in (((head, j), x * g), ((j, head), g * x)):
+                idx = seen.get(prod)
+                if idx is None:
                     if len(order) >= CLOSURE_LIMIT:
                         raise ClosureError(f"closure exceeds {CLOSURE_LIMIT} elements")
-                    seen[prod] = len(order)
+                    idx = seen[prod] = len(order)
                     order.append(prod)
-                    queue.append(prod)
-    minus = (-eye) in seen
-    return SignedGroup(tuple(order), minus)
-
-
-def element_order(m: GaussMatrix, limit: int = 512) -> int:
-    eye = GaussMatrix.identity(m.dim)
-    x = m
-    for k in range(1, limit + 1):
-        if x == eye:
-            return k
-        x = x * m
-    raise ClosureError(f"element order exceeds {limit}")
+                products[pair] = idx
+        head += 1
+    identity = seen.get(eye)
+    if identity is None:
+        raise GroupStructureError("the closure has no identity; a generator is singular")
+    n = len(order)
+    mul = tuple(tuple(products[i, j] for j in range(n)) for i in range(n))
+    return SignedGroup(tuple(order), mul, identity, seen.get(-eye))
 
 
 def order_structure(reps: Sequence[GaussMatrix]) -> tuple[int, int]:
@@ -172,28 +174,18 @@ def aut_label(signs: tuple[int, int, int], abelian: bool) -> GroupLabel:
 
 
 def identify_abstract(group: SignedGroup) -> dict:
-    """Transparent invariants of a closed matrix group: order, abelianness,
-    center size, exponent, element-order histogram; order-8 groups are
-    matched against the five groups of that order."""
-    elems = group.elements
-    n = len(elems)
+    """Transparent invariants of a closed matrix group, read off its
+    multiplication table: order, abelianness, center size, exponent,
+    element-order histogram; order-8 groups are matched against the five
+    groups of that order."""
+    n = group.order
     if n > 32:
         raise GroupStructureError("identification supported only up to order 32")
-    abelian = True
-    center = 0
-    for x in elems:
-        central = True
-        for y in elems:
-            if x * y != y * x:
-                abelian = False
-                central = False
-        if central:
-            center += 1
-    orders = sorted(element_order(x) for x in elems)
+    mul = group.mul
+    central = [all(mul[i][j] == mul[j][i] for j in range(n)) for i in range(n)]
+    abelian = all(central)
+    orders = sorted(_element_order(group, i) for i in range(n))
     hist = dict(sorted(Counter(orders).items()))
-    exponent = 1
-    for o in set(orders):
-        exponent = _lcm(exponent, o)
     name = None
     if n == 8:
         key = (abelian, tuple(sorted(hist.items())))
@@ -208,18 +200,23 @@ def identify_abstract(group: SignedGroup) -> dict:
     return {
         "order": n,
         "abelian": abelian,
-        "center_size": center,
-        "exponent": exponent,
+        "center_size": sum(central),
+        "exponent": lcm(*orders),
         "order_histogram": hist,
         "contains_minus_I": group.contains_minus_I,
         "order8_name": name,
     }
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
+def _element_order(group: SignedGroup, i: int) -> int:
+    """Order of elements[i], from the multiplication table."""
+    x, k = i, 1
+    while x != group.identity:
+        if k == group.order:
+            raise GroupStructureError("an element has no inverse in the closure")
+        x = group.mul[x][i]
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)

@@ -16,27 +16,24 @@ from concurrent.futures import ProcessPoolExecutor
 from . import covering, fingroup
 from .algebra import COMPLEX, REAL, MetricSignature, blade_indices
 from .autmat import (
+    ELEMENT_NAMES,
     AutMatrixSet,
     Realization,
     build_C,
     build_W,
+    commutation_table,
     enumerate_realizations,
     find_E,
+    is_abelian,
     mask_label,
     minus_count,
     sig_str,
+    square_signs,
 )
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, ring_type
 from .exact import GaussMatrix
 from .fingroup import aut_label, cayley_table, signature_label, signed_closure
-from .spinrep import (
-    SpinBasis,
-    build_spinbasis,
-    certify_spinbasis,
-    load_spinbasis,
-    preset_spinbasis,
-    product_over,
-)
+from .spinrep import SpinBasis, build_spinbasis, certify_spinbasis, load_spinbasis, preset_spinbasis
 
 _CHOICE_E_JSON = {"skew_product": "skew", "sym_product": "sym"}
 _CHOICE_PI_JSON = {"complex_product": "complex", "real_product": "real", "identity": "identity"}
@@ -158,10 +155,7 @@ def realization_record(p: int, q: int, prof, r: Realization) -> dict:
     label = signature_label(r.signature, r.abelian)
     closure = signed_closure(list(aut.matrices()))
     abstract = fingroup.identify_abstract(closure)
-    reps = [GaussMatrix.identity(aut.basis.dim)] + [
-        product_over(aut.basis, aut.masks[name]) for name in ("W", "E", "C", "Pi", "K", "S", "F")
-    ]
-    n2, n4 = fingroup.order_structure(reps)
+    n2, n4 = fingroup.order_structure(aut.reps)
     aut_sig = _aut_sub_signature(r)
     aut_ab = _aut_sub_abelian(r)
     try:
@@ -175,9 +169,7 @@ def realization_record(p: int, q: int, prof, r: Realization) -> dict:
         "choiceE": _CHOICE_E_JSON[aut.choice_e],
         "choicePi": _CHOICE_PI_JSON[aut.choice_pi],
         "signature": sig_str(r.signature),
-        "squares": {
-            name: s for name, s in zip(("W", "E", "C", "Pi", "K", "S", "F"), r.signature)
-        },
+        "squares": dict(zip(ELEMENT_NAMES[1:], r.signature)),
         "commute": [list(row) for row in r.commutation],
         "abelian": r.abelian,
         "masks": {name: blade_indices(aut.masks[name]) for name in aut.masks},
@@ -223,6 +215,11 @@ def _arith_section(p: int, q: int) -> dict:
 
 
 def classify_cell(p: int, q: int, field: str = REAL, basis_spec: str = "canonical") -> dict:
+    if basis_spec != "canonical" and (field == COMPLEX or (p + q) % 2 == 1):
+        raise BasisSpecError(
+            f"basis {basis_spec!r} does not apply to Cl({p},{q}) over the {field} field: "
+            "odd and complex cells are classified with canonical bases"
+        )
     if field == COMPLEX:
         return _classify_complex(p, q)
     if (p + q) % 2 == 1:
@@ -295,30 +292,18 @@ def _classify_complex(p: int, q: int) -> dict:
     basis = build_spinbasis(sig)
     prof = certify_spinbasis(basis)
     w = build_W(basis)
-    e, e_choice, e_mask = find_E(basis, prof)[0]
+    e = find_E(basis, prof)[0][0]
     c = build_C(e, w, basis)
-    mats = {"W": w, "E": e, "C": c}
-    raw = tuple((m * m).pm_identity() for m in (w, e, c))
-    if any(s is None for s in raw):
-        raise RuntimeError("complex automorphism square is not +-I")
-    names = ["I", "W", "E", "C"]
-    eye = GaussMatrix.identity(basis.dim)
-    seq = [eye, w, e, c]
-    commute = []
-    for x in seq:
-        row = []
-        for y in seq:
-            xy, yx = x * y, y * x
-            row.append(1 if xy == yx else -1)
-        commute.append(row)
-    abelian = all(s == 1 for row in commute for s in row)
+    raw = square_signs((w, e, c))
+    commute = commutation_table((GaussMatrix.identity(basis.dim), w, e, c))
+    abelian = is_abelian(commute)
     cover = covering.pt_cover_label(*pred.triple, pt_commutes=pred.abelian)
     out["basis"] = {"provenance": basis.provenance, "dim": basis.dim, "profile": prof.as_dict()}
     out["aut"] = {
-        "raw_signature": sig_str(raw),  # type: ignore[arg-type]
+        "raw_signature": sig_str(raw),
         "phase_normalized_signature": sig_str(pred.triple),
         "abelian": abelian,
-        "commute": commute,
+        "commute": [list(row) for row in commute],
         "agree": abelian == pred.abelian,
     }
     out["pin_cover"] = {"fiber": cover.fiber, "cliffordian": cover.cliffordian}
@@ -356,14 +341,7 @@ def wigner_reps(basis: SpinBasis) -> list[tuple[str, GaussMatrix]]:
 def ext_reps(aut: AutMatrixSet) -> list[tuple[str, GaussMatrix]]:
     """Normalized representatives: each element replaced by the
     increasing-index product over its generator mask, sign +1."""
-    reps = [("I", GaussMatrix.identity(aut.basis.dim))]
-    for name in ("W", "E", "C", "Pi", "K", "S", "F"):
-        reps.append((name, product_over(aut.basis, aut.masks[name])))
-    return reps
-
-
-def aut_reps(aut: AutMatrixSet) -> list[tuple[str, GaussMatrix]]:
-    return ext_reps(aut)[:4]
+    return list(zip(ELEMENT_NAMES, aut.reps))
 
 
 def cayley_for(p: int, q: int, set_name: str, basis_spec: str = "canonical"):
@@ -383,11 +361,11 @@ def cayley_for(p: int, q: int, set_name: str, basis_spec: str = "canonical"):
     if set_name == "ext":
         reps = ext_reps(aut)
     elif set_name == "aut":
-        reps = aut_reps(aut)
+        reps = ext_reps(aut)[:4]
     else:
         raise BasisSpecError(f"unknown table set {set_name!r}")
     legend = {"I": "1"}
-    for name in ("W", "E", "C", "Pi", "K", "S", "F")[: len(reps) - 1]:
+    for name in ELEMENT_NAMES[1 : len(reps)]:
         legend[name] = mask_label(aut.masks[name], physics)
     return cayley_table(reps), legend
 
@@ -436,7 +414,7 @@ def sweep(max_dim: int, field: str = REAL, jobs: int = 1) -> dict:
     agreement = {"agree": 0, "disagree": 0, "universal_only": 0}
     for cell in cells:
         for r in cell.get("realizations", []):
-            signs = tuple(r["squares"][k] for k in ("W", "E", "C", "Pi", "K", "S", "F"))
+            signs = tuple(r["squares"][k] for k in ELEMENT_NAMES[1:])
             mc = minus_count(signs)
             realized[mc] = realized.get(mc, 0) + 1
             if r["predicted_vs_computed"] == "agree":

@@ -385,10 +385,6 @@ def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
     return BasisProfile(n, tuple(traits))  # type: ignore[arg-type]
 
 
-def profile(basis: SpinBasis) -> BasisProfile:
-    return certify_spinbasis(basis)
-
-
 def product_over(basis: SpinBasis, mask: int) -> GaussMatrix:
     """Product of the generators in a blade mask, in increasing index order."""
     out = GaussMatrix.identity(basis.dim)
@@ -434,8 +430,9 @@ def load_spinbasis(path: str) -> SpinBasis:
         p, q = int(data["p"]), int(data["q"])
         raw = data["generators"]
         gens = tuple(GaussMatrix.from_strings(rows) for rows in raw)
+        sig = MetricSignature(p, q, REAL)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpinBasisFileError(f"malformed spin basis file {path}: {exc}") from exc
-    basis = SpinBasis(MetricSignature(p, q, REAL), gens, f"file:{path}")
+    basis = SpinBasis(sig, gens, f"file:{path}")
     certify_spinbasis(basis)
     return basis

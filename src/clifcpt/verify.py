@@ -24,7 +24,7 @@ from .algebra import (
     involution_via_omega_check,
     random_multivector,
 )
-from .autmat import Realization, enumerate_realizations, sig_str
+from .autmat import ELEMENT_NAMES, Realization, check, enumerate_realizations, sig_str
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, radon_hurwitz, ring_type
 from .fingroup import (
     cayley_table,
@@ -233,8 +233,6 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
     out.append(_run("theorems", "complex-automorphism-groups", complex_commutativity))
 
     def intertwining():
-        from .autmat import check_C, check_E, check_F, check_K, check_Pi, check_S, check_W
-
         bases = [preset_spinbasis("dirac")]
         for sig in _even_real_sigs(max_dim):
             bases.append(build_spinbasis(sig))
@@ -242,17 +240,8 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
             bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
         for basis in bases:
             for r in _realizations(realizations, basis):
-                a = r.aut
-                for checker, m in (
-                    (check_W, a.W),
-                    (check_E, a.E),
-                    (check_C, a.C),
-                    (check_Pi, a.Pi),
-                    (check_K, a.K),
-                    (check_S, a.S),
-                    (check_F, a.F),
-                ):
-                    bad = checker(m, basis)
+                for name, m in zip(ELEMENT_NAMES[1:], r.aut.seven()):
+                    bad = check(name, m, basis)
                     assert not bad, f"{basis.provenance} Cl({basis.sig.p},{basis.sig.q}): {bad}"
         return f"{len(bases)} bases, all seven conditions exhaustive"
 

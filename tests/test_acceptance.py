@@ -151,7 +151,7 @@ def test_c06_idempotents():
 
 
 def test_c07_certification_and_intertwining():
-    from clifcpt.autmat import check_C, check_E, check_F, check_K, check_Pi, check_S, check_W
+    from clifcpt.autmat import ELEMENT_NAMES, check
 
     bases = [preset_spinbasis("dirac")]
     for sig in _even_real_sigs(8):
@@ -162,16 +162,8 @@ def test_c07_certification_and_intertwining():
     for basis in bases:
         certify_spinbasis(basis)
         for r in enumerate_realizations(basis):
-            for checker, m in (
-                (check_W, r.aut.W),
-                (check_E, r.aut.E),
-                (check_C, r.aut.C),
-                (check_Pi, r.aut.Pi),
-                (check_K, r.aut.K),
-                (check_S, r.aut.S),
-                (check_F, r.aut.F),
-            ):
-                assert not checker(m, basis)
+            for name, m in zip(ELEMENT_NAMES[1:], r.aut.seven()):
+                assert not check(name, m, basis)
                 conditions += 1
     _report(7, "certification + intertwining", f"{len(bases)} bases, {conditions} conditions")
 

@@ -2,15 +2,12 @@ import pytest
 
 from clifcpt.algebra import COMPLEX, MetricSignature
 from clifcpt.autmat import (
+    ELEMENT_NAMES,
+    ConditionError,
     build_C,
     build_W,
-    check_C,
-    check_E,
-    check_F,
-    check_K,
-    check_Pi,
-    check_S,
-    check_W,
+    check,
+    commutation_table,
     enumerate_realizations,
     find_E,
     find_Pi,
@@ -85,15 +82,13 @@ def test_dirac_pi_times_conj_pi(dirac_realization):
 
 
 def test_intertwining_conditions_dirac(dirac_realization):
+    # Each matrix meets its own condition and no other, so a swapped or
+    # mistyped row of the condition table fails here.
     basis = dirac_realization.aut.basis
     aut = dirac_realization.aut
-    assert not check_W(aut.W, basis)
-    assert not check_E(aut.E, basis)
-    assert not check_C(aut.C, basis)
-    assert not check_Pi(aut.Pi, basis)
-    assert not check_K(aut.K, basis)
-    assert not check_S(aut.S, basis)
-    assert not check_F(aut.F, basis)
+    for x in ELEMENT_NAMES[1:]:
+        for y in ELEMENT_NAMES[1:]:
+            assert (not check(x, getattr(aut, y), basis)) == (x == y), (x, y)
 
 
 def test_cl11_tower_products():
@@ -185,10 +180,19 @@ def test_condition_error_on_broken_basis():
         find_E(broken)
 
 
+def test_commutation_table_rejects_a_pair_that_neither_commutes_nor_anticommutes():
+    eye = GaussMatrix.identity(2)
+    x = GaussMatrix([[0, 1], [1, 0]])
+    h = GaussMatrix([[1, 1], [1, -1]])
+    assert commutation_table((eye, x)) == ((1, 1), (1, 1))
+    with pytest.raises(ConditionError, match="neither commutes nor anticommutes"):
+        commutation_table((eye, x, h))
+
+
 def test_check_reports_failing_generator_indices():
     basis = preset_spinbasis("dirac")
     wrong = GaussMatrix.identity(4)
-    bad = check_W(wrong, basis)
+    bad = check("W", wrong, basis)
     assert bad and "generator 1" in bad[0]
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -217,10 +218,12 @@ def test_color_env_flag(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-m", "clifcpt.cli", "classify", "--p", "0", "--q", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -306,3 +309,43 @@ def test_group_invariant_failure_exits_1(capsys, monkeypatch):
     )
     assert code == 1
     assert "outside the signed representative set" in err
+
+
+def test_basis_rejected_where_cells_use_canonical_bases(tmp_path, capsys, monkeypatch):
+    from clifcpt import pipeline
+
+    def no_work(*args):
+        raise AssertionError("work started before the basis was checked")
+
+    monkeypatch.setattr(pipeline, "_reduced_cell", no_work)
+    monkeypatch.setattr(pipeline, "_classify_complex", no_work)
+    for argv in (
+        ["classify", "--p", "3", "--q", "0", "--basis", "nonsense"],
+        ["classify", "--p", "2", "--q", "0", "--field", "complex",
+         "--basis", f"file:{tmp_path / 'nonexistent'}"],
+        ["classify", "--p", "1", "--q", "3", "--field", "complex", "--basis", "dirac"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert "canonical" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    from clifcpt import pipeline
+    from clifcpt.exact import DimensionMismatchError
+
+    def broken(*args):
+        raise DimensionMismatchError("cannot multiply dims 2 and 4")
+
+    monkeypatch.setattr(pipeline, "classify_cell", broken)
+    # Uncaught, it ends the process with a traceback and exit status 1.
+    with pytest.raises(DimensionMismatchError):
+        main(["classify", "--p", "2", "--q", "0"])
+
+
+def test_basis_file_with_negative_p_exits_2(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"p": -1, "q": 3, "generators": []}))
+    code, _, err = run_cli(["classify", "--p", "1", "--q", "3", "--basis", f"file:{path}"], capsys)
+    assert code == 2
+    assert "malformed spin basis file" in err and "nonnegative" in err

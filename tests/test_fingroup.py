@@ -1,5 +1,9 @@
+from collections import Counter
+from math import lcm
+
 import pytest
 
+from clifcpt.algebra import MetricSignature
 from clifcpt.autmat import enumerate_realizations
 from clifcpt.exact import GaussMatrix, GaussRational
 from clifcpt.fingroup import (
@@ -9,7 +13,6 @@ from clifcpt.fingroup import (
     aut_label,
     cayley_table,
     census_64,
-    element_order,
     identify_abstract,
     order_structure,
     signature_label,
@@ -23,7 +26,7 @@ from clifcpt.goldens import (
     signed_cells,
 )
 from clifcpt.pipeline import ext_reps, wigner_reps
-from clifcpt.spinrep import preset_spinbasis
+from clifcpt.spinrep import build_spinbasis, preset_spinbasis
 from gammas import gamma_matrices, product
 
 
@@ -67,10 +70,74 @@ def test_order_structure_examples():
 
 
 def test_element_order():
+    def histogram(gen):
+        return identify_abstract(signed_closure([gen]))["order_histogram"]
+
     eye = GaussMatrix.identity(2)
-    assert element_order(eye) == 1
-    assert element_order(-eye) == 2
-    assert element_order(eye.scale(GaussRational(0, 1))) == 4
+    assert histogram(eye) == {1: 1}
+    assert histogram(-eye) == {1: 1, 2: 1}
+    assert histogram(eye.scale(GaussRational(0, 1))) == {1: 1, 2: 1, 4: 2}
+
+
+def _identify_by_products(group):
+    """Reference invariants from matrix products, independent of `mul`."""
+    elems = group.elements
+    eye = GaussMatrix.identity(elems[0].dim)
+    central = [all(x * y == y * x for y in elems) for x in elems]
+
+    def order(m):
+        x, k = m, 1
+        while x != eye:
+            x, k = x * m, k + 1
+        return k
+
+    orders = [order(x) for x in elems]
+    return {
+        "order": len(elems),
+        "abelian": all(central),
+        "center_size": sum(central),
+        "exponent": lcm(*orders),
+        "order_histogram": dict(sorted(Counter(orders).items())),
+        "contains_minus_I": -eye in elems,
+    }
+
+
+def _reference_closures():
+    sets = []
+    for n in range(0, 9, 2):
+        for p in range(n, -1, -1):
+            basis = build_spinbasis(MetricSignature(p, n - p))
+            sets.extend(list(r.aut.matrices()) for r in enumerate_realizations(basis))
+    dirac = preset_spinbasis("dirac")
+    sets.append(list(enumerate_realizations(dirac)[0].aut.matrices()))
+    sets.append([m for _, m in wigner_reps(dirac)])
+    return [signed_closure(gens) for gens in sets]
+
+
+def test_closure_table_and_invariants_match_matrix_products():
+    closures = _reference_closures()
+    assert len(closures) == 27
+    for g in closures:
+        elems, n = g.elements, g.order
+        assert len(g.mul) == n and all(len(row) == n for row in g.mul)
+        for i in range(n):
+            for j in range(n):
+                assert elems[g.mul[i][j]] == elems[i] * elems[j]
+        assert elems[g.identity] == GaussMatrix.identity(elems[0].dim)
+        if g.minus_identity is not None:
+            assert elems[g.minus_identity] == -elems[g.identity]
+        info, ref = identify_abstract(g), _identify_by_products(g)
+        assert {k: info[k] for k in ref} == ref
+
+
+def test_singular_generator_raises_group_structure_error():
+    projector = GaussMatrix([[1, 0], [0, 0]])
+    with pytest.raises(GroupStructureError, match="identity"):
+        signed_closure([projector])
+    # The identity is present, but the projector has no inverse.
+    semigroup = signed_closure([GaussMatrix.identity(2), projector])
+    with pytest.raises(GroupStructureError):
+        identify_abstract(semigroup)
 
 
 def test_signature_label_families():

@@ -14,7 +14,6 @@ from clifcpt.spinrep import (
     certify_spinbasis,
     load_spinbasis,
     preset_spinbasis,
-    profile,
     represent,
     save_spinbasis,
 )
@@ -26,7 +25,7 @@ def test_cl11_tower():
     s1 = GaussMatrix([[0, 1], [1, 0]])
     eps = GaussMatrix([[0, 1], [-1, 0]])
     assert basis.gens == (s1, eps)
-    prof = profile(basis)
+    prof = certify_spinbasis(basis)
     assert (prof.a, prof.b, prof.k) == (0, 2, 1)
 
 
@@ -35,25 +34,25 @@ def test_cl02_canonical():
     i_s1 = GaussMatrix([[0, GaussRational(0, 1)], [GaussRational(0, 1), 0]])
     i_s3 = GaussMatrix([[GaussRational(0, 1), 0], [0, GaussRational(0, -1)]])
     assert basis.gens == (i_s1, i_s3)
-    prof = profile(basis)
+    prof = certify_spinbasis(basis)
     assert (prof.a, prof.b) == (2, 0)
     assert all(t.square == -1 for t in prof.traits)
 
 
 def test_cl20_tower_real():
     basis = build_spinbasis(MetricSignature(2, 0))
-    prof = profile(basis)
+    prof = certify_spinbasis(basis)
     assert prof.a == 0 and prof.k == 0
 
 
 def test_real_tower_all_real():
     for p, q in ((0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (3, 3), (4, 2), (4, 4)):
-        prof = profile(build_spinbasis(MetricSignature(p, q)))
+        prof = certify_spinbasis(build_spinbasis(MetricSignature(p, q)))
         assert prof.a == 0, f"Cl({p},{q}) tower has imaginary generators"
 
 
 def test_complex_canonical_profile():
-    prof = profile(build_spinbasis(MetricSignature(4, 0, COMPLEX)))
+    prof = certify_spinbasis(build_spinbasis(MetricSignature(4, 0, COMPLEX)))
     assert (prof.a, prof.b) == (2, 2)
     assert all(t.square == 1 for t in prof.traits)
 
@@ -77,7 +76,7 @@ def test_dirac_profile_counts():
     assert real_flags == [True, True, False, True]
     assert sym_flags == [True, False, True, False]
 
-    prof = profile(preset_spinbasis("dirac"))
+    prof = certify_spinbasis(preset_spinbasis("dirac"))
     assert (prof.a, prof.b, prof.k) == (1, 3, 2)
     assert (prof.cs, prof.ck, prof.rs, prof.rk) == (1, 0, 1, 2)
     assert (prof.aplus, prof.aminus, prof.bplus, prof.bminus) == (0, 1, 1, 2)
