@@ -3,7 +3,8 @@
 Blades are bitmasks over generator slots 1..n; the first p generators
 square to +1 and the last q to -1 (over the complex field every
 generator squares to +1). Multivectors are sparse blade-to-coefficient
-maps over the Gaussian rationals.
+maps over the Gaussian rationals, stored as Gaussian-integer numerators
+over one common denominator.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .exact import GaussRational, ZERO, _coerce, Scalarish
+from .exact import GaussRational, ZERO, _coerce, _exact, Scalarish
 
 REAL = "real"
 COMPLEX = "complex"
@@ -98,23 +101,27 @@ def blade_format(mask: int) -> str:
     return "e{" + ",".join(str(i) for i in blade_indices(mask)) + "}"
 
 
+def _swap_parity(x: int, y: int, neg_mask: int) -> int:
+    """Parity of the sign of the blade product e_x e_y: the transpositions
+    needed to sort the concatenated index sequence plus the repeated
+    indices that square to -1."""
+    a = x >> 1
+    swaps = (x & y & neg_mask).bit_count()
+    while a:
+        swaps += (a & y).bit_count()
+        a >>= 1
+    return swaps & 1
+
+
 def blade_product(x: int, y: int, sig: MetricSignature) -> tuple[int, int]:
     """Product of two basis blades: (sign, result mask).
 
-    The sign counts the transpositions needed to sort the concatenated
-    index sequence plus the repeated indices that square to -1; the
-    result is the symmetric difference of the masks.
+    The result is the symmetric difference of the masks.
     """
     limit = 1 << sig.n
     if x >= limit or y >= limit or x < 0 or y < 0:
         raise ValueError(f"blade mask out of range for n={sig.n}")
-    a = x >> 1
-    swaps = 0
-    while a:
-        swaps += (a & y).bit_count()
-        a >>= 1
-    swaps += (x & y & sig.neg_mask).bit_count()
-    return (-1 if swaps & 1 else 1), x ^ y
+    return (-1 if _swap_parity(x, y, sig.neg_mask) else 1), x ^ y
 
 
 def blade_square_sign(mask: int, sig: MetricSignature) -> int:
@@ -130,27 +137,40 @@ def blades_commute(x: int, y: int, sig: MetricSignature) -> bool:
     return sx == sy
 
 
-class Multivector:
-    """Sparse blade -> GaussRational map over a fixed MetricSignature.
+def _gauss_parts(c: GaussRational) -> tuple[int, int, int]:
+    """(re, im, den): c as a Gaussian integer over a positive denominator."""
+    den = lcm(c.re.denominator, c.im.denominator)
+    return (
+        c.re.numerator * (den // c.re.denominator),
+        c.im.numerator * (den // c.im.denominator),
+        den,
+    )
 
-    Zero coefficients are pruned on construction, so the stored term set
-    is canonical and equality is exact.
+
+class Multivector:
+    """Sparse multivector over a fixed MetricSignature with Gaussian
+    rational coefficients.
+
+    The coefficients are stored as Gaussian-integer numerators `num`
+    (blade mask -> (re, im)) over one common denominator `den`. The form
+    is canonical: den > 0, gcd(den, every part) == 1 and no zero terms,
+    so equality and hashing compare ints only.
     """
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ("sig", "num", "den")
 
     def __init__(self, sig: MetricSignature, terms: Mapping[int, Scalarish] | None = None):
         self.sig = sig
-        clean: dict[int, GaussRational] = {}
+        parts = {}
         limit = 1 << sig.n
         if terms:
             for mask, coeff in terms.items():
                 if not 0 <= mask < limit:
                     raise ValueError(f"blade mask {mask} out of range for n={sig.n}")
-                c = _coerce(coeff)
-                if not c.is_zero():
-                    clean[mask] = c
-        self.terms = clean
+                parts[mask] = _gauss_parts(_coerce(coeff))
+        den = lcm(*(d for _, _, d in parts.values()))
+        num = {m: (re * (den // d), im * (den // d)) for m, (re, im, d) in parts.items()}
+        self.num, self.den = _reduce(num, den)
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -176,93 +196,103 @@ class Multivector:
         if self.sig != other.sig:
             raise SignatureMismatchError(f"{self.sig} != {other.sig}")
 
-    def __add__(self, other: Multivector) -> Multivector:
+    def _add(self, other: Multivector, sign: int) -> Multivector:
         self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, ZERO) + c
-        return _nonzero(self.sig, acc)
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        acc = {m: (re * fa, im * fa) for m, (re, im) in self.num.items()}
+        for m, (re, im) in other.num.items():
+            old = acc.get(m, (0, 0))
+            acc[m] = (old[0] + re * fb, old[1] + im * fb)
+        return _make(self.sig, *_reduce(acc, self.den * fa))
+
+    def __add__(self, other: Multivector) -> Multivector:
+        return self._add(other, 1)
 
     def __sub__(self, other: Multivector) -> Multivector:
-        self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, ZERO) - c
-        return _nonzero(self.sig, acc)
+        return self._add(other, -1)
 
     def __neg__(self) -> Multivector:
-        return _multivector(self.sig, {m: -c for m, c in self.terms.items()})
+        return _make(self.sig, {m: (-re, -im) for m, (re, im) in self.num.items()}, self.den)
 
     def scale(self, s: Scalarish) -> Multivector:
-        s = _coerce(s)
-        return _nonzero(self.sig, {m: c * s for m, c in self.terms.items()})
+        sr, si, d = _gauss_parts(_coerce(s))
+        num = {m: (re * sr - im * si, re * si + im * sr) for m, (re, im) in self.num.items()}
+        return _make(self.sig, *_reduce(num, self.den * d))
 
     def __mul__(self, other: Multivector) -> Multivector:
         self._check(other)
-        acc: dict[int, GaussRational] = {}
-        for mx, cx in self.terms.items():
-            for my, cy in other.terms.items():
-                sign, m = blade_product(mx, my, self.sig)
-                add = cx * cy
-                if sign < 0:
-                    add = -add
-                acc[m] = acc.get(m, ZERO) + add
-        return _nonzero(self.sig, acc)
+        neg_mask = self.sig.neg_mask
+        acc: dict[int, tuple[int, int]] = {}
+        for mx, (ar, ai) in self.num.items():
+            for my, (br, bi) in other.num.items():
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
+                if _swap_parity(mx, my, neg_mask):
+                    re, im = -re, -im
+                old = acc.get(mx ^ my, (0, 0))
+                acc[mx ^ my] = (old[0] + re, old[1] + im)
+        return _make(self.sig, *_reduce(acc, self.den * other.den))
 
     # --- the four fundamental maps + the pseudo map ---------------------
+    def _grade_signed(self, pattern: int) -> Multivector:
+        """Negate the terms whose grade mod 4 is a set bit of `pattern`."""
+        num = {
+            m: (-c[0], -c[1]) if (pattern >> (m.bit_count() & 3)) & 1 else c
+            for m, c in self.num.items()
+        }
+        return _make(self.sig, num, self.den)
+
     def grade_involution(self) -> Multivector:
         """Negate odd-grade terms; homomorphism."""
-        return _multivector(
-            self.sig,
-            {m: (-c if grade(m) & 1 else c) for m, c in self.terms.items()},
-        )
+        return self._grade_signed(0b1010)  # grades 1, 3 mod 4
 
     def reversion(self) -> Multivector:
         """Reverse each blade's index sequence; anti-homomorphism."""
-        out = {}
-        for m, c in self.terms.items():
-            k = grade(m)
-            out[m] = -c if (k * (k - 1) // 2) & 1 else c
-        return _multivector(self.sig, out)
+        return self._grade_signed(0b1100)  # grades 2, 3 mod 4
 
     def conjugation(self) -> Multivector:
         """Composition of reversion and grade involution."""
-        out = {}
-        for m, c in self.terms.items():
-            k = grade(m)
-            out[m] = -c if (k * (k + 1) // 2) & 1 else c
-        return _multivector(self.sig, out)
+        return self._grade_signed(0b0110)  # grades 1, 2 mod 4
 
     def complex_conjugation(self) -> Multivector:
         """Conjugate every coefficient; blades are fixed, product preserved."""
-        return _multivector(self.sig, {m: c.conjugate() for m, c in self.terms.items()})
+        return _make(self.sig, {m: (re, -im) for m, (re, im) in self.num.items()}, self.den)
 
     # --- inspection -----------------------------------------------------
+    @property
+    def terms(self) -> Mapping[int, GaussRational]:
+        """Read-only blade -> coefficient view, without zero coefficients."""
+        return MappingProxyType({m: self.coefficient(m) for m in self.num})
+
     def coefficient(self, mask: int) -> GaussRational:
-        return self.terms.get(mask, ZERO)
+        parts = self.num.get(mask)
+        if parts is None:
+            return ZERO
+        return _exact(Fraction(parts[0], self.den), Fraction(parts[1], self.den))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def grades(self) -> set[int]:
-        return {grade(m) for m in self.terms}
+        return {grade(m) for m in self.num}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
+        return self.sig == other.sig and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash((self.sig, tuple(sorted((m, c) for m, c in self.terms.items()))))
+        return hash((self.sig, self.den, frozenset(self.num.items())))
 
     def __iter__(self) -> Iterator[tuple[int, GaussRational]]:
         return iter(sorted(self.terms.items()))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
-        for mask, coeff in sorted(self.terms.items()):
+        for mask, coeff in self:
             cs = str(coeff)
             if ("+" in cs[1:]) or ("-" in cs[1:]):
                 cs = f"({cs})"
@@ -273,19 +303,29 @@ class Multivector:
         return f"Multivector({self.sig}, {str(self)!r})"
 
 
-def _multivector(sig: MetricSignature, terms: dict[int, GaussRational]) -> Multivector:
-    """Internal constructor for in-range masks with nonzero GaussRational
-    coefficients, which is what the ring operations and involutions of
-    valid multivectors produce; the public constructor re-checks both."""
+def _make(sig: MetricSignature, num: dict[int, tuple[int, int]], den: int) -> Multivector:
+    """Internal constructor for a numerator table already in canonical form
+    over `den`, which negating any parts of a canonical one keeps."""
     mv = object.__new__(Multivector)
     mv.sig = sig
-    mv.terms = terms
+    mv.num = num
+    mv.den = den
     return mv
 
 
-def _nonzero(sig: MetricSignature, terms: dict[int, GaussRational]) -> Multivector:
-    """Internal constructor that drops the coefficients that cancelled."""
-    return _multivector(sig, {m: c for m, c in terms.items() if c})
+def _reduce(num: dict[int, tuple[int, int]], den: int) -> tuple[dict[int, tuple[int, int]], int]:
+    """Canonical form of the numerators `num` over a positive `den`: drop
+    the terms that cancelled and divide every part and `den` by their gcd."""
+    num = {m: c for m, c in num.items() if c[0] or c[1]}
+    g = den
+    for re, im in num.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            break
+    if g != 1:
+        den //= g
+        num = {m: (re // g, im // g) for m, (re, im) in num.items()}
+    return num, den
 
 
 def volume_element(sig: MetricSignature) -> Multivector:
@@ -325,10 +365,12 @@ def random_multivector(
     if allow_complex_coeffs is None:
         allow_complex_coeffs = sig.field == COMPLEX
     nterms = rng.randint(1, max_terms)
-    terms: dict[int, GaussRational] = {}
+    # Each part is a/b with b in 1..4, so it is a whole multiple of 1/12.
+    num: dict[int, tuple[int, int]] = {}
     for _ in range(nterms):
         mask = rng.randrange(0, 1 << sig.n)
-        re = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        im = Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if allow_complex_coeffs else 0
-        terms[mask] = terms.get(mask, ZERO) + GaussRational(re, im)
-    return Multivector(sig, terms)
+        re = rng.randint(-5, 5) * (12 // rng.randint(1, 4))
+        im = rng.randint(-5, 5) * (12 // rng.randint(1, 4)) if allow_complex_coeffs else 0
+        old = num.get(mask, (0, 0))
+        num[mask] = (old[0] + re, old[1] + im)
+    return _make(sig, *_reduce(num, 12))

@@ -78,9 +78,12 @@ def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
     products: dict[tuple[int, int], int] = {}
     head = 0
     while head < len(order):
-        x = order[head]
-        for j, g in enumerate(order[: len(order)]):
-            for pair, prod in (((head, j), x * g), ((j, head), g * x)):
+        for j in range(len(order)):
+            for pair in ((head, j), (j, head)):
+                # A pair with j < head was formed when row j was visited.
+                if pair in products:
+                    continue
+                prod = order[pair[0]] * order[pair[1]]
                 idx = seen.get(prod)
                 if idx is None:
                     if len(order) >= CLOSURE_LIMIT:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 
 from . import covering, fingroup
 from .algebra import COMPLEX, REAL, MetricSignature, blade_indices
@@ -396,6 +395,10 @@ def sweep(max_dim: int, field: str = REAL, jobs: int = 1) -> dict:
         ]
         tasks.sort(key=lambda t: (t[0] + t[1], t[0]))
     if jobs > 1:
+        # Imported here: loading multiprocessing slows the start of every
+        # command, and only a sweep with jobs > 1 uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(_sweep_cell, tasks))
     else:

@@ -274,8 +274,10 @@ def _real_tower(p: int, q: int) -> list[GaussMatrix]:
     return pos + neg
 
 
+@lru_cache(maxsize=128)
 def build_spinbasis(sig: MetricSignature) -> SpinBasis:
-    """Deterministic canonical basis for an even-dimensional signature.
+    """Deterministic canonical basis for an even-dimensional signature,
+    built and certified once per signature.
 
     Complex field: the Brauer-Weyl tower. Real field: the all-real tower
     when p - q is literally 0 or 2, otherwise a square-balanced draw from

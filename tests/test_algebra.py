@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,7 +18,7 @@ from clifcpt.algebra import (
     volume_element,
     volume_square_sign,
 )
-from clifcpt.exact import GaussMatrix, GaussRational
+from clifcpt.exact import ZERO, GaussMatrix, GaussRational
 from gammas import gamma_matrices, product
 
 CL13 = MetricSignature(1, 3)
@@ -185,17 +186,112 @@ def test_blade_product_matches_per_bit_reference():
                     assert blade_product(x, y, sig) == _blade_product_per_bit(x, y, sig)
 
 
+# --- reference: sparse blade -> GaussRational dicts ---------------------------
+
+
+def _ref_nonzero(acc):
+    return {m: c for m, c in acc.items() if c}
+
+
+def _ref_add(x, y, sign=1):
+    acc = dict(x)
+    for m, c in y.items():
+        acc[m] = acc.get(m, ZERO) + (c if sign > 0 else -c)
+    return _ref_nonzero(acc)
+
+
+def _ref_mul(x, y, sig):
+    acc = {}
+    for mx, cx in x.items():
+        for my, cy in y.items():
+            sign, m = _blade_product_per_bit(mx, my, sig)
+            add = cx * cy
+            acc[m] = acc.get(m, ZERO) + (add if sign > 0 else -add)
+    return _ref_nonzero(acc)
+
+
+def _ref_graded(x, flip):
+    return {m: (-c if flip(grade(m)) else c) for m, c in x.items()}
+
+
+def _ref_random_multivector(sig, rng, allow_complex_coeffs):
+    """random_multivector's draws, summed in GaussRational arithmetic."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        mask = rng.randrange(0, 1 << sig.n)
+        re = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        im = Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if allow_complex_coeffs else 0
+        terms[mask] = terms.get(mask, ZERO) + GaussRational(re, im)
+    return _ref_nonzero(terms)
+
+
+def _random_rational_terms(sig, rng):
+    """Few blades, so that sums and products cancel; zero coefficients and
+    unbounded denominators."""
+    masks = [rng.randrange(1 << sig.n) for _ in range(3)]
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 30))
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 30)) if rng.random() < 0.6 else 0
+        terms[rng.choice(masks)] = GaussRational(re, im)
+    return terms
+
+
+def _assert_canonical(mv):
+    assert mv.den > 0
+    assert all(re or im for re, im in mv.num.values())
+    assert gcd(mv.den, *(part for c in mv.num.values() for part in c)) == 1
+    want = Multivector(mv.sig, dict(mv.terms))
+    assert mv == want and hash(mv) == hash(want)
+    assert mv.terms == {m: mv.coefficient(m) for m in mv.num}
+
+
 def test_operation_results_match_public_constructor():
+    # Every operation of the integer kernel equals the GaussRational-dict
+    # reference term by term and is in canonical form.
     rng = random.Random(31)
-    for sig in (CL13, MetricSignature(2, 3), MetricSignature(4, 0, COMPLEX)):
-        for _ in range(60):
-            a = random_multivector(sig, rng, allow_complex_coeffs=True)
-            b = random_multivector(sig, rng, allow_complex_coeffs=True)
-            s = GaussRational(rng.randint(-2, 2), rng.randint(-1, 1))
-            results = [
-                a + b, a - b, a - a, a * b, -a, a.scale(s), a.scale(0),
-                a.grade_involution(), a.reversion(), a.conjugation(), a.complex_conjugation(),
+    sigs = [MetricSignature(p, n - p) for n in range(7) for p in range(n + 1)]
+    sigs += [MetricSignature(n, 0, COMPLEX) for n in range(7)]
+    for sig in sigs:
+        for _ in range(12):
+            ta = _random_rational_terms(sig, rng)
+            tb = _random_rational_terms(sig, rng)
+            a, b = Multivector(sig, ta), Multivector(sig, tb)
+            ta, tb = _ref_nonzero(ta), _ref_nonzero(tb)
+            s = GaussRational(Fraction(rng.randint(-3, 3), rng.randint(1, 6)), rng.randint(-1, 1))
+            cases = [
+                (a, ta),
+                (a + b, _ref_add(ta, tb)),
+                (a - b, _ref_add(ta, tb, -1)),
+                (a - a, {}),
+                (a + (-a), {}),
+                (a + b - b, ta),
+                (a * b, _ref_mul(ta, tb, sig)),
+                (a * b - b * a, _ref_add(_ref_mul(ta, tb, sig), _ref_mul(tb, ta, sig), -1)),
+                (-a, {m: -c for m, c in ta.items()}),
+                (a.scale(s), _ref_nonzero({m: c * s for m, c in ta.items()})),
+                (a.scale(0), {}),
+                (a.grade_involution(), _ref_graded(ta, lambda k: k % 2)),
+                (a.reversion(), _ref_graded(ta, lambda k: (k * (k - 1) // 2) % 2)),
+                (a.conjugation(), _ref_graded(ta, lambda k: (k * (k + 1) // 2) % 2)),
+                (a.complex_conjugation(), {m: c.conjugate() for m, c in ta.items()}),
             ]
-            for got in results:
-                want = Multivector(got.sig, got.terms)
-                assert got == want and hash(got) == hash(want)
+            for got, want in cases:
+                _assert_canonical(got)
+                assert dict(got.terms) == want
+                assert got == Multivector(sig, want)
+        for allow in (False, True):
+            seed = rng.getrandbits(32)
+            got = random_multivector(sig, random.Random(seed), allow_complex_coeffs=allow)
+            _assert_canonical(got)
+            assert dict(got.terms) == _ref_random_multivector(sig, random.Random(seed), allow)
+
+
+def test_terms_is_a_read_only_view():
+    mv = Multivector(CL13, {0b0101: Fraction(3, 2), 0: GaussRational(0, 1), 1: 0})
+    assert dict(mv.terms) == {0b0101: GaussRational(Fraction(3, 2)), 0: GaussRational(0, 1)}
+    assert mv.coefficient(1) == 0
+    with pytest.raises(TypeError):
+        mv.terms[1] = GaussRational(1)
+    with pytest.raises(ValueError, match="out of range"):
+        Multivector(CL13, {16: 1})

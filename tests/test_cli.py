@@ -230,6 +230,22 @@ def test_console_entry_point():
     assert doc["ring"] == "H"
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, clifcpt.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
+
+
 def test_json_serialization_deterministic():
     a = to_json(classify_cell(1, 3, "real", "dirac"))
     b = to_json(classify_cell(1, 3, "real", "dirac"))

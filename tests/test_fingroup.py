@@ -102,16 +102,37 @@ def _identify_by_products(group):
     }
 
 
-def _reference_closures():
+def _reference_generator_sets(max_n):
     sets = []
-    for n in range(0, 9, 2):
+    for n in range(0, max_n + 1, 2):
         for p in range(n, -1, -1):
             basis = build_spinbasis(MetricSignature(p, n - p))
             sets.extend(list(r.aut.matrices()) for r in enumerate_realizations(basis))
     dirac = preset_spinbasis("dirac")
     sets.append(list(enumerate_realizations(dirac)[0].aut.matrices()))
     sets.append([m for _, m in wigner_reps(dirac)])
-    return [signed_closure(gens) for gens in sets]
+    return sets
+
+
+def _reference_closures():
+    return [signed_closure(gens) for gens in _reference_generator_sets(8)]
+
+
+def test_closure_forms_each_product_once(monkeypatch):
+    sets = _reference_generator_sets(6)
+    calls = 0
+    mul = GaussMatrix.__mul__
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(GaussMatrix, "__mul__", counting_mul)
+    for gens in sets:
+        calls = 0
+        group = signed_closure(gens)
+        assert calls == group.order**2
 
 
 def test_closure_table_and_invariants_match_matrix_products():

@@ -188,6 +188,40 @@ def test_representation_homomorphism_random():
     assert represent(basis, one) == GaussMatrix.identity(basis.dim)
 
 
+def test_represent_intertwines_the_four_maps():
+    # Metamorphic check of the multivector kernel against dense matrices:
+    # represent is a homomorphism, and each realization's W, E, C and Pi
+    # carry the grade involution, reversion, conjugation and complex
+    # conjugation to the matrix side.
+    from clifcpt.autmat import enumerate_realizations
+
+    rng = random.Random(23)
+    bases = [preset_spinbasis("dirac")]
+    for n in range(0, 7, 2):
+        bases += [build_spinbasis(MetricSignature(p, n - p)) for p in range(n + 1)]
+        bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
+    samples = 0
+    for basis in bases:
+        for aut in (r.aut for r in enumerate_realizations(basis)):
+            for _ in range(4):
+                a = random_multivector(basis.sig, rng, allow_complex_coeffs=True)
+                b = random_multivector(basis.sig, rng, allow_complex_coeffs=True)
+                ra = represent(basis, a)
+                rt = ra.transpose()
+                assert represent(basis, a * b) == ra * represent(basis, b)
+                assert represent(basis, a.grade_involution()) == aut.W * ra * aut.W.inverse()
+                assert represent(basis, a.reversion()) == aut.E * rt * aut.E.inverse()
+                assert represent(basis, a.conjugation()) == aut.C * rt * aut.C.inverse()
+                assert represent(basis, a.complex_conjugation()) == aut.Pi * ra.conj() * aut.Pi.inverse()
+                samples += 1
+    assert samples >= 4 * len(bases)
+
+
+def test_build_spinbasis_is_memoized():
+    sig = MetricSignature(2, 2)
+    assert build_spinbasis(sig) is build_spinbasis(MetricSignature(2, 2))
+
+
 def test_certify_reports_wrong_generator_count():
     sig = MetricSignature(1, 1)
     with pytest.raises(CertificationError, match="expected 2 generators"):
