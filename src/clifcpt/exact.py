@@ -1,4 +1,4 @@
-"""Exact scalar and dense-matrix arithmetic over the Gaussian rationals.
+"""Exact scalar and matrix arithmetic over the Gaussian rationals.
 
 Every value is immutable after construction and all operations are pure,
 so objects can be shared freely across threads and processes.
@@ -151,6 +151,8 @@ def format_gauss(z: GaussRational) -> str:
 
 def parse_gauss(text: str) -> GaussRational:
     """Parse the canonical text form produced by :func:`format_gauss`."""
+    if not isinstance(text, str):
+        raise TypeError(f"GaussRational literal must be a string, not {type(text).__name__}")
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty GaussRational literal")
@@ -175,16 +177,17 @@ def parse_gauss(text: str) -> GaussRational:
 
 
 class GaussMatrix:
-    """A dense square matrix of GaussRational entries.
+    """A square matrix of GaussRational entries, stored by its nonzeros.
 
-    The public contract is the dense exact matrix; internally a signed
-    monomial representation (exactly one nonzero per row and column) is
-    detected on construction and used to shortcut products and inverses,
-    because every generator and automorphism matrix in this artifact is
-    signed monomial.
+    ``entries[i]`` holds row i's ``(column, value)`` pairs in increasing
+    column order, with no zero values. The form is canonical, so equality
+    and hashing compare nonzeros only, and every operation loops over the
+    nonzeros: a signed monomial matrix (one nonzero per row), as every
+    generator and automorphism matrix of the spinor bases is, costs O(dim)
+    per product, a dense one the usual O(dim^3).
     """
 
-    __slots__ = ("dim", "rows", "_monomial", "_hash")
+    __slots__ = ("dim", "entries", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[Scalarish]]):
         norm_rows = tuple(tuple(_coerce(e) for e in row) for row in rows)
@@ -197,171 +200,136 @@ class GaussMatrix:
                     f"matrix is not square: {dim} rows, row of length {len(row)}"
                 )
         self.dim = dim
-        self.rows = norm_rows
-        self._monomial = self._scan_monomial()
+        self.entries = tuple(
+            tuple((j, e) for j, e in enumerate(row) if e.re or e.im) for row in norm_rows
+        )
         self._hash: int | None = None
 
-    def _scan_monomial(self):
-        entries = []
-        col_seen = [False] * self.dim
-        for row in self.rows:
-            hit = None
-            for j, e in enumerate(row):
-                if not e.is_zero():
-                    if hit is not None:
-                        return None
-                    hit = (j, e)
-            if hit is None or col_seen[hit[0]]:
-                return None
-            col_seen[hit[0]] = True
-            entries.append(hit)
-        return tuple(entries)
+    @classmethod
+    def _make(cls, dim: int, entries: tuple) -> GaussMatrix:
+        """Internal constructor for entries already in canonical form."""
+        m = object.__new__(cls)
+        m.dim = dim
+        m.entries = entries
+        m._hash = None
+        return m
 
     @classmethod
     def identity(cls, dim: int) -> GaussMatrix:
-        return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
+        if dim < 1:
+            raise DimensionMismatchError("matrix must have dim >= 1")
+        return cls._make(dim, tuple(((i, ONE),) for i in range(dim)))
 
-    @classmethod
-    def _from_monomial(cls, dim: int, entries: Sequence[tuple[int, GaussRational]]) -> GaussMatrix:
-        rows = []
-        for j, v in entries:
-            row = [ZERO] * dim
-            row[j] = v
-            rows.append(tuple(row))
-        m = cls.__new__(cls)
-        m.dim = dim
-        m.rows = tuple(rows)
-        m._monomial = tuple(entries)
-        m._hash = None
-        return m
+    @property
+    def rows(self) -> tuple[tuple[GaussRational, ...], ...]:
+        """Read-only dense view: one tuple of dim entries per row."""
+        out = []
+        for row in self.entries:
+            dense = [ZERO] * self.dim
+            for j, v in row:
+                dense[j] = v
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def _map(self, f) -> GaussMatrix:
+        """Apply f to every nonzero; f must map nonzeros to nonzeros."""
+        return GaussMatrix._make(
+            self.dim, tuple(tuple((j, f(v)) for j, v in row) for row in self.entries)
+        )
 
     def __mul__(self, other: GaussMatrix) -> GaussMatrix:
         if not isinstance(other, GaussMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise DimensionMismatchError(f"cannot multiply dims {self.dim} and {other.dim}")
-        if self._monomial is not None and other._monomial is not None:
-            entries = []
-            for j, va in self._monomial:
-                k, vb = other._monomial[j]
-                entries.append((k, va * vb))
-            return GaussMatrix._from_monomial(self.dim, entries)
-        dim = self.dim
+        brows = other.entries
         out = []
-        for i in range(dim):
-            arow = self.rows[i]
-            orow = []
-            for j in range(dim):
-                acc = ZERO
-                for k in range(dim):
-                    a = arow[k]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                orow.append(acc)
-            out.append(orow)
-        return GaussMatrix(out)
+        for arow in self.entries:
+            acc: dict[int, GaussRational] = {}
+            for k, a in arow:
+                for j, b in brows[k]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(_canonical_row(acc))
+        return GaussMatrix._make(self.dim, tuple(out))
 
     def __add__(self, other: GaussMatrix) -> GaussMatrix:
         if self.dim != other.dim:
             raise DimensionMismatchError(f"cannot add dims {self.dim} and {other.dim}")
-        return GaussMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        out = []
+        for ra, rb in zip(self.entries, other.entries):
+            acc = dict(ra)
+            _add_scaled(acc, ONE, rb)
+            out.append(_canonical_row(acc))
+        return GaussMatrix._make(self.dim, tuple(out))
 
     def __sub__(self, other: GaussMatrix) -> GaussMatrix:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"cannot subtract dims {self.dim} and {other.dim}")
-        return GaussMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self + -other
 
     def __neg__(self) -> GaussMatrix:
-        return GaussMatrix(
-            [[ZERO if e.is_zero() else -e for e in row] for row in self.rows]
-        )
+        return self._map(GaussRational.__neg__)
 
     def scale(self, s: Scalarish) -> GaussMatrix:
         s = _coerce(s)
         if s == ONE:
             return self
-        if s == MINUS_ONE:
-            return -self
-        return GaussMatrix([[ZERO if e.is_zero() else e * s for e in row] for row in self.rows])
+        if s.is_zero():
+            return GaussMatrix._make(self.dim, ((),) * self.dim)
+        return self._map(lambda v: v * s)
 
     def transpose(self) -> GaussMatrix:
-        d = self.dim
-        return GaussMatrix([[self.rows[j][i] for j in range(d)] for i in range(d)])
+        cols: list[list[tuple[int, GaussRational]]] = [[] for _ in range(self.dim)]
+        for i, row in enumerate(self.entries):
+            for j, v in row:
+                cols[j].append((i, v))
+        return GaussMatrix._make(self.dim, tuple(map(tuple, cols)))
 
     def conj(self) -> GaussMatrix:
-        return GaussMatrix(
-            [[e if e.im == 0 else e.conjugate() for e in row] for row in self.rows]
-        )
+        return self._map(lambda v: v if v.im == 0 else v.conjugate())
 
     def inverse(self) -> GaussMatrix:
-        if self._monomial is not None:
-            entries: list[tuple[int, GaussRational] | None] = [None] * self.dim
-            for i, (j, v) in enumerate(self._monomial):
-                entries[j] = (i, ONE / v)
-            return GaussMatrix._from_monomial(self.dim, entries)  # type: ignore[arg-type]
-        return self._inverse_gauss()
-
-    def _inverse_gauss(self) -> GaussMatrix:
+        """Gauss-Jordan elimination over dict rows that hold nonzeros only."""
         d = self.dim
-        a = [list(row) for row in self.rows]
-        inv = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
+        a = [dict(row) for row in self.entries]
+        inv = [{i: ONE} for i in range(d)]
         for col in range(d):
-            pivot = None
-            for r in range(col, d):
-                if not a[r][col].is_zero():
-                    pivot = r
-                    break
+            pivot = next((r for r in range(col, d) if col in a[r]), None)
             if pivot is None:
                 raise SingularMatrixError(f"matrix is singular (no pivot in column {col})")
             a[col], a[pivot] = a[pivot], a[col]
             inv[col], inv[pivot] = inv[pivot], inv[col]
             pv = a[col][col]
-            for j in range(d):
-                a[col][j] = a[col][j] / pv
-                inv[col][j] = inv[col][j] / pv
+            if pv != ONE:
+                a[col] = {j: v / pv for j, v in a[col].items()}
+                inv[col] = {j: v / pv for j, v in inv[col].items()}
             for r in range(d):
-                if r == col or a[r][col].is_zero():
-                    continue
-                factor = a[r][col]
-                for j in range(d):
-                    a[r][j] = a[r][j] - factor * a[col][j]
-                    inv[r][j] = inv[r][j] - factor * inv[col][j]
-        return GaussMatrix(inv)
+                factor = a[r].get(col) if r != col else None
+                if factor is not None:
+                    _add_scaled(a[r], -factor, a[col].items())
+                    _add_scaled(inv[r], -factor, inv[col].items())
+        return GaussMatrix._make(d, tuple(_canonical_row(row) for row in inv))
 
     def is_identity(self) -> bool:
         return self.pm_identity() == 1
 
     def pm_identity(self) -> int | None:
         """Return +1 for I, -1 for -I, None otherwise."""
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                if i == j:
-                    if e != ONE and e != MINUS_ONE:
-                        return None
-                elif not e.is_zero():
-                    return None
-        sign = 1 if self.rows[0][0] == ONE else -1
-        for i in range(self.dim):
-            if self.rows[i][i] != (ONE if sign == 1 else MINUS_ONE):
+        first = self.entries[0]
+        v = first[0][1] if first else ZERO
+        if v != ONE and v != MINUS_ONE:
+            return None
+        for i, row in enumerate(self.entries):
+            if row != ((i, v),):
                 return None
-        return sign
+        return 1 if v == ONE else -1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return self.dim == other.dim and self.entries == other.entries
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.rows)
+            self._hash = hash(self.entries)
         return self._hash
 
     def __repr__(self) -> str:
@@ -376,18 +344,28 @@ class GaussMatrix:
         return cls([[parse_gauss(e) for e in row] for row in rows])
 
 
+def _add_scaled(acc: dict, factor: GaussRational, pairs: Iterable) -> None:
+    """acc += factor * pairs over (column, value) pairs; cancelled columns
+    are deleted, so acc keeps nonzeros only."""
+    for j, v in pairs:
+        t = acc[j] + factor * v if j in acc else factor * v
+        if t.re or t.im:
+            acc[j] = t
+        else:
+            del acc[j]
+
+
+def _canonical_row(acc: dict) -> tuple:
+    """A row dict as (column, value) pairs, columns increasing, zeros dropped."""
+    return tuple((j, v) for j, v in sorted(acc.items()) if v.re or v.im)
+
+
 def kron(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
     """Kronecker product; the left factor varies slowest."""
-    da, db = a.dim, b.dim
-    rows = []
-    for i in range(da):
-        for r in range(db):
-            row = []
-            for j in range(da):
-                aij = a.rows[i][j]
-                if aij.is_zero():
-                    row.extend([ZERO] * db)
-                else:
-                    row.extend([aij * b.rows[r][c] for c in range(db)])
-            rows.append(row)
-    return GaussMatrix(rows)
+    db = b.dim
+    rows = tuple(
+        tuple((j * db + c, x * y) for j, x in ra for c, y in rb)
+        for ra in a.entries
+        for rb in b.entries
+    )
+    return GaussMatrix._make(a.dim * db, rows)

@@ -399,7 +399,9 @@ def sweep(max_dim: int, field: str = REAL, jobs: int = 1) -> dict:
         # command, and only a sweep with jobs > 1 uses it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A forking pool starts all its workers at the first submit, so
+        # never ask for more than there are cells.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             cells = list(pool.map(_sweep_cell, tasks))
     else:
         cells = [_sweep_cell(t) for t in tasks]

@@ -327,8 +327,8 @@ def preset_spinbasis(name: str) -> SpinBasis:
 
 
 def _scan_traits(g: GaussMatrix, violations: list[str], idx: int) -> GenTraits | None:
-    has_re = any(e.re != 0 for row in g.rows for e in row)
-    has_im = any(e.im != 0 for row in g.rows for e in row)
+    has_re = any(v.re != 0 for row in g.entries for _, v in row)
+    has_im = any(v.im != 0 for row in g.entries for _, v in row)
     if has_re and has_im:
         violations.append(f"generator {idx} has mixed reality (both real and imaginary entries)")
         return None

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -117,6 +118,63 @@ def test_basis_file_roundtrip_via_cli(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["realizations"][0]["signature"] == "(-,-,+,-,-,+,+)"
+
+
+def _signed_permutation(rng, dim):
+    from clifcpt.exact import GaussMatrix
+
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    return GaussMatrix(
+        [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(dim)] for i in range(dim)]
+    )
+
+
+def _givens(rng, dim):
+    """A rational rotation by cos 3/5, sin 4/5 in a seeded coordinate plane."""
+    from fractions import Fraction
+
+    from clifcpt.exact import GaussMatrix
+
+    a, b = rng.sample(range(dim), 2)
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rows[a][a] = rows[b][b] = Fraction(3, 5)
+    rows[a][b], rows[b][a] = Fraction(-4, 5), Fraction(4, 5)
+    return GaussMatrix(rows)
+
+
+def test_classification_invariant_under_orthogonal_similarity(tmp_path, capsys):
+    # Metamorphic check: g -> M g M^T with M orthogonal keeps every
+    # Clifford relation, the reality and the symmetry of each generator,
+    # so a conjugated canonical basis, read back through --basis file:,
+    # must classify exactly as the canonical cell; only provenance differs.
+    # Signed permutations keep the generators monomial; the Givens
+    # rotation makes them dense.
+    from clifcpt.algebra import MetricSignature
+    from clifcpt.spinrep import SpinBasis, build_spinbasis, save_spinbasis
+
+    rng = random.Random(31)
+    cases = [(p, n - p, _signed_permutation) for n in (2, 4, 6) for p in range(n + 1)]
+    cases += [(p, 4 - p, _givens) for p in range(5)]
+    for p, q, make in cases:
+        canonical = build_spinbasis(MetricSignature(p, q))
+        m = make(rng, canonical.dim)
+        mt = m.transpose()
+        assert m * mt == m.identity(canonical.dim)
+        gens = tuple(m * g * mt for g in canonical.gens)
+        if make is _givens:
+            assert any(len(row) > 1 for g in gens for row in g.entries)
+        path = tmp_path / f"cl{p}{q}-{make.__name__}.json"
+        save_spinbasis(SpinBasis(canonical.sig, gens, "conjugated"), str(path))
+        docs = []
+        for basis in ("canonical", f"file:{path}"):
+            argv = ["classify", "--p", str(p), "--q", str(q), "--basis", basis]
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["basis"].pop("provenance") == basis
+            docs.append(doc)
+        assert docs[0] == docs[1], (p, q, make.__name__)
 
 
 def test_cayley_ext_markdown_golden(capsys):

@@ -65,6 +65,11 @@ def test_matrix_identity_and_pauli_involution():
     assert eye * eye == eye
     sigma1 = GaussMatrix([[0, 1], [1, 0]])
     assert sigma1 * sigma1 == GaussMatrix.identity(2)
+    assert eye.pm_identity() == 1 and eye.is_identity()
+    assert (-eye).pm_identity() == -1 and not (-eye).is_identity()
+    assert eye.scale(GaussRational(0, 1)).pm_identity() is None
+    assert sigma1.pm_identity() is None
+    assert GaussMatrix([[1, 0], [0, -1]]).pm_identity() is None
 
 
 def test_gamma_products_anticommute():
@@ -155,23 +160,103 @@ def test_random_matrix_properties():
         assert a * ainv == GaussMatrix.identity(dim)
 
 
-def test_monomial_fast_path_agrees_with_reference():
+UNITS = (GaussRational(1), GaussRational(-1), GaussRational(0, 1), GaussRational(0, -1))
+KINDS = ("dense", "sparse", "monomial", "singular")
+
+
+def _reference_inverse(a):
+    """Dense Gauss-Jordan elimination on the rows view, independent of the
+    library's inverse."""
+    d = a.dim
+    aug = [
+        list(row) + [GaussRational(int(i == j)) for j in range(d)] for i, row in enumerate(a.rows)
+    ]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if not aug[r][col].is_zero()), None)
+        if pivot is None:
+            raise SingularMatrixError(f"no pivot in column {col}")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [e / pv for e in aug[col]]
+        for r in range(d):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return GaussMatrix([row[d:] for row in aug])
+
+
+def _reference_kron(a, b):
+    db = b.dim
+    d = a.dim * db
+    return GaussMatrix(
+        [[a.rows[i // db][j // db] * b.rows[i % db][j % db] for j in range(d)] for i in range(d)]
+    )
+
+
+def _dense_rows(rng, dim, kind):
+    """Seeded dense rows: dense, sparse (about 30% nonzero), signed monomial
+    with unit phases, or singular (the last row a multiple of the first)."""
+    if kind == "monomial":
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        return [
+            [rng.choice(UNITS) if j == perm[i] else GaussRational(0) for j in range(dim)]
+            for i in range(dim)
+        ]
+    keep = 1.0 if kind == "dense" else 0.3
+    rows = [
+        [_random_scalar(rng) if rng.random() < keep else GaussRational(0) for _ in range(dim)]
+        for _ in range(dim)
+    ]
+    if kind == "singular":
+        c = _random_scalar(rng) if dim > 1 else GaussRational(0)
+        rows[-1] = [e * c for e in rows[0]]
+    return rows
+
+
+def _assert_matches(got, want):
+    """got is in canonical form and equals want, which the public
+    constructor built from dense rows, in ==, hash and the rows view."""
+    for row in got.entries:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < got.dim for j in cols)
+        assert all(not v.is_zero() for _, v in row)
+    assert got == want and hash(got) == hash(want)
+    assert got.rows == want.rows
+    assert GaussMatrix(got.rows) == got
+
+
+def test_one_representation_agrees_with_dense_reference():
     rng = random.Random(13)
-    units = [GaussRational(1), GaussRational(-1), GaussRational(0, 1), GaussRational(0, -1)]
-    for _ in range(40):
-        dim = rng.choice([2, 4, 8])
-        perm_a = list(range(dim))
-        perm_b = list(range(dim))
-        rng.shuffle(perm_a)
-        rng.shuffle(perm_b)
-        a = GaussMatrix(
-            [[rng.choice(units) if j == perm_a[i] else 0 for j in range(dim)] for i in range(dim)]
-        )
-        b = GaussMatrix(
-            [[rng.choice(units) if j == perm_b[i] else 0 for j in range(dim)] for i in range(dim)]
-        )
-        assert a * b == _reference_mul(a, b)
-        assert a * a.inverse() == GaussMatrix.identity(dim)
+    for trial in range(160):
+        kind = KINDS[trial % len(KINDS)]
+        dim = rng.randint(1, 8)
+        ra, rb = _dense_rows(rng, dim, kind), _dense_rows(rng, dim, rng.choice(KINDS))
+        a, b = GaussMatrix(ra), GaussMatrix(rb)
+        assert a.rows == tuple(map(tuple, ra))
+        s = rng.choice(UNITS + (GaussRational(0), _random_scalar(rng)))
+        _assert_matches(a, GaussMatrix(a.rows))
+        _assert_matches(a * b, _reference_mul(a, b))
+        pairs = [list(zip(r, t)) for r, t in zip(ra, rb)]
+        _assert_matches(a + b, GaussMatrix([[x + y for x, y in row] for row in pairs]))
+        _assert_matches(a - b, GaussMatrix([[x - y for x, y in row] for row in pairs]))
+        _assert_matches(-a, GaussMatrix([[-x for x in r] for r in ra]))
+        _assert_matches(a.scale(s), GaussMatrix([[x * s for x in r] for r in ra]))
+        _assert_matches(a.transpose(), GaussMatrix([list(col) for col in zip(*ra)]))
+        _assert_matches(a.conj(), GaussMatrix([[x.conjugate() for x in r] for r in ra]))
+        if dim <= 4:
+            _assert_matches(kron(a, b), _reference_kron(a, b))
+            _assert_matches(kron(b, a), _reference_kron(b, a))
+        try:
+            want = _reference_inverse(a)
+        except SingularMatrixError:
+            assert kind != "monomial"
+            with pytest.raises(SingularMatrixError):
+                a.inverse()
+        else:
+            assert kind != "singular"
+            _assert_matches(a.inverse(), want)
+            _assert_matches(a * a.inverse(), GaussMatrix.identity(dim))
 
 
 def test_dimension_mismatch_and_singular_errors():

@@ -10,3 +10,30 @@ def test_sweep_reuses_even_cells_and_ignores_jobs():
     assert len(odd) == 20
     for cell in odd:
         assert cell == classify_cell(cell["p"], cell["q"])
+
+
+def test_sweep_pool_never_exceeds_cell_count(monkeypatch):
+    import concurrent.futures
+
+    requested = []
+
+    class RecordingPool:
+        # Runs the cells in this process: the test starts no worker.
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    small = sweep(1, "real", jobs=64)  # three cells
+    assert requested == [3]
+    assert to_json(small) == to_json(sweep(1, "real", jobs=1))
+    sweep(2, "real", jobs=2)  # six cells
+    assert requested == [3, 2]

@@ -174,6 +174,10 @@ def test_file_parse_error(tmp_path):
     path2.write_text(json.dumps({"p": 1}))
     with pytest.raises(SpinBasisFileError):
         load_spinbasis(str(path2))
+    path3 = tmp_path / "numbers.json"
+    path3.write_text(json.dumps({"p": 2, "q": 0, "generators": [[[0, 1], [1, 0]]] * 2}))
+    with pytest.raises(SpinBasisFileError):
+        load_spinbasis(str(path3))
 
 
 def test_representation_homomorphism_random():
