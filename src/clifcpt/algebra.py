@@ -85,18 +85,6 @@ def blade_indices(mask: int) -> list[int]:
     return out
 
 
-def mask_from_indices(indices) -> int:
-    m = 0
-    for i in indices:
-        if i < 1:
-            raise ValueError(f"generator indices are 1-based, got {i}")
-        bit = 1 << (i - 1)
-        if m & bit:
-            raise ValueError(f"repeated generator index {i}")
-        m |= bit
-    return m
-
-
 def blade_format(mask: int) -> str:
     return "e{" + ",".join(str(i) for i in blade_indices(mask)) + "}"
 
@@ -273,9 +261,6 @@ class Multivector:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def grades(self) -> set[int]:
-        return {grade(m) for m in self.num}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multivector):

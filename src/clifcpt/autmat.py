@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import blade_indices
+from .algebra import blade_indices, grade
 from .exact import GaussMatrix
-from .spinrep import BasisProfile, SpinBasis, certify_spinbasis, product_over
+from .spinrep import SpinBasis, certify_spinbasis, product_over
 
 ELEMENT_NAMES = ("I", "W", "E", "C", "Pi", "K", "S", "F")
 
@@ -137,15 +137,15 @@ def _candidates(basis: SpinBasis, name: str, candidates, failure: str):
     return out
 
 
-def find_E(basis: SpinBasis, prof: BasisProfile | None = None):
+def find_E(basis: SpinBasis):
     """Both product candidates (all antisymmetric, all symmetric
     generators; empty product = I), filtered by the reversion condition.
 
     Returns a list of (matrix, choice, mask); for a certified pure basis
     exactly one candidate survives.
     """
-    prof = prof or certify_spinbasis(basis)
-    candidates = [(prof.skew_mask, SKEW_PRODUCT), (prof.sym_mask, SYM_PRODUCT)]
+    prof = certify_spinbasis(basis)
+    candidates = [(prof.mask(sym=False), SKEW_PRODUCT), (prof.sym_mask, SYM_PRODUCT)]
     return _candidates(basis, "E", candidates, "no valid reversion matrix: ")
 
 
@@ -156,19 +156,20 @@ def build_C(e: GaussMatrix, w: GaussMatrix, basis: SpinBasis) -> GaussMatrix:
     return c
 
 
-def find_Pi(basis: SpinBasis, prof: BasisProfile | None = None):
+def find_Pi(basis: SpinBasis):
     """Candidates for the coefficient-conjugation matrix: the identity
     (all-real basis), the product of all imaginary-entry generators
     (kept when their count is even), and the product of all real-entry
     generators (kept when their count is odd); each candidate is
     validated against the defining condition."""
-    prof = prof or certify_spinbasis(basis)
+    prof = certify_spinbasis(basis)
+    imag = prof.mask(real=False)
     candidates = []
-    if prof.a == 0:
+    if imag == 0:
         candidates.append((0, IDENTITY))
-    if prof.a % 2 == 0 and prof.a > 0:
-        candidates.append((prof.complex_mask, COMPLEX_PRODUCT))
-    if prof.b % 2 == 1:
+    if imag and grade(imag) % 2 == 0:
+        candidates.append((imag, COMPLEX_PRODUCT))
+    if grade(prof.real_mask) % 2 == 1:
         candidates.append((prof.real_mask, REAL_PRODUCT))
     return _candidates(
         basis, "Pi", candidates, "pseudoautomorphism not representable in this basis: "
@@ -219,10 +220,6 @@ class Realization:
     @property
     def abelian(self) -> bool:
         return is_abelian(self.commutation)
-
-    @property
-    def signature_str(self) -> str:
-        return sig_str(self.signature)
 
 
 def complete_set(
@@ -278,12 +275,12 @@ def complete_set(
 def enumerate_realizations(basis: SpinBasis) -> list[Realization]:
     """Cartesian product of valid E and Pi choices, each completed to a
     full matrix set, deduplicated by (signature, commutation table)."""
-    prof = certify_spinbasis(basis)
+    certify_spinbasis(basis)  # an invalid basis fails here, before any condition check
     w = build_W(basis)
     out = []
     seen = set()
-    for e, e_choice, e_mask in find_E(basis, prof):
-        for pi, pi_choice, pi_mask in find_Pi(basis, prof):
+    for e, e_choice, e_mask in find_E(basis):
+        for pi, pi_choice, pi_mask in find_Pi(basis):
             aut = complete_set(basis, w, e, e_choice, e_mask, pi, pi_choice, pi_mask)
             sig = square_signs(aut.seven())
             table = commutation_table(aut.matrices())

@@ -55,6 +55,11 @@ def _mod8_plus(x: int) -> int:
     return 1 if x % 8 in (0, 1, 4, 5) else -1
 
 
+def _square_balance(prof: BasisProfile, mask: int) -> int:
+    """Generators squaring to +I minus those squaring to -I, within mask."""
+    return grade(mask) - 2 * grade(mask & prof.neg_mask)
+
+
 # Real-ring arms of the automorphism-group theorem, keyed by (p%4, q%4).
 _REAL_ARMS = {
     (0, 0): ((1, 1, 1), "Z2xZ2", True),
@@ -90,9 +95,11 @@ def predict_aut_real(p: int, q: int, prof: BasisProfile) -> PredictedAut:
         return PredictedAut(triple, group, abelian, f"ring R, p,q mod 4 = {key}")
     if tag == "H":
         a_sign = 1 if (p - q) % 8 == 4 else -1
-        lt = prof.skew_pos - prof.skew_neg
-        hg = prof.sym_pos - prof.sym_neg
-        if prof.k % 2 == 0:
+        skew = prof.mask(sym=False)
+        k = grade(skew)
+        lt = _square_balance(prof, skew)
+        hg = _square_balance(prof, prof.sym_mask)
+        if k % 2 == 0:
             b_sign, c_sign = _mod8_plus(lt), _mod8_plus(hg)
             abelian = True
         else:
@@ -100,7 +107,7 @@ def predict_aut_real(p: int, q: int, prof: BasisProfile) -> PredictedAut:
             abelian = False
         triple = (a_sign, b_sign, c_sign)
         group = _aut_group_for(triple, abelian)
-        return PredictedAut(triple, group, abelian, f"ring H, k parity {prof.k % 2}")
+        return PredictedAut(triple, group, abelian, f"ring H, k parity {k % 2}")
     raise TheoremCoverageError(f"even n with ring {tag}: outside theorem coverage")
 
 
@@ -135,12 +142,12 @@ def predict_pi_square(prof: BasisProfile, pi_choice: str) -> int:
     if pi_choice == "identity":
         return 1
     if pi_choice == "complex_product":
-        a = prof.a
+        a = grade(prof.mask(real=False))
         if a % 2 != 0:
             raise TheoremCoverageError("complex-product Pi needs an even imaginary count")
         return -1 if (a * (a - 1) // 2) % 2 else 1
     if pi_choice == "real_product":
-        b = prof.b
+        b = grade(prof.real_mask)
         if b % 2 != 1:
             raise TheoremCoverageError("real-product Pi needs an odd real count")
         return -1 if (b * (b - 1) // 2) % 2 else 1
@@ -151,15 +158,15 @@ def predict_k_square(prof: BasisProfile, k_mask: int) -> int:
     """Mod-8 rule for K^2 from the census, by which product K is:
     the all-imaginary product (odd count) uses the imaginary plus/minus
     square counts; the all-real product (even count) the real ones."""
-    if k_mask == prof.complex_mask and prof.a % 2 == 1:
-        d = (prof.aplus - prof.aminus) % 8
+    if k_mask == prof.mask(real=False) and grade(k_mask) % 2 == 1:
+        d = _square_balance(prof, k_mask) % 8
         if d in (1, 5):
             return 1
         if d in (3, 7):
             return -1
         raise TheoremCoverageError(f"imaginary-product K: a+ - a- = {d} mod 8 is impossible")
-    if k_mask == prof.real_mask and prof.b % 2 == 0:
-        d = (prof.bplus - prof.bminus) % 8
+    if k_mask == prof.real_mask and grade(k_mask) % 2 == 0:
+        d = _square_balance(prof, k_mask) % 8
         if d in (0, 4):
             return 1
         if d in (2, 6):
@@ -168,21 +175,28 @@ def predict_k_square(prof: BasisProfile, k_mask: int) -> int:
     raise TheoremCoverageError("K mask matches neither admissible product form")
 
 
+def _product_forms(prof: BasisProfile) -> tuple[int, int]:
+    """The two S/F product forms: all imaginary-symmetric and
+    real-antisymmetric generators (rk + cs factors), and all
+    imaginary-antisymmetric and real-symmetric ones (ck + rs factors)."""
+    c_form = prof.real_mask ^ prof.sym_mask
+    return c_form, prof.mask() ^ c_form
+
+
 def predict_s_square(prof: BasisProfile, s_mask: int) -> int:
     """Mod-8 rules for S^2: the even product of all imaginary-symmetric
     and real-antisymmetric generators uses rk + cs; the odd product of
     all imaginary-antisymmetric and real-symmetric ones uses ck + rs."""
-    c_form = prof.csym_mask | prof.rskew_mask
-    d_form = prof.cskew_mask | prof.rsym_mask
+    c_form, d_form = _product_forms(prof)
     if s_mask == c_form and grade(s_mask) % 2 == 0:
-        d = (prof.rk + prof.cs) % 8
+        d = grade(c_form) % 8
         if d in (0, 4):
             return 1
         if d in (2, 6):
             return -1
         raise TheoremCoverageError(f"even-form S: u+l = {d} mod 8 is impossible")
     if s_mask == d_form and grade(s_mask) % 2 == 1:
-        d = (prof.ck + prof.rs) % 8
+        d = grade(d_form) % 8
         if d in (1, 5):
             return 1
         if d in (3, 7):
@@ -193,17 +207,16 @@ def predict_s_square(prof: BasisProfile, s_mask: int) -> int:
 
 def predict_f_square(prof: BasisProfile, f_mask: int) -> int:
     """Mod-8 rules for F^2, dual to the S rules."""
-    c_form = prof.csym_mask | prof.rskew_mask
-    d_form = prof.cskew_mask | prof.rsym_mask
+    c_form, d_form = _product_forms(prof)
     if f_mask == d_form and grade(f_mask) % 2 == 0:
-        d = (prof.ck + prof.rs) % 8
+        d = grade(d_form) % 8
         if d in (0, 4):
             return 1
         if d in (2, 6):
             return -1
         raise TheoremCoverageError(f"even-form F: m+v = {d} mod 8 is impossible")
     if f_mask == c_form and grade(f_mask) % 2 == 1:
-        d = (prof.rk + prof.cs) % 8
+        d = grade(c_form) % 8
         if d in (3, 7):
             return 1
         if d in (1, 5):
@@ -214,7 +227,8 @@ def predict_f_square(prof: BasisProfile, f_mask: int) -> int:
 
 def predict_pi_k_commutation(prof: BasisProfile) -> int:
     """Pi and K commute or anticommute as (-1)^(a*b)."""
-    return -1 if (prof.a * prof.b) % 2 else 1
+    a = grade(prof.mask(real=False))
+    return -1 if (a * (prof.n - a)) % 2 else 1
 
 
 def predict_s_f_commutation(s_mask: int, f_mask: int) -> int:

@@ -97,10 +97,6 @@ class GaussRational:
     def __str__(self) -> str:
         return format_gauss(self)
 
-    @classmethod
-    def parse(cls, text: str) -> GaussRational:
-        return parse_gauss(text)
-
 
 def _exact(re: Fraction, im: Fraction) -> GaussRational:
     """Internal constructor for parts that are already Fractions.

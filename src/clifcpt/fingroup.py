@@ -51,7 +51,6 @@ class SignedGroup:
 class GroupLabel:
     tag: str
     abelian: bool
-    expected_order_structure: tuple[int, int] | None
     consistent: bool
     note: str = ""
 
@@ -118,17 +117,6 @@ def order_structure(reps: Sequence[GaussMatrix]) -> tuple[int, int]:
     return (n2, n4)
 
 
-# Signature-tuple labels, keyed by minus count (and abelianness at 4).
-_ORDER8_STRUCTURE = {
-    "Z2xZ2xZ2": (7, 0),
-    "Z4xZ2": (3, 4),
-    "Z8": (1, 2),
-    "D4": (5, 2),
-    "Q4": (1, 6),
-    "Z4*xZ2": (3, 4),
-}
-
-
 def signature_label(signs: tuple[int, ...], abelian: bool) -> GroupLabel:
     """Label of the eight-representative signed system from its seven-sign
     tuple and commutativity; raises when the minus count is inadmissible.
@@ -152,7 +140,7 @@ def signature_label(signs: tuple[int, ...], abelian: bool) -> GroupLabel:
         must_abelian = None
     consistent = must_abelian is None or abelian == must_abelian
     note = "" if consistent else f"{tag} requires abelian={must_abelian}, got {abelian}"
-    return GroupLabel(tag, abelian, _ORDER8_STRUCTURE.get(tag), consistent, note)
+    return GroupLabel(tag, abelian, consistent, note)
 
 
 def aut_label(signs: tuple[int, int, int], abelian: bool) -> GroupLabel:
@@ -173,7 +161,7 @@ def aut_label(signs: tuple[int, int, int], abelian: bool) -> GroupLabel:
             tag = "D4/Z2"
         else:
             raise ClassificationError(f"non-abelian triple {sig_str(signs)} must have 1 or 3 minuses")
-    return GroupLabel(tag, abelian, None, True)
+    return GroupLabel(tag, abelian, True)
 
 
 def identify_abstract(group: SignedGroup) -> dict:

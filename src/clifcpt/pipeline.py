@@ -123,7 +123,7 @@ def predictor_analysis(p: int, q: int, prof, r: Realization) -> dict:
     )
 
     tag = ring_type(p, q).tag
-    full_scope = tag == "H" or (tag == "R" and prof.a == 0)
+    full_scope = tag == "H" or (tag == "R" and prof.mask(real=False) == 0)
     reason = ""
     if full_scope:
         pred = covering.predict_aut_real(p, q, prof)
@@ -291,7 +291,7 @@ def _classify_complex(p: int, q: int) -> dict:
     basis = build_spinbasis(sig)
     prof = certify_spinbasis(basis)
     w = build_W(basis)
-    e = find_E(basis, prof)[0][0]
+    e = find_E(basis)[0][0]
     c = build_C(e, w, basis)
     raw = square_signs((w, e, c))
     commute = commutation_table((GaussMatrix.identity(basis.dim), w, e, c))

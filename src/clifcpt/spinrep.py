@@ -34,146 +34,55 @@ class SpinBasisFileError(ValueError):
     """A spin basis file could not be parsed."""
 
 
-@dataclass(frozen=True)
-class GenTraits:
-    """Reality, symmetry, and square sign of one generator matrix."""
-
-    real: bool
-    symmetric: bool
-    square: int
+# The census keys of BasisProfile.as_dict: name -> (reality, symmetry,
+# square) of the generators it counts; None leaves that trait free.
+_CENSUS = {
+    "a": (False, None, None),
+    "b": (True, None, None),
+    "k": (None, False, None),
+    "cs": (False, True, None),
+    "ck": (False, False, None),
+    "rs": (True, True, None),
+    "rk": (True, False, None),
+    "sym_pos": (None, True, 1),
+    "sym_neg": (None, True, -1),
+    "skew_pos": (None, False, 1),
+    "skew_neg": (None, False, -1),
+    "aplus": (False, None, 1),
+    "aminus": (False, None, -1),
+    "bplus": (True, None, 1),
+    "bminus": (True, None, -1),
+}
 
 
 @dataclass(frozen=True)
 class BasisProfile:
-    """Census of a certified spin basis.
-
-    a/b count imaginary/real generators, k counts antisymmetric ones;
-    cs/ck/rs/rk split by reality x symmetry; sym_pos/sym_neg and
-    skew_pos/skew_neg split by square sign within the symmetry classes,
-    and aplus/aminus, bplus/bminus within the reality classes.
-    """
+    """Census of a certified spin basis as generator-slot masks (bit i-1
+    is generator i): the real-entry generators (the rest are imaginary),
+    the symmetric ones (the rest are antisymmetric), and those squaring
+    to -I (the rest square to +I)."""
 
     n: int
-    traits: tuple[GenTraits, ...]
+    real_mask: int
+    sym_mask: int
+    neg_mask: int
 
-    @property
-    def a(self) -> int:
-        return sum(1 for t in self.traits if not t.real)
-
-    @property
-    def b(self) -> int:
-        return sum(1 for t in self.traits if t.real)
-
-    @property
-    def k(self) -> int:
-        return sum(1 for t in self.traits if not t.symmetric)
-
-    @property
-    def cs(self) -> int:
-        return sum(1 for t in self.traits if not t.real and t.symmetric)
-
-    @property
-    def ck(self) -> int:
-        return sum(1 for t in self.traits if not t.real and not t.symmetric)
-
-    @property
-    def rs(self) -> int:
-        return sum(1 for t in self.traits if t.real and t.symmetric)
-
-    @property
-    def rk(self) -> int:
-        return sum(1 for t in self.traits if t.real and not t.symmetric)
-
-    @property
-    def sym_pos(self) -> int:
-        return sum(1 for t in self.traits if t.symmetric and t.square > 0)
-
-    @property
-    def sym_neg(self) -> int:
-        return sum(1 for t in self.traits if t.symmetric and t.square < 0)
-
-    @property
-    def skew_pos(self) -> int:
-        return sum(1 for t in self.traits if not t.symmetric and t.square > 0)
-
-    @property
-    def skew_neg(self) -> int:
-        return sum(1 for t in self.traits if not t.symmetric and t.square < 0)
-
-    @property
-    def aplus(self) -> int:
-        return sum(1 for t in self.traits if not t.real and t.square > 0)
-
-    @property
-    def aminus(self) -> int:
-        return sum(1 for t in self.traits if not t.real and t.square < 0)
-
-    @property
-    def bplus(self) -> int:
-        return sum(1 for t in self.traits if t.real and t.square > 0)
-
-    @property
-    def bminus(self) -> int:
-        return sum(1 for t in self.traits if t.real and t.square < 0)
-
-    # 1-based slot masks by class, for building automorphism products.
-    def _mask(self, pred) -> int:
-        m = 0
-        for i, t in enumerate(self.traits):
-            if pred(t):
-                m |= 1 << i
+    def mask(
+        self, real: bool | None = None, sym: bool | None = None, square: int | None = None
+    ) -> int:
+        """Slots of the generators with every given trait; the count of a
+        class is the popcount of its mask."""
+        m = (1 << self.n) - 1
+        if real is not None:
+            m &= self.real_mask if real else ~self.real_mask
+        if sym is not None:
+            m &= self.sym_mask if sym else ~self.sym_mask
+        if square is not None:
+            m &= self.neg_mask if square < 0 else ~self.neg_mask
         return m
 
-    @property
-    def real_mask(self) -> int:
-        return self._mask(lambda t: t.real)
-
-    @property
-    def complex_mask(self) -> int:
-        return self._mask(lambda t: not t.real)
-
-    @property
-    def sym_mask(self) -> int:
-        return self._mask(lambda t: t.symmetric)
-
-    @property
-    def skew_mask(self) -> int:
-        return self._mask(lambda t: not t.symmetric)
-
-    @property
-    def csym_mask(self) -> int:
-        return self._mask(lambda t: not t.real and t.symmetric)
-
-    @property
-    def cskew_mask(self) -> int:
-        return self._mask(lambda t: not t.real and not t.symmetric)
-
-    @property
-    def rsym_mask(self) -> int:
-        return self._mask(lambda t: t.real and t.symmetric)
-
-    @property
-    def rskew_mask(self) -> int:
-        return self._mask(lambda t: t.real and not t.symmetric)
-
     def as_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "k": self.k,
-            "cs": self.cs,
-            "ck": self.ck,
-            "rs": self.rs,
-            "rk": self.rk,
-            "sym_pos": self.sym_pos,
-            "sym_neg": self.sym_neg,
-            "skew_pos": self.skew_pos,
-            "skew_neg": self.skew_neg,
-            "aplus": self.aplus,
-            "aminus": self.aminus,
-            "bplus": self.bplus,
-            "bminus": self.bminus,
-        }
+        return {name: self.mask(*traits).bit_count() for name, traits in _CENSUS.items()}
 
 
 @dataclass(frozen=True)
@@ -326,7 +235,9 @@ def preset_spinbasis(name: str) -> SpinBasis:
     return basis
 
 
-def _scan_traits(g: GaussMatrix, violations: list[str], idx: int) -> GenTraits | None:
+def _scan_traits(g: GaussMatrix, violations: list[str], idx: int) -> tuple[bool, bool, int] | None:
+    """Reality, symmetry and square sign of one generator, or None after
+    recording why it has none."""
     has_re = any(v.re != 0 for row in g.entries for _, v in row)
     has_im = any(v.im != 0 for row in g.entries for _, v in row)
     if has_re and has_im:
@@ -344,7 +255,7 @@ def _scan_traits(g: GaussMatrix, violations: list[str], idx: int) -> GenTraits |
     if sq is None:
         violations.append(f"generator {idx} does not square to +I or -I")
         return None
-    return GenTraits(real=not has_im, symmetric=symmetric, square=sq)
+    return not has_im, symmetric, sq
 
 
 @lru_cache(maxsize=128)
@@ -359,7 +270,7 @@ def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
     if len(basis.gens) != n:
         raise CertificationError([f"expected {n} generators, got {len(basis.gens)}"])
     if n == 0:
-        return BasisProfile(0, ())
+        return BasisProfile(0, 0, 0, 0)
     dims = {g.dim for g in basis.gens}
     if len(dims) != 1:
         raise CertificationError([f"generator dimensions differ: {sorted(dims)}"])
@@ -369,14 +280,20 @@ def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
             [f"dimension {dim} does not equal 2^(n/2) for n={n} generators"]
         )
 
-    traits: list[GenTraits | None] = []
-    for i, g in enumerate(basis.gens, start=1):
-        traits.append(_scan_traits(g, violations, i))
-    for i in range(n):
-        ti = traits[i]
-        if ti is not None and ti.square != sig.metric_sign(i + 1):
-            want = "+I" if sig.metric_sign(i + 1) > 0 else "-I"
-            violations.append(f"generator {i + 1} squares to {'+I' if ti.square > 0 else '-I'}, expected {want}")
+    real_mask = sym_mask = neg_mask = scanned = 0
+    for i, g in enumerate(basis.gens):
+        traits = _scan_traits(g, violations, i + 1)
+        if traits is None:
+            continue
+        real, symmetric, square = traits
+        bit = 1 << i
+        scanned |= bit
+        real_mask |= bit if real else 0
+        sym_mask |= bit if symmetric else 0
+        neg_mask |= bit if square < 0 else 0
+    for i in blade_indices((neg_mask ^ sig.neg_mask) & scanned):
+        want, got = ("-I", "+I") if sig.metric_sign(i) < 0 else ("+I", "-I")
+        violations.append(f"generator {i} squares to {got}, expected {want}")
     for i in range(n):
         for j in range(i + 1, n):
             gi, gj = basis.gens[i], basis.gens[j]
@@ -384,7 +301,7 @@ def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
                 violations.append(f"generators {i + 1} and {j + 1} do not anticommute")
     if violations:
         raise CertificationError(violations)
-    return BasisProfile(n, tuple(traits))  # type: ignore[arg-type]
+    return BasisProfile(n, real_mask, sym_mask, neg_mask)
 
 
 def product_over(basis: SpinBasis, mask: int) -> GaussMatrix:

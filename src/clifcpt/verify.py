@@ -24,7 +24,17 @@ from .algebra import (
     involution_via_omega_check,
     random_multivector,
 )
-from .autmat import ELEMENT_NAMES, Realization, check, enumerate_realizations, sig_str
+from .autmat import (
+    ELEMENT_NAMES,
+    Realization,
+    build_C,
+    build_W,
+    check,
+    enumerate_realizations,
+    find_E,
+    minus_count,
+    sig_str,
+)
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, radon_hurwitz, ring_type
 from .fingroup import (
     cayley_table,
@@ -219,8 +229,6 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
         for n in range(0, max_dim + 1, 2):
             sig = MetricSignature(n, 0, COMPLEX)
             basis = build_spinbasis(sig)
-            from .autmat import build_C, build_W, find_E
-
             w = build_W(basis)
             e = find_E(basis)[0][0]
             c = build_C(e, w, basis)
@@ -306,8 +314,6 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
     out.append(_run("groups", "signature-census", census))
 
     def sweep_labels():
-        from .autmat import minus_count
-
         for sig in _even_real_sigs(max_dim):
             for r in _realizations(realizations, build_spinbasis(sig)):
                 assert minus_count(r.signature) in (0, 2, 4, 6), sig_str(r.signature)

@@ -24,13 +24,15 @@ from clifcpt.fingroup import (
     signed_closure,
 )
 from clifcpt.goldens import (
+    DIRAC_EXT_LEGEND,
     DIRAC_EXT_SIGNATURE,
     DIRAC_EXT_TABLE,
+    WIGNER_CPT_LEGEND,
     WIGNER_CPT_SIGNATURE,
     WIGNER_CPT_TABLE,
     signed_cells,
 )
-from clifcpt.pipeline import ext_reps, predictor_analysis, wigner_reps
+from clifcpt.pipeline import cayley_for, ext_reps, predictor_analysis, wigner_reps
 from clifcpt.spinrep import build_spinbasis, certify_spinbasis, preset_spinbasis
 from clifcpt.verify import suite_automorphisms
 from gammas import gamma_matrices, product
@@ -87,6 +89,11 @@ def test_c02_both_cayley_tableaux():
                 matches += 1
     assert matches == 128
     _report(2, "both Cayley tableaux", "128/128 cells exact")
+
+
+def test_dirac_cayley_legends_match_goldens():
+    assert cayley_for(1, 3, "ext", "dirac")[1] == DIRAC_EXT_LEGEND
+    assert cayley_for(1, 3, "cpt-wigner", "dirac")[1] == WIGNER_CPT_LEGEND
 
 
 def test_c03_wigner_group_identification():

@@ -36,7 +36,18 @@ def test_classify_dirac_json(capsys):
     assert r["signature"] == "(-,-,+,-,-,+,+)"
     assert r["label"] == "Z4*xZ2"
     assert r["predicted_vs_computed"] == "agree"
-    jsonschema.validate(doc, _schema("classify.schema.json"))
+    schema = _schema("classify.schema.json")
+    jsonschema.validate(doc, schema)
+    # The schema pins the 15 census counts of the basis profile.
+    profile = doc["basis"]["profile"]
+    for bad in ({**profile, "extra": 0}, {**profile, "a": -1}, {**profile, "a": "1"}):
+        doc["basis"]["profile"] = bad
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+    del profile["bminus"]
+    doc["basis"]["profile"] = profile
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
 
 
 def test_classify_trivial_signature(capsys):

@@ -16,11 +16,16 @@ from clifcpt.covering import (
     pt_cover_label,
     reduce_odd,
 )
-from clifcpt.spinrep import GenTraits, BasisProfile, build_spinbasis, certify_spinbasis, preset_spinbasis
+from clifcpt.spinrep import BasisProfile, build_spinbasis, certify_spinbasis, preset_spinbasis
 
 
 def _profile(traits):
-    return BasisProfile(len(traits), tuple(GenTraits(*t) for t in traits))
+    """A census from (real, symmetric, square) triples, slot 1 first."""
+    masks = [0, 0, 0]
+    for i, (real, symmetric, square) in enumerate(traits):
+        for j, flag in enumerate((real, symmetric, square < 0)):
+            masks[j] |= flag << i
+    return BasisProfile(len(traits), *masks)
 
 
 def test_predict_aut_real_ring_r_arms():

@@ -25,8 +25,8 @@ def test_cl11_tower():
     s1 = GaussMatrix([[0, 1], [1, 0]])
     eps = GaussMatrix([[0, 1], [-1, 0]])
     assert basis.gens == (s1, eps)
-    prof = certify_spinbasis(basis)
-    assert (prof.a, prof.b, prof.k) == (0, 2, 1)
+    census = certify_spinbasis(basis).as_dict()
+    assert (census["a"], census["b"], census["k"]) == (0, 2, 1)
 
 
 def test_cl02_canonical():
@@ -35,26 +35,28 @@ def test_cl02_canonical():
     i_s3 = GaussMatrix([[GaussRational(0, 1), 0], [0, GaussRational(0, -1)]])
     assert basis.gens == (i_s1, i_s3)
     prof = certify_spinbasis(basis)
-    assert (prof.a, prof.b) == (2, 0)
-    assert all(t.square == -1 for t in prof.traits)
+    census = prof.as_dict()
+    assert (census["a"], census["b"]) == (2, 0)
+    assert prof.neg_mask == prof.mask() == 0b11
 
 
 def test_cl20_tower_real():
     basis = build_spinbasis(MetricSignature(2, 0))
-    prof = certify_spinbasis(basis)
-    assert prof.a == 0 and prof.k == 0
+    census = certify_spinbasis(basis).as_dict()
+    assert census["a"] == 0 and census["k"] == 0
 
 
 def test_real_tower_all_real():
     for p, q in ((0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (3, 3), (4, 2), (4, 4)):
         prof = certify_spinbasis(build_spinbasis(MetricSignature(p, q)))
-        assert prof.a == 0, f"Cl({p},{q}) tower has imaginary generators"
+        assert prof.as_dict()["a"] == 0, f"Cl({p},{q}) tower has imaginary generators"
 
 
 def test_complex_canonical_profile():
     prof = certify_spinbasis(build_spinbasis(MetricSignature(4, 0, COMPLEX)))
-    assert (prof.a, prof.b) == (2, 2)
-    assert all(t.square == 1 for t in prof.traits)
+    census = prof.as_dict()
+    assert (census["a"], census["b"]) == (2, 2)
+    assert prof.neg_mask == 0
 
 
 def test_odd_dimension_unsupported():
@@ -77,10 +79,12 @@ def test_dirac_profile_counts():
     assert sym_flags == [True, False, True, False]
 
     prof = certify_spinbasis(preset_spinbasis("dirac"))
-    assert (prof.a, prof.b, prof.k) == (1, 3, 2)
-    assert (prof.cs, prof.ck, prof.rs, prof.rk) == (1, 0, 1, 2)
-    assert (prof.aplus, prof.aminus, prof.bplus, prof.bminus) == (0, 1, 1, 2)
-    assert (prof.sym_pos, prof.sym_neg, prof.skew_pos, prof.skew_neg) == (1, 1, 0, 2)
+    assert (prof.real_mask, prof.sym_mask, prof.neg_mask) == (0b1011, 0b0101, 0b1110)
+    c = prof.as_dict()
+    assert (c["a"], c["b"], c["k"]) == (1, 3, 2)
+    assert (c["cs"], c["ck"], c["rs"], c["rk"]) == (1, 0, 1, 2)
+    assert (c["aplus"], c["aminus"], c["bplus"], c["bminus"]) == (0, 1, 1, 2)
+    assert (c["sym_pos"], c["sym_neg"], c["skew_pos"], c["skew_neg"]) == (1, 1, 0, 2)
 
 
 def test_unknown_preset():
@@ -92,16 +96,101 @@ def test_unknown_preset():
 def test_canonical_bases_certify(n):
     for p in range(n + 1):
         basis = build_spinbasis(MetricSignature(p, n - p))
-        prof = certify_spinbasis(basis)
-        assert prof.a + prof.b == n
-        assert prof.cs + prof.ck == prof.a
-        assert prof.rs + prof.rk == prof.b
-        assert prof.ck + prof.rk == prof.k
-        assert prof.cs + prof.rs == n - prof.k
-        assert prof.sym_pos + prof.sym_neg == n - prof.k
-        assert prof.skew_pos + prof.skew_neg == prof.k
+        c = certify_spinbasis(basis).as_dict()
+        assert c["a"] + c["b"] == n
+        assert c["cs"] + c["ck"] == c["a"]
+        assert c["rs"] + c["rk"] == c["b"]
+        assert c["ck"] + c["rk"] == c["k"]
+        assert c["cs"] + c["rs"] == n - c["k"]
+        assert c["sym_pos"] + c["sym_neg"] == n - c["k"]
+        assert c["skew_pos"] + c["skew_neg"] == c["k"]
     if n > 0:
         certify_spinbasis(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
+
+
+def _reference_traits(basis):
+    """Reality, symmetry and square of each generator, read off its
+    dense rows, independently of the certification scan."""
+    eye = GaussMatrix.identity(basis.dim)
+    out = []
+    for g in basis.gens:
+        assert g.transpose() in (g, -g) and g * g in (eye, -eye)
+        real = all(e.im == 0 for row in g.rows for e in row)
+        out.append((real, g.transpose() == g, 1 if g * g == eye else -1))
+    return out
+
+
+def _reference_census(traits):
+    def count(pred):
+        return sum(1 for t in traits if pred(*t))
+
+    return {
+        "a": count(lambda r, s, q: not r),
+        "b": count(lambda r, s, q: r),
+        "k": count(lambda r, s, q: not s),
+        "cs": count(lambda r, s, q: not r and s),
+        "ck": count(lambda r, s, q: not r and not s),
+        "rs": count(lambda r, s, q: r and s),
+        "rk": count(lambda r, s, q: r and not s),
+        "sym_pos": count(lambda r, s, q: s and q > 0),
+        "sym_neg": count(lambda r, s, q: s and q < 0),
+        "skew_pos": count(lambda r, s, q: not s and q > 0),
+        "skew_neg": count(lambda r, s, q: not s and q < 0),
+        "aplus": count(lambda r, s, q: not r and q > 0),
+        "aminus": count(lambda r, s, q: not r and q < 0),
+        "bplus": count(lambda r, s, q: r and q > 0),
+        "bminus": count(lambda r, s, q: r and q < 0),
+    }
+
+
+def _conjugated(basis, tmp_path):
+    """The basis conjugated by a rational Givens rotation, read back from
+    a file: the same traits in every slot, dense generators."""
+    from fractions import Fraction
+
+    dim = basis.dim
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rows[0][0] = rows[dim - 1][dim - 1] = Fraction(3, 5)
+    rows[0][dim - 1], rows[dim - 1][0] = Fraction(-4, 5), Fraction(4, 5)
+    m = GaussMatrix(rows)
+    path = tmp_path / f"conj-{basis.sig.p}-{basis.sig.q}.json"
+    gens = tuple(m * g * m.transpose() for g in basis.gens)
+    save_spinbasis(SpinBasis(basis.sig, gens, "conjugated"), str(path))
+    return load_spinbasis(str(path))
+
+
+def test_profile_masks_match_per_generator_reference(tmp_path):
+    bases = [preset_spinbasis("dirac")]
+    for n in range(0, 9, 2):
+        bases += [build_spinbasis(MetricSignature(p, n - p)) for p in range(n + 1)]
+        bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
+    bases.append(_conjugated(build_spinbasis(MetricSignature(1, 3)), tmp_path))
+    assert any(len(row) > 1 for g in bases[-1].gens for row in g.entries)
+    for basis in bases:
+        traits = _reference_traits(basis)
+        prof = certify_spinbasis(basis)
+        assert prof.n == len(traits)
+        assert prof.as_dict() == _reference_census(traits), basis.sig
+        for real in (True, False, None):
+            for sym in (True, False, None):
+                want = sum(
+                    1 << i
+                    for i, (r, s, _) in enumerate(traits)
+                    if real in (None, r) and sym in (None, s)
+                )
+                assert prof.mask(real=real, sym=sym) == want, (basis.sig, real, sym)
+
+
+def test_equal_slot_traits_give_equal_records(tmp_path):
+    for sig in (MetricSignature(1, 3), MetricSignature(2, 2), MetricSignature(3, 3)):
+        canonical = build_spinbasis(sig)
+        conjugated = _conjugated(canonical, tmp_path)
+        assert conjugated.gens != canonical.gens
+        a, b = certify_spinbasis(canonical), certify_spinbasis(conjugated)
+        assert a == b and hash(a) == hash(b)
+    assert certify_spinbasis(preset_spinbasis("dirac")) != certify_spinbasis(
+        build_spinbasis(MetricSignature(1, 3))
+    )
 
 
 def test_anticommutation_exhaustive_small():
