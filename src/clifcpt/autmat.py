@@ -16,10 +16,10 @@ its defining intertwining condition exhaustively over all generators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .algebra import blade_indices, grade
 from .exact import GaussMatrix
+from .fingroup import SignedGroup, signed_closure
 from .spinrep import SpinBasis, certify_spinbasis, product_over
 
 ELEMENT_NAMES = ("I", "W", "E", "C", "Pi", "K", "S", "F")
@@ -49,14 +49,6 @@ class ConditionError(RuntimeError):
 
 
 SigTuple = tuple[int, int, int, int, int, int, int]
-
-
-def sig_str(signs: tuple[int, ...]) -> str:
-    return "(" + ",".join("+" if s > 0 else "-" for s in signs) + ")"
-
-
-def minus_count(signs: tuple[int, ...]) -> int:
-    return sum(1 for s in signs if s < 0)
 
 
 @dataclass(frozen=True)
@@ -176,35 +168,28 @@ def find_Pi(basis: SpinBasis):
     )
 
 
-def square_signs(mats: Sequence[GaussMatrix]) -> tuple[int, ...]:
-    """Signs of the squares of W, E, C, ... (ELEMENT_NAMES order, from W);
-    each square must be exactly +I or -I."""
-    signs = []
-    for name, m in zip(ELEMENT_NAMES[1:], mats):
-        s = (m * m).pm_identity()
-        if s is None:
-            raise ConditionError(f"{name}^2 is not +-I; broken construction")
-        signs.append(s)
-    return tuple(signs)
+def read_signs(group: SignedGroup) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Square signs of the generators after the first (W, E, C, ... in
+    ELEMENT_NAMES order) and the sign eps with X*Y = eps * Y*X for each
+    ordered pair of generators, read off the closure's table; every
+    square must be +-I and every pair must commute or anticommute."""
+    mul, gens, minus = group.mul, group.generators, group.minus_identity
 
+    def sign(k: int, plus: int, failure: str) -> int:
+        # +1 when element k is element plus, -1 when it is its negative.
+        if k == plus:
+            return 1
+        if minus is not None and k == mul[minus][plus]:
+            return -1
+        raise ConditionError(failure)
 
-def commutation_table(mats: Sequence[GaussMatrix]) -> tuple[tuple[int, ...], ...]:
-    """Sign eps with X*Y = eps * Y*X for each ordered pair of the matrices;
-    every pair must commute or anticommute."""
-    table = []
-    for x in mats:
-        row = []
-        for y in mats:
-            xy = x * y
-            yx = y * x
-            if xy == yx:
-                row.append(1)
-            elif xy == -yx:
-                row.append(-1)
-            else:
-                raise ConditionError("a pair of automorphism matrices neither commutes nor anticommutes")
-        table.append(tuple(row))
-    return tuple(table)
+    squares = tuple(
+        sign(mul[i][i], group.identity, f"{name}^2 is not +-I; broken construction")
+        for name, i in zip(ELEMENT_NAMES[1:], gens[1:])
+    )
+    failure = "a pair of automorphism matrices neither commutes nor anticommutes"
+    table = tuple(tuple(sign(mul[i][j], mul[j][i], failure) for j in gens) for i in gens)
+    return squares, table
 
 
 def is_abelian(table: tuple[tuple[int, ...], ...]) -> bool:
@@ -216,10 +201,20 @@ class Realization:
     aut: AutMatrixSet
     signature: SigTuple
     commutation: tuple[tuple[int, ...], ...]
+    group: SignedGroup  # closure of aut.matrices()
 
     @property
     def abelian(self) -> bool:
         return is_abelian(self.commutation)
+
+    @property
+    def order_counts(self) -> tuple[int, int]:
+        """(count of order-2, count of order-4) among the representatives
+        other than I; a representative is I exactly when its matrix is +-I."""
+        g = self.group
+        pm_eye = (g.identity, g.minus_identity)
+        squares = [s for i, s in zip(g.generators[1:], self.signature) if i not in pm_eye]
+        return squares.count(1), squares.count(-1)
 
 
 def complete_set(
@@ -274,7 +269,8 @@ def complete_set(
 
 def enumerate_realizations(basis: SpinBasis) -> list[Realization]:
     """Cartesian product of valid E and Pi choices, each completed to a
-    full matrix set, deduplicated by (signature, commutation table)."""
+    full matrix set whose signature and commutation table are read off
+    its signed closure, deduplicated by (signature, commutation table)."""
     certify_spinbasis(basis)  # an invalid basis fails here, before any condition check
     w = build_W(basis)
     out = []
@@ -282,13 +278,13 @@ def enumerate_realizations(basis: SpinBasis) -> list[Realization]:
     for e, e_choice, e_mask in find_E(basis):
         for pi, pi_choice, pi_mask in find_Pi(basis):
             aut = complete_set(basis, w, e, e_choice, e_mask, pi, pi_choice, pi_mask)
-            sig = square_signs(aut.seven())
-            table = commutation_table(aut.matrices())
+            group = signed_closure(aut.matrices())
+            sig, table = read_signs(group)
             key = (sig, table)
             if key in seen:
                 continue
             seen.add(key)
-            out.append(Realization(aut, sig, table))
+            out.append(Realization(aut, sig, table, group))
     return out
 
 

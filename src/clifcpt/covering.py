@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import grade
-from .autmat import minus_count
 from .classify import ring_type
+from .fingroup import minus_count
 from .spinrep import BasisProfile
 
 

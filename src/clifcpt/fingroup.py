@@ -10,10 +10,17 @@ from itertools import product as iterproduct
 from math import lcm
 from typing import Sequence
 
-from .autmat import minus_count, sig_str
 from .exact import GaussMatrix
 
 CLOSURE_LIMIT = 256
+
+
+def sig_str(signs: tuple[int, ...]) -> str:
+    return "(" + ",".join("+" if s > 0 else "-" for s in signs) + ")"
+
+
+def minus_count(signs: tuple[int, ...]) -> int:
+    return sum(1 for s in signs if s < 0)
 
 
 class ClosureError(RuntimeError):
@@ -37,6 +44,7 @@ class SignedGroup:
     mul: tuple[tuple[int, ...], ...]  # mul[i][j]: index of elements[i] * elements[j]
     identity: int  # index of I
     minus_identity: int | None  # index of -I, if present
+    generators: tuple[int, ...]  # index of each matrix passed in, duplicates included
 
     @property
     def order(self) -> int:
@@ -57,7 +65,7 @@ class GroupLabel:
 
 def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
     """Fixed-point closure of the given matrices under multiplication,
-    with the index of every product.
+    with the index of every product and of every generator.
 
     Elements are visited breadth-first in deterministic insertion order;
     -I appears exactly when some product generates it.
@@ -66,14 +74,11 @@ def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
         raise GroupStructureError("need at least one generator")
     dim = gens[0].dim
     eye = GaussMatrix.identity(dim)
+    if any(g.dim != dim for g in gens):
+        raise GroupStructureError("generators have mixed dimensions")
     seen: dict[GaussMatrix, int] = {}
-    order: list[GaussMatrix] = []
-    for g in gens:
-        if g.dim != dim:
-            raise GroupStructureError("generators have mixed dimensions")
-        if g not in seen:
-            seen[g] = len(order)
-            order.append(g)
+    generators = tuple(seen.setdefault(g, len(seen)) for g in gens)
+    order = list(seen)
     products: dict[tuple[int, int], int] = {}
     head = 0
     while head < len(order):
@@ -96,7 +101,7 @@ def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
         raise GroupStructureError("the closure has no identity; a generator is singular")
     n = len(order)
     mul = tuple(tuple(products[i, j] for j in range(n)) for i in range(n))
-    return SignedGroup(tuple(order), mul, identity, seen.get(-eye))
+    return SignedGroup(tuple(order), mul, identity, seen.get(-eye), generators)
 
 
 def order_structure(reps: Sequence[GaussMatrix]) -> tuple[int, int]:

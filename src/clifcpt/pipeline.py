@@ -20,18 +20,15 @@ from .autmat import (
     Realization,
     build_C,
     build_W,
-    commutation_table,
     enumerate_realizations,
     find_E,
     is_abelian,
     mask_label,
-    minus_count,
-    sig_str,
-    square_signs,
+    read_signs,
 )
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, ring_type
 from .exact import GaussMatrix
-from .fingroup import aut_label, cayley_table, signature_label, signed_closure
+from .fingroup import aut_label, cayley_table, minus_count, sig_str, signature_label, signed_closure
 from .spinrep import SpinBasis, build_spinbasis, certify_spinbasis, load_spinbasis, preset_spinbasis
 
 _CHOICE_E_JSON = {"skew_product": "skew", "sym_product": "sym"}
@@ -152,9 +149,7 @@ def predictor_analysis(p: int, q: int, prof, r: Realization) -> dict:
 def realization_record(p: int, q: int, prof, r: Realization) -> dict:
     aut = r.aut
     label = signature_label(r.signature, r.abelian)
-    closure = signed_closure(list(aut.matrices()))
-    abstract = fingroup.identify_abstract(closure)
-    n2, n4 = fingroup.order_structure(aut.reps)
+    abstract = fingroup.identify_abstract(r.group)
     aut_sig = _aut_sub_signature(r)
     aut_ab = _aut_sub_abelian(r)
     try:
@@ -175,10 +170,10 @@ def realization_record(p: int, q: int, prof, r: Realization) -> dict:
         "rep_signs": dict(aut.rep_signs),
         "label": label.tag,
         "label_consistent": label.consistent,
-        "order_structure": [n2, n4],
+        "order_structure": list(r.order_counts),
         "closure": {
-            "order": closure.order,
-            "contains_minus_I": closure.contains_minus_I,
+            "order": r.group.order,
+            "contains_minus_I": r.group.contains_minus_I,
             "abelian": abstract["abelian"],
             "center_size": abstract["center_size"],
             "exponent": abstract["exponent"],
@@ -293,8 +288,7 @@ def _classify_complex(p: int, q: int) -> dict:
     w = build_W(basis)
     e = find_E(basis)[0][0]
     c = build_C(e, w, basis)
-    raw = square_signs((w, e, c))
-    commute = commutation_table((GaussMatrix.identity(basis.dim), w, e, c))
+    raw, commute = read_signs(signed_closure((GaussMatrix.identity(basis.dim), w, e, c)))
     abelian = is_abelian(commute)
     cover = covering.pt_cover_label(*pred.triple, pt_commutes=pred.abelian)
     out["basis"] = {"provenance": basis.provenance, "dim": basis.dim, "profile": prof.as_dict()}
@@ -463,11 +457,7 @@ def sweep_to_csv(result: dict) -> str:
                     note += f";complex_target={red['complex_target']}"
             elif "complex_target" in red:
                 note = f"complex_target={red['complex_target']}"
-            writer.writerow(
-                dict(base, realization="", choiceE="", choicePi="", signature="", label="",
-                     abelian="", order_structure="", cpt_fiber="", cliffordian="",
-                     pt_fiber="", predicted_vs_computed="", note=note)
-            )
+            writer.writerow(dict(base, note=note))
             continue
         if cell["field"] == COMPLEX:
             aut = cell["aut"]
@@ -475,13 +465,9 @@ def sweep_to_csv(result: dict) -> str:
                 dict(
                     base,
                     realization=0,
-                    choiceE="",
-                    choicePi="",
                     signature=aut["phase_normalized_signature"],
                     label=cell["predicted"]["group"],
                     abelian=aut["abelian"],
-                    order_structure="",
-                    cpt_fiber="",
                     cliffordian=cell["pin_cover"]["cliffordian"],
                     pt_fiber=cell["pin_cover"]["fiber"],
                     predicted_vs_computed="agree" if aut["agree"] else "disagree:abelian",
@@ -504,7 +490,6 @@ def sweep_to_csv(result: dict) -> str:
                     cliffordian=r["cpt_cover"]["cliffordian"],
                     pt_fiber=r["pt_cover"]["fiber"],
                     predicted_vs_computed=r["predicted_vs_computed"],
-                    note="",
                 )
             )
     return buf.getvalue()

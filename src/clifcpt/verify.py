@@ -32,15 +32,15 @@ from .autmat import (
     check,
     enumerate_realizations,
     find_E,
-    minus_count,
-    sig_str,
 )
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, radon_hurwitz, ring_type
 from .fingroup import (
     cayley_table,
     census_64,
     identify_abstract,
+    minus_count,
     order_structure,
+    sig_str,
     signature_label,
     signed_closure,
 )
@@ -108,7 +108,7 @@ def _even_real_sigs(max_dim: int):
 # --- automorphism-law suite -------------------------------------------------
 
 
-def _maps(sig: MetricSignature):
+def _maps():
     """The eight coefficient/blade maps as (star, rev, bar) bit triples."""
 
     def apply(bits, a: Multivector) -> Multivector:
@@ -173,7 +173,7 @@ def suite_automorphisms(max_dim: int, realizations: dict | None = None) -> list[
 
     def table4():
         sig = MetricSignature(1, 3, REAL)
-        apply = _maps(sig)
+        apply = _maps()
         for _ in range(100):
             a = random_multivector(sig, rng, allow_complex_coeffs=True)
             for b1 in iterproduct((0, 1), repeat=2):
@@ -187,7 +187,7 @@ def suite_automorphisms(max_dim: int, realizations: dict | None = None) -> list[
 
     def table8():
         sig = MetricSignature(1, 3, REAL)
-        apply = _maps(sig)
+        apply = _maps()
         for _ in range(100):
             a = random_multivector(sig, rng, allow_complex_coeffs=True)
             for b1 in iterproduct((0, 1), repeat=3):
@@ -269,8 +269,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
         assert r.signature == DIRAC_EXT_SIGNATURE, sig_str(r.signature)
         table = cayley_table(ext_reps(r.aut))
         assert table.cells == signed_cells(DIRAC_EXT_TABLE), "extended-set table mismatch"
-        closure = signed_closure(list(r.aut.matrices()))
-        assert closure.order == 16 and closure.contains_minus_I
+        assert r.group.order == 16 and r.group.contains_minus_I
         label = signature_label(r.signature, r.abelian)
         assert label.tag == "Z4*xZ2" and label.consistent
         return "signature, 64-cell table, order-16 closure, label"
@@ -295,8 +294,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
     out.append(_run("groups", "wigner-reflection-set", wigner_goldens))
 
     def closure_closedness():
-        r = _realizations(realizations, preset_spinbasis("dirac"))[0]
-        closure = signed_closure(list(r.aut.matrices()))
+        closure = _realizations(realizations, preset_spinbasis("dirac"))[0].group
         elems = set(closure.elements)
         for x in closure.elements:
             for y in closure.elements:

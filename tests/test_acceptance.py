@@ -7,7 +7,7 @@ import time
 
 from clifcpt import covering
 from clifcpt.algebra import COMPLEX, MetricSignature
-from clifcpt.autmat import enumerate_realizations, minus_count, sig_str
+from clifcpt.autmat import enumerate_realizations
 from clifcpt.classify import (
     dimension_audit,
     idempotent_factor_count,
@@ -19,7 +19,9 @@ from clifcpt.fingroup import (
     cayley_table,
     census_64,
     identify_abstract,
+    minus_count,
     order_structure,
+    sig_str,
     signature_label,
     signed_closure,
 )

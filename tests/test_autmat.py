@@ -7,15 +7,14 @@ from clifcpt.autmat import (
     build_C,
     build_W,
     check,
-    commutation_table,
     enumerate_realizations,
     find_E,
     find_Pi,
     mask_label,
-    minus_count,
-    sig_str,
+    read_signs,
 )
 from clifcpt.exact import GaussMatrix
+from clifcpt.fingroup import minus_count, sig_str, signed_closure
 from clifcpt.spinrep import SpinBasis, build_spinbasis, preset_spinbasis
 from gammas import gamma_matrices, product
 
@@ -180,13 +179,19 @@ def test_condition_error_on_broken_basis():
         find_E(broken)
 
 
-def test_commutation_table_rejects_a_pair_that_neither_commutes_nor_anticommutes():
-    eye = GaussMatrix.identity(2)
-    x = GaussMatrix([[0, 1], [1, 0]])
-    h = GaussMatrix([[1, 1], [1, -1]])
-    assert commutation_table((eye, x)) == ((1, 1), (1, 1))
+def test_read_signs_rejects_a_pair_that_neither_commutes_nor_anticommutes():
+    def perm(images):
+        return GaussMatrix([[1 if images[j] == i else 0 for j in range(3)] for i in range(3)])
+
+    eye = perm((0, 1, 2))
+    s12, s23, cycle = perm((1, 0, 2)), perm((0, 2, 1)), perm((1, 2, 0))
+    assert read_signs(signed_closure((eye, s12))) == ((1,), ((1, 1), (1, 1)))
+    s3 = signed_closure((eye, s12, s23))
+    assert s3.order == 6 and not s3.contains_minus_I
     with pytest.raises(ConditionError, match="neither commutes nor anticommutes"):
-        commutation_table((eye, x, h))
+        read_signs(s3)
+    with pytest.raises(ConditionError, match=r"W\^2 is not \+-I"):
+        read_signs(signed_closure((eye, cycle)))
 
 
 def test_check_reports_failing_generator_indices():

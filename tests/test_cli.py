@@ -315,6 +315,20 @@ def test_import_leaves_the_process_pool_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_fingroup_import_leaves_autmat_unloaded():
+    # fingroup is the lower layer: autmat builds on it, never the reverse.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, clifcpt.fingroup; print('clifcpt.autmat' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_json_serialization_deterministic():
     a = to_json(classify_cell(1, 3, "real", "dirac"))
     b = to_json(classify_cell(1, 3, "real", "dirac"))

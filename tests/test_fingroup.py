@@ -3,8 +3,8 @@ from math import lcm
 
 import pytest
 
-from clifcpt.algebra import MetricSignature
-from clifcpt.autmat import enumerate_realizations
+from clifcpt.algebra import COMPLEX, MetricSignature
+from clifcpt.autmat import build_C, build_W, enumerate_realizations, find_E, read_signs
 from clifcpt.exact import GaussMatrix, GaussRational
 from clifcpt.fingroup import (
     CLOSURE_LIMIT,
@@ -102,15 +102,20 @@ def _identify_by_products(group):
     }
 
 
-def _reference_generator_sets(max_n):
-    sets = []
+def _reference_realizations(max_n):
+    """Every realization of the canonical real bases with even n <= max_n,
+    then the dirac preset's."""
+    out = []
     for n in range(0, max_n + 1, 2):
         for p in range(n, -1, -1):
-            basis = build_spinbasis(MetricSignature(p, n - p))
-            sets.extend(list(r.aut.matrices()) for r in enumerate_realizations(basis))
-    dirac = preset_spinbasis("dirac")
-    sets.append(list(enumerate_realizations(dirac)[0].aut.matrices()))
-    sets.append([m for _, m in wigner_reps(dirac)])
+            out.extend(enumerate_realizations(build_spinbasis(MetricSignature(p, n - p))))
+    out.append(enumerate_realizations(preset_spinbasis("dirac"))[0])
+    return out
+
+
+def _reference_generator_sets(max_n):
+    sets = [list(r.aut.matrices()) for r in _reference_realizations(max_n)]
+    sets.append([m for _, m in wigner_reps(preset_spinbasis("dirac"))])
     return sets
 
 
@@ -149,6 +154,49 @@ def test_closure_table_and_invariants_match_matrix_products():
             assert elems[g.minus_identity] == -elems[g.identity]
         info, ref = identify_abstract(g), _identify_by_products(g)
         assert {k: info[k] for k in ref} == ref
+
+
+def _square_signs_by_products(mats):
+    """Reference square signs of mats[1:], from matrix products."""
+    signs = tuple((m * m).pm_identity() for m in mats[1:])
+    assert None not in signs
+    return signs
+
+
+def _commutation_by_products(mats):
+    """Reference commutation table, from matrix products."""
+    table = []
+    for x in mats:
+        row = []
+        for y in mats:
+            xy, yx = x * y, y * x
+            assert xy == yx or xy == -yx
+            row.append(1 if xy == yx else -1)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def test_sign_readout_matches_matrix_products():
+    realizations = _reference_realizations(8)
+    for r in realizations:
+        mats = list(r.aut.matrices())
+        assert [r.group.elements[k] for k in r.group.generators] == mats
+        assert r.signature == _square_signs_by_products(mats)
+        assert r.commutation == _commutation_by_products(mats)
+        assert r.order_counts == order_structure(r.aut.reps)
+    sets = [[m for _, m in wigner_reps(preset_spinbasis("dirac"))]]
+    for n in range(0, 9, 2):
+        basis = build_spinbasis(MetricSignature(n, 0, COMPLEX))
+        w = build_W(basis)
+        e = find_E(basis)[0][0]
+        sets.append([GaussMatrix.identity(basis.dim), w, e, build_C(e, w, basis)])
+    for gens in sets:
+        group = signed_closure(gens)
+        assert [group.elements[k] for k in group.generators] == gens
+        assert read_signs(group) == (_square_signs_by_products(gens), _commutation_by_products(gens))
+    # At n = 0 all eight matrices are I: one element, one index.
+    trivial = realizations[0].group
+    assert trivial.order == 1 and trivial.generators == (0,) * 8
 
 
 def test_singular_generator_raises_group_structure_error():

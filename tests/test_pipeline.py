@@ -1,3 +1,4 @@
+from clifcpt import fingroup, pipeline
 from clifcpt.pipeline import classify_cell, sweep, sweep_to_csv, sweep_to_markdown, to_json
 
 
@@ -37,3 +38,14 @@ def test_sweep_pool_never_exceeds_cell_count(monkeypatch):
     assert to_json(small) == to_json(sweep(1, "real", jobs=1))
     sweep(2, "real", jobs=2)  # six cells
     assert requested == [3, 2]
+
+
+def test_record_never_closes_the_group_again(monkeypatch):
+    expected = [classify_cell(1, 3, basis_spec="dirac"), classify_cell(3, 3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the record recomputed a group fact")
+
+    monkeypatch.setattr(pipeline, "signed_closure", refuse)
+    monkeypatch.setattr(fingroup, "order_structure", refuse)
+    assert [classify_cell(1, 3, basis_spec="dirac"), classify_cell(3, 3)] == expected
