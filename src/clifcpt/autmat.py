@@ -51,30 +51,6 @@ class ConditionError(RuntimeError):
 SigTuple = tuple[int, int, int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class AutMatrixSet:
-    basis: SpinBasis
-    W: GaussMatrix
-    E: GaussMatrix
-    C: GaussMatrix
-    Pi: GaussMatrix
-    K: GaussMatrix
-    S: GaussMatrix
-    F: GaussMatrix
-    masks: dict  # element name -> generator-slot bitmask
-    choice_e: str
-    choice_pi: str
-    rep_signs: dict  # element name -> +-1 vs increasing-index product
-    reps: tuple[GaussMatrix, ...]  # increasing-index products over the masks, I first
-
-    def matrices(self) -> tuple[GaussMatrix, ...]:
-        eye = GaussMatrix.identity(self.basis.dim)
-        return (eye, self.W, self.E, self.C, self.Pi, self.K, self.S, self.F)
-
-    def seven(self) -> tuple[GaussMatrix, ...]:
-        return (self.W, self.E, self.C, self.Pi, self.K, self.S, self.F)
-
-
 def check(name: str, m: GaussMatrix, basis: SpinBasis) -> list[str]:
     """The generators on which `m` fails the condition of element `name`."""
     transpose, conjugate, sign = CONDITIONS[name]
@@ -198,10 +174,26 @@ def is_abelian(table: tuple[tuple[int, ...], ...]) -> bool:
 
 @dataclass(frozen=True)
 class Realization:
-    aut: AutMatrixSet
+    """One CPT realization: the built matrices I, W, E, C, Pi, K, S, F
+    (held by its signed closure), their generator masks and choices, and
+    the signs read off the closure's table."""
+
+    basis: SpinBasis
+    masks: dict  # element name -> generator-slot bitmask
+    choice_e: str
+    choice_pi: str
+    rep_signs: dict  # element name -> +-1 vs increasing-index product
+    reps: tuple[GaussMatrix, ...]  # increasing-index products over the masks, I first
+    group: SignedGroup  # closure of the eight built matrices
     signature: SigTuple
     commutation: tuple[tuple[int, ...], ...]
-    group: SignedGroup  # closure of aut.matrices()
+
+    def matrices(self) -> tuple[GaussMatrix, ...]:
+        """The built matrices in ELEMENT_NAMES order, I first."""
+        return tuple(self.group.elements[k] for k in self.group.generators)
+
+    def matrix(self, name: str) -> GaussMatrix:
+        return self.group.elements[self.group.generators[ELEMENT_NAMES.index(name)]]
 
     @property
     def abelian(self) -> bool:
@@ -226,7 +218,9 @@ def complete_set(
     pi: GaussMatrix,
     pi_choice: str,
     pi_mask: int,
-) -> AutMatrixSet:
+) -> Realization:
+    """The realization of one (E, Pi) choice: C, K, S and F built and
+    checked, and the signs read off the closure of all eight matrices."""
     full = (1 << basis.sig.n) - 1
     c = build_C(e, w, basis)
     k = _checked("K", pi * w, basis)
@@ -250,41 +244,27 @@ def complete_set(
         name: _sign(m, rep, "built matrix is not a signed increasing-index generator product")
         for name, m, rep in zip(ELEMENT_NAMES[1:], built, reps[1:])
     }
-    return AutMatrixSet(
-        basis=basis,
-        W=w,
-        E=e,
-        C=c,
-        Pi=pi,
-        K=k,
-        S=s,
-        F=f,
-        masks=masks,
-        choice_e=e_choice,
-        choice_pi=pi_choice,
-        rep_signs=rep_signs,
-        reps=reps,
+    group = signed_closure(reps[:1] + built)
+    signature, commutation = read_signs(group)
+    return Realization(
+        basis, masks, e_choice, pi_choice, rep_signs, reps, group, signature, commutation
     )
 
 
 def enumerate_realizations(basis: SpinBasis) -> list[Realization]:
     """Cartesian product of valid E and Pi choices, each completed to a
-    full matrix set whose signature and commutation table are read off
-    its signed closure, deduplicated by (signature, commutation table)."""
+    realization, deduplicated by (signature, commutation table)."""
     certify_spinbasis(basis)  # an invalid basis fails here, before any condition check
     w = build_W(basis)
     out = []
     seen = set()
     for e, e_choice, e_mask in find_E(basis):
         for pi, pi_choice, pi_mask in find_Pi(basis):
-            aut = complete_set(basis, w, e, e_choice, e_mask, pi, pi_choice, pi_mask)
-            group = signed_closure(aut.matrices())
-            sig, table = read_signs(group)
-            key = (sig, table)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Realization(aut, sig, table, group))
+            r = complete_set(basis, w, e, e_choice, e_mask, pi, pi_choice, pi_mask)
+            key = (r.signature, r.commutation)
+            if key not in seen:
+                seen.add(key)
+                out.append(r)
     return out
 
 

@@ -14,21 +14,10 @@ import json
 
 from . import covering, fingroup
 from .algebra import COMPLEX, REAL, MetricSignature, blade_indices
-from .autmat import (
-    ELEMENT_NAMES,
-    AutMatrixSet,
-    Realization,
-    build_C,
-    build_W,
-    enumerate_realizations,
-    find_E,
-    is_abelian,
-    mask_label,
-    read_signs,
-)
+from .autmat import ELEMENT_NAMES, Realization, enumerate_realizations, mask_label
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, ring_type
 from .exact import GaussMatrix
-from .fingroup import aut_label, cayley_table, minus_count, sig_str, signature_label, signed_closure
+from .fingroup import aut_label, cayley_table, minus_count, sig_str, signature_label
 from .spinrep import SpinBasis, build_spinbasis, certify_spinbasis, load_spinbasis, preset_spinbasis
 
 _CHOICE_E_JSON = {"skew_product": "skew", "sym_product": "sym"}
@@ -97,7 +86,6 @@ def _we_commute(r: Realization) -> bool:
 
 def predictor_analysis(p: int, q: int, prof, r: Realization) -> dict:
     """Compare every theorem predictor against the matrix computation."""
-    aut = r.aut
     checks: dict[str, dict] = {}
     failures: list[str] = []
 
@@ -107,15 +95,16 @@ def predictor_analysis(p: int, q: int, prof, r: Realization) -> dict:
         if not ok:
             failures.append(name)
 
-    pipidot = (aut.Pi * aut.Pi.conj()).pm_identity()
-    record("pi_times_conj_pi", covering.predict_pi_square(prof, aut.choice_pi), pipidot)
-    record("k_square", covering.predict_k_square(prof, aut.masks["K"]), r.signature[4])
-    record("s_square", covering.predict_s_square(prof, aut.masks["S"]), r.signature[5])
-    record("f_square", covering.predict_f_square(prof, aut.masks["F"]), r.signature[6])
+    pi = r.matrix("Pi")
+    pipidot = (pi * pi.conj()).pm_identity()
+    record("pi_times_conj_pi", covering.predict_pi_square(prof, r.choice_pi), pipidot)
+    record("k_square", covering.predict_k_square(prof, r.masks["K"]), r.signature[4])
+    record("s_square", covering.predict_s_square(prof, r.masks["S"]), r.signature[5])
+    record("f_square", covering.predict_f_square(prof, r.masks["F"]), r.signature[6])
     record("pi_k_commutation", covering.predict_pi_k_commutation(prof), r.commutation[4][5])
     record(
         "s_f_commutation",
-        covering.predict_s_f_commutation(aut.masks["S"], aut.masks["F"]),
+        covering.predict_s_f_commutation(r.masks["S"], r.masks["F"]),
         r.commutation[6][7],
     )
 
@@ -147,7 +136,6 @@ def predictor_analysis(p: int, q: int, prof, r: Realization) -> dict:
 
 
 def realization_record(p: int, q: int, prof, r: Realization) -> dict:
-    aut = r.aut
     label = signature_label(r.signature, r.abelian)
     abstract = fingroup.identify_abstract(r.group)
     aut_sig = _aut_sub_signature(r)
@@ -160,14 +148,14 @@ def realization_record(p: int, q: int, prof, r: Realization) -> dict:
     pt = covering.pt_cover_label(*aut_sig, pt_commutes=_we_commute(r))
     predictor = predictor_analysis(p, q, prof, r)
     return {
-        "choiceE": _CHOICE_E_JSON[aut.choice_e],
-        "choicePi": _CHOICE_PI_JSON[aut.choice_pi],
+        "choiceE": _CHOICE_E_JSON[r.choice_e],
+        "choicePi": _CHOICE_PI_JSON[r.choice_pi],
         "signature": sig_str(r.signature),
         "squares": dict(zip(ELEMENT_NAMES[1:], r.signature)),
         "commute": [list(row) for row in r.commutation],
         "abelian": r.abelian,
-        "masks": {name: blade_indices(aut.masks[name]) for name in aut.masks},
-        "rep_signs": dict(aut.rep_signs),
+        "masks": {name: blade_indices(r.masks[name]) for name in r.masks},
+        "rep_signs": dict(r.rep_signs),
         "label": label.tag,
         "label_consistent": label.consistent,
         "order_structure": list(r.order_counts),
@@ -285,18 +273,15 @@ def _classify_complex(p: int, q: int) -> dict:
     sig = MetricSignature(p, q, COMPLEX)
     basis = build_spinbasis(sig)
     prof = certify_spinbasis(basis)
-    w = build_W(basis)
-    e = find_E(basis)[0][0]
-    c = build_C(e, w, basis)
-    raw, commute = read_signs(signed_closure((GaussMatrix.identity(basis.dim), w, e, c)))
-    abelian = is_abelian(commute)
+    r = enumerate_realizations(basis)[0]
+    abelian = _aut_sub_abelian(r)
     cover = covering.pt_cover_label(*pred.triple, pt_commutes=pred.abelian)
     out["basis"] = {"provenance": basis.provenance, "dim": basis.dim, "profile": prof.as_dict()}
     out["aut"] = {
-        "raw_signature": sig_str(raw),
+        "raw_signature": sig_str(_aut_sub_signature(r)),
         "phase_normalized_signature": sig_str(pred.triple),
         "abelian": abelian,
-        "commute": [list(row) for row in commute],
+        "commute": [list(row[:4]) for row in r.commutation[:4]],
         "agree": abelian == pred.abelian,
     }
     out["pin_cover"] = {"fiber": cover.fiber, "cliffordian": cover.cliffordian}
@@ -331,10 +316,10 @@ def wigner_reps(basis: SpinBasis) -> list[tuple[str, GaussMatrix]]:
     return out
 
 
-def ext_reps(aut: AutMatrixSet) -> list[tuple[str, GaussMatrix]]:
+def ext_reps(r: Realization) -> list[tuple[str, GaussMatrix]]:
     """Normalized representatives: each element replaced by the
     increasing-index product over its generator mask, sign +1."""
-    return list(zip(ELEMENT_NAMES, aut.reps))
+    return list(zip(ELEMENT_NAMES, r.reps))
 
 
 def cayley_for(p: int, q: int, set_name: str, basis_spec: str = "canonical"):
@@ -349,17 +334,16 @@ def cayley_for(p: int, q: int, set_name: str, basis_spec: str = "canonical"):
             for lab, seq in _WIGNER_SLOT_SEQUENCES.items()
         }
         return cayley_table(reps), legend
-    realizations = enumerate_realizations(basis)
-    aut = realizations[0].aut
+    r = enumerate_realizations(basis)[0]
     if set_name == "ext":
-        reps = ext_reps(aut)
+        reps = ext_reps(r)
     elif set_name == "aut":
-        reps = ext_reps(aut)[:4]
+        reps = ext_reps(r)[:4]
     else:
         raise BasisSpecError(f"unknown table set {set_name!r}")
     legend = {"I": "1"}
     for name in ELEMENT_NAMES[1 : len(reps)]:
-        legend[name] = mask_label(aut.masks[name], physics)
+        legend[name] = mask_label(r.masks[name], physics)
     return cayley_table(reps), legend
 
 

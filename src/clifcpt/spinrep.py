@@ -346,7 +346,9 @@ def load_spinbasis(path: str) -> SpinBasis:
     except (OSError, json.JSONDecodeError) as exc:
         raise SpinBasisFileError(f"cannot read spin basis file {path}: {exc}") from exc
     try:
-        p, q = int(data["p"]), int(data["q"])
+        p, q = data["p"], data["q"]
+        if type(p) is not int or type(q) is not int:
+            raise TypeError(f"p and q must be JSON integers, got {p!r} and {q!r}")
         raw = data["generators"]
         gens = tuple(GaussMatrix.from_strings(rows) for rows in raw)
         sig = MetricSignature(p, q, REAL)

@@ -24,15 +24,7 @@ from .algebra import (
     involution_via_omega_check,
     random_multivector,
 )
-from .autmat import (
-    ELEMENT_NAMES,
-    Realization,
-    build_C,
-    build_W,
-    check,
-    enumerate_realizations,
-    find_E,
-)
+from .autmat import ELEMENT_NAMES, Realization, check, enumerate_realizations
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, radon_hurwitz, ring_type
 from .fingroup import (
     cayley_table,
@@ -227,14 +219,11 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
 
     def complex_commutativity():
         for n in range(0, max_dim + 1, 2):
-            sig = MetricSignature(n, 0, COMPLEX)
-            basis = build_spinbasis(sig)
-            w = build_W(basis)
-            e = find_E(basis)[0][0]
-            c = build_C(e, w, basis)
+            basis = build_spinbasis(MetricSignature(n, 0, COMPLEX))
+            r = _realizations(realizations, basis)[0]
             pred = covering.predict_aut_complex(n)
-            pairs = [(w, e), (w, c), (e, c)]
-            commuting = all(x * y == y * x for x, y in pairs)
+            # W, E and C are elements 1, 2 and 3 of the commutation table.
+            commuting = all(r.commutation[i][j] == 1 for i, j in ((1, 2), (1, 3), (2, 3)))
             assert commuting == pred.abelian, f"n={n}: commutativity vs prediction"
         return f"complex automorphism commutativity matches n mod 4 through n={max_dim}"
 
@@ -248,7 +237,7 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
             bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
         for basis in bases:
             for r in _realizations(realizations, basis):
-                for name, m in zip(ELEMENT_NAMES[1:], r.aut.seven()):
+                for name, m in zip(ELEMENT_NAMES[1:], r.matrices()[1:]):
                     bad = check(name, m, basis)
                     assert not bad, f"{basis.provenance} Cl({basis.sig.p},{basis.sig.q}): {bad}"
         return f"{len(bases)} bases, all seven conditions exhaustive"
@@ -267,7 +256,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
     def dirac_goldens():
         r = _realizations(realizations, preset_spinbasis("dirac"))[0]
         assert r.signature == DIRAC_EXT_SIGNATURE, sig_str(r.signature)
-        table = cayley_table(ext_reps(r.aut))
+        table = cayley_table(ext_reps(r))
         assert table.cells == signed_cells(DIRAC_EXT_TABLE), "extended-set table mismatch"
         assert r.group.order == 16 and r.group.contains_minus_I
         label = signature_label(r.signature, r.abelian)

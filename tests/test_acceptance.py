@@ -54,7 +54,6 @@ def test_c01_dirac_realization():
     t0 = time.monotonic()
     basis = preset_spinbasis("dirac")
     r = enumerate_realizations(basis)[0]
-    aut = r.aut
     g0, g1, g2, g3 = gamma_matrices()
     expected = {
         "W": product(g0, g1, g2, g3),
@@ -66,9 +65,9 @@ def test_c01_dirac_realization():
         "F": product(g1, g2, g3),
     }
     for name, want in expected.items():
-        got = getattr(aut, name)
+        got = r.matrix(name)
         assert got in (want, -want), f"{name} not equal up to sign"
-        assert got == want.scale(aut.rep_signs[name]), f"{name} sign not the documented one"
+        assert got == want.scale(r.rep_signs[name]), f"{name} sign not the documented one"
     assert r.signature == DIRAC_EXT_SIGNATURE
     assert sig_str(r.signature) == "(-,-,+,-,-,+,+)"
     elapsed = time.monotonic() - t0
@@ -79,7 +78,7 @@ def test_c01_dirac_realization():
 def test_c02_both_cayley_tableaux():
     basis = preset_spinbasis("dirac")
     r = enumerate_realizations(basis)[0]
-    ext_cells = cayley_table(ext_reps(r.aut)).cells
+    ext_cells = cayley_table(ext_reps(r)).cells
     wig_cells = cayley_table(wigner_reps(basis)).cells
     golden_ext = signed_cells(DIRAC_EXT_TABLE)
     golden_wig = signed_cells(WIGNER_CPT_TABLE)
@@ -171,7 +170,7 @@ def test_c07_certification_and_intertwining():
     for basis in bases:
         certify_spinbasis(basis)
         for r in enumerate_realizations(basis):
-            for name, m in zip(ELEMENT_NAMES[1:], r.aut.seven()):
+            for name, m in zip(ELEMENT_NAMES[1:], r.matrices()[1:]):
                 assert not check(name, m, basis)
                 conditions += 1
     _report(7, "certification + intertwining", f"{len(bases)} bases, {conditions} conditions")
@@ -214,7 +213,7 @@ def test_c10_commutation_rules():
         for r in enumerate_realizations(basis):
             assert r.commutation[4][5] == covering.predict_pi_k_commutation(prof)
             assert r.commutation[6][7] == covering.predict_s_f_commutation(
-                r.aut.masks["S"], r.aut.masks["F"]
+                r.masks["S"], r.masks["F"]
             )
             checked += 1
     _report(10, "commutation rules", f"both sign rules on {checked} realizations")

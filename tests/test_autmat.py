@@ -30,7 +30,6 @@ def dirac_realization():
 def test_dirac_matrices_up_to_documented_sign(dirac_realization):
     g0, g1, g2, g3 = gamma_matrices()
     r = dirac_realization
-    aut = r.aut
     expected = {
         "W": product(g0, g1, g2, g3),
         "E": product(g1, g3),
@@ -41,19 +40,19 @@ def test_dirac_matrices_up_to_documented_sign(dirac_realization):
         "F": product(g1, g2, g3),
     }
     built = {
-        "W": aut.W,
-        "E": aut.E,
-        "C": aut.C,
-        "Pi": aut.Pi,
-        "K": aut.K,
-        "S": aut.S,
-        "F": aut.F,
+        "W": r.matrix("W"),
+        "E": r.matrix("E"),
+        "C": r.matrix("C"),
+        "Pi": r.matrix("Pi"),
+        "K": r.matrix("K"),
+        "S": r.matrix("S"),
+        "F": r.matrix("F"),
     }
     for name, want in expected.items():
         got = built[name]
-        sign = aut.rep_signs[name]
+        sign = r.rep_signs[name]
         assert got == want.scale(sign), f"{name} differs beyond the documented sign"
-    assert aut.rep_signs == {"W": 1, "E": 1, "C": 1, "Pi": 1, "K": 1, "S": -1, "F": -1}
+    assert r.rep_signs == {"W": 1, "E": 1, "C": 1, "Pi": 1, "K": 1, "S": -1, "F": -1}
 
 
 def test_dirac_signature_and_commutation(dirac_realization):
@@ -66,28 +65,28 @@ def test_dirac_signature_and_commutation(dirac_realization):
 
 
 def test_dirac_identity_web(dirac_realization):
-    aut = dirac_realization.aut
-    assert aut.K == aut.Pi * aut.W
-    assert aut.S == aut.Pi * aut.E
-    assert aut.F == aut.Pi * aut.C
-    assert aut.C == aut.E * aut.W.transpose()
-    sw = aut.S * aut.W
-    assert aut.F in (sw, -sw)
+    w, e, c, pi, k, s, f = dirac_realization.matrices()[1:]
+    assert k == pi * w
+    assert s == pi * e
+    assert f == pi * c
+    assert c == e * w.transpose()
+    sw = s * w
+    assert f in (sw, -sw)
 
 
 def test_dirac_pi_times_conj_pi(dirac_realization):
-    aut = dirac_realization.aut
-    assert (aut.Pi * aut.Pi.conj()).pm_identity() == -1
+    pi = dirac_realization.matrix("Pi")
+    assert (pi * pi.conj()).pm_identity() == -1
 
 
 def test_intertwining_conditions_dirac(dirac_realization):
     # Each matrix meets its own condition and no other, so a swapped or
     # mistyped row of the condition table fails here.
-    basis = dirac_realization.aut.basis
-    aut = dirac_realization.aut
+    r = dirac_realization
+    basis = r.basis
     for x in ELEMENT_NAMES[1:]:
         for y in ELEMENT_NAMES[1:]:
-            assert (not check(x, getattr(aut, y), basis)) == (x == y), (x, y)
+            assert (not check(x, r.matrix(y), basis)) == (x == y), (x, y)
 
 
 def test_cl11_tower_products():
@@ -134,15 +133,15 @@ def test_enumerate_cl20_single_identity_pi_realization():
     rs = enumerate_realizations(basis)
     assert len(rs) == 1
     r = rs[0]
-    assert r.aut.choice_pi == "identity"
+    assert r.choice_pi == "identity"
     # Pi = I collapse: d = +, e = a, f = b, g = c, and the extended set
     # reduces to the automorphism set.
     a, b, c, d, e, f, g = r.signature
     assert d == 1 and e == a and f == b and g == c
-    assert r.aut.K == r.aut.W
-    assert r.aut.S == r.aut.E
-    assert r.aut.F == r.aut.C
-    assert (r.aut.Pi * r.aut.Pi.conj()).pm_identity() == 1
+    assert r.matrix("K") == r.matrix("W")
+    assert r.matrix("S") == r.matrix("E")
+    assert r.matrix("F") == r.matrix("C")
+    assert (r.matrix("Pi") * r.matrix("Pi").conj()).pm_identity() == 1
 
 
 def test_trivial_cl00_realization():
@@ -217,31 +216,31 @@ def test_seven_conditions_extend_to_random_multivectors(dirac_realization):
     from clifcpt.algebra import random_multivector
     from clifcpt.spinrep import represent
 
-    aut = dirac_realization.aut
-    basis = aut.basis
+    r = dirac_realization
+    basis = r.basis
     rng = random.Random(23)
-    invs = {name: getattr(aut, name).inverse() for name in ("W", "E", "C", "Pi", "K", "S", "F")}
+    invs = {name: r.matrix(name).inverse() for name in ("W", "E", "C", "Pi", "K", "S", "F")}
     for _ in range(30):
         a = random_multivector(basis.sig, rng, allow_complex_coeffs=True)
         m = represent(basis, a)
         mt = m.transpose()
         mc = m.conj()
         mtc = mt.conj()
-        assert represent(basis, a.grade_involution()) == aut.W * m * invs["W"]
-        assert represent(basis, a.reversion()) == aut.E * mt * invs["E"]
-        assert represent(basis, a.conjugation()) == aut.C * mt * invs["C"]
-        assert represent(basis, a.complex_conjugation()) == aut.Pi * mc * invs["Pi"]
+        assert represent(basis, a.grade_involution()) == r.matrix("W") * m * invs["W"]
+        assert represent(basis, a.reversion()) == r.matrix("E") * mt * invs["E"]
+        assert represent(basis, a.conjugation()) == r.matrix("C") * mt * invs["C"]
+        assert represent(basis, a.complex_conjugation()) == r.matrix("Pi") * mc * invs["Pi"]
         assert (
             represent(basis, a.grade_involution().complex_conjugation())
-            == aut.K * mc * invs["K"]
+            == r.matrix("K") * mc * invs["K"]
         )
         assert (
             represent(basis, a.reversion().complex_conjugation())
-            == aut.S * mtc * invs["S"]
+            == r.matrix("S") * mtc * invs["S"]
         )
         assert (
             represent(basis, a.conjugation().complex_conjugation())
-            == aut.F * mtc * invs["F"]
+            == r.matrix("F") * mtc * invs["F"]
         )
 
 

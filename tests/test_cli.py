@@ -248,6 +248,16 @@ def test_sweep_outputs_and_determinism(tmp_path, capsys):
     assert doc["summary"]["admissible_signatures"] == 64
 
 
+def test_sweep_out_file_mode_follows_umask(tmp_path, capsys):
+    out = tmp_path / "atlas.json"
+    old = os.umask(0o022)
+    try:
+        assert run_cli(["sweep", "--max-dim", "0", "--out", str(out), "--jobs", "1"], capsys)[0] == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o644
+
+
 def test_sweep_csv_columns(tmp_path, capsys):
     out = tmp_path / "atlas.csv"
     assert run_cli(
@@ -352,6 +362,28 @@ def test_verify_report_schema():
     report = report_dict(run_suites(["coverings"], max_dim=4))
     jsonschema.validate(report, _schema("verify.schema.json"))
     assert report["passed"] and report["failures"] == 0
+
+
+def test_verify_reads_complex_realizations_from_the_run_table(monkeypatch):
+    from clifcpt.algebra import COMPLEX, REAL, MetricSignature
+    from clifcpt.autmat import enumerate_realizations
+    from clifcpt.exact import GaussMatrix
+    from clifcpt.spinrep import build_spinbasis, preset_spinbasis
+    from clifcpt.verify import suite_theorems
+
+    bases = [preset_spinbasis("dirac")]
+    for n in range(0, 7, 2):
+        bases += [build_spinbasis(MetricSignature(p, n - p, REAL)) for p in range(n, -1, -1)]
+        bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
+    table = {basis: enumerate_realizations(basis) for basis in bases}
+
+    def refuse(self, other):
+        raise AssertionError("a matrix product was formed")
+
+    monkeypatch.setattr(GaussMatrix, "__mul__", refuse)
+    results = {r.name: r for r in suite_theorems(6, table)}
+    check = results["complex-automorphism-groups"]
+    assert check.passed, check.detail
 
 
 def test_verify_exit_1_on_failing_check(capsys, monkeypatch):

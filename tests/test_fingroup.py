@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from clifcpt.algebra import COMPLEX, MetricSignature
-from clifcpt.autmat import build_C, build_W, enumerate_realizations, find_E, read_signs
+from clifcpt.autmat import build_C, build_W, enumerate_realizations, find_E, find_Pi, read_signs
 from clifcpt.exact import GaussMatrix, GaussRational
 from clifcpt.fingroup import (
     CLOSURE_LIMIT,
@@ -38,7 +38,7 @@ def test_closure_identity_only():
 def test_closure_dirac_ext_is_sixteen():
     basis = preset_spinbasis("dirac")
     r = enumerate_realizations(basis)[0]
-    g = signed_closure(list(r.aut.matrices()))
+    g = signed_closure(list(r.matrices()))
     assert g.order == 16
     assert g.contains_minus_I
     elems = set(g.elements)
@@ -114,7 +114,7 @@ def _reference_realizations(max_n):
 
 
 def _reference_generator_sets(max_n):
-    sets = [list(r.aut.matrices()) for r in _reference_realizations(max_n)]
+    sets = [list(r.matrices()) for r in _reference_realizations(max_n)]
     sets.append([m for _, m in wigner_reps(preset_spinbasis("dirac"))])
     return sets
 
@@ -176,20 +176,37 @@ def _commutation_by_products(mats):
     return tuple(table)
 
 
+def _built_by_hand(r):
+    """I, W, E, C, Pi, K, S, F from the single-matrix builders, for the
+    (E, Pi) choice of realization `r`."""
+    basis = r.basis
+    w = build_W(basis)
+    e = next(m for m, choice, _ in find_E(basis) if choice == r.choice_e)
+    pi = next(m for m, choice, _ in find_Pi(basis) if choice == r.choice_pi)
+    c = build_C(e, w, basis)
+    return [GaussMatrix.identity(basis.dim), w, e, c, pi, pi * w, pi * e, pi * c]
+
+
 def test_sign_readout_matches_matrix_products():
     realizations = _reference_realizations(8)
     for r in realizations:
-        mats = list(r.aut.matrices())
-        assert [r.group.elements[k] for k in r.group.generators] == mats
+        mats = list(r.matrices())
+        assert mats == _built_by_hand(r)
         assert r.signature == _square_signs_by_products(mats)
         assert r.commutation == _commutation_by_products(mats)
-        assert r.order_counts == order_structure(r.aut.reps)
+        assert r.order_counts == order_structure(r.reps)
     sets = [[m for _, m in wigner_reps(preset_spinbasis("dirac"))]]
     for n in range(0, 9, 2):
         basis = build_spinbasis(MetricSignature(n, 0, COMPLEX))
         w = build_W(basis)
         e = find_E(basis)[0][0]
-        sets.append([GaussMatrix.identity(basis.dim), w, e, build_C(e, w, basis)])
+        gens = [GaussMatrix.identity(basis.dim), w, e, build_C(e, w, basis)]
+        sets.append(gens)
+        # The complex cell reads its W, E, C signs off its first realization.
+        squares, table = read_signs(signed_closure(gens))
+        first = enumerate_realizations(basis)[0]
+        assert first.signature[:3] == squares
+        assert tuple(row[:4] for row in first.commutation[:4]) == table
     for gens in sets:
         group = signed_closure(gens)
         assert [group.elements[k] for k in group.generators] == gens
@@ -266,7 +283,7 @@ def test_identify_wigner_closure_invariants():
 def test_cayley_tables_match_goldens():
     basis = preset_spinbasis("dirac")
     r = enumerate_realizations(basis)[0]
-    ext_table = cayley_table(ext_reps(r.aut))
+    ext_table = cayley_table(ext_reps(r))
     assert ext_table.labels == DIRAC_EXT_LABELS
     assert ext_table.cells == signed_cells(DIRAC_EXT_TABLE)
 
@@ -278,7 +295,7 @@ def test_cayley_tables_match_goldens():
 def test_cayley_specific_cells():
     basis = preset_spinbasis("dirac")
     r = enumerate_realizations(basis)[0]
-    ext_table = cayley_table(ext_reps(r.aut))
+    ext_table = cayley_table(ext_reps(r))
     # Row W, column Pi -> -K; row T, column T -> -1 in the reflection set.
     w_row = ext_table.cells[1]
     assert w_row[4] == (-1, "K")
@@ -298,7 +315,7 @@ def test_cayley_rejects_non_closed_set():
 def test_cayley_markdown_render():
     basis = preset_spinbasis("dirac")
     r = enumerate_realizations(basis)[0]
-    table = cayley_table(ext_reps(r.aut))
+    table = cayley_table(ext_reps(r))
     md = table.to_markdown({"W": "g0123"})
     lines = md.splitlines()
     assert lines[0].startswith("|      | I | W |")

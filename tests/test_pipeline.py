@@ -1,4 +1,4 @@
-from clifcpt import fingroup, pipeline
+from clifcpt import autmat, fingroup
 from clifcpt.pipeline import classify_cell, sweep, sweep_to_csv, sweep_to_markdown, to_json
 
 
@@ -41,11 +41,27 @@ def test_sweep_pool_never_exceeds_cell_count(monkeypatch):
 
 
 def test_record_never_closes_the_group_again(monkeypatch):
-    expected = [classify_cell(1, 3, basis_spec="dirac"), classify_cell(3, 3)]
+    cells = [(1, 3, "real", "dirac"), (3, 3, "real", "canonical"), (6, 0, "complex", "canonical")]
+    expected = [classify_cell(*cell) for cell in cells]
+    closures = completions = 0
+    closure, complete_set = autmat.signed_closure, autmat.complete_set
+
+    def counting_closure(*args, **kwargs):
+        nonlocal closures
+        closures += 1
+        return closure(*args, **kwargs)
+
+    def counting_complete_set(*args, **kwargs):
+        nonlocal completions
+        completions += 1
+        return complete_set(*args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the record recomputed a group fact")
 
-    monkeypatch.setattr(pipeline, "signed_closure", refuse)
+    monkeypatch.setattr(autmat, "signed_closure", counting_closure)
+    monkeypatch.setattr(autmat, "complete_set", counting_complete_set)
+    monkeypatch.setattr(fingroup, "signed_closure", refuse)
     monkeypatch.setattr(fingroup, "order_structure", refuse)
-    assert [classify_cell(1, 3, basis_spec="dirac"), classify_cell(3, 3)] == expected
+    assert [classify_cell(*cell) for cell in cells] == expected
+    assert completions >= len(cells) and closures == completions

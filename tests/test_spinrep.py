@@ -267,6 +267,13 @@ def test_file_parse_error(tmp_path):
     path3.write_text(json.dumps({"p": 2, "q": 0, "generators": [[[0, 1], [1, 0]]] * 2}))
     with pytest.raises(SpinBasisFileError):
         load_spinbasis(str(path3))
+    # p and q must be JSON integers: no float, bool or string is coerced.
+    gens = [[["0", "1"], ["1", "0"]], [["0", "1"], ["-1", "0"]]]
+    for bad_p in (1.9, True, "1"):
+        path4 = tmp_path / "coerced.json"
+        path4.write_text(json.dumps({"p": bad_p, "q": 1, "generators": gens}))
+        with pytest.raises(SpinBasisFileError, match="JSON integers"):
+            load_spinbasis(str(path4))
 
 
 def test_representation_homomorphism_random():
@@ -295,17 +302,18 @@ def test_represent_intertwines_the_four_maps():
         bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
     samples = 0
     for basis in bases:
-        for aut in (r.aut for r in enumerate_realizations(basis)):
+        for r in enumerate_realizations(basis):
+            w, e, c, pi = r.matrices()[1:5]
             for _ in range(4):
                 a = random_multivector(basis.sig, rng, allow_complex_coeffs=True)
                 b = random_multivector(basis.sig, rng, allow_complex_coeffs=True)
                 ra = represent(basis, a)
                 rt = ra.transpose()
                 assert represent(basis, a * b) == ra * represent(basis, b)
-                assert represent(basis, a.grade_involution()) == aut.W * ra * aut.W.inverse()
-                assert represent(basis, a.reversion()) == aut.E * rt * aut.E.inverse()
-                assert represent(basis, a.conjugation()) == aut.C * rt * aut.C.inverse()
-                assert represent(basis, a.complex_conjugation()) == aut.Pi * ra.conj() * aut.Pi.inverse()
+                assert represent(basis, a.grade_involution()) == w * ra * w.inverse()
+                assert represent(basis, a.reversion()) == e * rt * e.inverse()
+                assert represent(basis, a.conjugation()) == c * rt * c.inverse()
+                assert represent(basis, a.complex_conjugation()) == pi * ra.conj() * pi.inverse()
                 samples += 1
     assert samples >= 4 * len(bases)
 
