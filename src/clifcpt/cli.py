@@ -156,6 +156,10 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--max-dim must be between 0 and {MAX_DIM}")
     if args.jobs < 1:
         raise UsageError("--jobs must be positive")
+    if os.path.isdir(args.out):
+        raise UsageError(f"--out {args.out} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise UsageError(f"--out {args.out} is in a directory that does not exist")
     result = pipeline.sweep(args.max_dim, args.field, args.jobs)
     if args.format == "json":
         content = pipeline.to_json(result)
@@ -163,7 +167,10 @@ def cmd_sweep(args) -> int:
         content = pipeline.sweep_to_csv(result)
     else:
         content = pipeline.sweep_to_markdown(result)
-    _atomic_write(args.out, content)
+    try:
+        _atomic_write(args.out, content)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {args.out}: {exc}") from exc
     sys.stdout.write(f"wrote {args.out} ({result['summary']['cells']} cells)\n")
     return EXIT_OK
 

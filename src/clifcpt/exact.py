@@ -304,9 +304,6 @@ class GaussMatrix:
                     _add_scaled(inv[r], -factor, inv[col].items())
         return GaussMatrix._make(d, tuple(_canonical_row(row) for row in inv))
 
-    def is_identity(self) -> bool:
-        return self.pm_identity() == 1
-
     def pm_identity(self) -> int | None:
         """Return +1 for I, -1 for -I, None otherwise."""
         first = self.entries[0]

@@ -67,8 +67,12 @@ def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
     """Fixed-point closure of the given matrices under multiplication,
     with the index of every product and of every generator.
 
-    Elements are visited breadth-first in deterministic insertion order;
-    -I appears exactly when some product generates it.
+    An input outside the closure of the inputs before it becomes a root,
+    and every element is right-multiplied by every root exactly once, in
+    breadth-first insertion order; an input already in the closure forms
+    no product. Each product y = p * r keeps its origin (p, r), so the
+    rest of the table follows by associativity, x * y = (x * p) * r, by
+    lookups alone. -I appears exactly when some product generates it.
     """
     if not gens:
         raise GroupStructureError("need at least one generator")
@@ -77,31 +81,44 @@ def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
     if any(g.dim != dim for g in gens):
         raise GroupStructureError("generators have mixed dimensions")
     seen: dict[GaussMatrix, int] = {}
-    generators = tuple(seen.setdefault(g, len(seen)) for g in gens)
-    order = list(seen)
-    products: dict[tuple[int, int], int] = {}
-    head = 0
-    while head < len(order):
-        for j in range(len(order)):
-            for pair in ((head, j), (j, head)):
-                # A pair with j < head was formed when row j was visited.
-                if pair in products:
-                    continue
-                prod = order[pair[0]] * order[pair[1]]
-                idx = seen.get(prod)
-                if idx is None:
-                    if len(order) >= CLOSURE_LIMIT:
-                        raise ClosureError(f"closure exceeds {CLOSURE_LIMIT} elements")
-                    idx = seen[prod] = len(order)
-                    order.append(prod)
-                products[pair] = idx
-        head += 1
+    order: list[GaussMatrix] = []
+    origin: list[tuple[int | None, int]] = []  # (p, k): order[p] * roots[k]; p is None for roots[k]
+    right: list[list[int]] = []  # right[i][k]: index of order[i] * roots[k]
+    roots: list[GaussMatrix] = []
+
+    def insert(m: GaussMatrix, prefix: int | None, k: int) -> int:
+        if len(order) >= CLOSURE_LIMIT:
+            raise ClosureError(f"closure exceeds {CLOSURE_LIMIT} elements")
+        seen[m] = len(order)
+        order.append(m)
+        origin.append((prefix, k))
+        right.append([])
+        return seen[m]
+
+    generators = []
+    for g in gens:
+        idx = seen.get(g)
+        if idx is None:
+            idx = insert(g, None, len(roots))
+            roots.append(g)
+            # enumerate also visits the rows appended on the way: old
+            # elements lack only the new root, new ones lack every root.
+            for head, row in enumerate(right):
+                for k in range(len(row), len(roots)):
+                    prod = order[head] * roots[k]
+                    j = seen.get(prod)
+                    row.append(insert(prod, head, k) if j is None else j)
+        generators.append(idx)
     identity = seen.get(eye)
     if identity is None:
         raise GroupStructureError("the closure has no identity; a generator is singular")
-    n = len(order)
-    mul = tuple(tuple(products[i, j] for j in range(n)) for i in range(n))
-    return SignedGroup(tuple(order), mul, identity, seen.get(-eye), generators)
+    mul = []
+    for x in range(len(order)):
+        row = []
+        for prefix, k in origin:
+            row.append(right[x][k] if prefix is None else right[row[prefix]][k])
+        mul.append(tuple(row))
+    return SignedGroup(tuple(order), tuple(mul), identity, seen.get(-eye), tuple(generators))
 
 
 def order_structure(reps: Sequence[GaussMatrix]) -> tuple[int, int]:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -258,6 +260,32 @@ def test_sweep_out_file_mode_follows_umask(tmp_path, capsys):
     assert out.stat().st_mode & 0o777 == 0o644
 
 
+def test_sweep_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    from clifcpt import cli, pipeline
+
+    def no_sweep(*args):
+        raise AssertionError("sweep ran before --out was checked")
+
+    (tmp_path / "dir").mkdir()
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setattr(pipeline, "sweep", no_sweep)
+    for out in (work / "missing" / "atlas.json", tmp_path / "dir"):
+        code, _, err = run_cli(["sweep", "--max-dim", "8", "--out", str(out)], capsys)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    monkeypatch.undo()
+
+    # An OSError while writing is a usage error as well, and leaves no temp file.
+    def failing_replace(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    out = work / "atlas.json"
+    code, _, err = run_cli(["sweep", "--max-dim", "0", "--out", str(out), "--jobs", "1"], capsys)
+    assert code == 2 and err.startswith("error:") and "Permission denied" in err
+    assert list(tmp_path.rglob(".clifcpt-*.tmp")) == [] and not out.exists()
+
+
 def test_sweep_csv_columns(tmp_path, capsys):
     out = tmp_path / "atlas.csv"
     assert run_cli(
@@ -285,6 +313,22 @@ def test_verify_subcommand_passes(capsys):
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert out.strip().endswith("checks passed")
+
+
+def test_outputs_match_the_benchmark_golden_record(tmp_path, capsys, monkeypatch):
+    """The `atlas` sweep and the `verify` report the benchmark checks
+    against, produced in-process, so a changed output byte fails here."""
+    golden_path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "golden.json")
+    with open(golden_path, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    monkeypatch.setenv("CLIFCPT_COLOR", "0")
+    out = tmp_path / "atlas.json"
+    argv = ["sweep", "--max-dim", "8", "--field", "real", "--jobs", "1", "--format", "json"]
+    assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["atlas_sha256"]
+    code, report, _ = run_cli(["verify", "--suite", "all", "--max-dim", "6"], capsys)
+    assert code == 0
+    assert [re.sub(r" \(\d+\.\d+s\)", "", line) for line in report.splitlines()] == golden["verify_lines"]
 
 
 def test_color_env_flag(capsys, monkeypatch):

@@ -123,21 +123,87 @@ def _reference_closures():
     return [signed_closure(gens) for gens in _reference_generator_sets(8)]
 
 
+def _tricky_generator_sets():
+    """Inputs that no realization passes: duplicates, the identity not
+    first, and an input that is redundant only up to sign."""
+    dirac = enumerate_realizations(preset_spinbasis("dirac"))[0]
+    eye, w, e, pi = (dirac.matrix(name) for name in ("I", "W", "E", "Pi"))
+    duplicates = [w, w, e, eye, e, pi, w]
+    identity_late = [w, e, eye, pi]
+    # In Cl(4,4), <W, E> = {I, W, E, E*W} holds no -I: -E*W lies outside
+    # it, and its negative inside.
+    split = enumerate_realizations(build_spinbasis(MetricSignature(4, 4)))[0]
+    eye, w, e = (split.matrix(name) for name in ("I", "W", "E"))
+    assert -eye not in _closure_members([w, e]) and e * w in _closure_members([w, e])
+    sign_only = [eye, w, e, -(e * w)]
+    return [duplicates, identity_late, sign_only]
+
+
+def _all_pairs_closure(gens):
+    """Reference closure: every ordered pair of members is multiplied until
+    no new matrix appears. Returns {(x, y): x * y} over all members."""
+    members = set(gens)
+    products = {}
+    grew = True
+    while grew:
+        grew = False
+        for x in list(members):
+            for y in list(members):
+                if (x, y) not in products:
+                    xy = products[x, y] = x * y
+                    grew |= xy not in members
+                    members.add(xy)
+    return products
+
+
+def _closure_members(gens):
+    return {x for x, _ in _all_pairs_closure(gens)}
+
+
 def test_closure_forms_each_product_once(monkeypatch):
-    sets = _reference_generator_sets(6)
-    calls = 0
+    """Every element is right-multiplied once by each input that enlarges
+    the closure of the inputs before it, and by nothing else."""
+    sets = _reference_generator_sets(6) + _tricky_generator_sets()
+    enlarging = []
+    for gens in sets:
+        members, k = set(), 0
+        for i, g in enumerate(gens):
+            if g not in members:
+                k += 1
+                members = _closure_members(gens[: i + 1])
+        enlarging.append(k)
+    assert enlarging[-3:] == [3, 3, 4]
+    pairs = Counter()
     mul = GaussMatrix.__mul__
 
-    def counting_mul(a, b):
-        nonlocal calls
-        calls += 1
+    def recording_mul(a, b):
+        pairs[a, b] += 1
         return mul(a, b)
 
-    monkeypatch.setattr(GaussMatrix, "__mul__", counting_mul)
-    for gens in sets:
-        calls = 0
+    monkeypatch.setattr(GaussMatrix, "__mul__", recording_mul)
+    for gens, k in zip(sets, enlarging):
+        pairs.clear()
         group = signed_closure(gens)
-        assert calls == group.order**2
+        assert max(pairs.values()) == 1
+        assert sum(pairs.values()) == group.order * k
+
+
+def test_closure_matches_all_pairs_reference():
+    for gens in _reference_generator_sets(8) + _tricky_generator_sets():
+        group = signed_closure(gens)
+        products = _all_pairs_closure(gens)
+        members = {x for x, _ in products}
+        elems = group.elements
+        assert len(set(elems)) == group.order and set(elems) == members
+        eye = GaussMatrix.identity(elems[0].dim)
+        assert elems[group.identity] == eye
+        if -eye in members:
+            assert elems[group.minus_identity] == -eye
+        else:
+            assert group.minus_identity is None
+        assert [elems[k] for k in group.generators] == gens
+        for x, row in zip(elems, group.mul):
+            assert [elems[k] for k in row] == [products[x, y] for y in elems]
 
 
 def test_closure_table_and_invariants_match_matrix_products():
