@@ -2,15 +2,16 @@
 W, E, C, Pi, K, S, F for a certified spin basis.
 
 Each matrix is a signed product of generator matrices and must satisfy
-its defining intertwining condition exhaustively over all generators:
+its defining intertwining condition M g' M^-1 = +-g exhaustively over all
+generators, tested in the equivalent form M g' = +-g M:
 
-    W  g W^-1            = -g          (grade involution)
-    E  g^T E^-1          =  g          (reversion)
-    C  g^T C^-1          = -g          (conjugation, C = E W^T)
-    Pi conj(g) Pi^-1     =  g          (pseudo map, K = Pi W etc.)
-    K  conj(g) K^-1      = -g
-    S  conj(g^T) S^-1    =  g
-    F  conj(g^T) F^-1    = -g
+    W  g         = -g W          (grade involution)
+    E  g^T       =  g E          (reversion)
+    C  g^T       = -g C          (conjugation, C = E W^T)
+    Pi conj(g)   =  g Pi         (pseudo map, K = Pi W etc.)
+    K  conj(g)   = -g K
+    S  conj(g^T) =  g S
+    F  conj(g^T) = -g F
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .spinrep import SpinBasis, certify_spinbasis, product_over
 ELEMENT_NAMES = ("I", "W", "E", "C", "Pi", "K", "S", "F")
 
 # The intertwining condition of each element as (transpose, conjugate,
-# sign): M * g' * M^-1 = sign * g on every generator g, where g' is g,
+# sign): M * g' = sign * g * M on every generator g, where g' is g,
 # transposed and/or complex-conjugated as flagged.
 CONDITIONS = {
     "W": (False, False, -1),
@@ -52,15 +53,17 @@ SigTuple = tuple[int, int, int, int, int, int, int]
 
 
 def check(name: str, m: GaussMatrix, basis: SpinBasis) -> list[str]:
-    """The generators on which `m` fails the condition of element `name`."""
+    """The generators on which `m` fails the condition of element `name`,
+    tested as m * g' == sign * g * m: the conjugation form for an invertible
+    m. Every m checked is a product of certified generators, each squaring
+    to +-I, so it is invertible."""
     transpose, conjugate, sign = CONDITIONS[name]
-    inv = m.inverse()
     bad = []
     for i, g in enumerate(basis.gens, start=1):
         t = g.transpose() if transpose else g
         if conjugate:
             t = t.conj()
-        if m * t * inv != (g if sign > 0 else -g):
+        if m * t != (g * m if sign > 0 else -(g * m)):
             bad.append(f"{name} condition fails on generator {i}")
     return bad
 
@@ -237,9 +240,10 @@ def complete_set(
         "F": pi_mask ^ full ^ e_mask,
     }
     built = (w, e, c, pi, k, s, f)
-    reps = (GaussMatrix.identity(basis.dim),) + tuple(
-        product_over(basis, masks[name]) for name in ELEMENT_NAMES[1:]
-    )
+    # W, E and Pi come from build_W and the candidate filters as the
+    # increasing-index products over their masks, so each is its own rep.
+    c_rep, k_rep, s_rep, f_rep = (product_over(basis, masks[x]) for x in ("C", "K", "S", "F"))
+    reps = (GaussMatrix.identity(basis.dim), w, e, c_rep, pi, k_rep, s_rep, f_rep)
     rep_signs = {
         name: _sign(m, rep, "built matrix is not a signed increasing-index generator product")
         for name, m, rep in zip(ELEMENT_NAMES[1:], built, reps[1:])

@@ -16,10 +16,6 @@ class DimensionMismatchError(ValueError):
     """Matrix operands have incompatible dimensions."""
 
 
-class SingularMatrixError(ArithmeticError):
-    """Inversion was attempted on a singular matrix."""
-
-
 class GaussRational:
     """A complex number with exact rational real and imaginary parts.
 
@@ -152,24 +148,27 @@ def parse_gauss(text: str) -> GaussRational:
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty GaussRational literal")
-    if not s.endswith("i"):
-        return GaussRational(Fraction(s))
-    body = s[:-1]
-    if body.endswith("*"):
-        body = body[:-1]
-    # Split off a leading real part at the last sign that is not part of
-    # a numerator sign or fraction bar.
-    re_part, im_part = "", body
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "+-*/":
-            re_part, im_part = body[:pos], body[pos:]
-            break
-    if im_part in ("", "+", "-"):
-        im = Fraction(im_part + "1")
-    else:
-        im = Fraction(im_part)
-    re = Fraction(re_part) if re_part else Fraction(0)
-    return GaussRational(re, im)
+    try:
+        if not s.endswith("i"):
+            return GaussRational(Fraction(s))
+        body = s[:-1]
+        if body.endswith("*"):
+            body = body[:-1]
+        # Split off a leading real part at the last sign that is not part of
+        # a numerator sign or fraction bar.
+        re_part, im_part = "", body
+        for pos in range(len(body) - 1, 0, -1):
+            if body[pos] in "+-" and body[pos - 1] not in "+-*/":
+                re_part, im_part = body[:pos], body[pos:]
+                break
+        if im_part in ("", "+", "-"):
+            im = Fraction(im_part + "1")
+        else:
+            im = Fraction(im_part)
+        re = Fraction(re_part) if re_part else Fraction(0)
+        return GaussRational(re, im)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in GaussRational literal {text!r}") from None
 
 
 class GaussMatrix:
@@ -254,7 +253,8 @@ class GaussMatrix:
         out = []
         for ra, rb in zip(self.entries, other.entries):
             acc = dict(ra)
-            _add_scaled(acc, ONE, rb)
+            for j, v in rb:
+                acc[j] = acc[j] + v if j in acc else v
             out.append(_canonical_row(acc))
         return GaussMatrix._make(self.dim, tuple(out))
 
@@ -281,28 +281,6 @@ class GaussMatrix:
 
     def conj(self) -> GaussMatrix:
         return self._map(lambda v: v if v.im == 0 else v.conjugate())
-
-    def inverse(self) -> GaussMatrix:
-        """Gauss-Jordan elimination over dict rows that hold nonzeros only."""
-        d = self.dim
-        a = [dict(row) for row in self.entries]
-        inv = [{i: ONE} for i in range(d)]
-        for col in range(d):
-            pivot = next((r for r in range(col, d) if col in a[r]), None)
-            if pivot is None:
-                raise SingularMatrixError(f"matrix is singular (no pivot in column {col})")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            pv = a[col][col]
-            if pv != ONE:
-                a[col] = {j: v / pv for j, v in a[col].items()}
-                inv[col] = {j: v / pv for j, v in inv[col].items()}
-            for r in range(d):
-                factor = a[r].get(col) if r != col else None
-                if factor is not None:
-                    _add_scaled(a[r], -factor, a[col].items())
-                    _add_scaled(inv[r], -factor, inv[col].items())
-        return GaussMatrix._make(d, tuple(_canonical_row(row) for row in inv))
 
     def pm_identity(self) -> int | None:
         """Return +1 for I, -1 for -I, None otherwise."""
@@ -335,17 +313,6 @@ class GaussMatrix:
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]]) -> GaussMatrix:
         return cls([[parse_gauss(e) for e in row] for row in rows])
-
-
-def _add_scaled(acc: dict, factor: GaussRational, pairs: Iterable) -> None:
-    """acc += factor * pairs over (column, value) pairs; cancelled columns
-    are deleted, so acc keeps nonzeros only."""
-    for j, v in pairs:
-        t = acc[j] + factor * v if j in acc else factor * v
-        if t.re or t.im:
-            acc[j] = t
-        else:
-            del acc[j]
 
 
 def _canonical_row(acc: dict) -> tuple:

@@ -2,6 +2,7 @@ import pytest
 
 from clifcpt.algebra import COMPLEX, MetricSignature
 from clifcpt.autmat import (
+    CONDITIONS,
     ELEMENT_NAMES,
     ConditionError,
     build_C,
@@ -79,14 +80,44 @@ def test_dirac_pi_times_conj_pi(dirac_realization):
     assert (pi * pi.conj()).pm_identity() == -1
 
 
+def _conjugation_form(name, m, basis):
+    """Reference for `check`: m * g' * m^-1 == sign * g on every generator,
+    with m^-1 = s * m where m * m = s * I."""
+    transpose, conjugate, sign = CONDITIONS[name]
+    inv = m.scale((m * m).pm_identity())
+    for g in basis.gens:
+        t = g.transpose() if transpose else g
+        t = t.conj() if conjugate else t
+        if m * t * inv != g.scale(sign):
+            return False
+    return True
+
+
 def test_intertwining_conditions_dirac(dirac_realization):
-    # Each matrix meets its own condition and no other, so a swapped or
-    # mistyped row of the condition table fails here.
+    # For the Dirac basis each matrix meets its own condition and no other,
+    # so a swapped or mistyped row of the condition table fails here.
     r = dirac_realization
     basis = r.basis
     for x in ELEMENT_NAMES[1:]:
         for y in ELEMENT_NAMES[1:]:
             assert (not check(x, r.matrix(y), basis)) == (x == y), (x, y)
+    # On every realization of the canonical real and complex bases with
+    # n <= 6 and of the Dirac basis, the commuting form that `check` tests
+    # agrees with the conjugation form on all 7 x 7 (condition, matrix) pairs.
+    bases = [basis]
+    for n in range(0, 7, 2):
+        bases += [build_spinbasis(MetricSignature(p, n - p)) for p in range(n + 1)]
+        bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
+    pairs = 0
+    for b in bases:
+        for real in enumerate_realizations(b):
+            for x in ELEMENT_NAMES[1:]:
+                for y in ELEMENT_NAMES[1:]:
+                    m = real.matrix(y)
+                    want = _conjugation_form(x, m, b)
+                    assert (not check(x, m, b)) == want, (b.sig, x, y)
+                    pairs += want
+    assert pairs >= 7 * len(bases)
 
 
 def test_cl11_tower_products():
@@ -219,28 +250,27 @@ def test_seven_conditions_extend_to_random_multivectors(dirac_realization):
     r = dirac_realization
     basis = r.basis
     rng = random.Random(23)
-    invs = {name: r.matrix(name).inverse() for name in ("W", "E", "C", "Pi", "K", "S", "F")}
     for _ in range(30):
         a = random_multivector(basis.sig, rng, allow_complex_coeffs=True)
         m = represent(basis, a)
         mt = m.transpose()
         mc = m.conj()
         mtc = mt.conj()
-        assert represent(basis, a.grade_involution()) == r.matrix("W") * m * invs["W"]
-        assert represent(basis, a.reversion()) == r.matrix("E") * mt * invs["E"]
-        assert represent(basis, a.conjugation()) == r.matrix("C") * mt * invs["C"]
-        assert represent(basis, a.complex_conjugation()) == r.matrix("Pi") * mc * invs["Pi"]
+        assert represent(basis, a.grade_involution()) * r.matrix("W") == r.matrix("W") * m
+        assert represent(basis, a.reversion()) * r.matrix("E") == r.matrix("E") * mt
+        assert represent(basis, a.conjugation()) * r.matrix("C") == r.matrix("C") * mt
+        assert represent(basis, a.complex_conjugation()) * r.matrix("Pi") == r.matrix("Pi") * mc
         assert (
-            represent(basis, a.grade_involution().complex_conjugation())
-            == r.matrix("K") * mc * invs["K"]
+            represent(basis, a.grade_involution().complex_conjugation()) * r.matrix("K")
+            == r.matrix("K") * mc
         )
         assert (
-            represent(basis, a.reversion().complex_conjugation())
-            == r.matrix("S") * mtc * invs["S"]
+            represent(basis, a.reversion().complex_conjugation()) * r.matrix("S")
+            == r.matrix("S") * mtc
         )
         assert (
-            represent(basis, a.conjugation().complex_conjugation())
-            == r.matrix("F") * mtc * invs["F"]
+            represent(basis, a.conjugation().complex_conjugation()) * r.matrix("F")
+            == r.matrix("F") * mtc
         )
 
 

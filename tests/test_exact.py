@@ -7,7 +7,6 @@ from clifcpt.exact import (
     DimensionMismatchError,
     GaussMatrix,
     GaussRational,
-    SingularMatrixError,
     format_gauss,
     kron,
     parse_gauss,
@@ -100,15 +99,6 @@ def test_conj_examples():
     assert g1.conj() == g1
 
 
-def test_inverse_examples():
-    g0, g1, _, _ = gamma_matrices()
-    eye = GaussMatrix.identity(4)
-    assert eye.inverse() == eye
-    assert g0.inverse() == g0  # g0^2 = I
-    assert g1.inverse() == -g1  # g1^2 = -I
-    assert g0 * g0.inverse() == eye
-
-
 def _random_matrix(rng, dim):
     return GaussMatrix(
         [
@@ -152,37 +142,10 @@ def test_random_matrix_properties():
         assert a.conj().conj() == a
         assert a.transpose().transpose() == a
         assert a + (-a) == a.scale(0)
-        try:
-            ainv, binv = a.inverse(), b.inverse()
-        except SingularMatrixError:
-            continue
-        assert ab.inverse() == binv * ainv
-        assert a * ainv == GaussMatrix.identity(dim)
 
 
 UNITS = (GaussRational(1), GaussRational(-1), GaussRational(0, 1), GaussRational(0, -1))
 KINDS = ("dense", "sparse", "monomial", "singular")
-
-
-def _reference_inverse(a):
-    """Dense Gauss-Jordan elimination on the rows view, independent of the
-    library's inverse."""
-    d = a.dim
-    aug = [
-        list(row) + [GaussRational(int(i == j)) for j in range(d)] for i, row in enumerate(a.rows)
-    ]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [e / pv for e in aug[col]]
-        for r in range(d):
-            if r != col:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return GaussMatrix([row[d:] for row in aug])
 
 
 def _reference_kron(a, b):
@@ -247,25 +210,13 @@ def test_one_representation_agrees_with_dense_reference():
         if dim <= 4:
             _assert_matches(kron(a, b), _reference_kron(a, b))
             _assert_matches(kron(b, a), _reference_kron(b, a))
-        try:
-            want = _reference_inverse(a)
-        except SingularMatrixError:
-            assert kind != "monomial"
-            with pytest.raises(SingularMatrixError):
-                a.inverse()
-        else:
-            assert kind != "singular"
-            _assert_matches(a.inverse(), want)
-            _assert_matches(a * a.inverse(), GaussMatrix.identity(dim))
 
 
-def test_dimension_mismatch_and_singular_errors():
+def test_dimension_mismatch_errors():
     with pytest.raises(DimensionMismatchError):
         GaussMatrix.identity(2) * GaussMatrix.identity(3)
     with pytest.raises(DimensionMismatchError):
         GaussMatrix([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(SingularMatrixError):
-        GaussMatrix([[1, 1], [1, 1]]).inverse()
 
 
 def test_matrix_string_roundtrip():

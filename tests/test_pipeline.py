@@ -43,24 +43,36 @@ def test_sweep_pool_never_exceeds_cell_count(monkeypatch):
 def test_record_never_closes_the_group_again(monkeypatch):
     cells = [(1, 3, "real", "dirac"), (3, 3, "real", "canonical"), (6, 0, "complex", "canonical")]
     expected = [classify_cell(*cell) for cell in cells]
-    closures = completions = 0
+    closures = completions = products = 0
     closure, complete_set = autmat.signed_closure, autmat.complete_set
+    product_over = autmat.product_over
 
     def counting_closure(*args, **kwargs):
         nonlocal closures
         closures += 1
         return closure(*args, **kwargs)
 
+    def counting_product_over(*args, **kwargs):
+        nonlocal products
+        products += 1
+        return product_over(*args, **kwargs)
+
     def counting_complete_set(*args, **kwargs):
+        # W, E and Pi are their own representatives: only C, K, S and F
+        # are formed as generator products.
         nonlocal completions
         completions += 1
-        return complete_set(*args, **kwargs)
+        before = products
+        out = complete_set(*args, **kwargs)
+        assert products - before == 4
+        return out
 
     def refuse(*args, **kwargs):
         raise AssertionError("the record recomputed a group fact")
 
     monkeypatch.setattr(autmat, "signed_closure", counting_closure)
     monkeypatch.setattr(autmat, "complete_set", counting_complete_set)
+    monkeypatch.setattr(autmat, "product_over", counting_product_over)
     monkeypatch.setattr(fingroup, "signed_closure", refuse)
     monkeypatch.setattr(fingroup, "order_structure", refuse)
     assert [classify_cell(*cell) for cell in cells] == expected

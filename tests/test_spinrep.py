@@ -274,6 +274,13 @@ def test_file_parse_error(tmp_path):
         path4.write_text(json.dumps({"p": bad_p, "q": 1, "generators": gens}))
         with pytest.raises(SpinBasisFileError, match="JSON integers"):
             load_spinbasis(str(path4))
+    # A zero denominator is a malformed entry, real or imaginary.
+    for zero in ("1/0", "1/0*i"):
+        path5 = tmp_path / "zero.json"
+        bad_gens = [[["0", zero], ["1", "0"]], gens[1]]
+        path5.write_text(json.dumps({"p": 1, "q": 1, "generators": bad_gens}))
+        with pytest.raises(SpinBasisFileError, match="zero denominator"):
+            load_spinbasis(str(path5))
 
 
 def test_representation_homomorphism_random():
@@ -310,10 +317,10 @@ def test_represent_intertwines_the_four_maps():
                 ra = represent(basis, a)
                 rt = ra.transpose()
                 assert represent(basis, a * b) == ra * represent(basis, b)
-                assert represent(basis, a.grade_involution()) == w * ra * w.inverse()
-                assert represent(basis, a.reversion()) == e * rt * e.inverse()
-                assert represent(basis, a.conjugation()) == c * rt * c.inverse()
-                assert represent(basis, a.complex_conjugation()) == pi * ra.conj() * pi.inverse()
+                assert represent(basis, a.grade_involution()) * w == w * ra
+                assert represent(basis, a.reversion()) * e == e * rt
+                assert represent(basis, a.conjugation()) * c == c * rt
+                assert represent(basis, a.complex_conjugation()) * pi == pi * ra.conj()
                 samples += 1
     assert samples >= 4 * len(bases)
 
