@@ -1,9 +1,11 @@
-"""Construction and certification of the seven discrete-symmetry matrices
+"""Construction and certification of the seven discrete-symmetry elements
 W, E, C, Pi, K, S, F for a certified spin basis.
 
-Each matrix is a signed product of generator matrices and must satisfy
-its defining intertwining condition M g' M^-1 = +-g exhaustively over all
-generators, tested in the equivalent form M g' = +-g M:
+Each element is a signed basis blade +-e_A of Cl(p,q), built and closed
+as a `Multivector` monomial. Its matrix, the signed increasing-index
+product of the generators in A, must satisfy the element's defining
+intertwining condition M g' M^-1 = +-g exhaustively over all generators,
+tested in the equivalent form M g' = +-g M:
 
     W  g         = -g W          (grade involution)
     E  g^T       =  g E          (reversion)
@@ -12,16 +14,27 @@ generators, tested in the equivalent form M g' = +-g M:
     K  conj(g)   = -g K
     S  conj(g^T) =  g S
     F  conj(g^T) = -g F
+
+Soundness of computing with blades: certification proves the Clifford
+relations, the squares, even n and dimension 2^(n/2), so the generators
+represent the central simple algebra Cl(p,q) (tensored with C) on its
+irreducible module. The 2^n blade matrices are then linearly independent,
+so +-e_A <-> its matrix product_over(A) is a bijection that respects
+products: two signed blades are equal exactly when their matrices are,
+and the closures of the eight blades and of the eight matrices are
+isomorphic, with the same table in the same insertion order. Each
+certified generator is also purely symmetric or antisymmetric, so
+W^T = g_n^T ... g_1^T is a signed blade too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import blade_indices, grade
+from .algebra import Multivector, blade_indices, grade
 from .exact import GaussMatrix
 from .fingroup import SignedGroup, signed_closure
-from .spinrep import SpinBasis, certify_spinbasis, product_over
+from .spinrep import SpinBasis, certify_spinbasis, product_over, represent
 
 ELEMENT_NAMES = ("I", "W", "E", "C", "Pi", "K", "S", "F")
 
@@ -68,41 +81,24 @@ def check(name: str, m: GaussMatrix, basis: SpinBasis) -> list[str]:
     return bad
 
 
-def _checked(name: str, m: GaussMatrix, basis: SpinBasis) -> GaussMatrix:
+def _checked(name: str, m: GaussMatrix, basis: SpinBasis) -> None:
     bad = check(name, m, basis)
     if bad:
         raise ConditionError("; ".join(bad))
-    return m
-
-
-def _sign(m: GaussMatrix, ref: GaussMatrix, failure: str) -> int:
-    """The sign s with m == s * ref."""
-    if m == ref:
-        return 1
-    if m == -ref:
-        return -1
-    raise ConditionError(failure)
-
-
-def build_W(basis: SpinBasis) -> GaussMatrix:
-    """Product of all generators in index order."""
-    return _checked("W", product_over(basis, (1 << basis.sig.n) - 1), basis)
 
 
 def _candidates(basis: SpinBasis, name: str, candidates, failure: str):
-    """The (matrix, choice, mask) of each distinct candidate product that
-    meets the condition of `name`; ConditionError when none does."""
+    """The (mask, choice) of each distinct candidate mask whose
+    increasing-index product meets the condition of `name`; ConditionError
+    when none does. Distinct masks are distinct matrices."""
     out = []
-    seen = set()
     failures = []
     for mask, choice in candidates:
-        m = product_over(basis, mask)
-        bad = check(name, m, basis)
+        bad = check(name, product_over(basis, mask), basis)
         if bad:
             failures.append(f"{choice}: {'; '.join(bad)}")
-        elif m not in seen:
-            seen.add(m)
-            out.append((m, choice, mask))
+        elif all(mask != kept for kept, _ in out):
+            out.append((mask, choice))
     if not out:
         raise ConditionError(failure + " | ".join(failures))
     return out
@@ -112,19 +108,12 @@ def find_E(basis: SpinBasis):
     """Both product candidates (all antisymmetric, all symmetric
     generators; empty product = I), filtered by the reversion condition.
 
-    Returns a list of (matrix, choice, mask); for a certified pure basis
-    exactly one candidate survives.
+    Returns a list of (mask, choice); for a certified pure basis exactly
+    one candidate survives.
     """
     prof = certify_spinbasis(basis)
     candidates = [(prof.mask(sym=False), SKEW_PRODUCT), (prof.sym_mask, SYM_PRODUCT)]
     return _candidates(basis, "E", candidates, "no valid reversion matrix: ")
-
-
-def build_C(e: GaussMatrix, w: GaussMatrix, basis: SpinBasis) -> GaussMatrix:
-    """C = E * W^T; also verified to equal E * W up to sign."""
-    c = _checked("C", e * w.transpose(), basis)
-    _sign(c, e * w, "E*W^T differs from E*W by more than a sign")
-    return c
 
 
 def find_Pi(basis: SpinBasis):
@@ -132,7 +121,7 @@ def find_Pi(basis: SpinBasis):
     (all-real basis), the product of all imaginary-entry generators
     (kept when their count is even), and the product of all real-entry
     generators (kept when their count is odd); each candidate is
-    validated against the defining condition."""
+    validated against the defining condition. Returns (mask, choice)."""
     prof = certify_spinbasis(basis)
     imag = prof.mask(real=False)
     candidates = []
@@ -177,26 +166,28 @@ def is_abelian(table: tuple[tuple[int, ...], ...]) -> bool:
 
 @dataclass(frozen=True)
 class Realization:
-    """One CPT realization: the built matrices I, W, E, C, Pi, K, S, F
-    (held by its signed closure), their generator masks and choices, and
-    the signs read off the closure's table."""
+    """One CPT realization: the signed blades I, W, E, C, Pi, K, S, F
+    (held by their signed closure), their generator masks and signs, the
+    (E, Pi) choices, and the square and commutation signs read off the
+    closure's table."""
 
     basis: SpinBasis
     masks: dict  # element name -> generator-slot bitmask
     choice_e: str
     choice_pi: str
     rep_signs: dict  # element name -> +-1 vs increasing-index product
-    reps: tuple[GaussMatrix, ...]  # increasing-index products over the masks, I first
-    group: SignedGroup  # closure of the eight built matrices
+    group: SignedGroup  # closure of the eight signed blades
     signature: SigTuple
     commutation: tuple[tuple[int, ...], ...]
 
     def matrices(self) -> tuple[GaussMatrix, ...]:
-        """The built matrices in ELEMENT_NAMES order, I first."""
-        return tuple(self.group.elements[k] for k in self.group.generators)
+        """The matrices of the eight elements in ELEMENT_NAMES order, I first."""
+        return tuple(self.matrix(name) for name in ELEMENT_NAMES)
 
     def matrix(self, name: str) -> GaussMatrix:
-        return self.group.elements[self.group.generators[ELEMENT_NAMES.index(name)]]
+        """The spinor matrix of element `name`: its signed generator product."""
+        g = self.group
+        return represent(self.basis, g.elements[g.generators[ELEMENT_NAMES.index(name)]])
 
     @property
     def abelian(self) -> bool:
@@ -205,7 +196,7 @@ class Realization:
     @property
     def order_counts(self) -> tuple[int, int]:
         """(count of order-2, count of order-4) among the representatives
-        other than I; a representative is I exactly when its matrix is +-I."""
+        other than I; a representative is I exactly when its element is +-I."""
         g = self.group
         pm_eye = (g.identity, g.minus_identity)
         squares = [s for i, s in zip(g.generators[1:], self.signature) if i not in pm_eye]
@@ -214,57 +205,47 @@ class Realization:
 
 def complete_set(
     basis: SpinBasis,
-    w: GaussMatrix,
-    e: GaussMatrix,
+    w: Multivector,
+    w_t: Multivector,
+    e: Multivector,
     e_choice: str,
-    e_mask: int,
-    pi: GaussMatrix,
+    pi: Multivector,
     pi_choice: str,
-    pi_mask: int,
 ) -> Realization:
-    """The realization of one (E, Pi) choice: C, K, S and F built and
-    checked, and the signs read off the closure of all eight matrices."""
-    full = (1 << basis.sig.n) - 1
-    c = build_C(e, w, basis)
-    k = _checked("K", pi * w, basis)
-    s = _checked("S", pi * e, basis)
-    f = _checked("F", pi * c, basis)
-    _sign(f, s * w, "F = Pi*C differs from S*W by more than a sign")
-    masks = {
-        "W": full,
-        "E": e_mask,
-        "C": full ^ e_mask,
-        "Pi": pi_mask,
-        "K": pi_mask ^ full,
-        "S": pi_mask ^ e_mask,
-        "F": pi_mask ^ full ^ e_mask,
-    }
-    built = (w, e, c, pi, k, s, f)
-    # W, E and Pi come from build_W and the candidate filters as the
-    # increasing-index products over their masks, so each is its own rep.
-    c_rep, k_rep, s_rep, f_rep = (product_over(basis, masks[x]) for x in ("C", "K", "S", "F"))
-    reps = (GaussMatrix.identity(basis.dim), w, e, c_rep, pi, k_rep, s_rep, f_rep)
-    rep_signs = {
-        name: _sign(m, rep, "built matrix is not a signed increasing-index generator product")
-        for name, m, rep in zip(ELEMENT_NAMES[1:], built, reps[1:])
-    }
-    group = signed_closure(reps[:1] + built)
+    """The realization of one (E, Pi) choice: C = E W^T, K = Pi W,
+    S = Pi E and F = Pi C formed as blade products, each checked on its
+    matrix, and the signs read off the closure of all eight blades."""
+    c = e * w_t
+    built = dict(zip(ELEMENT_NAMES[1:], (w, e, c, pi, pi * w, pi * e, pi * c)))
+    for name in ("C", "K", "S", "F"):
+        _checked(name, represent(basis, built[name]), basis)
+    masks, rep_signs = {}, {}
+    for name, x in built.items():
+        # A signed blade has one term, with coefficient +-1.
+        ((masks[name], (rep_signs[name], _)),) = x.num.items()
+    one = Multivector.scalar(basis.sig, 1)
+    group = signed_closure((one, *built.values()), one)
     signature, commutation = read_signs(group)
-    return Realization(
-        basis, masks, e_choice, pi_choice, rep_signs, reps, group, signature, commutation
-    )
+    return Realization(basis, masks, e_choice, pi_choice, rep_signs, group, signature, commutation)
 
 
 def enumerate_realizations(basis: SpinBasis) -> list[Realization]:
     """Cartesian product of valid E and Pi choices, each completed to a
     realization, deduplicated by (signature, commutation table)."""
-    certify_spinbasis(basis)  # an invalid basis fails here, before any condition check
-    w = build_W(basis)
+    prof = certify_spinbasis(basis)  # an invalid basis fails here, before any condition check
+    sig, n = basis.sig, basis.sig.n
+    full = (1 << n) - 1
+    _checked("W", product_over(basis, full), basis)
+    w = Multivector.blade(sig, full)
+    # W^T = g_n^T ... g_1^T: reversing n factors takes n(n-1)/2 swaps, and
+    # each antisymmetric generator contributes a sign.
+    w_t = w.scale((-1) ** (n * (n - 1) // 2 + grade(prof.mask(sym=False))))
     out = []
     seen = set()
-    for e, e_choice, e_mask in find_E(basis):
-        for pi, pi_choice, pi_mask in find_Pi(basis):
-            r = complete_set(basis, w, e, e_choice, e_mask, pi, pi_choice, pi_mask)
+    for e_mask, e_choice in find_E(basis):
+        for pi_mask, pi_choice in find_Pi(basis):
+            e, pi = Multivector.blade(sig, e_mask), Multivector.blade(sig, pi_mask)
+            r = complete_set(basis, w, w_t, e, e_choice, pi, pi_choice)
             key = (r.signature, r.commutation)
             if key not in seen:
                 seen.add(key)

@@ -1,6 +1,6 @@
-"""Finite matrix groups: signed multiplicative closures, order structure,
-group labels for signature tuples, Cayley tables, and the admissible
-signature census."""
+"""Finite groups of matrices or signed blades: signed multiplicative
+closures, order structure, group labels for signature tuples, Cayley
+tables, and the admissible signature census."""
 
 from __future__ import annotations
 
@@ -10,7 +10,11 @@ from itertools import product as iterproduct
 from math import lcm
 from typing import Sequence
 
+from .algebra import Multivector
 from .exact import GaussMatrix
+
+# A group element: a matrix, or a signed blade of the Clifford algebra.
+Element = GaussMatrix | Multivector
 
 CLOSURE_LIMIT = 256
 
@@ -32,15 +36,15 @@ class ClassificationError(ValueError):
 
 
 class GroupStructureError(ValueError):
-    """Matrices handed to a group routine break its structural invariant:
-    no generators or mixed dimensions, a closure without the identity, a
-    square other than +-I, a product outside the signed representative
-    set, or an order too large to identify."""
+    """Elements handed to a group routine break its structural invariant:
+    no generators, a closure without the identity, a square other than
+    +-I, a product outside the signed representative set, or an order too
+    large to identify."""
 
 
 @dataclass(frozen=True)
 class SignedGroup:
-    elements: tuple[GaussMatrix, ...]
+    elements: tuple[Element, ...]
     mul: tuple[tuple[int, ...], ...]  # mul[i][j]: index of elements[i] * elements[j]
     identity: int  # index of I
     minus_identity: int | None  # index of -I, if present
@@ -63,9 +67,11 @@ class GroupLabel:
     note: str = ""
 
 
-def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
-    """Fixed-point closure of the given matrices under multiplication,
-    with the index of every product and of every generator.
+def signed_closure(gens: Sequence[Element], identity: Element) -> SignedGroup:
+    """Fixed-point closure of the given elements under multiplication,
+    with the index of every product and of every generator. The elements
+    are matrices or signed blades; `identity` is the unit of their ring,
+    and its negative is -I.
 
     An input outside the closure of the inputs before it becomes a root,
     and every element is right-multiplied by every root exactly once, in
@@ -76,17 +82,13 @@ def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
     """
     if not gens:
         raise GroupStructureError("need at least one generator")
-    dim = gens[0].dim
-    eye = GaussMatrix.identity(dim)
-    if any(g.dim != dim for g in gens):
-        raise GroupStructureError("generators have mixed dimensions")
-    seen: dict[GaussMatrix, int] = {}
-    order: list[GaussMatrix] = []
+    seen: dict[Element, int] = {}
+    order: list[Element] = []
     origin: list[tuple[int | None, int]] = []  # (p, k): order[p] * roots[k]; p is None for roots[k]
     right: list[list[int]] = []  # right[i][k]: index of order[i] * roots[k]
-    roots: list[GaussMatrix] = []
+    roots: list[Element] = []
 
-    def insert(m: GaussMatrix, prefix: int | None, k: int) -> int:
+    def insert(m: Element, prefix: int | None, k: int) -> int:
         if len(order) >= CLOSURE_LIMIT:
             raise ClosureError(f"closure exceeds {CLOSURE_LIMIT} elements")
         seen[m] = len(order)
@@ -109,8 +111,8 @@ def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
                     j = seen.get(prod)
                     row.append(insert(prod, head, k) if j is None else j)
         generators.append(idx)
-    identity = seen.get(eye)
-    if identity is None:
+    unit = seen.get(identity)
+    if unit is None:
         raise GroupStructureError("the closure has no identity; a generator is singular")
     mul = []
     for x in range(len(order)):
@@ -118,7 +120,7 @@ def signed_closure(gens: Sequence[GaussMatrix]) -> SignedGroup:
         for prefix, k in origin:
             row.append(right[x][k] if prefix is None else right[row[prefix]][k])
         mul.append(tuple(row))
-    return SignedGroup(tuple(order), tuple(mul), identity, seen.get(-eye), tuple(generators))
+    return SignedGroup(tuple(order), tuple(mul), unit, seen.get(-identity), tuple(generators))
 
 
 def order_structure(reps: Sequence[GaussMatrix]) -> tuple[int, int]:
@@ -257,7 +259,7 @@ class CayleyTable:
         }
 
 
-def cayley_table(labeled: Sequence[tuple[str, GaussMatrix]]) -> CayleyTable:
+def cayley_table(labeled: Sequence[tuple[str, Element]]) -> CayleyTable:
     """Multiplication table of labeled representatives; every product must
     land in {+-rep}. Matching prefers earlier representatives, which
     makes degenerate sets (duplicate matrices) deterministic."""

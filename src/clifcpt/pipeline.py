@@ -13,7 +13,7 @@ import io
 import json
 
 from . import covering, fingroup
-from .algebra import COMPLEX, REAL, MetricSignature, blade_indices
+from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
 from .autmat import ELEMENT_NAMES, Realization, enumerate_realizations, mask_label
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, ring_type
 from .exact import GaussMatrix
@@ -316,10 +316,11 @@ def wigner_reps(basis: SpinBasis) -> list[tuple[str, GaussMatrix]]:
     return out
 
 
-def ext_reps(r: Realization) -> list[tuple[str, GaussMatrix]]:
-    """Normalized representatives: each element replaced by the
-    increasing-index product over its generator mask, sign +1."""
-    return list(zip(ELEMENT_NAMES, r.reps))
+def ext_reps(r: Realization) -> list[tuple[str, Multivector]]:
+    """Normalized representatives: each element replaced by the blade of
+    its generator mask, sign +1."""
+    sig = r.basis.sig
+    return [(name, Multivector.blade(sig, r.masks.get(name, 0))) for name in ELEMENT_NAMES]
 
 
 def cayley_for(p: int, q: int, set_name: str, basis_spec: str = "canonical"):

@@ -5,7 +5,7 @@ drives the classification theorems."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
@@ -90,7 +90,8 @@ class SpinBasis:
     """Ordered generator matrices for Cl(p,q) or its complexification."""
 
     sig: MetricSignature
-    gens: tuple[GaussMatrix, ...]
+    # Not hashed, so a cache lookup hashes no matrix; equality compares it.
+    gens: tuple[GaussMatrix, ...] = field(hash=False)
     provenance: str
 
     @property

@@ -24,8 +24,9 @@ from .algebra import (
     involution_via_omega_check,
     random_multivector,
 )
-from .autmat import ELEMENT_NAMES, Realization, check, enumerate_realizations
+from .autmat import ELEMENT_NAMES, Realization, check, enumerate_realizations, read_signs
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, radon_hurwitz, ring_type
+from .exact import GaussMatrix
 from .fingroup import (
     cayley_table,
     census_64,
@@ -236,10 +237,18 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
         for n in range(0, max_dim + 1, 2):
             bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
         for basis in bases:
+            eye = GaussMatrix.identity(basis.dim)
+            where = f"{basis.provenance} Cl({basis.sig.p},{basis.sig.q})"
             for r in _realizations(realizations, basis):
-                for name, m in zip(ELEMENT_NAMES[1:], r.matrices()[1:]):
+                dense = r.matrices()
+                for name, m in zip(ELEMENT_NAMES[1:], dense[1:]):
                     bad = check(name, m, basis)
-                    assert not bad, f"{basis.provenance} Cl({basis.sig.p},{basis.sig.q}): {bad}"
+                    assert not bad, f"{where}: {bad}"
+                # The independent reference: the matrices, closed on their own,
+                # form the same group (order, -I and invariants) as the blades.
+                group = signed_closure(dense, eye)
+                assert identify_abstract(group) == identify_abstract(r.group), f"{where}: group"
+                assert read_signs(group) == (r.signature, r.commutation), f"{where}: signs"
         return f"{len(bases)} bases, all seven conditions exhaustive"
 
     out.append(_run("theorems", "intertwining-conditions", intertwining))
@@ -273,7 +282,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
         signs = tuple((m * m).pm_identity() for _, m in reps[1:])
         assert signs == WIGNER_CPT_SIGNATURE, sig_str(signs)  # type: ignore[arg-type]
         assert order_structure([m for _, m in reps]) == (3, 4)
-        closure = signed_closure([m for _, m in reps])
+        closure = signed_closure([m for _, m in reps], GaussMatrix.identity(basis.dim))
         info = identify_abstract(closure)
         assert not info["abelian"] and closure.order == 16
         label = signature_label(signs, abelian=False)  # type: ignore[arg-type]
@@ -283,7 +292,8 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
     out.append(_run("groups", "wigner-reflection-set", wigner_goldens))
 
     def closure_closedness():
-        closure = _realizations(realizations, preset_spinbasis("dirac"))[0].group
+        r = _realizations(realizations, preset_spinbasis("dirac"))[0]
+        closure = signed_closure(r.matrices(), GaussMatrix.identity(r.basis.dim))
         elems = set(closure.elements)
         for x in closure.elements:
             for y in closure.elements:

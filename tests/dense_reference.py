@@ -1,0 +1,139 @@
+"""Test-local dense reference for the realization stage.
+
+`dense_realizations` builds each realization's eight matrices as literal
+matrix products, the construction the package used before it moved to
+signed blades: W over all generators, the E and Pi candidates filtered
+by the intertwining conditions and deduplicated as matrices, then
+C = E * W^T, K = Pi * W, S = Pi * E and F = Pi * C, checked and closed
+as matrices. `conjugated_bases` gives the seeded orthogonal conjugates of
+canonical bases that the metamorphic tests read back as basis files.
+"""
+
+import random
+from fractions import Fraction
+
+from clifcpt.algebra import MetricSignature
+from clifcpt.autmat import ELEMENT_NAMES, check, read_signs
+from clifcpt.exact import GaussMatrix
+from clifcpt.fingroup import identify_abstract, order_structure, signed_closure
+from clifcpt.spinrep import SpinBasis, build_spinbasis, certify_spinbasis, product_over
+
+
+def matrix_closure(mats):
+    """The signed closure of matrices, with the identity of their size."""
+    return signed_closure(mats, GaussMatrix.identity(mats[0].dim))
+
+
+def _sign_against(m, ref):
+    """The sign s with m == s * ref."""
+    if m == ref:
+        return 1
+    assert m == -ref, "not a signed increasing-index generator product"
+    return -1
+
+
+def _survivors(basis, name, candidates):
+    """The (matrix, choice, mask) of each candidate product that meets the
+    condition of `name`, deduplicated as matrices."""
+    out = []
+    for mask, choice in candidates:
+        m = product_over(basis, mask)
+        if not check(name, m, basis) and all(m != kept for kept, _, _ in out):
+            out.append((m, choice, mask))
+    assert out, f"no {name} candidate survives"
+    return out
+
+
+def dense_realizations(basis):
+    """One dict per realization, deduplicated by (signature, commutation)
+    in the package's (E, Pi) order."""
+    prof = certify_spinbasis(basis)
+    full = (1 << basis.sig.n) - 1
+    imag = prof.mask(real=False)
+    eye = GaussMatrix.identity(basis.dim)
+    w = product_over(basis, full)
+    assert not check("W", w, basis)
+    es = _survivors(
+        basis, "E", [(prof.mask(sym=False), "skew_product"), (prof.sym_mask, "sym_product")]
+    )
+    pi_candidates = [(0, "identity")] if imag == 0 else []
+    if imag and imag.bit_count() % 2 == 0:
+        pi_candidates.append((imag, "complex_product"))
+    if prof.real_mask.bit_count() % 2 == 1:
+        pi_candidates.append((prof.real_mask, "real_product"))
+    pis = _survivors(basis, "Pi", pi_candidates)
+    out, seen = [], set()
+    for e, e_choice, e_mask in es:
+        for pi, pi_choice, pi_mask in pis:
+            c = e * w.transpose()
+            mats = [eye, w, e, c, pi, pi * w, pi * e, pi * c]
+            for name, m in zip(ELEMENT_NAMES[1:], mats[1:]):
+                assert not check(name, m, basis), name
+            masks = {
+                "W": full,
+                "E": e_mask,
+                "C": full ^ e_mask,
+                "Pi": pi_mask,
+                "K": pi_mask ^ full,
+                "S": pi_mask ^ e_mask,
+                "F": pi_mask ^ full ^ e_mask,
+            }
+            reps = [eye] + [product_over(basis, masks[name]) for name in ELEMENT_NAMES[1:]]
+            group = signed_closure(mats, eye)
+            signature, commutation = read_signs(group)
+            if (signature, commutation) in seen:
+                continue
+            seen.add((signature, commutation))
+            out.append(
+                {
+                    "choices": (e_choice, pi_choice),
+                    "masks": masks,
+                    "rep_signs": {
+                        name: _sign_against(m, rep)
+                        for name, m, rep in zip(ELEMENT_NAMES[1:], mats[1:], reps[1:])
+                    },
+                    "matrices": mats,
+                    "signature": signature,
+                    "commutation": commutation,
+                    "order": group.order,
+                    "contains_minus_I": group.contains_minus_I,
+                    "abstract": identify_abstract(group),
+                    "order_counts": order_structure(reps),
+                }
+            )
+    return out
+
+
+def signed_permutation(rng, dim):
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    return GaussMatrix(
+        [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(dim)] for i in range(dim)]
+    )
+
+
+def givens(rng, dim):
+    """A rational rotation by cos 3/5, sin 4/5 in a seeded coordinate plane."""
+    a, b = rng.sample(range(dim), 2)
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rows[a][a] = rows[b][b] = Fraction(3, 5)
+    rows[a][b], rows[b][a] = Fraction(-4, 5), Fraction(4, 5)
+    return GaussMatrix(rows)
+
+
+def conjugated_bases():
+    """(kind, M, basis) with generators M g M^T: every canonical real basis
+    with n in (2, 4, 6) under a seeded signed permutation, which keeps the
+    generators monomial, then those with n = 4 under a seeded Givens
+    rotation, which makes them dense."""
+    rng = random.Random(31)
+    cases = [(p, n - p, signed_permutation) for n in (2, 4, 6) for p in range(n + 1)]
+    cases += [(p, 4 - p, givens) for p in range(5)]
+    out = []
+    for p, q, make in cases:
+        canonical = build_spinbasis(MetricSignature(p, q))
+        m = make(rng, canonical.dim)
+        mt = m.transpose()
+        gens = tuple(m * g * mt for g in canonical.gens)
+        out.append((make.__name__, m, SpinBasis(canonical.sig, gens, "conjugated")))
+    return out

@@ -15,6 +15,7 @@ from clifcpt.classify import (
     radon_hurwitz,
     ring_type,
 )
+from clifcpt.exact import GaussMatrix
 from clifcpt.fingroup import (
     cayley_table,
     census_64,
@@ -105,7 +106,7 @@ def test_c03_wigner_group_identification():
     assert sig_str(signs) == "(+,-,-,+,-,-,+)"
     mats = [m for _, m in reps]
     assert order_structure(mats) == (3, 4)
-    closure = signed_closure(mats)
+    closure = signed_closure(mats, GaussMatrix.identity(basis.dim))
     info = identify_abstract(closure)
     assert not info["abelian"]
     label = signature_label(signs, abelian=False)

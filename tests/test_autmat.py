@@ -5,8 +5,6 @@ from clifcpt.autmat import (
     CONDITIONS,
     ELEMENT_NAMES,
     ConditionError,
-    build_C,
-    build_W,
     check,
     enumerate_realizations,
     find_E,
@@ -15,8 +13,9 @@ from clifcpt.autmat import (
     read_signs,
 )
 from clifcpt.exact import GaussMatrix
-from clifcpt.fingroup import minus_count, sig_str, signed_closure
-from clifcpt.spinrep import SpinBasis, build_spinbasis, preset_spinbasis
+from clifcpt.fingroup import identify_abstract, minus_count, sig_str
+from clifcpt.spinrep import SpinBasis, build_spinbasis, preset_spinbasis, product_over
+from dense_reference import conjugated_bases, dense_realizations, matrix_closure
 from gammas import gamma_matrices, product
 
 
@@ -120,9 +119,13 @@ def test_intertwining_conditions_dirac(dirac_realization):
     assert pairs >= 7 * len(bases)
 
 
+def _dense_w(basis):
+    return product_over(basis, (1 << basis.sig.n) - 1)
+
+
 def test_cl11_tower_products():
     basis = build_spinbasis(MetricSignature(1, 1))
-    w = build_W(basis)
+    w = _dense_w(basis)
     assert w == basis.gens[0] * basis.gens[1]
     assert (w * w).pm_identity() == 1
     es = find_E(basis)
@@ -131,21 +134,20 @@ def test_cl11_tower_products():
 
 def test_cl20_e_is_identity_and_c_is_w_transpose():
     basis = build_spinbasis(MetricSignature(2, 0))
-    w = build_W(basis)
+    w = _dense_w(basis)
     assert (w * w).pm_identity() == -1
     es = find_E(basis)
-    assert len(es) == 1
-    e, choice, mask = es[0]
-    assert e == GaussMatrix.identity(2) and mask == 0
-    c = build_C(e, w, basis)
-    assert c == w.transpose()
+    assert es == [(0, "skew_product")]
+    e = product_over(basis, 0)
+    assert e == GaussMatrix.identity(2)
+    assert enumerate_realizations(basis)[0].matrix("C") == e * w.transpose() == w.transpose()
     pis = find_Pi(basis)
-    assert len(pis) == 1 and pis[0][1] == "identity"
+    assert pis == [(0, "identity")]
 
 
 def test_complex_c4_w_squares_plus():
     basis = build_spinbasis(MetricSignature(4, 0, COMPLEX))
-    w = build_W(basis)
+    w = _dense_w(basis)
     assert (w * w).pm_identity() == 1
 
 
@@ -153,10 +155,10 @@ def test_complex_c2_e_choice_by_direct_check():
     basis = build_spinbasis(MetricSignature(2, 0, COMPLEX))
     es = find_E(basis)
     assert len(es) == 1
-    e, choice, mask = es[0]
+    mask, choice = es[0]
     # k = 1 odd, so only the symmetric product intertwines: E = generator 1.
     assert choice == "sym_product"
-    assert e == basis.gens[0]
+    assert product_over(basis, mask) == basis.gens[0]
 
 
 def test_enumerate_cl20_single_identity_pi_realization():
@@ -188,7 +190,7 @@ def test_w_square_general_formula():
     for p, q in ((1, 1), (2, 0), (1, 3), (2, 2), (0, 4), (3, 3), (4, 2)):
         basis = build_spinbasis(MetricSignature(p, q))
         n = p + q
-        w = build_W(basis)
+        w = _dense_w(basis)
         expect = 1 if ((n * (n - 1) // 2) + q) % 2 == 0 else -1
         assert (w * w).pm_identity() == expect
 
@@ -215,13 +217,13 @@ def test_read_signs_rejects_a_pair_that_neither_commutes_nor_anticommutes():
 
     eye = perm((0, 1, 2))
     s12, s23, cycle = perm((1, 0, 2)), perm((0, 2, 1)), perm((1, 2, 0))
-    assert read_signs(signed_closure((eye, s12))) == ((1,), ((1, 1), (1, 1)))
-    s3 = signed_closure((eye, s12, s23))
+    assert read_signs(matrix_closure((eye, s12))) == ((1,), ((1, 1), (1, 1)))
+    s3 = matrix_closure((eye, s12, s23))
     assert s3.order == 6 and not s3.contains_minus_I
     with pytest.raises(ConditionError, match="neither commutes nor anticommutes"):
         read_signs(s3)
     with pytest.raises(ConditionError, match=r"W\^2 is not \+-I"):
-        read_signs(signed_closure((eye, cycle)))
+        read_signs(matrix_closure((eye, cycle)))
 
 
 def test_check_reports_failing_generator_indices():
@@ -280,3 +282,43 @@ def test_ext_legend_uses_slot_indices_for_tower_bases():
     table, legend = cayley_for(2, 2, "ext", "canonical")
     assert legend["W"] == "g1234"
     assert table.labels[0] == "I"
+
+
+def _parity_bases():
+    """Every canonical real basis with n <= 8 (n = 0 included), the
+    complex bases with n <= 8, the Dirac basis, and the orthogonally
+    conjugated bases, monomial and dense."""
+    bases = [
+        build_spinbasis(MetricSignature(p, n - p)) for n in range(0, 9, 2) for p in range(n, -1, -1)
+    ]
+    bases += [build_spinbasis(MetricSignature(n, 0, COMPLEX)) for n in range(0, 9, 2)]
+    bases.append(preset_spinbasis("dirac"))
+    bases += [basis for _, _, basis in conjugated_bases()]
+    return bases
+
+
+def test_blade_realizations_match_dense_reference():
+    # Every fact the package reads off signed blades equals the one the
+    # literal matrix products give: masks, choices, signs, the closure and
+    # its invariants. A flipped transpose sign in W^T, or one that ignores
+    # the symmetric generators, changes the sign of C and F here.
+    bases = _parity_bases()
+    assert len(bases) == 25 + 5 + 1 + 20
+    compared = 0
+    for basis in bases:
+        got, want = enumerate_realizations(basis), dense_realizations(basis)
+        assert len(got) == len(want), basis.sig
+        for r, ref in zip(got, want):
+            where = (basis.sig, basis.provenance, r.choice_e, r.choice_pi)
+            assert (r.choice_e, r.choice_pi) == ref["choices"], where
+            assert r.masks == ref["masks"], where
+            assert r.rep_signs == ref["rep_signs"], where
+            assert r.signature == ref["signature"], where
+            assert r.commutation == ref["commutation"], where
+            assert r.group.order == ref["order"], where
+            assert r.group.contains_minus_I == ref["contains_minus_I"], where
+            assert identify_abstract(r.group) == ref["abstract"], where
+            assert r.order_counts == ref["order_counts"], where
+            assert list(r.matrices()) == ref["matrices"], where
+            compared += 1
+    assert compared >= len(bases)

@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from clifcpt.algebra import COMPLEX, MetricSignature
-from clifcpt.autmat import build_C, build_W, enumerate_realizations, find_E, find_Pi, read_signs
+from clifcpt.autmat import ELEMENT_NAMES, enumerate_realizations, read_signs
 from clifcpt.exact import GaussMatrix, GaussRational
 from clifcpt.fingroup import (
     CLOSURE_LIMIT,
@@ -26,19 +26,18 @@ from clifcpt.goldens import (
     signed_cells,
 )
 from clifcpt.pipeline import ext_reps, wigner_reps
-from clifcpt.spinrep import build_spinbasis, preset_spinbasis
+from clifcpt.spinrep import build_spinbasis, preset_spinbasis, product_over
+from dense_reference import dense_realizations, matrix_closure
 from gammas import gamma_matrices, product
 
 
 def test_closure_identity_only():
-    g = signed_closure([GaussMatrix.identity(4)])
+    g = matrix_closure([GaussMatrix.identity(4)])
     assert g.order == 1 and not g.contains_minus_I
 
 
 def test_closure_dirac_ext_is_sixteen():
-    basis = preset_spinbasis("dirac")
-    r = enumerate_realizations(basis)[0]
-    g = signed_closure(list(r.matrices()))
+    g = matrix_closure(dense_realizations(preset_spinbasis("dirac"))[0]["matrices"])
     assert g.order == 16
     assert g.contains_minus_I
     elems = set(g.elements)
@@ -49,7 +48,7 @@ def test_closure_dirac_ext_is_sixteen():
 
 def test_closure_reflection_pair_order_eight():
     g0, g1, _, g3 = gamma_matrices()
-    g = signed_closure([g0, product(g1, g3)])
+    g = matrix_closure([g0, product(g1, g3)])
     assert g.order == 8
 
 
@@ -71,7 +70,7 @@ def test_order_structure_examples():
 
 def test_element_order():
     def histogram(gen):
-        return identify_abstract(signed_closure([gen]))["order_histogram"]
+        return identify_abstract(matrix_closure([gen]))["order_histogram"]
 
     eye = GaussMatrix.identity(2)
     assert histogram(eye) == {1: 1}
@@ -102,38 +101,36 @@ def _identify_by_products(group):
     }
 
 
-def _reference_realizations(max_n):
-    """Every realization of the canonical real bases with even n <= max_n,
-    then the dirac preset's."""
-    out = []
+def _reference_bases(max_n):
+    """The canonical real bases with even n <= max_n, then the dirac preset."""
+    bases = []
     for n in range(0, max_n + 1, 2):
-        for p in range(n, -1, -1):
-            out.extend(enumerate_realizations(build_spinbasis(MetricSignature(p, n - p))))
-    out.append(enumerate_realizations(preset_spinbasis("dirac"))[0])
-    return out
+        bases.extend(build_spinbasis(MetricSignature(p, n - p)) for p in range(n, -1, -1))
+    bases.append(preset_spinbasis("dirac"))
+    return bases
 
 
 def _reference_generator_sets(max_n):
-    sets = [list(r.matrices()) for r in _reference_realizations(max_n)]
+    """The eight matrices of every realization of the reference bases,
+    built as literal products, then the reflection set."""
+    sets = [ref["matrices"] for b in _reference_bases(max_n) for ref in dense_realizations(b)]
     sets.append([m for _, m in wigner_reps(preset_spinbasis("dirac"))])
     return sets
 
 
 def _reference_closures():
-    return [signed_closure(gens) for gens in _reference_generator_sets(8)]
+    return [matrix_closure(gens) for gens in _reference_generator_sets(8)]
 
 
 def _tricky_generator_sets():
     """Inputs that no realization passes: duplicates, the identity not
     first, and an input that is redundant only up to sign."""
-    dirac = enumerate_realizations(preset_spinbasis("dirac"))[0]
-    eye, w, e, pi = (dirac.matrix(name) for name in ("I", "W", "E", "Pi"))
+    eye, w, e, _, pi = dense_realizations(preset_spinbasis("dirac"))[0]["matrices"][:5]
     duplicates = [w, w, e, eye, e, pi, w]
     identity_late = [w, e, eye, pi]
     # In Cl(4,4), <W, E> = {I, W, E, E*W} holds no -I: -E*W lies outside
     # it, and its negative inside.
-    split = enumerate_realizations(build_spinbasis(MetricSignature(4, 4)))[0]
-    eye, w, e = (split.matrix(name) for name in ("I", "W", "E"))
+    eye, w, e = dense_realizations(build_spinbasis(MetricSignature(4, 4)))[0]["matrices"][:3]
     assert -eye not in _closure_members([w, e]) and e * w in _closure_members([w, e])
     sign_only = [eye, w, e, -(e * w)]
     return [duplicates, identity_late, sign_only]
@@ -183,14 +180,14 @@ def test_closure_forms_each_product_once(monkeypatch):
     monkeypatch.setattr(GaussMatrix, "__mul__", recording_mul)
     for gens, k in zip(sets, enlarging):
         pairs.clear()
-        group = signed_closure(gens)
+        group = matrix_closure(gens)
         assert max(pairs.values()) == 1
         assert sum(pairs.values()) == group.order * k
 
 
 def test_closure_matches_all_pairs_reference():
     for gens in _reference_generator_sets(8) + _tricky_generator_sets():
-        group = signed_closure(gens)
+        group = matrix_closure(gens)
         products = _all_pairs_closure(gens)
         members = {x for x, _ in products}
         elems = group.elements
@@ -242,42 +239,33 @@ def _commutation_by_products(mats):
     return tuple(table)
 
 
-def _built_by_hand(r):
-    """I, W, E, C, Pi, K, S, F from the single-matrix builders, for the
-    (E, Pi) choice of realization `r`."""
-    basis = r.basis
-    w = build_W(basis)
-    e = next(m for m, choice, _ in find_E(basis) if choice == r.choice_e)
-    pi = next(m for m, choice, _ in find_Pi(basis) if choice == r.choice_pi)
-    c = build_C(e, w, basis)
-    return [GaussMatrix.identity(basis.dim), w, e, c, pi, pi * w, pi * e, pi * c]
-
-
 def test_sign_readout_matches_matrix_products():
-    realizations = _reference_realizations(8)
+    realizations = [r for b in _reference_bases(8) for r in enumerate_realizations(b)]
     for r in realizations:
+        ref = next(
+            x for x in dense_realizations(r.basis) if x["choices"] == (r.choice_e, r.choice_pi)
+        )
         mats = list(r.matrices())
-        assert mats == _built_by_hand(r)
+        assert mats == ref["matrices"]
         assert r.signature == _square_signs_by_products(mats)
         assert r.commutation == _commutation_by_products(mats)
-        assert r.order_counts == order_structure(r.reps)
+        reps = [product_over(r.basis, r.masks.get(name, 0)) for name in ELEMENT_NAMES]
+        assert r.order_counts == order_structure(reps)
     sets = [[m for _, m in wigner_reps(preset_spinbasis("dirac"))]]
     for n in range(0, 9, 2):
         basis = build_spinbasis(MetricSignature(n, 0, COMPLEX))
-        w = build_W(basis)
-        e = find_E(basis)[0][0]
-        gens = [GaussMatrix.identity(basis.dim), w, e, build_C(e, w, basis)]
+        gens = dense_realizations(basis)[0]["matrices"][:4]
         sets.append(gens)
         # The complex cell reads its W, E, C signs off its first realization.
-        squares, table = read_signs(signed_closure(gens))
+        squares, table = read_signs(matrix_closure(gens))
         first = enumerate_realizations(basis)[0]
         assert first.signature[:3] == squares
         assert tuple(row[:4] for row in first.commutation[:4]) == table
     for gens in sets:
-        group = signed_closure(gens)
+        group = matrix_closure(gens)
         assert [group.elements[k] for k in group.generators] == gens
         assert read_signs(group) == (_square_signs_by_products(gens), _commutation_by_products(gens))
-    # At n = 0 all eight matrices are I: one element, one index.
+    # At n = 0 all eight elements are I: one element, one index.
     trivial = realizations[0].group
     assert trivial.order == 1 and trivial.generators == (0,) * 8
 
@@ -285,9 +273,9 @@ def test_sign_readout_matches_matrix_products():
 def test_singular_generator_raises_group_structure_error():
     projector = GaussMatrix([[1, 0], [0, 0]])
     with pytest.raises(GroupStructureError, match="identity"):
-        signed_closure([projector])
+        matrix_closure([projector])
     # The identity is present, but the projector has no inverse.
-    semigroup = signed_closure([GaussMatrix.identity(2), projector])
+    semigroup = matrix_closure([GaussMatrix.identity(2), projector])
     with pytest.raises(GroupStructureError):
         identify_abstract(semigroup)
 
@@ -321,7 +309,7 @@ def test_identify_quaternion_group():
     i_unit = GaussRational(0, 1)
     s1 = GaussMatrix([[0, 1], [1, 0]]).scale(i_unit)
     s3 = GaussMatrix([[1, 0], [0, -1]]).scale(i_unit)
-    g = signed_closure([s1, s3])
+    g = matrix_closure([s1, s3])
     info = identify_abstract(g)
     assert info["order"] == 8
     assert not info["abelian"]
@@ -331,7 +319,7 @@ def test_identify_quaternion_group():
 
 def test_identify_klein_like_closure():
     d = GaussMatrix([[1, 0], [0, -1]])
-    g = signed_closure([d, -GaussMatrix.identity(2)])
+    g = matrix_closure([d, -GaussMatrix.identity(2)])
     info = identify_abstract(g)
     assert info["order"] == 4 and info["abelian"]
     assert info["order_histogram"] == {1: 1, 2: 3}
@@ -339,7 +327,7 @@ def test_identify_klein_like_closure():
 
 def test_identify_wigner_closure_invariants():
     basis = preset_spinbasis("dirac")
-    g = signed_closure([m for _, m in wigner_reps(basis)])
+    g = matrix_closure([m for _, m in wigner_reps(basis)])
     info = identify_abstract(g)
     assert info["order"] == 16
     assert not info["abelian"]
@@ -400,4 +388,4 @@ def test_census_64():
 def test_closure_limit_guard():
     assert CLOSURE_LIMIT == 256
     with pytest.raises(GroupStructureError):
-        signed_closure([])
+        signed_closure([], GaussMatrix.identity(2))

@@ -1,4 +1,6 @@
-from clifcpt import autmat, fingroup
+from clifcpt import autmat, fingroup, pipeline
+from clifcpt.algebra import Multivector
+from clifcpt.exact import GaussMatrix
 from clifcpt.pipeline import classify_cell, sweep, sweep_to_csv, sweep_to_markdown, to_json
 
 
@@ -40,40 +42,60 @@ def test_sweep_pool_never_exceeds_cell_count(monkeypatch):
     assert requested == [3, 2]
 
 
-def test_record_never_closes_the_group_again(monkeypatch):
+def test_realizations_close_signed_blades_not_matrices(monkeypatch):
+    # The realization stage closes signed blades and hashes no matrix, yet
+    # tests the intertwining conditions on matrices as often as the matrix
+    # closure did: W once, each E and Pi candidate, and C, K, S and F per
+    # realization, 8 per cell here. The record reads every group fact off
+    # that one closure.
     cells = [(1, 3, "real", "dirac"), (3, 3, "real", "canonical"), (6, 0, "complex", "canonical")]
     expected = [classify_cell(*cell) for cell in cells]
-    closures = completions = products = 0
-    closure, complete_set = autmat.signed_closure, autmat.complete_set
-    product_over = autmat.product_over
+    closures = completions = checks = hashes_inside = 0
+    inside = False
+    closure, complete_set, check = autmat.signed_closure, autmat.complete_set, autmat.check
+    enumerate_realizations = pipeline.enumerate_realizations
+    matrix_hash = GaussMatrix.__hash__
 
-    def counting_closure(*args, **kwargs):
+    def blade_closure(gens, identity):
         nonlocal closures
         closures += 1
-        return closure(*args, **kwargs)
-
-    def counting_product_over(*args, **kwargs):
-        nonlocal products
-        products += 1
-        return product_over(*args, **kwargs)
+        assert all(isinstance(x, Multivector) for x in (*gens, identity))
+        return closure(gens, identity)
 
     def counting_complete_set(*args, **kwargs):
-        # W, E and Pi are their own representatives: only C, K, S and F
-        # are formed as generator products.
         nonlocal completions
         completions += 1
-        before = products
-        out = complete_set(*args, **kwargs)
-        assert products - before == 4
-        return out
+        return complete_set(*args, **kwargs)
+
+    def counting_check(*args, **kwargs):
+        nonlocal checks
+        checks += 1
+        return check(*args, **kwargs)
+
+    def tracked_enumerate(basis):
+        nonlocal inside
+        inside = True
+        try:
+            return enumerate_realizations(basis)
+        finally:
+            inside = False
+
+    def tracked_hash(m):
+        nonlocal hashes_inside
+        hashes_inside += inside
+        return matrix_hash(m)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the record recomputed a group fact")
 
-    monkeypatch.setattr(autmat, "signed_closure", counting_closure)
+    monkeypatch.setattr(autmat, "signed_closure", blade_closure)
     monkeypatch.setattr(autmat, "complete_set", counting_complete_set)
-    monkeypatch.setattr(autmat, "product_over", counting_product_over)
+    monkeypatch.setattr(autmat, "check", counting_check)
+    monkeypatch.setattr(pipeline, "enumerate_realizations", tracked_enumerate)
+    monkeypatch.setattr(GaussMatrix, "__hash__", tracked_hash)
     monkeypatch.setattr(fingroup, "signed_closure", refuse)
     monkeypatch.setattr(fingroup, "order_structure", refuse)
     assert [classify_cell(*cell) for cell in cells] == expected
     assert completions >= len(cells) and closures == completions
+    assert checks == 8 * len(cells)
+    assert hashes_inside == 0

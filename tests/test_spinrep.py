@@ -300,7 +300,7 @@ def test_represent_intertwines_the_four_maps():
     # represent is a homomorphism, and each realization's W, E, C and Pi
     # carry the grade involution, reversion, conjugation and complex
     # conjugation to the matrix side.
-    from clifcpt.autmat import enumerate_realizations
+    from dense_reference import dense_realizations
 
     rng = random.Random(23)
     bases = [preset_spinbasis("dirac")]
@@ -309,8 +309,8 @@ def test_represent_intertwines_the_four_maps():
         bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
     samples = 0
     for basis in bases:
-        for r in enumerate_realizations(basis):
-            w, e, c, pi = r.matrices()[1:5]
+        for ref in dense_realizations(basis):
+            w, e, c, pi = ref["matrices"][1:5]
             for _ in range(4):
                 a = random_multivector(basis.sig, rng, allow_complex_coeffs=True)
                 b = random_multivector(basis.sig, rng, allow_complex_coeffs=True)
