@@ -436,12 +436,37 @@ _SUITES = {
 }
 
 
-def run_suites(names, max_dim: int = 8) -> list[CheckResult]:
+def _run_group(names, max_dim: int) -> dict[str, list[CheckResult]]:
+    """Run `names` in order, sharing one realization table."""
     realizations: dict[SpinBasis, list[Realization]] = {}
-    results = []
-    for name in names:
-        results.extend(_SUITES[name](max_dim, realizations))
-    return results
+    return {name: _SUITES[name](max_dim, realizations) for name in names}
+
+
+def run_suites(names, max_dim: int = 8, jobs: int = 1) -> list[CheckResult]:
+    """Run the suites `names`; the checks come back in the order of `names`.
+
+    The suites that read realizations share one table, so they form one
+    task; `automorphisms` reads none and forms the other. With jobs > 1
+    and both tasks present, the two run in a process pool.
+    """
+    tasks = [
+        [n for n in names if n != "automorphisms"],
+        [n for n in names if n == "automorphisms"],
+    ]
+    tasks = [t for t in tasks if t]
+    by_suite: dict[str, list[CheckResult]] = {}
+    if jobs > 1 and len(tasks) > 1:
+        # Imported here: loading multiprocessing slows the start of every
+        # command, and only a verify with jobs > 1 and two tasks uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            for done in pool.map(_run_group, tasks, [max_dim] * len(tasks)):
+                by_suite.update(done)
+    else:
+        for task in tasks:
+            by_suite.update(_run_group(task, max_dim))
+    return [r for name in names for r in by_suite[name]]
 
 
 def report_dict(results: list[CheckResult]) -> dict:

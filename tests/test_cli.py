@@ -296,9 +296,10 @@ def test_outputs_match_the_benchmark_golden_record(tmp_path, capsys, monkeypatch
     argv = ["sweep", "--max-dim", "8", "--field", "real", "--jobs", "1", "--format", "json"]
     assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["atlas_sha256"]
-    code, report, _ = run_cli(["verify", "--suite", "all", "--max-dim", "6"], capsys)
-    assert code == 0
-    assert [re.sub(r" \(\d+\.\d+s\)", "", line) for line in report.splitlines()] == golden["verify_lines"]
+    for jobs in ("1", "2"):
+        code, report, _ = run_cli(["verify", "--suite", "all", "--max-dim", "6", "--jobs", jobs], capsys)
+        assert code == 0
+        assert [re.sub(r" \(\d+\.\d+s\)", "", line) for line in report.splitlines()] == golden["verify_lines"]
 
 
 def test_color_env_flag(capsys, monkeypatch):
@@ -411,6 +412,19 @@ def test_verify_exit_1_on_failing_check(capsys, monkeypatch):
     code, out, _ = run_cli(["verify", "--suite", "coverings"], capsys)
     assert code == 1
     assert "FAIL" in out and "forced failure" in out
+    monkeypatch.undo()
+    # Under --jobs 2, automorphisms runs in a pool worker, coverings beside it.
+    for suite in ("automorphisms", "coverings"):
+        for jobs in ("1", "2"):
+            with monkeypatch.context() as m:
+                m.setitem(vf._SUITES, suite, lambda max_dim, table: [
+                    CheckResult(suite, "stub", False, "forced failure", 0.0)
+                ])
+                argv = ["verify", "--suite", "all", "--max-dim", "2", "--jobs", jobs]
+                code, out, _ = run_cli(argv, capsys)
+            assert code == 1
+            failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+            assert failed == [f"FAIL [{suite}] stub (0.00s) forced failure"]
 
 
 def test_out_of_range_inputs_exit_2(capsys):
@@ -429,18 +443,99 @@ def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
     from clifcpt import verify as vf
     from clifcpt.autmat import ConditionError
 
-    def broken_census():
-        raise ConditionError("census table unavailable")
+    # (verify attribute to break, the check that then raises); under
+    # --jobs 2 the automorphisms check raises in a pool worker.
+    cases = (
+        ("census_64", "[groups] signature-census"),
+        ("involution_via_omega_check", "[automorphisms] volume-element-conjugation"),
+        ("radon_hurwitz", "[coverings] arithmetic-classification"),
+    )
+    for attr, check in cases:
+        for jobs in ("1", "2"):
 
-    monkeypatch.setattr(vf, "census_64", broken_census)
-    code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "2"], capsys)
-    assert code == 1
-    lines = out.splitlines()
-    assert lines[-1] == "16/17 checks passed"
-    failed = [line for line in lines if line.startswith("FAIL")]
-    assert len(failed) == 1
-    assert "signature-census" in failed[0]
-    assert "ConditionError: census table unavailable" in failed[0]
+            def broken(*args):
+                raise ConditionError(f"{attr} unavailable")
+
+            with monkeypatch.context() as m:
+                m.setattr(vf, attr, broken)
+                argv = ["verify", "--suite", "all", "--max-dim", "2", "--jobs", jobs]
+                code, out, _ = run_cli(argv, capsys)
+            assert code == 1
+            lines = out.splitlines()
+            assert lines[-1] == "16/17 checks passed"
+            failed = [line for line in lines if line.startswith("FAIL")]
+            assert len(failed) == 1
+            assert check in failed[0]
+            assert f"ConditionError: {attr} unavailable" in failed[0]
+
+
+def test_run_suites_keeps_the_order_of_names_in_a_pool():
+    from clifcpt.verify import run_suites
+
+    names = ["coverings", "automorphisms", "theorems"]
+    suites = [r.suite for r in run_suites(names, 4, jobs=2)]
+    assert suites == ["coverings"] * 5 + ["automorphisms"] * 4 + ["theorems"] * 3
+
+
+def test_verify_pool_asks_for_at_most_two_workers(capsys, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class InlinePool:
+        """Records max_workers and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    argv = ["verify", "--suite", "all", "--max-dim", "2", "--jobs", "1000000"]
+    assert run_cli(argv, capsys)[0] == 0
+    assert asked == [2]
+    # One task, or one job, forms no pool.
+    assert run_cli(["verify", "--suite", "theorems", "--max-dim", "2", "--jobs", "4"], capsys)[0] == 0
+    assert run_cli(["verify", "--suite", "all", "--max-dim", "2", "--jobs", "1"], capsys)[0] == 0
+    assert asked == [2]
+
+
+def test_jobs_below_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    from clifcpt import pipeline, verify as vf
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(vf, "run_suites", no_work)
+    monkeypatch.setattr(pipeline, "sweep", no_work)
+    out = str(tmp_path / "atlas.json")
+    for jobs in ("0", "-2"):
+        for argv in (["verify", "--jobs", jobs], ["sweep", "--max-dim", "2", "--out", out, "--jobs", jobs]):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 2 and "--jobs must be positive" in err
+
+
+def test_jobs_default_to_the_usable_cores(monkeypatch):
+    from clifcpt import cli
+
+    def defaults():
+        parser = cli._build_parser()
+        verify_args = parser.parse_args(["verify"])
+        sweep_args = parser.parse_args(["sweep", "--max-dim", "2", "--out", "x.json"])
+        return verify_args.jobs, sweep_args.jobs
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert defaults() == (3, 3)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert defaults() == (64, 64)
 
 
 def test_group_invariant_failure_exits_1(capsys, monkeypatch):
