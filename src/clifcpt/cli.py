@@ -71,19 +71,12 @@ def _atomic_write(path: str, content: str) -> None:
         raise
 
 
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    # The cores this process may run on: os.cpu_count() counts all the
-    # machine's cores, also where a cpuset allows the process fewer.
+def _usable_cores() -> int:
+    """The cores this process may run on: os.cpu_count() counts all the
+    machine's cores, also where a cpuset allows the process fewer."""
     if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    parser.add_argument("--jobs", type=int, default=cores, help="worker processes (default: usable cores)")
-
-
-def _check_jobs(args) -> None:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be positive")
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--field", choices=(REAL, COMPLEX), default=REAL)
     swp.add_argument("--out", required=True)
     swp.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    _add_jobs(swp)
+    swp.add_argument("--jobs", type=int, default=_usable_cores(), help="worker processes (default: usable cores)")
 
     cay = sub.add_parser("cayley", help="render a Cayley table")
     cay.add_argument("--p", type=int, required=True)
@@ -121,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     ver.add_argument("--max-dim", type=int, default=8)
-    _add_jobs(ver)
     return parser
 
 
@@ -170,7 +162,8 @@ def cmd_classify(args) -> int:
 def cmd_sweep(args) -> int:
     if not 0 <= args.max_dim <= MAX_DIM:
         raise UsageError(f"--max-dim must be between 0 and {MAX_DIM}")
-    _check_jobs(args)
+    if args.jobs < 1:
+        raise UsageError("--jobs must be positive")
     if os.path.isdir(args.out):
         raise UsageError(f"--out {args.out} is a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
@@ -205,9 +198,8 @@ def cmd_cayley(args) -> int:
 def cmd_verify(args) -> int:
     if not 0 <= args.max_dim <= MAX_DIM:
         raise UsageError(f"--max-dim must be between 0 and {MAX_DIM}")
-    _check_jobs(args)
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = verify.run_suites(names, args.max_dim, args.jobs)
+    results = verify.run_suites(names, args.max_dim, _usable_cores())
     failures = 0
     for r in results:
         status = _paint("PASS", True) if r.passed else _paint("FAIL", False)

@@ -445,27 +445,23 @@ def _run_group(names, max_dim: int) -> dict[str, list[CheckResult]]:
 def run_suites(names, max_dim: int = 8, jobs: int = 1) -> list[CheckResult]:
     """Run the suites `names`; the checks come back in the order of `names`.
 
-    The suites that read realizations share one table, so they form one
-    task; `automorphisms` reads none and forms the other. With jobs > 1
-    and both tasks present, the two run in a process pool.
+    The suites that read realizations share one table; `automorphisms`
+    reads none. With jobs > 1 and both kinds present, `automorphisms` runs
+    in one worker process while this process runs the others.
     """
-    tasks = [
-        [n for n in names if n != "automorphisms"],
-        [n for n in names if n == "automorphisms"],
-    ]
-    tasks = [t for t in tasks if t]
-    by_suite: dict[str, list[CheckResult]] = {}
-    if jobs > 1 and len(tasks) > 1:
+    shared = [n for n in names if n != "automorphisms"]
+    auto = [n for n in names if n == "automorphisms"]
+    if jobs > 1 and shared and auto:
         # Imported here: loading multiprocessing slows the start of every
-        # command, and only a verify with jobs > 1 and two tasks uses it.
+        # command, and only a verify that runs both kinds uses it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for done in pool.map(_run_group, tasks, [max_dim] * len(tasks)):
-                by_suite.update(done)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            worker = pool.submit(_run_group, auto, max_dim)
+            by_suite = _run_group(shared, max_dim)
+            by_suite.update(worker.result())
     else:
-        for task in tasks:
-            by_suite.update(_run_group(task, max_dim))
+        by_suite = _run_group(names, max_dim)
     return [r for name in names for r in by_suite[name]]
 
 

@@ -8,6 +8,7 @@ import sys
 import jsonschema
 import pytest
 
+from clifcpt import cli
 from clifcpt.cli import main
 from clifcpt.pipeline import classify_cell, to_json
 from dense_reference import conjugated_bases
@@ -26,6 +27,36 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _inline_pool(monkeypatch):
+    """Replace ProcessPoolExecutor with a pool that runs each task in this
+    process, passing the task and its result through pickle as a worker
+    would; returns the list of names each task was submitted with."""
+    import concurrent.futures
+    import pickle
+
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fn, args = pickle.loads(pickle.dumps((fn, args)))
+            submitted.append(args[0])
+            future = concurrent.futures.Future()
+            future.set_result(pickle.loads(pickle.dumps(fn(*args))))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return submitted
 
 
 def test_classify_dirac_json(capsys):
@@ -296,8 +327,10 @@ def test_outputs_match_the_benchmark_golden_record(tmp_path, capsys, monkeypatch
     argv = ["sweep", "--max-dim", "8", "--field", "real", "--jobs", "1", "--format", "json"]
     assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["atlas_sha256"]
-    for jobs in ("1", "2"):
-        code, report, _ = run_cli(["verify", "--suite", "all", "--max-dim", "6", "--jobs", jobs], capsys)
+    # On two usable cores, automorphisms runs in a worker process.
+    for cores in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        code, report, _ = run_cli(["verify", "--suite", "all", "--max-dim", "6"], capsys)
         assert code == 0
         assert [re.sub(r" \(\d+\.\d+s\)", "", line) for line in report.splitlines()] == golden["verify_lines"]
 
@@ -413,15 +446,17 @@ def test_verify_exit_1_on_failing_check(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out and "forced failure" in out
     monkeypatch.undo()
-    # Under --jobs 2, automorphisms runs in a pool worker, coverings beside it.
+    # On two cores automorphisms runs in the worker, coverings in this process.
     for suite in ("automorphisms", "coverings"):
-        for jobs in ("1", "2"):
+        for cores in (1, 2):
             with monkeypatch.context() as m:
+                submitted = _inline_pool(m)
+                m.setattr(cli, "_usable_cores", lambda: cores)
                 m.setitem(vf._SUITES, suite, lambda max_dim, table: [
                     CheckResult(suite, "stub", False, "forced failure", 0.0)
                 ])
-                argv = ["verify", "--suite", "all", "--max-dim", "2", "--jobs", jobs]
-                code, out, _ = run_cli(argv, capsys)
+                code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "2"], capsys)
+            assert submitted == ([] if cores == 1 else [["automorphisms"]])
             assert code == 1
             failed = [line for line in out.splitlines() if line.startswith("FAIL")]
             assert failed == [f"FAIL [{suite}] stub (0.00s) forced failure"]
@@ -443,23 +478,25 @@ def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
     from clifcpt import verify as vf
     from clifcpt.autmat import ConditionError
 
-    # (verify attribute to break, the check that then raises); under
-    # --jobs 2 the automorphisms check raises in a pool worker.
+    # (verify attribute to break, the check that then raises); on two
+    # cores the automorphisms check raises in the worker.
     cases = (
         ("census_64", "[groups] signature-census"),
         ("involution_via_omega_check", "[automorphisms] volume-element-conjugation"),
         ("radon_hurwitz", "[coverings] arithmetic-classification"),
     )
     for attr, check in cases:
-        for jobs in ("1", "2"):
+        for cores in (1, 2):
 
             def broken(*args):
                 raise ConditionError(f"{attr} unavailable")
 
             with monkeypatch.context() as m:
+                submitted = _inline_pool(m)
+                m.setattr(cli, "_usable_cores", lambda: cores)
                 m.setattr(vf, attr, broken)
-                argv = ["verify", "--suite", "all", "--max-dim", "2", "--jobs", jobs]
-                code, out, _ = run_cli(argv, capsys)
+                code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "2"], capsys)
+            assert len(submitted) == cores - 1
             assert code == 1
             lines = out.splitlines()
             assert lines[-1] == "16/17 checks passed"
@@ -477,65 +514,33 @@ def test_run_suites_keeps_the_order_of_names_in_a_pool():
     assert suites == ["coverings"] * 5 + ["automorphisms"] * 4 + ["theorems"] * 3
 
 
-def test_verify_pool_asks_for_at_most_two_workers(capsys, monkeypatch):
-    import concurrent.futures
+def test_jobs_default_to_the_usable_cores(capsys, monkeypatch):
+    from clifcpt import verify as vf
 
     asked = []
-
-    class InlinePool:
-        """Records max_workers and runs the tasks in this process."""
-
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    argv = ["verify", "--suite", "all", "--max-dim", "2", "--jobs", "1000000"]
-    assert run_cli(argv, capsys)[0] == 0
-    assert asked == [2]
-    # One task, or one job, forms no pool.
-    assert run_cli(["verify", "--suite", "theorems", "--max-dim", "2", "--jobs", "4"], capsys)[0] == 0
-    assert run_cli(["verify", "--suite", "all", "--max-dim", "2", "--jobs", "1"], capsys)[0] == 0
-    assert asked == [2]
+    monkeypatch.setattr(vf, "run_suites", lambda names, max_dim, jobs: asked.append(jobs) or [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    sweep_argv = ["sweep", "--max-dim", "2", "--out", "x.json"]
+    assert cli._build_parser().parse_args(sweep_argv).jobs == 3
+    run_cli(["verify"], capsys)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._build_parser().parse_args(sweep_argv).jobs == 64
+    run_cli(["verify"], capsys)
+    assert asked == [3, 64]
 
 
-def test_jobs_below_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
-    from clifcpt import pipeline, verify as vf
+def test_sweep_jobs_below_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    from clifcpt import pipeline
 
     def no_work(*args):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(vf, "run_suites", no_work)
     monkeypatch.setattr(pipeline, "sweep", no_work)
     out = str(tmp_path / "atlas.json")
     for jobs in ("0", "-2"):
-        for argv in (["verify", "--jobs", jobs], ["sweep", "--max-dim", "2", "--out", out, "--jobs", jobs]):
-            code, _, err = run_cli(argv, capsys)
-            assert code == 2 and "--jobs must be positive" in err
-
-
-def test_jobs_default_to_the_usable_cores(monkeypatch):
-    from clifcpt import cli
-
-    def defaults():
-        parser = cli._build_parser()
-        verify_args = parser.parse_args(["verify"])
-        sweep_args = parser.parse_args(["sweep", "--max-dim", "2", "--out", "x.json"])
-        return verify_args.jobs, sweep_args.jobs
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert defaults() == (3, 3)
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert defaults() == (64, 64)
+        code, _, err = run_cli(["sweep", "--max-dim", "2", "--out", out, "--jobs", jobs], capsys)
+        assert code == 2 and "--jobs must be positive" in err
 
 
 def test_group_invariant_failure_exits_1(capsys, monkeypatch):
