@@ -12,4 +12,8 @@ from .exact import GaussMatrix, GaussRational
 
 __all__ = ["GaussMatrix", "GaussRational", "MetricSignature", "Multivector"]
 
+# The verification suites in report order. Defined here so the command
+# line can list them without loading clifcpt.verify.
+SUITE_NAMES = ("automorphisms", "theorems", "groups", "coverings")
+
 __version__ = "0.1.0"

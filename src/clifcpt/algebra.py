@@ -10,8 +10,6 @@ over one common denominator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -31,23 +29,44 @@ class OddDimensionError(ValueError):
     """The requested identity is not applicable in odd dimension."""
 
 
-@dataclass(frozen=True)
 class MetricSignature:
     """Metric data (p, q) plus the scalar field flag.
 
     Over the complex field only n = p + q matters: all generator squares
-    are normalized to +1.
+    are normalized to +1. Instances are immutable values: equal fields
+    compare and hash equal.
     """
 
-    p: int
-    q: int
-    field: str = REAL
+    __slots__ = ("p", "q", "field")
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"p and q must be nonnegative, got ({self.p},{self.q})")
-        if self.field not in (REAL, COMPLEX):
-            raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
+    def __init__(self, p: int, q: int, field: str = REAL):
+        if p < 0 or q < 0:
+            raise ValueError(f"p and q must be nonnegative, got ({p},{q})")
+        if field not in (REAL, COMPLEX):
+            raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "field", field)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"MetricSignature(p={self.p!r}, q={self.q!r}, field={self.field!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.q, self.field) == (other.p, other.q, other.field)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.field))
+
+    def __reduce__(self):
+        return MetricSignature, (self.p, self.q, self.field)
 
     @property
     def n(self) -> int:
@@ -61,12 +80,16 @@ class MetricSignature:
             return 1
         return 1 if i <= self.p else -1
 
-    @cached_property
+    @property
     def neg_mask(self) -> int:
-        """Blade mask of the generators that square to -1."""
+        """Blade mask of the generators that square to -1.
+
+        Formed on each read, not in __init__: a basis file may name a
+        (p, q) far too large to build, which certification then rejects
+        by its generator count."""
         if self.field == COMPLEX:
             return 0
-        return ((1 << self.n) - 1) ^ ((1 << self.p) - 1)
+        return ((1 << self.q) - 1) << self.p
 
 
 def grade(mask: int) -> int:

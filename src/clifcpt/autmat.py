@@ -29,7 +29,7 @@ W^T = g_n^T ... g_1^T is a signed blade too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Multivector, blade_indices, grade
 from .exact import GaussMatrix
@@ -164,8 +164,7 @@ def is_abelian(table: tuple[tuple[int, ...], ...]) -> bool:
     return all(s == 1 for row in table for s in row)
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """One CPT realization: the signed blades I, W, E, C, Pi, K, S, F
     (held by their signed closure), their generator masks and signs, the
     (E, Pi) choices, and the square and commutation signs read off the

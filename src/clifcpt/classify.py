@@ -3,8 +3,8 @@ numbers, primitive idempotents, and the Wedderburn dimension audit."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     MetricSignature,
@@ -35,8 +35,7 @@ class IdempotentSearchError(RuntimeError):
     """No valid commuting generator set was found (should not happen)."""
 
 
-@dataclass(frozen=True)
-class RingType:
+class RingType(NamedTuple):
     tag: str
     pq_mod8: int
 
@@ -49,8 +48,7 @@ class RingType:
         return _RING_DIM[self.tag]
 
 
-@dataclass(frozen=True)
-class IdempotentData:
+class IdempotentData(NamedTuple):
     k: int
     generators_used: tuple[int, ...]  # blade masks
     f: Multivector
@@ -59,8 +57,7 @@ class IdempotentData:
         return [blade_format(m) for m in self.generators_used]
 
 
-@dataclass(frozen=True)
-class DimensionAudit:
+class DimensionAudit(NamedTuple):
     p: int
     q: int
     passed: bool

@@ -7,7 +7,7 @@ import os
 import sys
 import tempfile
 
-from . import pipeline, verify
+from . import SUITE_NAMES, pipeline
 from .algebra import COMPLEX, REAL
 from .autmat import ConditionError
 from .classify import IdempotentSearchError
@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the verification suites")
     ver.add_argument(
         "--suite",
-        choices=("all",) + verify.SUITE_NAMES,
+        choices=("all",) + SUITE_NAMES,
         default="all",
     )
     ver.add_argument("--max-dim", type=int, default=8)
@@ -198,7 +198,11 @@ def cmd_cayley(args) -> int:
 def cmd_verify(args) -> int:
     if not 0 <= args.max_dim <= MAX_DIM:
         raise UsageError(f"--max-dim must be between 0 and {MAX_DIM}")
-    names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    # Imported here: verify loads goldens and traceback, which no other
+    # command needs.
+    from . import verify
+
+    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = verify.run_suites(names, args.max_dim, _usable_cores())
     failures = 0
     for r in results:

@@ -11,7 +11,7 @@ verification of the artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import grade
 from .classify import ring_type
@@ -27,23 +27,20 @@ class TableLookupError(ValueError):
     """A cover-label lookup fell outside the table."""
 
 
-@dataclass(frozen=True)
-class PredictedAut:
+class PredictedAut(NamedTuple):
     triple: tuple[int, int, int]
     group: str
     abelian: bool
     arm: str
 
 
-@dataclass(frozen=True)
-class CoverLabel:
+class CoverLabel(NamedTuple):
     kind: str  # "PT" or "CPT"
     fiber: str
     cliffordian: bool
 
 
-@dataclass(frozen=True)
-class OddReduction:
+class OddReduction(NamedTuple):
     p: int
     q: int
     targets: tuple[tuple[int, int], ...]

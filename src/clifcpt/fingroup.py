@@ -5,10 +5,9 @@ tables, and the admissible signature census."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product as iterproduct
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import Multivector
 from .exact import GaussMatrix
@@ -42,8 +41,7 @@ class GroupStructureError(ValueError):
     large to identify."""
 
 
-@dataclass(frozen=True)
-class SignedGroup:
+class SignedGroup(NamedTuple):
     elements: tuple[Element, ...]
     mul: tuple[tuple[int, ...], ...]  # mul[i][j]: index of elements[i] * elements[j]
     identity: int  # index of I
@@ -59,8 +57,7 @@ class SignedGroup:
         return self.minus_identity is not None
 
 
-@dataclass(frozen=True)
-class GroupLabel:
+class GroupLabel(NamedTuple):
     tag: str
     abelian: bool
     consistent: bool
@@ -234,8 +231,7 @@ def _element_order(group: SignedGroup, i: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class CayleyTable:
+class CayleyTable(NamedTuple):
     labels: tuple[str, ...]
     cells: tuple[tuple[tuple[int, str], ...], ...]  # (sign, label) per cell
 

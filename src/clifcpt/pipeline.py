@@ -8,8 +8,6 @@ labels, and the predictor-versus-computation comparison.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 from . import covering, fingroup
@@ -420,6 +418,10 @@ def sweep(max_dim: int, field: str = REAL, jobs: int = 1) -> dict:
 
 
 def sweep_to_csv(result: dict) -> str:
+    # Imported here: only sweep --format csv uses them.
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

@@ -5,8 +5,8 @@ drives the classification theorems."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
 from .exact import GaussMatrix, GaussRational, I_UNIT, kron
@@ -55,8 +55,7 @@ _CENSUS = {
 }
 
 
-@dataclass(frozen=True)
-class BasisProfile:
+class BasisProfile(NamedTuple):
     """Census of a certified spin basis as generator-slot masks (bit i-1
     is generator i): the real-entry generators (the rest are imaginary),
     the symmetric ones (the rest are antisymmetric), and those squaring
@@ -85,14 +84,36 @@ class BasisProfile:
         return {name: self.mask(*traits).bit_count() for name, traits in _CENSUS.items()}
 
 
-@dataclass(frozen=True)
 class SpinBasis:
     """Ordered generator matrices for Cl(p,q) or its complexification."""
 
-    sig: MetricSignature
-    # Not hashed, so a cache lookup hashes no matrix; equality compares it.
-    gens: tuple[GaussMatrix, ...] = field(hash=False)
-    provenance: str
+    __slots__ = ("sig", "gens", "provenance")
+
+    def __init__(self, sig: MetricSignature, gens: tuple[GaussMatrix, ...], provenance: str):
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"SpinBasis(sig={self.sig!r}, gens={self.gens!r}, provenance={self.provenance!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sig, self.gens, self.provenance) == (other.sig, other.gens, other.provenance)
+
+    def __hash__(self) -> int:
+        # gens are left out, so a cache lookup hashes no matrix.
+        return hash((self.sig, self.provenance))
+
+    def __reduce__(self):
+        return SpinBasis, (self.sig, self.gens, self.provenance)
 
     @property
     def dim(self) -> int:
@@ -344,7 +365,8 @@ def load_spinbasis(path: str) -> SpinBasis:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the decoder can follow.
         raise SpinBasisFileError(f"cannot read spin basis file {path}: {exc}") from exc
     try:
         p, q = data["p"], data["q"]

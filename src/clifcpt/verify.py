@@ -11,10 +11,10 @@ import os
 import random
 import time
 import traceback
-from dataclasses import dataclass
 from itertools import product as iterproduct
+from typing import NamedTuple
 
-from . import covering
+from . import SUITE_NAMES, covering
 from .algebra import (
     COMPLEX,
     REAL,
@@ -47,13 +47,10 @@ from .goldens import (
 from .pipeline import ext_reps, predictor_analysis, wigner_reps
 from .spinrep import SpinBasis, build_spinbasis, certify_spinbasis, preset_spinbasis
 
-SUITE_NAMES = ("automorphisms", "theorems", "groups", "coverings")
-
 _SEED = 20260810
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     passed: bool

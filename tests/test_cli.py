@@ -344,47 +344,50 @@ def test_color_env_flag(capsys, monkeypatch):
     assert "\x1b[" not in out
 
 
-def test_console_entry_point():
+def _fresh_python(*args):
+    """Run a fresh interpreter with this checkout's package on its path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
-        [sys.executable, "-m", "clifcpt.cli", "classify", "--p", "0", "--q", "2"],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_console_entry_point():
+    proc = _fresh_python("-m", "clifcpt.cli", "classify", "--p", "0", "--q", "2")
     doc = json.loads(proc.stdout)
     assert doc["ring"] == "H"
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "import sys, clifcpt.cli; "
         "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_python("-c", code).stdout.strip() == "[]"
+
+
+def test_classify_leaves_verify_and_dataclasses_unloaded():
+    # Every process pays for what it imports; only verify needs verify and
+    # goldens, and no module needs dataclasses or the inspect it loads.
+    guarded = ("clifcpt.verify", "clifcpt.goldens", "dataclasses", "inspect")
+    report = f"import sys; sys.stderr.write(' '.join(set({guarded!r}) & set(sys.modules)))"
+    # A name that the interpreter's site hooks already load is not ours.
+    bare = set(_fresh_python("-c", report).stderr.split())
+    classify = "from clifcpt.cli import main; main(['classify', '--p', '1', '--q', '3', '--basis', 'dirac'])"
+    for code in ("import clifcpt.cli", classify):
+        loaded = set(_fresh_python("-c", f"{code}; {report}").stderr.split())
+        assert loaded <= bare, (code, sorted(loaded - bare))
 
 
 def test_fingroup_import_leaves_autmat_unloaded():
     # fingroup is the lower layer: autmat builds on it, never the reverse.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = "import sys, clifcpt.fingroup; print('clifcpt.autmat' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert _fresh_python("-c", code).stdout.strip() == "False"
 
 
 def test_json_serialization_deterministic():
@@ -594,3 +597,25 @@ def test_basis_file_with_negative_p_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["classify", "--p", "1", "--q", "3", "--basis", f"file:{path}"], capsys)
     assert code == 2
     assert "malformed spin basis file" in err and "nonnegative" in err
+
+
+def test_undecodable_basis_files_exit_2(tmp_path, capsys):
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text("[" * 100000)
+    for path, reason in ((not_utf8, "codec can't decode"), (too_deep, "recursion")):
+        code, out, err = run_cli(["classify", "--p", "1", "--q", "3", "--basis", f"file:{path}"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read spin basis file {path}: ")
+        assert reason in err
+
+
+def test_basis_file_with_huge_n_fails_certification(tmp_path, capsys):
+    # The signature is built before the generator count is checked, so it
+    # must not form anything of size 2^n.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": 10**12, "q": 3, "generators": []}))
+    code, _, err = run_cli(["classify", "--p", "1", "--q", "3", "--basis", f"file:{path}"], capsys)
+    assert code == 1
+    assert "expected 1000000000003 generators, got 0" in err

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -328,6 +329,45 @@ def test_represent_intertwines_the_four_maps():
 def test_build_spinbasis_is_memoized():
     sig = MetricSignature(2, 2)
     assert build_spinbasis(sig) is build_spinbasis(MetricSignature(2, 2))
+
+
+def test_signature_and_basis_are_immutable_values():
+    sig = MetricSignature(1, 3)
+    assert sig == MetricSignature(1, 3, "real") and hash(sig) == hash(MetricSignature(1, 3))
+    assert sig != MetricSignature(3, 1) and sig != MetricSignature(1, 3, COMPLEX)
+    assert repr(sig) == "MetricSignature(p=1, q=3, field='real')"
+    for args, message in (
+        ((-1, 3), "p and q must be nonnegative, got (-1,3)"),
+        ((1, -3), "p and q must be nonnegative, got (1,-3)"),
+        ((1, 3, "quaternion"), "field must be 'real' or 'complex', got 'quaternion'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            MetricSignature(*args)
+        assert str(err.value) == message
+
+    basis = preset_spinbasis("dirac")
+    gens = tuple(GaussMatrix.from_strings(g.to_strings()) for g in basis.gens)
+    twin = SpinBasis(MetricSignature(1, 3), gens, basis.provenance)
+    assert twin == basis and hash(twin) == hash(basis)
+    # gens take part in equality but not in the hash.
+    swapped = SpinBasis(basis.sig, gens[::-1], basis.provenance)
+    assert swapped != basis and hash(swapped) == hash(basis)
+    assert repr(basis).startswith("SpinBasis(sig=MetricSignature(p=1, q=3, field='real'), gens=(")
+
+    for record, name in ((sig, "p"), (sig, "field"), (basis, "gens"), (basis, "provenance")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+    from clifcpt.verify import CheckResult
+
+    # verify's worker returns its CheckResults through pickle.
+    for record in (sig, basis, CheckResult("groups", "census", True, "ok", 0.25)):
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    certify_spinbasis(basis)
+    hits = certify_spinbasis.cache_info().hits
+    certify_spinbasis(twin)
+    assert certify_spinbasis.cache_info().hits == hits + 1
 
 
 def test_certify_reports_wrong_generator_count():
