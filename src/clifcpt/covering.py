@@ -1,20 +1,18 @@
 """Classification-theorem predictors and covering-structure labels.
 
-The predictors compute, from arithmetic data only (signature residues and
-the basis census), what the classification theorems assert about the
-automorphism matrices: the signs of W^2/E^2/C^2, the sign of Pi*conj(Pi),
-the mod-8 square rules for K, S, F, the key commutation signs, and the
-discrete fiber groups of the Pin covers. The matrix pipeline computes the
-same quantities directly; agreement between the two routes is the main
-verification of the artifact.
+The predictors compute, from arithmetic data only (the three masks of
+the basis profile, or n for the complex field), what the classification
+theorems assert about the automorphism matrices: the (E, Pi) choices,
+the generator masks, every square sign including Pi*conj(Pi), every
+commutation sign, and the discrete fiber groups of the Pin covers. The
+matrix pipeline computes the same quantities directly; agreement between
+the two routes is the main verification of the artifact.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import grade
-from .classify import ring_type
 from .fingroup import minus_count
 from .spinrep import BasisProfile
 
@@ -48,78 +46,85 @@ class OddReduction(NamedTuple):
     complex_target: int | None
 
 
-def _mod8_plus(x: int) -> int:
-    return 1 if x % 8 in (0, 1, 4, 5) else -1
+_ELEMENTS = ("W", "E", "C", "Pi", "K", "S", "F")
 
 
-def _square_balance(prof: BasisProfile, mask: int) -> int:
-    """Generators squaring to +I minus those squaring to -I, within mask."""
-    return grade(mask) - 2 * grade(mask & prof.neg_mask)
+class PredictedRealization(NamedTuple):
+    """The realization the classification theorems predict from a basis
+    profile alone: the (E, Pi) choices, the generator-slot mask of each
+    element W to F, their square signs in that order, and the sign eps
+    with X*Y = eps * Y*X for each ordered pair of I, W, ..., F."""
+
+    choice_e: str
+    choice_pi: str
+    masks: dict  # element name -> generator-slot bitmask
+    signature: tuple[int, ...]
+    commutation: tuple[tuple[int, ...], ...]
 
 
-# Real-ring arms of the automorphism-group theorem, keyed by (p%4, q%4).
-_REAL_ARMS = {
-    (0, 0): ((1, 1, 1), "Z2xZ2", True),
-    (2, 2): ((1, -1, -1), "Z4", True),
-    (0, 2): ((-1, -1, 1), "Z4", True),
-    (2, 0): ((-1, 1, -1), "Z4", True),
-    (3, 3): ((1, -1, 1), "D4/Z2", False),
-    (1, 1): ((1, 1, -1), "D4/Z2", False),
-    (3, 1): ((-1, -1, -1), "Q4/Z2", False),
-    (1, 3): ((-1, 1, 1), "D4/Z2", False),
-}
+def _square(a: int, neg: int) -> int:
+    k = a.bit_count()
+    return -1 if (k * (k - 1) // 2 + (a & neg).bit_count()) % 2 else 1
 
 
-def predict_aut_real(p: int, q: int, prof: BasisProfile) -> PredictedAut:
-    """Predicted (W^2, E^2, C^2) signs, group, and abelianness for an
-    even-dimensional real signature.
+def _commutation(a: int, b: int) -> int:
+    return -1 if (a.bit_count() * b.bit_count() + (a & b).bit_count()) % 2 else 1
 
-    Ring R (p-q = 0,2 mod 8): the arm depends only on p,q mod 4.
-    Ring H (p-q = 4,6 mod 8): the arm consumes the basis census: signs of
-    the skew and symmetric product squares via the mod-8 differences of
-    plus/minus square counts, with the skew-count parity deciding which
-    of E/C is the skew product (and abelianness).
+
+def predict_realization(prof: BasisProfile) -> PredictedRealization:
+    """The one CPT realization of an even-dimensional certified basis,
+    read off the popcounts of its profile's three masks.
+
+    Each element is a signed blade +-e_A, A a set of generator slots, and
+    each certified generator g is purely real or imaginary, purely
+    symmetric or antisymmetric, and squares to +-I.
+
+    Square rule: (+-e_A)^2 = (-1)^(k(k-1)/2 + |A & neg|) with k = |A|.
+    Reversing the k factors of the second copy takes k(k-1)/2 swaps of
+    anticommuting generators, and each generator in A squaring to -I
+    gives one more sign.
+
+    Commutation rule: e_A e_B = (-1)^(|A||B| + |A & B|) e_B e_A. Moving
+    each of the |B| generators of e_B past e_A costs |A| swaps, less one
+    for the generator it meets in A & B.
+
+    Choice rule: by the commutation rule, e_A g = (-1)^(|A| - [g in A])
+    g e_A. E (E g^T = g E) needs that sign to be -1 exactly on the
+    antisymmetric generators: A is the skew set when its size is even,
+    otherwise the symmetric set. Pi (Pi conj(g) = g Pi) needs it -1
+    exactly on the imaginary generators: A is the imaginary set when its
+    size is even (empty when no generator is imaginary), otherwise the
+    real set. For even n the two sets of each split have the same parity,
+    so exactly one E and one Pi qualify. Then W is the full set, and
+    C = E W^T, K = Pi W, S = Pi E and F = Pi C are the symmetric
+    differences E ^ full, Pi ^ full, Pi ^ E and Pi ^ E ^ full.
+
+    Pi is a product of real generators or of an even number of imaginary
+    ones, so it is a real matrix and Pi * conj(Pi) = Pi^2.
     """
-    n = p + q
+    n = prof.n
     if n % 2 != 0:
-        raise TheoremCoverageError("automorphism-group prediction applies to even n only")
-    tag = ring_type(p, q).tag
-    if tag == "R":
-        key = (p % 4, q % 4)
-        if key not in _REAL_ARMS:
-            raise TheoremCoverageError(f"no real-ring arm for p,q mod 4 = {key}")
-        triple, group, abelian = _REAL_ARMS[key]
-        return PredictedAut(triple, group, abelian, f"ring R, p,q mod 4 = {key}")
-    if tag == "H":
-        a_sign = 1 if (p - q) % 8 == 4 else -1
-        skew = prof.mask(sym=False)
-        k = grade(skew)
-        lt = _square_balance(prof, skew)
-        hg = _square_balance(prof, prof.sym_mask)
-        if k % 2 == 0:
-            b_sign, c_sign = _mod8_plus(lt), _mod8_plus(hg)
-            abelian = True
-        else:
-            b_sign, c_sign = _mod8_plus(hg), _mod8_plus(lt)
-            abelian = False
-        triple = (a_sign, b_sign, c_sign)
-        group = _aut_group_for(triple, abelian)
-        return PredictedAut(triple, group, abelian, f"ring H, k parity {k % 2}")
-    raise TheoremCoverageError(f"even n with ring {tag}: outside theorem coverage")
-
-
-def _aut_group_for(triple: tuple[int, int, int], abelian: bool) -> str:
-    mc = minus_count(triple)
-    if abelian and mc == 0:
-        return "Z2xZ2"
-    if abelian and mc == 2:
-        return "Z4"
-    if not abelian and mc == 3:
-        return "Q4/Z2"
-    if not abelian and mc == 1:
-        return "D4/Z2"
-    raise TheoremCoverageError(
-        f"triple with {mc} minuses and abelian={abelian} matches no order-4 group"
+        raise TheoremCoverageError("realization prediction applies to even n only")
+    full = (1 << n) - 1
+    skew, imag = prof.mask(sym=False), prof.mask(real=False)
+    if skew.bit_count() % 2 == 0:
+        e, choice_e = skew, "skew_product"
+    else:
+        e, choice_e = prof.sym_mask, "sym_product"
+    if imag == 0:
+        pi, choice_pi = 0, "identity"
+    elif imag.bit_count() % 2 == 0:
+        pi, choice_pi = imag, "complex_product"
+    else:
+        pi, choice_pi = prof.real_mask, "real_product"
+    masks = dict(zip(_ELEMENTS, (full, e, e ^ full, pi, pi ^ full, pi ^ e, pi ^ e ^ full)))
+    blades = (0, *masks.values())
+    return PredictedRealization(
+        choice_e,
+        choice_pi,
+        masks,
+        tuple(_square(a, prof.neg_mask) for a in masks.values()),
+        tuple(tuple(_commutation(a, b) for b in blades) for a in blades),
     )
 
 
@@ -130,108 +135,6 @@ def predict_aut_complex(n: int) -> PredictedAut:
     if n % 4 in (0, 1):
         return PredictedAut((1, 1, 1), "Z2xZ2", True, f"complex, n mod 4 = {n % 4}")
     return PredictedAut((-1, -1, -1), "Q4/Z2", False, f"complex, n mod 4 = {n % 4}")
-
-
-def predict_pi_square(prof: BasisProfile, pi_choice: str) -> int:
-    """Sign of Pi * conj(Pi): +1 for the identity choice, else the
-    triangular-number parity of the factor count (equivalently the mod-4
-    rule on the imaginary/real generator counts)."""
-    if pi_choice == "identity":
-        return 1
-    if pi_choice == "complex_product":
-        a = grade(prof.mask(real=False))
-        if a % 2 != 0:
-            raise TheoremCoverageError("complex-product Pi needs an even imaginary count")
-        return -1 if (a * (a - 1) // 2) % 2 else 1
-    if pi_choice == "real_product":
-        b = grade(prof.real_mask)
-        if b % 2 != 1:
-            raise TheoremCoverageError("real-product Pi needs an odd real count")
-        return -1 if (b * (b - 1) // 2) % 2 else 1
-    raise TheoremCoverageError(f"unknown Pi choice {pi_choice!r}")
-
-
-def predict_k_square(prof: BasisProfile, k_mask: int) -> int:
-    """Mod-8 rule for K^2 from the census, by which product K is:
-    the all-imaginary product (odd count) uses the imaginary plus/minus
-    square counts; the all-real product (even count) the real ones."""
-    if k_mask == prof.mask(real=False) and grade(k_mask) % 2 == 1:
-        d = _square_balance(prof, k_mask) % 8
-        if d in (1, 5):
-            return 1
-        if d in (3, 7):
-            return -1
-        raise TheoremCoverageError(f"imaginary-product K: a+ - a- = {d} mod 8 is impossible")
-    if k_mask == prof.real_mask and grade(k_mask) % 2 == 0:
-        d = _square_balance(prof, k_mask) % 8
-        if d in (0, 4):
-            return 1
-        if d in (2, 6):
-            return -1
-        raise TheoremCoverageError(f"real-product K: b+ - b- = {d} mod 8 is impossible")
-    raise TheoremCoverageError("K mask matches neither admissible product form")
-
-
-def _product_forms(prof: BasisProfile) -> tuple[int, int]:
-    """The two S/F product forms: all imaginary-symmetric and
-    real-antisymmetric generators (rk + cs factors), and all
-    imaginary-antisymmetric and real-symmetric ones (ck + rs factors)."""
-    c_form = prof.real_mask ^ prof.sym_mask
-    return c_form, prof.mask() ^ c_form
-
-
-def predict_s_square(prof: BasisProfile, s_mask: int) -> int:
-    """Mod-8 rules for S^2: the even product of all imaginary-symmetric
-    and real-antisymmetric generators uses rk + cs; the odd product of
-    all imaginary-antisymmetric and real-symmetric ones uses ck + rs."""
-    c_form, d_form = _product_forms(prof)
-    if s_mask == c_form and grade(s_mask) % 2 == 0:
-        d = grade(c_form) % 8
-        if d in (0, 4):
-            return 1
-        if d in (2, 6):
-            return -1
-        raise TheoremCoverageError(f"even-form S: u+l = {d} mod 8 is impossible")
-    if s_mask == d_form and grade(s_mask) % 2 == 1:
-        d = grade(d_form) % 8
-        if d in (1, 5):
-            return 1
-        if d in (3, 7):
-            return -1
-        raise TheoremCoverageError(f"odd-form S: m+v = {d} mod 8 is impossible")
-    raise TheoremCoverageError("S mask matches neither admissible product form")
-
-
-def predict_f_square(prof: BasisProfile, f_mask: int) -> int:
-    """Mod-8 rules for F^2, dual to the S rules."""
-    c_form, d_form = _product_forms(prof)
-    if f_mask == d_form and grade(f_mask) % 2 == 0:
-        d = grade(d_form) % 8
-        if d in (0, 4):
-            return 1
-        if d in (2, 6):
-            return -1
-        raise TheoremCoverageError(f"even-form F: m+v = {d} mod 8 is impossible")
-    if f_mask == c_form and grade(f_mask) % 2 == 1:
-        d = grade(c_form) % 8
-        if d in (3, 7):
-            return 1
-        if d in (1, 5):
-            return -1
-        raise TheoremCoverageError(f"odd-form F: u+l = {d} mod 8 is impossible")
-    raise TheoremCoverageError("F mask matches neither admissible product form")
-
-
-def predict_pi_k_commutation(prof: BasisProfile) -> int:
-    """Pi and K commute or anticommute as (-1)^(a*b)."""
-    a = grade(prof.mask(real=False))
-    return -1 if (a * (prof.n - a)) % 2 else 1
-
-
-def predict_s_f_commutation(s_mask: int, f_mask: int) -> int:
-    """S and F commute or anticommute as (-1)^(s*g) with s, g the factor
-    counts of the two (support-disjoint) products."""
-    return -1 if (grade(s_mask) * grade(f_mask)) % 2 else 1
 
 
 # The eight double covers of the two-reflection group, keyed by

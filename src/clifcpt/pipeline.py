@@ -70,20 +70,34 @@ def resolve_basis(p: int, q: int, field: str, basis_spec: str) -> SpinBasis:
     raise BasisSpecError(f"unknown basis spec {basis_spec!r}")
 
 
-def _aut_sub_signature(r: Realization) -> tuple[int, int, int]:
+# The helpers below read `signature` and `commutation`, which a computed
+# Realization and a covering.PredictedRealization lay out alike.
+
+
+def _aut_sub_signature(r) -> tuple[int, int, int]:
     return r.signature[:3]
 
 
-def _aut_sub_abelian(r: Realization) -> bool:
+def _aut_sub_abelian(r) -> bool:
     return all(r.commutation[i][j] == 1 for i in (1, 2, 3) for j in (1, 2, 3))
 
 
-def _we_commute(r: Realization) -> bool:
-    return r.commutation[1][2] == 1
+def _pt_cover(r) -> covering.CoverLabel:
+    """The PT cover of the W, E, C signs; W and E commute exactly when
+    the three do, since C = E W^T is +-E W."""
+    return covering.pt_cover_label(*_aut_sub_signature(r), pt_commutes=r.commutation[1][2] == 1)
 
 
-def predictor_analysis(p: int, q: int, prof, r: Realization) -> dict:
-    """Compare every theorem predictor against the matrix computation."""
+def predictor_analysis(r: Realization) -> dict:
+    """Compare the count-profile prediction against the matrix computation."""
+    sig = r.basis.sig
+    prof = certify_spinbasis(r.basis)
+    pred = covering.predict_realization(prof)
+    if (pred.choice_e, pred.choice_pi) != (r.choice_e, r.choice_pi):
+        raise covering.TheoremCoverageError(
+            f"Cl({sig.p},{sig.q}): predicted choices ({pred.choice_e}, {pred.choice_pi}), "
+            f"computed ({r.choice_e}, {r.choice_pi})"
+        )
     checks: dict[str, dict] = {}
     failures: list[str] = []
 
@@ -94,30 +108,19 @@ def predictor_analysis(p: int, q: int, prof, r: Realization) -> dict:
             failures.append(name)
 
     pi = r.matrix("Pi")
-    pipidot = (pi * pi.conj()).pm_identity()
-    record("pi_times_conj_pi", covering.predict_pi_square(prof, r.choice_pi), pipidot)
-    record("k_square", covering.predict_k_square(prof, r.masks["K"]), r.signature[4])
-    record("s_square", covering.predict_s_square(prof, r.masks["S"]), r.signature[5])
-    record("f_square", covering.predict_f_square(prof, r.masks["F"]), r.signature[6])
-    record("pi_k_commutation", covering.predict_pi_k_commutation(prof), r.commutation[4][5])
-    record(
-        "s_f_commutation",
-        covering.predict_s_f_commutation(r.masks["S"], r.masks["F"]),
-        r.commutation[6][7],
-    )
+    record("pi_times_conj_pi", pred.signature[3], (pi * pi.conj()).pm_identity())
+    for name, i in (("k_square", 4), ("s_square", 5), ("f_square", 6)):
+        record(name, pred.signature[i], r.signature[i])
+    record("pi_k_commutation", pred.commutation[4][5], r.commutation[4][5])
+    record("s_f_commutation", pred.commutation[6][7], r.commutation[6][7])
 
-    tag = ring_type(p, q).tag
+    tag = ring_type(sig.p, sig.q).tag
     full_scope = tag == "H" or (tag == "R" and prof.mask(real=False) == 0)
     reason = ""
     if full_scope:
-        pred = covering.predict_aut_real(p, q, prof)
-        record("aut_triple", sig_str(pred.triple), sig_str(_aut_sub_signature(r)))
-        record("aut_abelian", pred.abelian, _aut_sub_abelian(r))
-        pred_fiber = covering.pt_cover_label(*pred.triple, pt_commutes=pred.abelian).fiber
-        comp_fiber = covering.pt_cover_label(
-            *_aut_sub_signature(r), pt_commutes=_we_commute(r)
-        ).fiber
-        record("pt_fiber", pred_fiber, comp_fiber)
+        record("aut_triple", sig_str(_aut_sub_signature(pred)), sig_str(_aut_sub_signature(r)))
+        record("aut_abelian", _aut_sub_abelian(pred), _aut_sub_abelian(r))
+        record("pt_fiber", _pt_cover(pred).fiber, _pt_cover(r).fiber)
     else:
         reason = (
             "real-ring signature represented with complex-entry generators; "
@@ -133,7 +136,7 @@ def predictor_analysis(p: int, q: int, prof, r: Realization) -> dict:
     }
 
 
-def realization_record(p: int, q: int, prof, r: Realization) -> dict:
+def realization_record(r: Realization) -> dict:
     label = signature_label(r.signature, r.abelian)
     abstract = fingroup.identify_abstract(r.group)
     aut_sig = _aut_sub_signature(r)
@@ -143,8 +146,8 @@ def realization_record(p: int, q: int, prof, r: Realization) -> dict:
     except fingroup.ClassificationError as exc:
         aut_tag = f"inconsistent:{exc}"
     cpt = covering.cpt_cover_label(r.signature, r.abelian)
-    pt = covering.pt_cover_label(*aut_sig, pt_commutes=_we_commute(r))
-    predictor = predictor_analysis(p, q, prof, r)
+    pt = _pt_cover(r)
+    predictor = predictor_analysis(r)
     return {
         "choiceE": _CHOICE_E_JSON[r.choice_e],
         "choicePi": _CHOICE_PI_JSON[r.choice_pi],
@@ -215,9 +218,7 @@ def classify_cell(p: int, q: int, field: str = REAL, basis_spec: str = "canonica
     basis = resolve_basis(p, q, REAL, basis_spec)
     prof = certify_spinbasis(basis)
     out["basis"] = {"provenance": basis.provenance, "dim": basis.dim, "profile": prof.as_dict()}
-    out["realizations"] = [
-        realization_record(p, q, prof, r) for r in enumerate_realizations(basis)
-    ]
+    out["realizations"] = [realization_record(r) for r in enumerate_realizations(basis)]
     return out
 
 

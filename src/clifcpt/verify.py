@@ -45,7 +45,7 @@ from .goldens import (
     signed_cells,
 )
 from .pipeline import ext_reps, predictor_analysis, wigner_reps
-from .spinrep import SpinBasis, build_spinbasis, certify_spinbasis, preset_spinbasis
+from .spinrep import SpinBasis, build_spinbasis, preset_spinbasis
 
 _SEED = 20260810
 
@@ -202,9 +202,8 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
         total = full = 0
         for sig in _even_real_sigs(max_dim):
             basis = build_spinbasis(sig)
-            prof = certify_spinbasis(basis)
             for r in _realizations(realizations, basis):
-                rep = predictor_analysis(sig.p, sig.q, prof, r)
+                rep = predictor_analysis(r)
                 assert rep["verdict"] == "agree", (
                     f"Cl({sig.p},{sig.q}): {rep['verdict']}"
                 )

@@ -188,10 +188,8 @@ def test_c09_theorem_vs_computation():
     t0 = time.monotonic()
     total = full = 0
     for sig in _even_real_sigs(8):
-        basis = build_spinbasis(sig)
-        prof = certify_spinbasis(basis)
-        for r in enumerate_realizations(basis):
-            rep = predictor_analysis(sig.p, sig.q, prof, r)
+        for r in enumerate_realizations(build_spinbasis(sig)):
+            rep = predictor_analysis(r)
             assert rep["verdict"] == "agree", f"Cl({sig.p},{sig.q}): {rep['verdict']}"
             total += 1
             if rep["scope"] == "full":
@@ -210,12 +208,12 @@ def test_c10_commutation_rules():
     checked = 0
     for sig in _even_real_sigs(8):
         basis = build_spinbasis(sig)
-        prof = certify_spinbasis(basis)
+        pred = covering.predict_realization(certify_spinbasis(basis))
         for r in enumerate_realizations(basis):
-            assert r.commutation[4][5] == covering.predict_pi_k_commutation(prof)
-            assert r.commutation[6][7] == covering.predict_s_f_commutation(
-                r.masks["S"], r.masks["F"]
-            )
+            # Pi and K commute as (-1)^(a*b), a and b the imaginary and
+            # real counts; S and F, with disjoint masks, as (-1)^(s*f).
+            assert r.commutation[4][5] == pred.commutation[4][5]
+            assert r.commutation[6][7] == pred.commutation[6][7]
             checked += 1
     _report(10, "commutation rules", f"both sign rules on {checked} realizations")
 

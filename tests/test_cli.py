@@ -164,6 +164,37 @@ def test_basis_file_roundtrip_via_cli(tmp_path, capsys):
     assert doc["realizations"][0]["signature"] == "(-,-,+,-,-,+,+)"
 
 
+def test_user_basis_with_two_imaginary_generators_agrees(tmp_path, capsys):
+    # g1 = sigma2 squares to +I and g2 = i sigma1 to -I, so
+    # Pi = g1 g2 squares to -g1^2 g2^2 = +I; a sign read off the
+    # imaginary count alone, (-1)^(a(a-1)/2) with a = 2, would be -1.
+    path = tmp_path / "cl11.json"
+    gens = [[["0", "-i"], ["i", "0"]], [["0", "i"], ["i", "0"]]]
+    path.write_text(json.dumps({"p": 1, "q": 1, "generators": gens}))
+    code, out, _ = run_cli(["classify", "--p", "1", "--q", "1", "--basis", f"file:{path}"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    (r,) = doc["realizations"]
+    assert r["predicted_vs_computed"] == "agree"
+    assert r["choicePi"] == "complex"
+    check = r["predictor"]["checks"]["pi_times_conj_pi"]
+    assert check == {"predicted": 1, "computed": 1, "agree": True}
+    schema = _schema("classify.schema.json")
+    jsonschema.validate(doc, schema)
+    # The schema pins the predictor's scope, its nine check keys and its verdict.
+    pred = r["predictor"]
+    for bad in (
+        {**pred, "scope": "partial"},
+        {**pred, "reason": None},
+        {**pred, "checks": {**pred["checks"], "w_square": check}},
+        {**pred, "checks": {**pred["checks"], "k_square": {"predicted": 1, "computed": 1}}},
+        {**pred, "verdict": "maybe"},
+    ):
+        r["predictor"] = bad
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+
+
 def test_classification_invariant_under_orthogonal_similarity(tmp_path, capsys):
     # Metamorphic check: g -> M g M^T with M orthogonal keeps every
     # Clifford relation, the reality and the symmetry of each generator,

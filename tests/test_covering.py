@@ -1,66 +1,88 @@
 import pytest
 
-from clifcpt.algebra import MetricSignature
+from clifcpt import algebra
+from clifcpt.algebra import COMPLEX, MetricSignature, Multivector
+from clifcpt.autmat import enumerate_realizations
 from clifcpt.covering import (
     CoverLabel,
     TableLookupError,
     TheoremCoverageError,
     cpt_cover_label,
     predict_aut_complex,
-    predict_aut_real,
-    predict_f_square,
-    predict_k_square,
-    predict_pi_k_commutation,
-    predict_pi_square,
-    predict_s_square,
+    predict_realization,
     pt_cover_label,
     reduce_odd,
 )
+from clifcpt.exact import GaussMatrix
+from clifcpt.fingroup import aut_label
 from clifcpt.spinrep import BasisProfile, build_spinbasis, certify_spinbasis, preset_spinbasis
+from pauli_bases import pauli_bases, sample_pauli_bases
 
 
 def _profile(traits):
-    """A census from (real, symmetric, square) triples, slot 1 first."""
+    """A census from (real, symmetric) pairs, slot 1 first. A certified
+    generator squares to -I exactly when it is real antisymmetric or
+    imaginary symmetric (g g^T, resp. -g g^*, is positive), so the
+    square follows from the other two traits."""
     masks = [0, 0, 0]
-    for i, (real, symmetric, square) in enumerate(traits):
-        for j, flag in enumerate((real, symmetric, square < 0)):
+    for i, (real, symmetric) in enumerate(traits):
+        for j, flag in enumerate((real, symmetric, real != symmetric)):
             masks[j] |= flag << i
     return BasisProfile(len(traits), *masks)
 
 
-def test_predict_aut_real_ring_r_arms():
-    p31 = predict_aut_real(3, 1, _profile([(True, True, 1)] * 4))
-    assert (p31.group, p31.triple, p31.abelian) == ("Q4/Z2", (-1, -1, -1), False)
-    p = predict_aut_real(0, 0, _profile([]))
-    assert (p.group, p.triple, p.abelian) == ("Z2xZ2", (1, 1, 1), True)
-    p = predict_aut_real(1, 1, _profile([(True, True, 1), (True, False, -1)]))
-    assert (p.group, p.triple, p.abelian) == ("D4/Z2", (1, 1, -1), False)
-    p = predict_aut_real(2, 0, _profile([(True, True, 1), (True, True, 1)]))
-    assert (p.group, p.triple) == ("Z4", (-1, 1, -1))
+def _aut(pred):
+    """(W, E, C square signs, whether W, E and C commute) of a prediction."""
+    abelian = all(pred.commutation[i][j] == 1 for i in (1, 2, 3) for j in (1, 2, 3))
+    return pred.signature[:3], abelian
 
 
-def test_predict_aut_real_ring_h_consumes_profile():
-    # Dirac census: k=2 even, skew squares both -1, symmetric +1 and -1.
-    prof = certify_spinbasis(preset_spinbasis("dirac"))
-    p = predict_aut_real(1, 3, prof)
-    assert (p.triple, p.abelian, p.group) == ((-1, -1, 1), True, "Z4")
-
-    # A synthetic (4,0)-style census: k even, all square differences 0 mod 8.
-    synthetic = _profile(
-        [
-            (True, True, 1),
-            (True, True, -1),
-            (False, False, 1),
-            (False, False, -1),
-        ]
-    )
-    p = predict_aut_real(4, 0, synthetic)
-    assert (p.triple, p.group) == ((1, 1, 1), "Z2xZ2")
+# The real-ring arms of the automorphism-group theorem, keyed by
+# (p mod 4, q mod 4): the (W^2, E^2, C^2) signs, the group, abelianness.
+REAL_ARMS = {
+    (0, 0): ((1, 1, 1), "Z2xZ2", True),
+    (2, 2): ((1, -1, -1), "Z4", True),
+    (0, 2): ((-1, -1, 1), "Z4", True),
+    (2, 0): ((-1, 1, -1), "Z4", True),
+    (3, 3): ((1, -1, 1), "D4/Z2", False),
+    (1, 1): ((1, 1, -1), "D4/Z2", False),
+    (3, 1): ((-1, -1, -1), "Q4/Z2", False),
+    (1, 3): ((-1, 1, 1), "D4/Z2", False),
+}
 
 
-def test_predict_aut_real_requires_even_dimension():
+def test_predicted_automorphisms_of_all_real_profiles_follow_the_real_arms():
+    # An all-real basis of Cl(p,q) has p symmetric generators (+I) and q
+    # antisymmetric ones (-I).
+    for n in range(0, 13, 2):
+        for p in range(n, -1, -1):
+            q = n - p
+            pred = predict_realization(_profile([(True, True)] * p + [(True, False)] * q))
+            triple, group, abelian = REAL_ARMS[p % 4, q % 4]
+            assert _aut(pred) == (triple, abelian), (p, q)
+            assert aut_label(triple, abelian).tag == group
+            assert pred.choice_pi == "identity"
+
+
+def test_predict_realization_on_quaternionic_profiles():
+    # Dirac census: slots 2 and 4 real antisymmetric, 1 real symmetric,
+    # 3 imaginary symmetric; E is the even skew product.
+    pred = predict_realization(certify_spinbasis(preset_spinbasis("dirac")))
+    assert (pred.choice_e, pred.choice_pi) == ("skew_product", "real_product")
+    assert _aut(pred) == ((-1, -1, 1), True)
+    assert aut_label(*_aut(pred)).tag == "Z4"
+
+    # Cl(4,0) from two real symmetric and two imaginary antisymmetric
+    # generators, all squaring to +I.
+    pred = predict_realization(_profile([(True, True)] * 2 + [(False, False)] * 2))
+    assert (pred.choice_e, pred.choice_pi) == ("skew_product", "complex_product")
+    assert pred.masks["E"] == pred.masks["Pi"] == 0b1100
+    assert _aut(pred) == ((1, -1, -1), True)
+
+
+def test_predict_realization_requires_even_dimension():
     with pytest.raises(TheoremCoverageError):
-        predict_aut_real(1, 2, _profile([]))
+        predict_realization(_profile([(True, True)] * 3))
 
 
 def test_predict_aut_complex():
@@ -71,21 +93,60 @@ def test_predict_aut_complex():
 
 
 def test_predict_pi_square():
-    dirac = certify_spinbasis(preset_spinbasis("dirac"))
-    assert predict_pi_square(dirac, "real_product") == -1  # b = 3
-    tower = certify_spinbasis(build_spinbasis(MetricSignature(2, 0)))
-    assert predict_pi_square(tower, "identity") == 1
-    four_complex = _profile([(False, True, 1)] * 4 + [(True, True, 1)] * 2)
-    assert predict_pi_square(four_complex, "complex_product") == 1  # a = 4
+    dirac = predict_realization(certify_spinbasis(preset_spinbasis("dirac")))
+    assert (dirac.choice_pi, dirac.masks["Pi"], dirac.signature[3]) == ("real_product", 0b1011, -1)
+    tower = predict_realization(certify_spinbasis(build_spinbasis(MetricSignature(2, 0))))
+    assert (tower.choice_pi, tower.masks["Pi"], tower.signature[3]) == ("identity", 0, 1)
+    four_imag = predict_realization(_profile([(False, False)] * 4 + [(True, True)] * 2))
+    assert (four_imag.choice_pi, four_imag.signature[3]) == ("complex_product", 1)  # 4 factors
+    # Cl(1,1) from sigma2 (imaginary antisymmetric, +I) and i sigma1
+    # (imaginary symmetric, -I): Pi = g1 g2 squares to -g1^2 g2^2 = +I.
+    cl11 = predict_realization(_profile([(False, False), (False, True)]))
+    assert (cl11.choice_pi, cl11.masks["Pi"], cl11.signature[3]) == ("complex_product", 0b11, 1)
 
 
 def test_square_rule_predictors_on_dirac():
-    prof = certify_spinbasis(preset_spinbasis("dirac"))
+    pred = predict_realization(certify_spinbasis(preset_spinbasis("dirac")))
     # Masks as generator-slot bitmasks: K = {3}, S = {1}, F = {2,3,4}.
-    assert predict_k_square(prof, 0b0100) == -1  # a+ - a- = -1 = 7 mod 8
-    assert predict_s_square(prof, 0b0001) == 1  # ck + rs = 1
-    assert predict_f_square(prof, 0b1110) == 1  # rk + cs = 3
-    assert predict_pi_k_commutation(prof) == -1  # a*b = 3 odd
+    assert (pred.masks["K"], pred.masks["S"], pred.masks["F"]) == (0b0100, 0b0001, 0b1110)
+    assert pred.signature == (-1, -1, 1, -1, -1, 1, 1)
+    assert pred.commutation[4][5] == -1  # Pi = {1,2,4} and K = {3}: 3*1 + 0 odd
+    assert pred.commutation[6][7] == -1  # S = {1} and F = {2,3,4}: 1*3 + 0 odd
+
+
+def _agreement_bases():
+    bases = [preset_spinbasis("dirac")]
+    for n in range(0, 13, 2):
+        bases += [build_spinbasis(MetricSignature(p, n - p)) for p in range(n, -1, -1)]
+        bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
+    pauli = pauli_bases(2) + pauli_bases(4)
+    assert len(pauli) == 492
+    return bases + pauli + sample_pauli_bases(6, 48, seed=6)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the predictor reached the blade or matrix stage")
+
+
+def test_predict_realization_agrees_with_enumeration(monkeypatch):
+    """The count-profile prediction equals the realization the blade
+    stage computes, on canonical, preset and Pauli-word bases, without
+    forming a single blade or matrix product."""
+    for basis in _agreement_bases():
+        prof = certify_spinbasis(basis)
+        with monkeypatch.context() as m:
+            m.setattr(GaussMatrix, "__mul__", _refuse)
+            m.setattr(Multivector, "__mul__", _refuse)
+            m.setattr(algebra, "_swap_parity", _refuse)
+            pred = predict_realization(prof)
+        (r,) = enumerate_realizations(basis)
+        where = basis.provenance, basis.sig
+        assert (pred.choice_e, pred.choice_pi) == (r.choice_e, r.choice_pi), where
+        assert pred.masks == r.masks, where
+        assert pred.signature == r.signature, where
+        assert pred.commutation == r.commutation, where
+        pi = r.matrix("Pi")
+        assert pred.signature[3] == (pi * pi.conj()).pm_identity(), where
 
 
 def test_pt_cover_table_rows():
