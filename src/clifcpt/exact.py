@@ -7,6 +7,7 @@ so objects can be shared freely across threads and processes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Scalarish = Union["GaussRational", Fraction, int]
@@ -237,14 +238,23 @@ class GaussMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise DimensionMismatchError(f"cannot multiply dims {self.dim} and {other.dim}")
-        brows = other.entries
+        aden, arows = _numerators(self.entries)
+        bden, brows = _numerators(other.entries)
+        den = aden * bden
         out = []
-        for arow in self.entries:
-            acc: dict[int, GaussRational] = {}
-            for k, a in arow:
-                for j, b in brows[k]:
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append(_canonical_row(acc))
+        for arow in arows:
+            acc: dict[int, tuple[int, int]] = {}
+            for k, ar, ai in arow:
+                for j, br, bi in brows[k]:
+                    old = acc.get(j, (0, 0))
+                    acc[j] = (old[0] + ar * br - ai * bi, old[1] + ar * bi + ai * br)
+            out.append(
+                tuple(
+                    (j, _exact(Fraction(re, den), Fraction(im, den)))
+                    for j, (re, im) in sorted(acc.items())
+                    if re or im
+                )
+            )
         return GaussMatrix._make(self.dim, tuple(out))
 
     def __add__(self, other: GaussMatrix) -> GaussMatrix:
@@ -312,7 +322,34 @@ class GaussMatrix:
 
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]]) -> GaussMatrix:
-        return cls([[parse_gauss(e) for e in row] for row in rows])
+        """Parse the array-of-arrays form of :meth:`to_strings`.
+
+        Rows must be lists or tuples, so a string is never read as a row of
+        one-character entries; each distinct literal is parsed once."""
+        if not all(isinstance(row, (list, tuple)) for row in rows):
+            raise TypeError("a matrix must be an array of rows, each an array of entry strings")
+        parsed: dict[str, GaussRational] = {}
+        for row in rows:
+            for e in row:
+                # parse_gauss rejects a non-string before it is used as a key:
+                # lists and dicts are unhashable.
+                if not isinstance(e, str) or e not in parsed:
+                    parsed[e] = parse_gauss(e)
+        return cls([[parsed[e] for e in row] for row in rows])
+
+
+def _numerators(entries: tuple) -> tuple[int, list]:
+    """The nonzeros over one common denominator ``den``, the lcm of every
+    part's denominator: each row as ``(column, re, im)`` int triples, the
+    value being ``(re + im*i) / den``."""
+    den = lcm(*{x.denominator for row in entries for _, v in row for x in (v.re, v.im)})
+    return den, [
+        [
+            (j, v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
+            for j, v in row
+        ]
+        for row in entries
+    ]
 
 
 def _canonical_row(acc: dict) -> tuple:

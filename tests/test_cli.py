@@ -366,6 +366,40 @@ def test_outputs_match_the_benchmark_golden_record(tmp_path, capsys, monkeypatch
         assert [re.sub(r" \(\d+\.\d+s\)", "", line) for line in report.splitlines()] == golden["verify_lines"]
 
 
+def test_file_bases_classify_as_the_benchmark_golden_cells(tmp_path, capsys):
+    """Every `filebasis` input of one seed, read through `--basis file:`,
+    classifies as the canonical cell of its (p, q) in the golden record,
+    on the seven fields of `bench/run.py`'s `realization_fields`."""
+    import importlib.util
+
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    with open(os.path.join(bench, "golden.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    spec = importlib.util.spec_from_file_location("filebasis", os.path.join(bench, "filebasis.py"))
+    filebasis = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(filebasis)
+    manifest = filebasis.write_inputs(501, str(tmp_path))
+    assert len(manifest) == 28
+    for m in manifest:
+        argv = ["classify", "--p", str(m["p"]), "--q", str(m["q"]), "--basis", "file:" + m["path"]]
+        code, out, _ = run_cli(argv, capsys)
+        cell = json.loads(out)
+        assert (code, cell["status"]) == (0, "matrix"), m["path"]
+        got = [
+            {
+                "signature": r["signature"],
+                "label": r["label"],
+                "cpt_fiber": r["cpt_cover"]["fiber"],
+                "pt_fiber": r["pt_cover"]["fiber"],
+                "order_structure": r["order_structure"],
+                "closure_order": r["closure"]["order"],
+                "verdict": r["predicted_vs_computed"],
+            }
+            for r in cell["realizations"]
+        ]
+        assert got == golden["cells"][f"{m['p']},{m['q']}"], m["path"]
+
+
 def test_color_env_flag(capsys, monkeypatch):
     monkeypatch.setenv("CLIFCPT_COLOR", "1")
     _, out, _ = run_cli(["verify", "--suite", "coverings", "--max-dim", "2"], capsys)
@@ -628,6 +662,29 @@ def test_basis_file_with_negative_p_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["classify", "--p", "1", "--q", "3", "--basis", f"file:{path}"], capsys)
     assert code == 2
     assert "malformed spin basis file" in err and "nonnegative" in err
+
+
+def test_basis_file_with_string_rows_or_generators_exits_2(tmp_path, capsys):
+    # A string is a sequence too, but it is neither a row nor a generator:
+    # read character by character, ["01", "10"] would be sigma1.
+    sigma3 = [["1", "0"], ["0", "-1"]]
+    for name, first in (("rows", ["01", "10"]), ("generator", "1")):
+        path = tmp_path / f"string-{name}.json"
+        path.write_text(json.dumps({"p": 2, "q": 0, "generators": [first, sigma3]}))
+        code, out, err = run_cli(["classify", "--p", "2", "--q", "0", "--basis", f"file:{path}"], capsys)
+        assert (code, out) == (2, ""), name
+        assert err.startswith(f"error: malformed spin basis file {path}: "), name
+
+
+def test_basis_file_with_non_string_entries_exits_2(tmp_path, capsys):
+    for entry, kind in ((1, "int"), (None, "NoneType"), (["1"], "list"), ({"re": "1"}, "dict")):
+        path = tmp_path / f"{kind}.json"
+        gens = [[["0", entry], ["1", "0"]], [["1", "0"], ["0", "-1"]]]
+        path.write_text(json.dumps({"p": 2, "q": 0, "generators": gens}))
+        code, out, err = run_cli(["classify", "--p", "2", "--q", "0", "--basis", f"file:{path}"], capsys)
+        assert (code, out) == (2, ""), kind
+        assert err.startswith(f"error: malformed spin basis file {path}: "), kind
+        assert f"GaussRational literal must be a string, not {kind}" in err
 
 
 def test_undecodable_basis_files_exit_2(tmp_path, capsys):

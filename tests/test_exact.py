@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -184,6 +185,9 @@ def _assert_matches(got, want):
         cols = [j for j, _ in row]
         assert cols == sorted(set(cols)) and all(0 <= j < got.dim for j in cols)
         assert all(not v.is_zero() for _, v in row)
+        for x in (part for _, v in row for part in (v.re, v.im)):
+            assert type(x) is Fraction and x.denominator > 0
+            assert gcd(x.numerator, x.denominator) == 1
     assert got == want and hash(got) == hash(want)
     assert got.rows == want.rows
     assert GaussMatrix(got.rows) == got
@@ -210,6 +214,14 @@ def test_one_representation_agrees_with_dense_reference():
         if dim <= 4:
             _assert_matches(kron(a, b), _reference_kron(a, b))
             _assert_matches(kron(b, a), _reference_kron(b, a))
+    # a times its adjugate is det(a) * I: the off-diagonal entries cancel to
+    # exact zeros, and all entries do when a is singular.
+    for kind in ("dense", "singular"):
+        (x, y), (z, w) = _dense_rows(rng, 2, kind)
+        a, adj = GaussMatrix([[x, y], [z, w]]), GaussMatrix([[w, -y], [-z, x]])
+        det = x * w - y * z
+        assert (a * adj).entries == tuple(((i, det),) if det else () for i in range(2))
+        _assert_matches(a * adj, _reference_mul(a, adj))
 
 
 def test_dimension_mismatch_errors():
@@ -235,9 +247,13 @@ def test_kron_block_structure():
     assert k * k == GaussMatrix.identity(4)
 
 
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 13, 25, 49)
+
+
 def _random_scalar(rng):
-    """A GaussRational with either part possibly zero."""
-    parts = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(2)]
+    """A GaussRational with either part possibly zero; the denominators
+    include large and pairwise coprime ones."""
+    parts = [Fraction(rng.randint(-6, 6), rng.choice(DENOMINATORS)) for _ in range(2)]
     zeroed = rng.randrange(4)  # 0: real part zero, 1: imaginary part zero, else both kept
     if zeroed < 2:
         parts[zeroed] = Fraction(0)
