@@ -29,9 +29,11 @@ W^T = g_n^T ... g_1^T is a signed blade too.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import Multivector, blade_indices, grade
+from .covering import predict_realization
 from .exact import GaussMatrix
 from .fingroup import SignedGroup, signed_closure
 from .spinrep import SpinBasis, certify_spinbasis, product_over, represent
@@ -51,12 +53,6 @@ CONDITIONS = {
     "F": (True, True, -1),
 }
 
-SKEW_PRODUCT = "skew_product"
-SYM_PRODUCT = "sym_product"
-COMPLEX_PRODUCT = "complex_product"
-REAL_PRODUCT = "real_product"
-IDENTITY = "identity"
-
 
 class ConditionError(RuntimeError):
     """An automorphism matrix fails its defining intertwining condition."""
@@ -71,14 +67,27 @@ def check(name: str, m: GaussMatrix, basis: SpinBasis) -> list[str]:
     m. Every m checked is a product of certified generators, each squaring
     to +-I, so it is invertible."""
     transpose, conjugate, sign = CONDITIONS[name]
-    bad = []
-    for i, g in enumerate(basis.gens, start=1):
-        t = g.transpose() if transpose else g
-        if conjugate:
-            t = t.conj()
-        if m * t != (g * m if sign > 0 else -(g * m)):
-            bad.append(f"{name} condition fails on generator {i}")
-    return bad
+    primed = _primed_generators(basis)[transpose, conjugate]
+    return [
+        f"{name} condition fails on generator {i}"
+        for i, (g, t) in enumerate(zip(basis.gens, primed), start=1)
+        if not (m * t).signed_eq(g * m, sign)
+    ]
+
+
+@lru_cache(maxsize=1)
+def _primed_generators(basis: SpinBasis) -> dict:
+    """(transpose, conjugate) -> the generators g' of `check`, formed from
+    the matrices themselves (not from the certified profile). Kept for the
+    last basis only: the pipeline and `verify` check one basis at a time."""
+    gens = basis.gens
+    transposed = tuple(g.transpose() for g in gens)
+    return {
+        (False, False): gens,
+        (True, False): transposed,
+        (False, True): tuple(g.conj() for g in gens),
+        (True, True): tuple(g.conj() for g in transposed),
+    }
 
 
 def _checked(name: str, m: GaussMatrix, basis: SpinBasis) -> None:
@@ -87,53 +96,32 @@ def _checked(name: str, m: GaussMatrix, basis: SpinBasis) -> None:
         raise ConditionError("; ".join(bad))
 
 
-def _candidates(basis: SpinBasis, name: str, candidates, failure: str):
-    """The (mask, choice) of each distinct candidate mask whose
-    increasing-index product meets the condition of `name`; ConditionError
-    when none does. Distinct masks are distinct matrices."""
-    out = []
-    failures = []
-    for mask, choice in candidates:
-        bad = check(name, product_over(basis, mask), basis)
-        if bad:
-            failures.append(f"{choice}: {'; '.join(bad)}")
-        elif all(mask != kept for kept, _ in out):
-            out.append((mask, choice))
-    if not out:
-        raise ConditionError(failure + " | ".join(failures))
-    return out
+def _predicted_choice(basis: SpinBasis, name: str, failure: str) -> tuple[int, str]:
+    """The (mask, choice) of the candidate that the choice rule of
+    `predict_realization` names for element `name`, after its
+    increasing-index product meets the condition of `name` on every
+    generator; ConditionError when it does not."""
+    pred = predict_realization(certify_spinbasis(basis))
+    mask, choice = pred.masks[name], pred.choice_e if name == "E" else pred.choice_pi
+    bad = check(name, product_over(basis, mask), basis)
+    if bad:
+        raise ConditionError(f"{failure}{choice}: {'; '.join(bad)}")
+    return mask, choice
 
 
-def find_E(basis: SpinBasis):
-    """Both product candidates (all antisymmetric, all symmetric
-    generators; empty product = I), filtered by the reversion condition.
-
-    Returns a list of (mask, choice); for a certified pure basis exactly
-    one candidate survives.
-    """
-    prof = certify_spinbasis(basis)
-    candidates = [(prof.mask(sym=False), SKEW_PRODUCT), (prof.sym_mask, SYM_PRODUCT)]
-    return _candidates(basis, "E", candidates, "no valid reversion matrix: ")
+def find_E(basis: SpinBasis) -> tuple[int, str]:
+    """The reversion matrix as (mask, choice): the product of all
+    antisymmetric or of all symmetric generators (empty product = I), as
+    the choice rule names, checked against the reversion condition."""
+    return _predicted_choice(basis, "E", "no valid reversion matrix: ")
 
 
-def find_Pi(basis: SpinBasis):
-    """Candidates for the coefficient-conjugation matrix: the identity
-    (all-real basis), the product of all imaginary-entry generators
-    (kept when their count is even), and the product of all real-entry
-    generators (kept when their count is odd); each candidate is
-    validated against the defining condition. Returns (mask, choice)."""
-    prof = certify_spinbasis(basis)
-    imag = prof.mask(real=False)
-    candidates = []
-    if imag == 0:
-        candidates.append((0, IDENTITY))
-    if imag and grade(imag) % 2 == 0:
-        candidates.append((imag, COMPLEX_PRODUCT))
-    if grade(prof.real_mask) % 2 == 1:
-        candidates.append((prof.real_mask, REAL_PRODUCT))
-    return _candidates(
-        basis, "Pi", candidates, "pseudoautomorphism not representable in this basis: "
-    )
+def find_Pi(basis: SpinBasis) -> tuple[int, str]:
+    """The coefficient-conjugation matrix as (mask, choice): the identity
+    (all-real basis), the product of all imaginary-entry generators, or
+    the product of all real-entry generators, as the choice rule names,
+    checked against the defining condition."""
+    return _predicted_choice(basis, "Pi", "pseudoautomorphism not representable in this basis: ")
 
 
 def read_signs(group: SignedGroup) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -229,8 +217,11 @@ def complete_set(
 
 
 def enumerate_realizations(basis: SpinBasis) -> list[Realization]:
-    """Cartesian product of valid E and Pi choices, each completed to a
-    realization, deduplicated by (signature, commutation table)."""
+    """The realizations of a certified basis: the one (E, Pi) choice that
+    the choice rule names, each element checked on its matrix and
+    completed to a realization. For even n the other candidate of each
+    pair fails its condition (`verify` checks this), so no other choice
+    exists."""
     prof = certify_spinbasis(basis)  # an invalid basis fails here, before any condition check
     sig, n = basis.sig, basis.sig.n
     full = (1 << n) - 1
@@ -239,17 +230,10 @@ def enumerate_realizations(basis: SpinBasis) -> list[Realization]:
     # W^T = g_n^T ... g_1^T: reversing n factors takes n(n-1)/2 swaps, and
     # each antisymmetric generator contributes a sign.
     w_t = w.scale((-1) ** (n * (n - 1) // 2 + grade(prof.mask(sym=False))))
-    out = []
-    seen = set()
-    for e_mask, e_choice in find_E(basis):
-        for pi_mask, pi_choice in find_Pi(basis):
-            e, pi = Multivector.blade(sig, e_mask), Multivector.blade(sig, pi_mask)
-            r = complete_set(basis, w, w_t, e, e_choice, pi, pi_choice)
-            key = (r.signature, r.commutation)
-            if key not in seen:
-                seen.add(key)
-                out.append(r)
-    return out
+    e_mask, e_choice = find_E(basis)
+    pi_mask, pi_choice = find_Pi(basis)
+    e, pi = Multivector.blade(sig, e_mask), Multivector.blade(sig, pi_mask)
+    return [complete_set(basis, w, w_t, e, e_choice, pi, pi_choice)]
 
 
 def mask_label(mask: int, physics_indices: bool = False) -> str:

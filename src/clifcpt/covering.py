@@ -71,6 +71,17 @@ def _commutation(a: int, b: int) -> int:
     return -1 if (a.bit_count() * b.bit_count() + (a & b).bit_count()) % 2 else 1
 
 
+def choice_candidates(prof: BasisProfile) -> dict[str, tuple[tuple[int, str], ...]]:
+    """The two candidate (mask, choice) pairs of E and of Pi: E from the
+    antisymmetric or the symmetric generators, Pi from the imaginary ones
+    (the identity when there are none) or the real ones."""
+    imag = prof.mask(real=False)
+    return {
+        "E": ((prof.mask(sym=False), "skew_product"), (prof.sym_mask, "sym_product")),
+        "Pi": ((imag, "complex_product" if imag else "identity"), (prof.real_mask, "real_product")),
+    }
+
+
 def predict_realization(prof: BasisProfile) -> PredictedRealization:
     """The one CPT realization of an even-dimensional certified basis,
     read off the popcounts of its profile's three masks.
@@ -106,17 +117,11 @@ def predict_realization(prof: BasisProfile) -> PredictedRealization:
     if n % 2 != 0:
         raise TheoremCoverageError("realization prediction applies to even n only")
     full = (1 << n) - 1
-    skew, imag = prof.mask(sym=False), prof.mask(real=False)
-    if skew.bit_count() % 2 == 0:
-        e, choice_e = skew, "skew_product"
-    else:
-        e, choice_e = prof.sym_mask, "sym_product"
-    if imag == 0:
-        pi, choice_pi = 0, "identity"
-    elif imag.bit_count() % 2 == 0:
-        pi, choice_pi = imag, "complex_product"
-    else:
-        pi, choice_pi = prof.real_mask, "real_product"
+    # Of each candidate pair, the first when its size is even, else the second.
+    (e, choice_e), (pi, choice_pi) = (
+        first if first[0].bit_count() % 2 == 0 else second
+        for first, second in choice_candidates(prof).values()
+    )
     masks = dict(zip(_ELEMENTS, (full, e, e ^ full, pi, pi ^ full, pi ^ e, pi ^ e ^ full)))
     blades = (0, *masks.values())
     return PredictedRealization(

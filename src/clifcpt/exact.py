@@ -180,10 +180,12 @@ class GaussMatrix:
     and hashing compare nonzeros only, and every operation loops over the
     nonzeros: a signed monomial matrix (one nonzero per row), as every
     generator and automorphism matrix of the spinor bases is, costs O(dim)
-    per product, a dense one the usual O(dim^3).
+    per product, a dense one the usual O(dim^3). A product stores each
+    operand's integer numerators beside its hash, so a matrix multiplied
+    again and again is converted once.
     """
 
-    __slots__ = ("dim", "entries", "_hash")
+    __slots__ = ("dim", "entries", "_hash", "_num")
 
     def __init__(self, rows: Iterable[Iterable[Scalarish]]):
         norm_rows = tuple(tuple(_coerce(e) for e in row) for row in rows)
@@ -200,6 +202,7 @@ class GaussMatrix:
             tuple((j, e) for j, e in enumerate(row) if e.re or e.im) for row in norm_rows
         )
         self._hash: int | None = None
+        self._num: tuple[int, tuple] | None = None
 
     @classmethod
     def _make(cls, dim: int, entries: tuple) -> GaussMatrix:
@@ -208,6 +211,7 @@ class GaussMatrix:
         m.dim = dim
         m.entries = entries
         m._hash = None
+        m._num = None
         return m
 
     @classmethod
@@ -238,8 +242,12 @@ class GaussMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise DimensionMismatchError(f"cannot multiply dims {self.dim} and {other.dim}")
-        aden, arows = _numerators(self.entries)
-        bden, brows = _numerators(other.entries)
+        if self._num is None:
+            self._num = _numerators(self.entries)
+        if other._num is None:
+            other._num = _numerators(other.entries)
+        aden, arows = self._num
+        bden, brows = other._num
         den = aden * bden
         out = []
         for arow in arows:
@@ -308,6 +316,21 @@ class GaussMatrix:
             return NotImplemented
         return self.dim == other.dim and self.entries == other.entries
 
+    def signed_eq(self, other: GaussMatrix, sign: int) -> bool:
+        """Whether self == sign * other, for sign +1 or -1, without forming
+        -other."""
+        if sign > 0:
+            return self == other
+        if self.dim != other.dim:
+            return False
+        for ra, rb in zip(self.entries, other.entries):
+            if len(ra) != len(rb):
+                return False
+            for (j, v), (k, w) in zip(ra, rb):
+                if j != k or v.re != -w.re or v.im != -w.im:
+                    return False
+        return True
+
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(self.entries)
@@ -338,18 +361,18 @@ class GaussMatrix:
         return cls([[parsed[e] for e in row] for row in rows])
 
 
-def _numerators(entries: tuple) -> tuple[int, list]:
+def _numerators(entries: tuple) -> tuple[int, tuple]:
     """The nonzeros over one common denominator ``den``, the lcm of every
     part's denominator: each row as ``(column, re, im)`` int triples, the
     value being ``(re + im*i) / den``."""
     den = lcm(*{x.denominator for row in entries for _, v in row for x in (v.re, v.im)})
-    return den, [
-        [
+    return den, tuple(
+        tuple(
             (j, v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
             for j, v in row
-        ]
+        )
         for row in entries
-    ]
+    )
 
 
 def _canonical_row(acc: dict) -> tuple:

@@ -319,7 +319,16 @@ def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
     for i in range(n):
         for j in range(i + 1, n):
             gi, gj = basis.gens[i], basis.gens[j]
-            if gi * gj != -(gj * gi):
+            if scanned >> i & scanned >> j & 1:
+                # gi^T = si gi and gj^T = sj gj, so (gi gj)^T = si sj gj gi:
+                # the pair anticommutes exactly when P = gi gj is -si sj P^T,
+                # and -si sj is +1 exactly when one of the two is symmetric.
+                prod = gi * gj
+                sign = 1 if (sym_mask >> i ^ sym_mask >> j) & 1 else -1
+                anticommute = prod.signed_eq(prod.transpose(), sign)
+            else:
+                anticommute = gi * gj == -(gj * gi)
+            if not anticommute:
                 violations.append(f"generators {i + 1} and {j + 1} do not anticommute")
     if violations:
         raise CertificationError(violations)

@@ -45,7 +45,7 @@ from .goldens import (
     signed_cells,
 )
 from .pipeline import ext_reps, predictor_analysis, wigner_reps
-from .spinrep import SpinBasis, build_spinbasis, preset_spinbasis
+from .spinrep import SpinBasis, build_spinbasis, certify_spinbasis, preset_spinbasis, product_over
 
 _SEED = 20260810
 
@@ -235,6 +235,15 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
         for basis in bases:
             eye = GaussMatrix.identity(basis.dim)
             where = f"{basis.provenance} Cl({basis.sig.p},{basis.sig.q})"
+            # The choice rule is unique: each E and Pi candidate it does not
+            # name, unless it is the same product, fails its condition.
+            prof = certify_spinbasis(basis)
+            predicted = covering.predict_realization(prof).masks
+            for name, pair in covering.choice_candidates(prof).items():
+                for mask, choice in pair:
+                    if mask != predicted[name]:
+                        other = product_over(basis, mask)
+                        assert check(name, other, basis), f"{where}: {choice} also meets {name}"
             for r in _realizations(realizations, basis):
                 dense = r.matrices()
                 for name, m in zip(ELEMENT_NAMES[1:], dense[1:]):

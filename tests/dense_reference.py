@@ -2,8 +2,8 @@
 
 `dense_realizations` builds each realization's eight matrices as literal
 matrix products, the construction the package used before it moved to
-signed blades: W over all generators, the E and Pi candidates filtered
-by the intertwining conditions and deduplicated as matrices, then
+signed blades: W over all generators, both E and both Pi candidates
+filtered by the intertwining conditions and deduplicated as matrices, then
 C = E * W^T, K = Pi * W, S = Pi * E and F = Pi * C, checked and closed
 as matrices. `conjugated_bases` gives the seeded orthogonal conjugates of
 canonical bases that the metamorphic tests read back as basis files.
@@ -44,24 +44,29 @@ def _survivors(basis, name, candidates):
     return out
 
 
+def candidates(prof):
+    """Both (mask, choice) candidates of E and of Pi, written out apart
+    from the package's choice rule: E from the antisymmetric or the
+    symmetric generators, Pi from the imaginary ones (the identity when
+    there are none) or the real ones."""
+    imag = prof.mask(real=False)
+    return {
+        "E": [(prof.mask(sym=False), "skew_product"), (prof.sym_mask, "sym_product")],
+        "Pi": [(imag, "complex_product" if imag else "identity"), (prof.real_mask, "real_product")],
+    }
+
+
 def dense_realizations(basis):
     """One dict per realization, deduplicated by (signature, commutation)
     in the package's (E, Pi) order."""
     prof = certify_spinbasis(basis)
     full = (1 << basis.sig.n) - 1
-    imag = prof.mask(real=False)
     eye = GaussMatrix.identity(basis.dim)
     w = product_over(basis, full)
     assert not check("W", w, basis)
-    es = _survivors(
-        basis, "E", [(prof.mask(sym=False), "skew_product"), (prof.sym_mask, "sym_product")]
-    )
-    pi_candidates = [(0, "identity")] if imag == 0 else []
-    if imag and imag.bit_count() % 2 == 0:
-        pi_candidates.append((imag, "complex_product"))
-    if prof.real_mask.bit_count() % 2 == 1:
-        pi_candidates.append((prof.real_mask, "real_product"))
-    pis = _survivors(basis, "Pi", pi_candidates)
+    both = candidates(prof)
+    es = _survivors(basis, "E", both["E"])
+    pis = _survivors(basis, "Pi", both["Pi"])
     out, seen = [], set()
     for e, e_choice, e_mask in es:
         for pi, pi_choice, pi_mask in pis:

@@ -14,8 +14,20 @@ from clifcpt.autmat import (
 )
 from clifcpt.exact import GaussMatrix
 from clifcpt.fingroup import identify_abstract, minus_count, sig_str
-from clifcpt.spinrep import SpinBasis, build_spinbasis, preset_spinbasis, product_over
-from dense_reference import conjugated_bases, dense_realizations, matrix_closure
+from clifcpt.spinrep import (
+    SpinBasis,
+    build_spinbasis,
+    certify_spinbasis,
+    preset_spinbasis,
+    product_over,
+)
+from dense_reference import (
+    _survivors,
+    candidates,
+    conjugated_bases,
+    dense_realizations,
+    matrix_closure,
+)
 from gammas import gamma_matrices, product
 
 
@@ -123,26 +135,30 @@ def _dense_w(basis):
     return product_over(basis, (1 << basis.sig.n) - 1)
 
 
+def _only_survivor(basis, name):
+    """The (mask, choice) of the one candidate of `name`, of both, whose
+    product meets its condition, checked densely."""
+    ((_, choice, mask),) = _survivors(basis, name, candidates(certify_spinbasis(basis))[name])
+    return mask, choice
+
+
 def test_cl11_tower_products():
     basis = build_spinbasis(MetricSignature(1, 1))
     w = _dense_w(basis)
     assert w == basis.gens[0] * basis.gens[1]
     assert (w * w).pm_identity() == 1
-    es = find_E(basis)
-    assert len(es) == 1 and es[0][1] == "sym_product"
+    assert find_E(basis) == _only_survivor(basis, "E") == (0b01, "sym_product")
 
 
 def test_cl20_e_is_identity_and_c_is_w_transpose():
     basis = build_spinbasis(MetricSignature(2, 0))
     w = _dense_w(basis)
     assert (w * w).pm_identity() == -1
-    es = find_E(basis)
-    assert es == [(0, "skew_product")]
+    assert find_E(basis) == _only_survivor(basis, "E") == (0, "skew_product")
     e = product_over(basis, 0)
     assert e == GaussMatrix.identity(2)
     assert enumerate_realizations(basis)[0].matrix("C") == e * w.transpose() == w.transpose()
-    pis = find_Pi(basis)
-    assert pis == [(0, "identity")]
+    assert find_Pi(basis) == _only_survivor(basis, "Pi") == (0, "identity")
 
 
 def test_complex_c4_w_squares_plus():
@@ -153,9 +169,8 @@ def test_complex_c4_w_squares_plus():
 
 def test_complex_c2_e_choice_by_direct_check():
     basis = build_spinbasis(MetricSignature(2, 0, COMPLEX))
-    es = find_E(basis)
-    assert len(es) == 1
-    mask, choice = es[0]
+    mask, choice = find_E(basis)
+    assert (mask, choice) == _only_survivor(basis, "E")
     # k = 1 odd, so only the symmetric product intertwines: E = generator 1.
     assert choice == "sym_product"
     assert product_over(basis, mask) == basis.gens[0]

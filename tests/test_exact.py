@@ -204,6 +204,14 @@ def test_one_representation_agrees_with_dense_reference():
         s = rng.choice(UNITS + (GaussRational(0), _random_scalar(rng)))
         _assert_matches(a, GaussMatrix(a.rows))
         _assert_matches(a * b, _reference_mul(a, b))
+        # a and b now hold their numerators: the repeated product reuses
+        # them and must equal, and hash equal to, one of fresh copies.
+        again, fresh = a * b, GaussMatrix(ra) * GaussMatrix(rb)
+        assert again == fresh and hash(again) == hash(fresh)
+        # -a with its last row taken from b: a near miss for sign -1.
+        near = GaussMatrix([[-x for x in r] for r in ra[:-1]] + [rb[-1]])
+        for y in (a, -a, b, -b, near):
+            assert a.signed_eq(y, 1) == (a == y) and a.signed_eq(y, -1) == (a == -y)
         pairs = [list(zip(r, t)) for r, t in zip(ra, rb)]
         _assert_matches(a + b, GaussMatrix([[x + y for x, y in row] for row in pairs]))
         _assert_matches(a - b, GaussMatrix([[x - y for x, y in row] for row in pairs]))

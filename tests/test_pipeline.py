@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 from clifcpt import autmat, fingroup, pipeline
 from clifcpt.algebra import Multivector
 from clifcpt.exact import GaussMatrix
@@ -44,10 +49,9 @@ def test_sweep_pool_never_exceeds_cell_count(monkeypatch):
 
 def test_realizations_close_signed_blades_not_matrices(monkeypatch):
     # The realization stage closes signed blades and hashes no matrix, yet
-    # tests the intertwining conditions on matrices as often as the matrix
-    # closure did: W once, each E and Pi candidate, and C, K, S and F per
-    # realization, 8 per cell here. The record reads every group fact off
-    # that one closure.
+    # tests all seven intertwining conditions on matrices: W once, the E
+    # and Pi candidates the choice rule names, and C, K, S and F, 7 per
+    # cell. The record reads every group fact off that one closure.
     cells = [(1, 3, "real", "dirac"), (3, 3, "real", "canonical"), (6, 0, "complex", "canonical")]
     expected = [classify_cell(*cell) for cell in cells]
     closures = completions = checks = hashes_inside = 0
@@ -97,5 +101,49 @@ def test_realizations_close_signed_blades_not_matrices(monkeypatch):
     monkeypatch.setattr(fingroup, "order_structure", refuse)
     assert [classify_cell(*cell) for cell in cells] == expected
     assert completions >= len(cells) and closures == completions
-    assert checks == 8 * len(cells)
+    assert checks == 7 * len(cells)
     assert hashes_inside == 0
+
+
+_COUNT_SWEEP_OPS = """
+import json
+from collections import Counter
+from clifcpt import exact, pipeline
+
+counts = Counter()
+
+def counting(owner, name):
+    raw = getattr(owner, name)
+
+    def wrapped(*args):
+        counts[name] += 1
+        return raw(*args)
+
+    setattr(owner, name, wrapped)
+
+for name in ("__mul__", "__neg__"):
+    counting(exact.GaussMatrix, name)
+counting(exact, "_numerators")
+pipeline.sweep(8, "real", jobs=1)
+print(json.dumps(counts))
+"""
+
+
+def test_sweep_matrix_op_counts_are_pinned():
+    # Matrix work on sweep(8), counted in a fresh process so that no basis
+    # or stored numerators carry over from other tests: one product per
+    # certification pair, no negated product in `check` or certification
+    # of pure pairs, no candidate the choice rule rules out, and integer
+    # numerators converted once per matrix. A rise means repeated work.
+    import clifcpt
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(clifcpt.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_SWEEP_OPS],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert json.loads(out.stdout) == {"__mul__": 3125, "__neg__": 64, "_numerators": 1388}

@@ -18,6 +18,7 @@ from clifcpt.spinrep import (
     represent,
     save_spinbasis,
 )
+from dense_reference import conjugated_bases
 from gammas import gamma_matrices
 
 
@@ -253,6 +254,86 @@ def test_file_mixed_reality_rejected(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(CertificationError, match="mixed reality"):
         load_spinbasis(str(path))
+
+
+def test_certification_messages_and_pair_products(monkeypatch):
+    # Each broken basis gets its exact violation list. A pair of generators
+    # that both passed their scan costs one product, any other pair two;
+    # each generator that reached the square test costs one more.
+    d = preset_spinbasis("dirac").gens
+    one, minus = GaussRational(1, 1), GaussRational(-1, -1)
+    mixed = GaussMatrix([[0, 0, 0, one], [0, 0, one, 0], [0, minus, 0, 0], [minus, 0, 0, 0]])
+    s1, s3 = GaussMatrix([[0, 1], [1, 0]]), GaussMatrix([[1, 0], [0, -1]])
+    lopsided = GaussMatrix([[0, 1], [2, 0]])  # neither symmetric nor antisymmetric
+    cases = [
+        # The inputs of the broken-file tests above.
+        (
+            (1, 3),
+            (d[0], d[0], d[2], d[3]),
+            ["generator 2 squares to +I, expected -I", "generators 1 and 2 do not anticommute"],
+            4 + 6,
+        ),
+        (
+            (1, 3),
+            (d[0], d[1], mixed, d[3]),
+            [
+                "generator 3 has mixed reality (both real and imaginary entries)",
+                "generators 2 and 3 do not anticommute",
+            ],
+            3 + 3 + 2 * 3,
+        ),
+        (
+            (3, 1),
+            d,
+            ["generator 2 squares to -I, expected +I", "generator 3 squares to -I, expected +I"],
+            4 + 6,
+        ),
+        # Two pure generators that commute fail through the one-product test.
+        ((2, 0), (s1, s1), ["generators 1 and 2 do not anticommute"], 2 + 1),
+        # A generator that failed its scan keeps the two-product test, which
+        # needs no symmetry sign: this one anticommutes with s3.
+        ((2, 0), (lopsided, s3), ["generator 1 is neither symmetric nor antisymmetric"], 1 + 2),
+    ]
+    mul = GaussMatrix.__mul__
+    for (p, q), gens, violations, products in cases:
+        formed = []
+        monkeypatch.setattr(GaussMatrix, "__mul__", lambda a, b: formed.append(1) or mul(a, b))
+        with pytest.raises(CertificationError) as err:
+            certify_spinbasis(SpinBasis(MetricSignature(p, q), gens, "test"))
+        monkeypatch.undo()
+        assert (err.value.violations, len(formed)) == (violations, products), (p, q)
+
+
+def test_one_product_pair_verdicts_match_two_products():
+    # Seeded sign flips, phases i and 1+i (the last fails the scan) and
+    # repeated generators on canonical and conjugated bases, dense ones
+    # included: the pairs certification reports are exactly those where
+    # gi * gj != -(gj * gi).
+    rng = random.Random(16)
+    bases = [build_spinbasis(MetricSignature(p, n - p)) for n in (2, 4, 6) for p in range(n + 1)]
+    bases += [basis for _, _, basis in conjugated_bases()]
+    phases = (1, -1, GaussRational(0, 1), GaussRational(1, 1))
+    reported = 0
+    for basis in bases:
+        n = basis.sig.n
+        gens = [g.scale(rng.choice(phases)) for g in basis.gens]
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(n), 2)
+            gens[j] = gens[i].scale(rng.choice((1, -1)))
+        want = [
+            f"generators {i + 1} and {j + 1} do not anticommute"
+            for i in range(n)
+            for j in range(i + 1, n)
+            if gens[i] * gens[j] != -(gens[j] * gens[i])
+        ]
+        try:
+            certify_spinbasis(SpinBasis(basis.sig, tuple(gens), "variant"))
+            got = []
+        except CertificationError as err:
+            got = [v for v in err.violations if v.endswith("do not anticommute")]
+        assert got == want, (basis.sig, basis.provenance)
+        reported += len(got)
+    assert reported > 0
 
 
 def test_file_parse_error(tmp_path):
