@@ -11,8 +11,8 @@ from . import SUITE_NAMES, pipeline
 from .algebra import COMPLEX, REAL
 from .autmat import ConditionError
 from .classify import IdempotentSearchError
-from .covering import TableLookupError, TheoremCoverageError
-from .fingroup import ClassificationError, ClosureError, GroupStructureError
+from .covering import TheoremCoverageError
+from .fingroup import ClosureError, GroupStructureError
 from .pipeline import MAX_DIM, BasisSpecError
 from .spinrep import CertificationError, SpinBasisFileError, UnsupportedSignatureError
 
@@ -29,12 +29,10 @@ _USAGE_ERRORS = (UsageError, BasisSpecError, UnsupportedSignatureError, SpinBasi
 _VERIFY_ERRORS = (
     ConditionError,
     CertificationError,
-    ClassificationError,
     ClosureError,
     GroupStructureError,
     IdempotentSearchError,
     TheoremCoverageError,
-    TableLookupError,
 )
 
 

@@ -1,19 +1,20 @@
-"""Classification-theorem predictors and covering-structure labels.
+"""Classification-theorem predictors and the odd-dimension reduction.
 
 The predictors compute, from arithmetic data only (the three masks of
 the basis profile, or n for the complex field), what the classification
 theorems assert about the automorphism matrices: the (E, Pi) choices,
-the generator masks, every square sign including Pi*conj(Pi), every
-commutation sign, and the discrete fiber groups of the Pin covers. The
-matrix pipeline computes the same quantities directly; agreement between
-the two routes is the main verification of the artifact.
+the generator masks, every square sign including Pi*conj(Pi), and every
+commutation sign, the polarization of the squares. The group names and
+cover fibers follow from the squares through `fingroup.classify_form`.
+The matrix pipeline computes the same quantities directly; agreement
+between the two routes is the main verification of the artifact.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fingroup import minus_count
+from .fingroup import classify_form, polarization
 from .spinrep import BasisProfile
 
 
@@ -21,21 +22,11 @@ class TheoremCoverageError(ValueError):
     """No theorem arm covers the supplied data."""
 
 
-class TableLookupError(ValueError):
-    """A cover-label lookup fell outside the table."""
-
-
 class PredictedAut(NamedTuple):
     triple: tuple[int, int, int]
     group: str
     abelian: bool
     arm: str
-
-
-class CoverLabel(NamedTuple):
-    kind: str  # "PT" or "CPT"
-    fiber: str
-    cliffordian: bool
 
 
 class OddReduction(NamedTuple):
@@ -65,10 +56,6 @@ class PredictedRealization(NamedTuple):
 def _square(a: int, neg: int) -> int:
     k = a.bit_count()
     return -1 if (k * (k - 1) // 2 + (a & neg).bit_count()) % 2 else 1
-
-
-def _commutation(a: int, b: int) -> int:
-    return -1 if (a.bit_count() * b.bit_count() + (a & b).bit_count()) % 2 else 1
 
 
 def choice_candidates(prof: BasisProfile) -> dict[str, tuple[tuple[int, str], ...]]:
@@ -112,6 +99,10 @@ def predict_realization(prof: BasisProfile) -> PredictedRealization:
 
     Pi is a product of real generators or of an even number of imaginary
     ones, so it is a real matrix and Pi * conj(Pi) = Pi^2.
+
+    The commutation table is the polarization of the seven squares,
+    which the commutation rule gives on any eight such blades (see
+    `fingroup.polarization`).
     """
     n = prof.n
     if n % 2 != 0:
@@ -123,68 +114,17 @@ def predict_realization(prof: BasisProfile) -> PredictedRealization:
         for first, second in choice_candidates(prof).values()
     )
     masks = dict(zip(_ELEMENTS, (full, e, e ^ full, pi, pi ^ full, pi ^ e, pi ^ e ^ full)))
-    blades = (0, *masks.values())
-    return PredictedRealization(
-        choice_e,
-        choice_pi,
-        masks,
-        tuple(_square(a, prof.neg_mask) for a in masks.values()),
-        tuple(tuple(_commutation(a, b) for b in blades) for a in blades),
-    )
+    signature = tuple(_square(a, prof.neg_mask) for a in masks.values())
+    return PredictedRealization(choice_e, choice_pi, masks, signature, polarization(signature))
 
 
 def predict_aut_complex(n: int) -> PredictedAut:
     """Over the complex field there are only two groups: the commuting one
     with phase-normalized signature (+,+,+) for n = 0,1 mod 4 and the
     anticommuting one with (-,-,-) for n = 2,3 mod 4."""
-    if n % 4 in (0, 1):
-        return PredictedAut((1, 1, 1), "Z2xZ2", True, f"complex, n mod 4 = {n % 4}")
-    return PredictedAut((-1, -1, -1), "Q4/Z2", False, f"complex, n mod 4 = {n % 4}")
-
-
-# The eight double covers of the two-reflection group, keyed by
-# (a, b, c, commutes). Cliffordian exactly when the reflections anticommute.
-_PT_TABLE = {
-    (1, 1, 1, True): "Z2xZ2xZ2",
-    (1, -1, -1, True): "Z2xZ4",
-    (-1, 1, -1, True): "Z2xZ4",
-    (-1, -1, 1, True): "Z2xZ4",
-    (-1, -1, -1, False): "Q4",
-    (-1, 1, 1, False): "D4",
-    (1, -1, 1, False): "D4",
-    (1, 1, -1, False): "D4",
-}
-
-
-def pt_cover_label(a: int, b: int, c: int, pt_commutes: bool) -> CoverLabel:
-    key = (a, b, c, pt_commutes)
-    if key not in _PT_TABLE:
-        raise TableLookupError(f"no PT cover row for signs {key[:3]} with commutes={pt_commutes}")
-    return CoverLabel("PT", _PT_TABLE[key], cliffordian=not pt_commutes)
-
-
-def cpt_cover_label(signs: tuple[int, ...], abelian: bool) -> CoverLabel:
-    """Fiber of the seven-sign cover: determined by the minus count with
-    abelianness splitting the four-minus case; Cliffordian exactly when
-    the fiber is non-abelian."""
-    mc = minus_count(signs)
-    if mc == 0:
-        if not abelian:
-            raise TableLookupError("all-plus signature with a non-abelian system")
-        return CoverLabel("CPT", "Z2xZ2xZ2xZ2", cliffordian=False)
-    if mc == 2:
-        if abelian:
-            raise TableLookupError("two-minus signature with an abelian system")
-        return CoverLabel("CPT", "D4xZ2", cliffordian=True)
-    if mc == 6:
-        if abelian:
-            raise TableLookupError("six-minus signature with an abelian system")
-        return CoverLabel("CPT", "Q4xZ2", cliffordian=True)
-    if mc == 4:
-        if abelian:
-            return CoverLabel("CPT", "Z4xZ2xZ2", cliffordian=False)
-        return CoverLabel("CPT", "Z4*xZ2xZ2", cliffordian=True)
-    raise TableLookupError(f"minus count {mc} is inadmissible")
+    triple = (1, 1, 1) if n % 4 in (0, 1) else (-1, -1, -1)
+    form = classify_form(triple)
+    return PredictedAut(triple, form.label, form.abelian, f"complex, n mod 4 = {n % 4}")
 
 
 def reduce_odd(p: int, q: int) -> OddReduction:

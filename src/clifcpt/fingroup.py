@@ -1,6 +1,7 @@
 """Finite groups of matrices or signed blades: signed multiplicative
-closures, order structure, group labels for signature tuples, Cayley
-tables, and the admissible signature census."""
+closures, order structure, the quadratic form behind a signature tuple
+with its group names, Cayley tables, and the admissible signature
+census."""
 
 from __future__ import annotations
 
@@ -30,15 +31,11 @@ class ClosureError(RuntimeError):
     """Closure did not terminate within the expected bound."""
 
 
-class ClassificationError(ValueError):
-    """A signature tuple falls outside the admissible census."""
-
-
 class GroupStructureError(ValueError):
     """Elements handed to a group routine break its structural invariant:
     no generators, a closure without the identity, a square other than
-    +-I, a product outside the signed representative set, or an order too
-    large to identify."""
+    +-I, a product outside the signed representative set, an order too
+    large to identify, or signs that are not a quadratic form."""
 
 
 class SignedGroup(NamedTuple):
@@ -55,13 +52,6 @@ class SignedGroup(NamedTuple):
     @property
     def contains_minus_I(self) -> bool:
         return self.minus_identity is not None
-
-
-class GroupLabel(NamedTuple):
-    tag: str
-    abelian: bool
-    consistent: bool
-    note: str = ""
 
 
 def signed_closure(gens: Sequence[Element], identity: Element) -> SignedGroup:
@@ -138,51 +128,63 @@ def order_structure(reps: Sequence[GaussMatrix]) -> tuple[int, int]:
     return (n2, n4)
 
 
-def signature_label(signs: tuple[int, ...], abelian: bool) -> GroupLabel:
-    """Label of the eight-representative signed system from its seven-sign
-    tuple and commutativity; raises when the minus count is inadmissible.
+def polarization(signs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The commutation table of the quadratic form q on Z2^k whose signs
+    on the nonzero vectors 1 .. 2^k - 1 are `signs` (W, E, C, Pi, K, S, F
+    in ELEMENT_NAMES order for k = 3), with q(0) = +1: entry [v][w] is
+    eps(v, w) = q(v) q(w) q(v ^ w).
 
-    Must-be-abelian/non-abelian mismatches are reported through the
-    `consistent` flag rather than masked.
-    """
-    mc = minus_count(signs)
-    if mc not in (0, 2, 4, 6):
-        raise ClassificationError(
-            f"signature {sig_str(signs)} has minus count {mc}, not in {{0,2,4,6}}"
-        )
-    if mc == 0:
-        tag, must_abelian = "Z2xZ2xZ2", True
-    elif mc == 2:
-        tag, must_abelian = "D4", False
-    elif mc == 6:
-        tag, must_abelian = "Q4", False
-    else:
-        tag = "Z4xZ2" if abelian else "Z4*xZ2"
-        must_abelian = None
-    consistent = must_abelian is None or abelian == must_abelian
-    note = "" if consistent else f"{tag} requires abelian={must_abelian}, got {abelian}"
-    return GroupLabel(tag, abelian, consistent, note)
+    In a realization x_v x_w = +-x_(v ^ w) and x_v^2 = q(v) I, so
+    (x_v x_w)^2 is both eps q(v) q(w) and q(v ^ w): eps(v, w) is the
+    sign with x_v x_w = eps * x_w x_v."""
+    q = (1, *signs)
+    return tuple(tuple(q[v] * q[w] * q[v ^ w] for w in range(len(q))) for v in range(len(q)))
 
 
-def aut_label(signs: tuple[int, int, int], abelian: bool) -> GroupLabel:
-    """Label of the four-element system {I, W, E, C} from its three-sign
-    tuple and commutativity."""
-    mc = minus_count(signs)
-    if abelian:
-        if mc == 0:
-            tag = "Z2xZ2"
-        elif mc == 2:
-            tag = "Z4"
-        else:
-            raise ClassificationError(f"abelian triple {sig_str(signs)} must have 0 or 2 minuses")
-    else:
-        if mc == 3:
-            tag = "Q4/Z2"
-        elif mc == 1:
-            tag = "D4/Z2"
-        else:
-            raise ClassificationError(f"non-abelian triple {sig_str(signs)} must have 1 or 3 minuses")
-    return GroupLabel(tag, abelian, True)
+class FormClass(NamedTuple):
+    abelian: bool
+    label: str  # the group of the 2^k elements; for k = 2 the {I, W, E, C} label
+    fiber: str  # the cover fiber: CPT for k = 3, PT for k = 2
+
+
+# The paper's names, keyed by (k, abelian, minus count) of a form on Z2^k:
+# the CPT group and CPT fiber for k = 3, the {I, W, E, C} group and PT
+# fiber for k = 2. Every form on Z2^2 or Z2^3 has one of these keys.
+_FORM_NAMES = {
+    (2, True, 0): ("Z2xZ2", "Z2xZ2xZ2"),
+    (2, True, 2): ("Z4", "Z2xZ4"),
+    (2, False, 1): ("D4/Z2", "D4"),
+    (2, False, 3): ("Q4/Z2", "Q4"),
+    (3, True, 0): ("Z2xZ2xZ2", "Z2xZ2xZ2xZ2"),
+    (3, False, 2): ("D4", "D4xZ2"),
+    (3, True, 4): ("Z4xZ2", "Z4xZ2xZ2"),
+    (3, False, 4): ("Z4*xZ2", "Z4*xZ2xZ2"),
+    (3, False, 6): ("Q4", "Q4xZ2"),
+}
+
+
+def classify_form(signs: tuple[int, ...]) -> FormClass:
+    """The class of the quadratic form with these signs on the nonzero
+    vectors of Z2^2 (the W, E, C triple) or Z2^3 (the seven signs W to
+    F): abelian when its polarization is trivial, and the paper's names.
+    A Cliffordian fiber is a non-abelian one. Raises GroupStructureError
+    when the signs are not a form, that is when their polarization is
+    not bilinear (on Z2^3: an odd minus count)."""
+    eps = polarization(signs)
+    size = len(eps)
+    # eps(u, v ^ w) eps(u, v) eps(u, w) is the product of q over the seven
+    # nonzero sums of u, v and w: symmetric, and 1 when two are equal or
+    # one is 0. So distinct u > v > w > 0 cover every case.
+    if any(
+        eps[u][v ^ w] != eps[u][v] * eps[u][w]
+        for u in range(size)
+        for v in range(1, u)
+        for w in range(1, v)
+    ):
+        raise GroupStructureError(f"signature {sig_str(signs)} is not a quadratic form")
+    abelian = all(s == 1 for row in eps for s in row)
+    label, fiber = _FORM_NAMES[size.bit_length() - 1, abelian, minus_count(signs)]
+    return FormClass(abelian, label, fiber)
 
 
 def identify_abstract(group: SignedGroup) -> dict:

@@ -15,7 +15,7 @@ from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
 from .autmat import ELEMENT_NAMES, Realization, enumerate_realizations, mask_label
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, ring_type
 from .exact import GaussMatrix
-from .fingroup import aut_label, cayley_table, minus_count, sig_str, signature_label
+from .fingroup import cayley_table, classify_form, minus_count, polarization, sig_str
 from .spinrep import SpinBasis, build_spinbasis, certify_spinbasis, load_spinbasis, preset_spinbasis
 
 _CHOICE_E_JSON = {"skew_product": "skew", "sym_product": "sym"}
@@ -70,22 +70,10 @@ def resolve_basis(p: int, q: int, field: str, basis_spec: str) -> SpinBasis:
     raise BasisSpecError(f"unknown basis spec {basis_spec!r}")
 
 
-# The helpers below read `signature` and `commutation`, which a computed
-# Realization and a covering.PredictedRealization lay out alike.
-
-
-def _aut_sub_signature(r) -> tuple[int, int, int]:
-    return r.signature[:3]
-
-
 def _aut_sub_abelian(r) -> bool:
+    """Whether W, E and C commute, read off a realization's commutation
+    table."""
     return all(r.commutation[i][j] == 1 for i in (1, 2, 3) for j in (1, 2, 3))
-
-
-def _pt_cover(r) -> covering.CoverLabel:
-    """The PT cover of the W, E, C signs; W and E commute exactly when
-    the three do, since C = E W^T is +-E W."""
-    return covering.pt_cover_label(*_aut_sub_signature(r), pt_commutes=r.commutation[1][2] == 1)
 
 
 def predictor_analysis(r: Realization) -> dict:
@@ -118,9 +106,10 @@ def predictor_analysis(r: Realization) -> dict:
     full_scope = tag == "H" or (tag == "R" and prof.mask(real=False) == 0)
     reason = ""
     if full_scope:
-        record("aut_triple", sig_str(_aut_sub_signature(pred)), sig_str(_aut_sub_signature(r)))
-        record("aut_abelian", _aut_sub_abelian(pred), _aut_sub_abelian(r))
-        record("pt_fiber", _pt_cover(pred).fiber, _pt_cover(r).fiber)
+        pred_aut = classify_form(pred.signature[:3])
+        record("aut_triple", sig_str(pred.signature[:3]), sig_str(r.signature[:3]))
+        record("aut_abelian", pred_aut.abelian, _aut_sub_abelian(r))
+        record("pt_fiber", pred_aut.fiber, classify_form(r.signature[:3]).fiber)
     else:
         reason = (
             "real-ring signature represented with complex-entry generators; "
@@ -137,16 +126,9 @@ def predictor_analysis(r: Realization) -> dict:
 
 
 def realization_record(r: Realization) -> dict:
-    label = signature_label(r.signature, r.abelian)
+    form = classify_form(r.signature)
+    aut = classify_form(r.signature[:3])
     abstract = fingroup.identify_abstract(r.group)
-    aut_sig = _aut_sub_signature(r)
-    aut_ab = _aut_sub_abelian(r)
-    try:
-        aut_tag = aut_label(aut_sig, aut_ab).tag
-    except fingroup.ClassificationError as exc:
-        aut_tag = f"inconsistent:{exc}"
-    cpt = covering.cpt_cover_label(r.signature, r.abelian)
-    pt = _pt_cover(r)
     predictor = predictor_analysis(r)
     return {
         "choiceE": _CHOICE_E_JSON[r.choice_e],
@@ -157,8 +139,9 @@ def realization_record(r: Realization) -> dict:
         "abelian": r.abelian,
         "masks": {name: blade_indices(r.masks[name]) for name in r.masks},
         "rep_signs": dict(r.rep_signs),
-        "label": label.tag,
-        "label_consistent": label.consistent,
+        "label": form.label,
+        # The closure's commutation table against the one its squares imply.
+        "label_consistent": r.commutation == polarization(r.signature),
         "order_structure": list(r.order_counts),
         "closure": {
             "order": r.group.order,
@@ -168,9 +151,9 @@ def realization_record(r: Realization) -> dict:
             "exponent": abstract["exponent"],
             "order_histogram": {str(k): v for k, v in abstract["order_histogram"].items()},
         },
-        "aut": {"signature": sig_str(aut_sig), "label": aut_tag, "abelian": aut_ab},
-        "pt_cover": {"fiber": pt.fiber, "cliffordian": pt.cliffordian},
-        "cpt_cover": {"fiber": cpt.fiber, "cliffordian": cpt.cliffordian},
+        "aut": {"signature": sig_str(r.signature[:3]), "label": aut.label, "abelian": aut.abelian},
+        "pt_cover": {"fiber": aut.fiber, "cliffordian": not aut.abelian},
+        "cpt_cover": {"fiber": form.fiber, "cliffordian": not form.abelian},
         "predictor": predictor,
         "predicted_vs_computed": predictor["verdict"],
     }
@@ -274,16 +257,16 @@ def _classify_complex(p: int, q: int) -> dict:
     prof = certify_spinbasis(basis)
     r = enumerate_realizations(basis)[0]
     abelian = _aut_sub_abelian(r)
-    cover = covering.pt_cover_label(*pred.triple, pt_commutes=pred.abelian)
+    cover = classify_form(pred.triple)
     out["basis"] = {"provenance": basis.provenance, "dim": basis.dim, "profile": prof.as_dict()}
     out["aut"] = {
-        "raw_signature": sig_str(_aut_sub_signature(r)),
+        "raw_signature": sig_str(r.signature[:3]),
         "phase_normalized_signature": sig_str(pred.triple),
         "abelian": abelian,
         "commute": [list(row[:4]) for row in r.commutation[:4]],
         "agree": abelian == pred.abelian,
     }
-    out["pin_cover"] = {"fiber": cover.fiber, "cliffordian": cover.cliffordian}
+    out["pin_cover"] = {"fiber": cover.fiber, "cliffordian": not cover.abelian}
     return out
 
 

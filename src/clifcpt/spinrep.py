@@ -336,9 +336,13 @@ def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
 
 
 def product_over(basis: SpinBasis, mask: int) -> GaussMatrix:
-    """Product of the generators in a blade mask, in increasing index order."""
-    out = GaussMatrix.identity(basis.dim)
-    for i in blade_indices(mask):
+    """Product of the generators in a blade mask, in increasing index
+    order; the identity for the empty mask."""
+    if not mask:
+        return GaussMatrix.identity(basis.dim)
+    first, *rest = blade_indices(mask)
+    out = basis.gens[first - 1]
+    for i in rest:
         out = out * basis.gens[i - 1]
     return out
 

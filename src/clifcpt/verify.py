@@ -28,13 +28,16 @@ from .autmat import ELEMENT_NAMES, Realization, check, enumerate_realizations, r
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, radon_hurwitz, ring_type
 from .exact import GaussMatrix
 from .fingroup import (
+    GroupStructureError,
+    SignedGroup,
     cayley_table,
     census_64,
+    classify_form,
     identify_abstract,
     minus_count,
     order_structure,
+    polarization,
     sig_str,
-    signature_label,
     signed_closure,
 )
 from .goldens import (
@@ -273,8 +276,8 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
         table = cayley_table(ext_reps(r))
         assert table.cells == signed_cells(DIRAC_EXT_TABLE), "extended-set table mismatch"
         assert r.group.order == 16 and r.group.contains_minus_I
-        label = signature_label(r.signature, r.abelian)
-        assert label.tag == "Z4*xZ2" and label.consistent
+        assert classify_form(r.signature).label == "Z4*xZ2"
+        assert r.commutation == polarization(r.signature)
         return "signature, 64-cell table, order-16 closure, label"
 
     out.append(_run("groups", "dirac-extended-set", dirac_goldens))
@@ -290,8 +293,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
         closure = signed_closure([m for _, m in reps], GaussMatrix.identity(basis.dim))
         info = identify_abstract(closure)
         assert not info["abelian"] and closure.order == 16
-        label = signature_label(signs, abelian=False)  # type: ignore[arg-type]
-        assert label.tag == "Z4*xZ2"
+        assert classify_form(signs).label == "Z4*xZ2"
         return "64-cell table, signature, order structure (3,4), label"
 
     out.append(_run("groups", "wigner-reflection-set", wigner_goldens))
@@ -318,9 +320,11 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
     def sweep_labels():
         for sig in _even_real_sigs(max_dim):
             for r in _realizations(realizations, build_spinbasis(sig)):
-                assert minus_count(r.signature) in (0, 2, 4, 6), sig_str(r.signature)
-                label = signature_label(r.signature, r.abelian)
-                assert label.consistent, f"Cl({sig.p},{sig.q}): {label.note}"
+                classify_form(r.signature)  # GroupStructureError unless a form
+                assert r.commutation == polarization(r.signature), (
+                    f"Cl({sig.p},{sig.q}): commutation is not the polarization "
+                    f"of {sig_str(r.signature)}"
+                )
         return f"all realized signatures admissible and label-consistent to p+q={max_dim}"
 
     out.append(_run("groups", "sweep-label-consistency", sweep_labels))
@@ -329,51 +333,99 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
 
 # --- covering suite -----------------------------------------------------------
 
+# The paper's cover tables, the one reference copy: each fiber with the
+# label of its form class and the (abelian, center size, element-order
+# histogram) of the central extension of Z2^k by Z2 that the form defines.
+_PT_FIBERS = {
+    "Z2xZ2xZ2": ("Z2xZ2", (True, 8, {1: 1, 2: 7})),
+    "Z2xZ4": ("Z4", (True, 8, {1: 1, 2: 3, 4: 4})),
+    "D4": ("D4/Z2", (False, 2, {1: 1, 2: 5, 4: 2})),
+    "Q4": ("Q4/Z2", (False, 2, {1: 1, 2: 1, 4: 6})),
+}
+_CPT_FIBERS = {
+    "Z2xZ2xZ2xZ2": ("Z2xZ2xZ2", (True, 16, {1: 1, 2: 15})),
+    "Z4xZ2xZ2": ("Z4xZ2", (True, 16, {1: 1, 2: 7, 4: 8})),
+    "D4xZ2": ("D4", (False, 4, {1: 1, 2: 11, 4: 4})),
+    "Q4xZ2": ("Q4", (False, 4, {1: 1, 2: 3, 4: 12})),
+    "Z4*xZ2xZ2": ("Z4*xZ2", (False, 4, {1: 1, 2: 7, 4: 8})),  # Z4 o D4, the Pauli group
+}
+
+
+def _invariants(group: SignedGroup) -> tuple:
+    info = identify_abstract(group)
+    return info["abelian"], info["center_size"], info["order_histogram"]
+
+
+def _extension(signs: tuple[int, ...]) -> SignedGroup:
+    """The central extension of Z2^k by Z2 that the form q with these
+    signs defines (a minus sign is q = 1), as an integer table: element
+    s * 2^k + v is (s, v), and (s, v)(t, w) = (s + t + beta(v, w), v ^ w)
+    for the upper-triangular cocycle
+    beta(v, w) = sum a_i v_i w_i + sum_{i<j} b_ij v_i w_j,
+    with a_i = q(e_i) and b_ij = q(e_i + e_j) + q(e_i) + q(e_j)."""
+    q = (0, *(int(s < 0) for s in signs))
+    size = len(q)
+    k = size.bit_length() - 1
+    a = [q[1 << i] for i in range(k)]
+    b = {(i, j): q[(1 << i) | (1 << j)] ^ a[i] ^ a[j] for i in range(k) for j in range(i + 1, k)}
+
+    def beta(v: int, w: int) -> int:
+        diagonal = sum(a[i] & (v >> i) & (w >> i) for i in range(k))
+        return (diagonal + sum(c & (v >> i) & (w >> j) for (i, j), c in b.items())) % 2
+
+    cocycle = [[beta(v, w) for w in range(size)] for v in range(size)]
+    mul = tuple(
+        tuple(
+            (((x ^ y) >> k) ^ cocycle[x % size][y % size]) * size + (x ^ y) % size
+            for y in range(2 * size)
+        )
+        for x in range(2 * size)
+    )
+    return SignedGroup(tuple(range(2 * size)), mul, 0, size, ())
+
+
+def _check_forms(k: int) -> dict:
+    """Every sign tuple on the nonzero vectors of Z2^k: `classify_form`
+    rejects exactly the odd-weight ones on Z2^3, and each form's central
+    extension squares to its signs and has the invariants of its fiber,
+    whose label the form carries. Returns the forms with their classes."""
+    reference = _CPT_FIBERS if k == 3 else _PT_FIBERS
+    forms = {}
+    for signs in iterproduct((1, -1), repeat=2**k - 1):
+        odd = k == 3 and minus_count(signs) % 2 == 1
+        try:
+            form = classify_form(signs)
+        except GroupStructureError:
+            assert odd, f"form {sig_str(signs)} rejected"
+            continue
+        assert not odd, f"odd-weight {sig_str(signs)} accepted"
+        ext = _extension(signs)
+        squares = tuple(-1 if ext.mul[v][v] == ext.minus_identity else 1 for v in range(1, 2**k))
+        assert squares == signs, f"{sig_str(signs)}: the extension squares to {sig_str(squares)}"
+        label, invariants = reference[form.fiber]
+        assert (form.label, form.abelian) == (label, invariants[0]), f"{sig_str(signs)}: {form}"
+        assert _invariants(ext) == invariants, f"{sig_str(signs)}: not {form.fiber}"
+        forms[signs] = form
+    return forms
+
 
 def suite_coverings(max_dim: int, realizations: dict | None = None) -> list[CheckResult]:
     realizations = {} if realizations is None else realizations
     out = []
 
     def pt_rows():
-        expect = {
-            (1, 1, 1, True): ("Z2xZ2xZ2", False),
-            (1, -1, -1, True): ("Z2xZ4", False),
-            (-1, 1, -1, True): ("Z2xZ4", False),
-            (-1, -1, 1, True): ("Z2xZ4", False),
-            (-1, -1, -1, False): ("Q4", True),
-            (-1, 1, 1, False): ("D4", True),
-            (1, -1, 1, False): ("D4", True),
-            (1, 1, -1, False): ("D4", True),
-        }
-        for (a, b, c, comm), (fiber, cliff) in expect.items():
-            lab = covering.pt_cover_label(a, b, c, comm)
-            assert (lab.fiber, lab.cliffordian) == (fiber, cliff)
-        try:
-            covering.pt_cover_label(1, 1, 1, False)
-            raise AssertionError("off-table row accepted")
-        except covering.TableLookupError:
-            pass
+        forms = _check_forms(2)
+        for signs, form in forms.items():
+            # The other (triple, commutes) key contradicts the polarization.
+            assert form.abelian == (polarization(signs)[1][2] == 1), sig_str(signs)
+        assert len(forms) == 8 and {f.fiber for f in forms.values()} == set(_PT_FIBERS)
         return "8 rows plus off-table rejection"
 
     out.append(_run("coverings", "pt-cover-table", pt_rows))
 
     def cpt_rows():
-        assert covering.cpt_cover_label((1,) * 7, True).fiber == "Z2xZ2xZ2xZ2"
-        assert covering.cpt_cover_label((1, -1, -1, 1, -1, -1, 1), False).fiber == "Z4*xZ2xZ2"
-        assert covering.cpt_cover_label((-1, -1, 1, -1, -1, 1, 1), False).fiber == "Z4*xZ2xZ2"
-        assert covering.cpt_cover_label((1, 1, 1, -1, -1, -1, -1), True).fiber == "Z4xZ2xZ2"
-        assert covering.cpt_cover_label((1, -1, -1, -1, -1, -1, -1), False).fiber == "Q4xZ2"
-        assert covering.cpt_cover_label((1, 1, 1, 1, 1, -1, -1), False).fiber == "D4xZ2"
-        for signs, abelian in (
-            ((1,) * 7, True),
-            ((1, 1, 1, -1, -1, -1, -1), True),
-            ((1, 1, 1, 1, 1, -1, -1), False),
-            ((1, -1, -1, -1, -1, -1, -1), False),
-            ((1, -1, -1, 1, -1, -1, 1), False),
-        ):
-            lab = covering.cpt_cover_label(signs, abelian)
-            assert lab.cliffordian == (not abelian or lab.fiber in ("D4xZ2", "Q4xZ2", "Z4*xZ2xZ2"))
-            assert lab.cliffordian != (lab.fiber in ("Z2xZ2xZ2xZ2", "Z4xZ2xZ2"))
+        forms = _check_forms(3)
+        assert len(forms) == 64 and {f.fiber for f in forms.values()} == set(_CPT_FIBERS)
         return "5 fiber families, Cliffordian flag = non-abelian fiber"
 
     out.append(_run("coverings", "cpt-cover-table", cpt_rows))
@@ -396,19 +448,14 @@ def suite_coverings(max_dim: int, realizations: dict | None = None) -> list[Chec
     out.append(_run("coverings", "odd-dimension-reduction", odd_reduction))
 
     def label_fiber_families():
-        family = {
-            "Z2xZ2xZ2": "Z2xZ2xZ2xZ2",
-            "Z4xZ2": "Z4xZ2xZ2",
-            "Z4*xZ2": "Z4*xZ2xZ2",
-            "D4": "D4xZ2",
-            "Q4": "Q4xZ2",
-        }
         count = 0
         for sig in _even_real_sigs(max_dim):
             for r in _realizations(realizations, build_spinbasis(sig)):
-                tag = signature_label(r.signature, r.abelian).tag
-                fiber = covering.cpt_cover_label(r.signature, r.abelian).fiber
-                assert fiber == family[tag], f"Cl({sig.p},{sig.q}): {tag} vs {fiber}"
+                fiber = classify_form(r.signature).fiber
+                # A closure with -I is the central extension: the fiber itself.
+                if r.group.order == 16:
+                    got = _invariants(r.group)
+                    assert got == _CPT_FIBERS[fiber][1], f"Cl({sig.p},{sig.q}): {fiber} vs {got}"
                 count += 1
         return f"label and cover fiber agree on {count} realizations"
 

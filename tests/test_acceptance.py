@@ -4,6 +4,9 @@ All comparisons are exact; the timed criteria assert their stated wall
 budgets."""
 
 import time
+from itertools import product as iterproduct
+
+import pytest
 
 from clifcpt import covering
 from clifcpt.algebra import COMPLEX, MetricSignature
@@ -17,13 +20,14 @@ from clifcpt.classify import (
 )
 from clifcpt.exact import GaussMatrix
 from clifcpt.fingroup import (
+    GroupStructureError,
     cayley_table,
     census_64,
+    classify_form,
     identify_abstract,
     minus_count,
     order_structure,
     sig_str,
-    signature_label,
     signed_closure,
 )
 from clifcpt.goldens import (
@@ -109,8 +113,7 @@ def test_c03_wigner_group_identification():
     closure = signed_closure(mats, GaussMatrix.identity(basis.dim))
     info = identify_abstract(closure)
     assert not info["abelian"]
-    label = signature_label(signs, abelian=False)
-    assert label.tag == "Z4*xZ2" and label.consistent
+    assert classify_form(signs) == (False, "Z4*xZ2", "Z4*xZ2xZ2")
     _report(3, "reflection-set group", "non-abelian, (3,4), Z4*xZ2")
 
 
@@ -233,33 +236,48 @@ def test_c11_census():
     _report(11, "signature census", "1+21+35+7 = 64; realized minus counts admissible")
 
 
-def test_c12_covering_label_tables():
-    pt_rows = {
-        (1, 1, 1, True): ("Z2xZ2xZ2", False),
-        (1, -1, -1, True): ("Z2xZ4", False),
-        (-1, 1, -1, True): ("Z2xZ4", False),
-        (-1, -1, 1, True): ("Z2xZ4", False),
-        (-1, -1, -1, False): ("Q4", True),
-        (-1, 1, 1, False): ("D4", True),
-        (1, -1, 1, False): ("D4", True),
-        (1, 1, -1, False): ("D4", True),
-    }
-    for (a, b, c, comm), (fiber, cliff) in pt_rows.items():
-        lab = covering.pt_cover_label(a, b, c, comm)
-        assert (lab.fiber, lab.cliffordian) == (fiber, cliff)
-        assert lab.cliffordian == (fiber in ("Q4", "D4"))
+# The paper's tables as (signs, abelian, label, fiber): the W, E, C
+# triples with the {I, W, E, C} group and the PT fiber, then seven-sign
+# tuples with the CPT group and the CPT fiber. Cliffordian = not abelian.
+FORM_ROWS = [
+    ((1, 1, 1), True, "Z2xZ2", "Z2xZ2xZ2"),
+    ((1, -1, -1), True, "Z4", "Z2xZ4"),
+    ((-1, 1, -1), True, "Z4", "Z2xZ4"),
+    ((-1, -1, 1), True, "Z4", "Z2xZ4"),
+    ((-1, -1, -1), False, "Q4/Z2", "Q4"),
+    ((-1, 1, 1), False, "D4/Z2", "D4"),
+    ((1, -1, 1), False, "D4/Z2", "D4"),
+    ((1, 1, -1), False, "D4/Z2", "D4"),
+    ((1,) * 7, True, "Z2xZ2xZ2", "Z2xZ2xZ2xZ2"),
+    ((1, 1, 1, -1, -1, -1, -1), True, "Z4xZ2", "Z4xZ2xZ2"),
+    ((1, -1, -1, 1, -1, -1, 1), False, "Z4*xZ2", "Z4*xZ2xZ2"),
+    ((-1, -1, 1, -1, -1, 1, 1), False, "Z4*xZ2", "Z4*xZ2xZ2"),
+    ((1, -1, -1, -1, -1, -1, -1), False, "Q4", "Q4xZ2"),
+    ((1, 1, 1, 1, 1, -1, -1), False, "D4", "D4xZ2"),
+    ((-1, -1, 1, 1, 1, 1, 1), False, "D4", "D4xZ2"),
+]
 
-    cpt_rows = [
-        ((1,) * 7, True, "Z2xZ2xZ2xZ2", False),
-        ((1, 1, 1, -1, -1, -1, -1), True, "Z4xZ2xZ2", False),
-        ((1, -1, -1, -1, -1, -1, -1), False, "Q4xZ2", True),
-        ((1, 1, 1, 1, 1, -1, -1), False, "D4xZ2", True),
-        ((1, -1, -1, 1, -1, -1, 1), False, "Z4*xZ2xZ2", True),
-    ]
-    for signs, abelian, fiber, cliff in cpt_rows:
-        lab = covering.cpt_cover_label(signs, abelian)
-        assert (lab.fiber, lab.cliffordian) == (fiber, cliff)
-        assert lab.cliffordian == (fiber in ("Q4xZ2", "D4xZ2", "Z4*xZ2xZ2"))
+
+def test_c12_covering_label_tables():
+    for signs, abelian, label, fiber in FORM_ROWS:
+        assert classify_form(signs) == (abelian, label, fiber), signs
+    # (k, minus count, abelian) -> (label, fiber), every class of the rows.
+    names = {(len(s).bit_length(), minus_count(s), ab): rest for s, ab, *rest in FORM_ROWS}
+    assert len(names) == 9
+    forms = {2: [], 3: []}
+    for k in (2, 3):
+        for signs in iterproduct((1, -1), repeat=2**k - 1):
+            if k == 3 and minus_count(signs) % 2 == 1:
+                with pytest.raises(GroupStructureError):
+                    classify_form(signs)
+                continue
+            # Abelian exactly when q is a character of Z2^k.
+            q = (1, *signs)
+            linear = all(q[v ^ w] == q[v] * q[w] for v in range(2**k) for w in range(2**k))
+            form = classify_form(signs)
+            assert form == (linear, *names[k, minus_count(signs), linear]), signs
+            forms[k].append(signs)
+    assert len(forms[2]) == 8 and forms[3] == census_64()["tuples"]
     _report(12, "covering label tables", "8 two-reflection rows + 5 seven-sign rows")
 
 

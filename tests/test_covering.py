@@ -4,17 +4,13 @@ from clifcpt import algebra
 from clifcpt.algebra import COMPLEX, MetricSignature, Multivector
 from clifcpt.autmat import enumerate_realizations
 from clifcpt.covering import (
-    CoverLabel,
-    TableLookupError,
     TheoremCoverageError,
-    cpt_cover_label,
     predict_aut_complex,
     predict_realization,
-    pt_cover_label,
     reduce_odd,
 )
 from clifcpt.exact import GaussMatrix
-from clifcpt.fingroup import aut_label
+from clifcpt.fingroup import census_64, classify_form
 from clifcpt.spinrep import BasisProfile, build_spinbasis, certify_spinbasis, preset_spinbasis
 from pauli_bases import pauli_bases, sample_pauli_bases
 
@@ -60,7 +56,7 @@ def test_predicted_automorphisms_of_all_real_profiles_follow_the_real_arms():
             pred = predict_realization(_profile([(True, True)] * p + [(True, False)] * q))
             triple, group, abelian = REAL_ARMS[p % 4, q % 4]
             assert _aut(pred) == (triple, abelian), (p, q)
-            assert aut_label(triple, abelian).tag == group
+            assert classify_form(triple)[:2] == (abelian, group)
             assert pred.choice_pi == "identity"
 
 
@@ -70,7 +66,7 @@ def test_predict_realization_on_quaternionic_profiles():
     pred = predict_realization(certify_spinbasis(preset_spinbasis("dirac")))
     assert (pred.choice_e, pred.choice_pi) == ("skew_product", "real_product")
     assert _aut(pred) == ((-1, -1, 1), True)
-    assert aut_label(*_aut(pred)).tag == "Z4"
+    assert classify_form(pred.signature[:3]).label == "Z4"
 
     # Cl(4,0) from two real symmetric and two imaginary antisymmetric
     # generators, all squaring to +I.
@@ -90,6 +86,7 @@ def test_predict_aut_complex():
     assert not predict_aut_complex(2).abelian
     assert predict_aut_complex(2).triple == (-1, -1, -1)
     assert predict_aut_complex(5).abelian
+    assert (predict_aut_complex(4).group, predict_aut_complex(7).group) == ("Z2xZ2", "Q4/Z2")
 
 
 def test_predict_pi_square():
@@ -149,49 +146,13 @@ def test_predict_realization_agrees_with_enumeration(monkeypatch):
         assert pred.signature[3] == (pi * pi.conj()).pm_identity(), where
 
 
-def test_pt_cover_table_rows():
-    rows = {
-        (1, 1, 1, True): ("Z2xZ2xZ2", False),
-        (1, -1, -1, True): ("Z2xZ4", False),
-        (-1, 1, -1, True): ("Z2xZ4", False),
-        (-1, -1, 1, True): ("Z2xZ4", False),
-        (-1, -1, -1, False): ("Q4", True),
-        (-1, 1, 1, False): ("D4", True),
-        (1, -1, 1, False): ("D4", True),
-        (1, 1, -1, False): ("D4", True),
-    }
-    for (a, b, c, comm), (fiber, cliff) in rows.items():
-        lab = pt_cover_label(a, b, c, comm)
-        assert lab == CoverLabel("PT", fiber, cliff)
-    with pytest.raises(TableLookupError):
-        pt_cover_label(-1, -1, -1, True)
-
-
-def test_cpt_cover_table_rows():
-    assert cpt_cover_label((1,) * 7, True) == CoverLabel("CPT", "Z2xZ2xZ2xZ2", False)
-    assert cpt_cover_label((1, -1, -1, 1, -1, -1, 1), False) == CoverLabel(
-        "CPT", "Z4*xZ2xZ2", True
-    )
-    assert cpt_cover_label((1, 1, 1, -1, -1, -1, -1), True).fiber == "Z4xZ2xZ2"
-    assert cpt_cover_label((1, -1, -1, -1, -1, -1, -1), False).fiber == "Q4xZ2"
-    assert cpt_cover_label((-1, -1, 1, 1, 1, 1, 1), False).fiber == "D4xZ2"
-    with pytest.raises(TableLookupError):
-        cpt_cover_label((-1, 1, 1, 1, 1, 1, 1), True)  # minus count 1
-    with pytest.raises(TableLookupError):
-        cpt_cover_label((1, 1, 1, 1, 1, -1, -1), True)  # D4 fiber cannot be abelian
-
-
 def test_cliffordian_iff_nonabelian_fiber():
+    # The record's Cliffordian flag is `not abelian`: it must mark exactly
+    # the non-abelian fibers.
     abelian_fibers = {"Z2xZ2xZ2xZ2", "Z4xZ2xZ2"}
-    for signs, ab in (
-        ((1,) * 7, True),
-        ((1, 1, 1, -1, -1, -1, -1), True),
-        ((1, 1, 1, -1, -1, -1, -1), False),
-        ((1, -1, -1, -1, -1, -1, -1), False),
-        ((-1, -1, 1, 1, 1, 1, 1), False),
-    ):
-        lab = cpt_cover_label(signs, ab)
-        assert lab.cliffordian == (lab.fiber not in abelian_fibers)
+    for signs in census_64()["tuples"]:
+        form = classify_form(signs)
+        assert (not form.abelian) == (form.fiber not in abelian_fibers), signs
 
 
 def test_reduce_odd():

@@ -8,14 +8,11 @@ from clifcpt.autmat import ELEMENT_NAMES, enumerate_realizations, read_signs
 from clifcpt.exact import GaussMatrix, GaussRational
 from clifcpt.fingroup import (
     CLOSURE_LIMIT,
-    ClassificationError,
     GroupStructureError,
-    aut_label,
     cayley_table,
     census_64,
     identify_abstract,
     order_structure,
-    signature_label,
     signed_closure,
 )
 from clifcpt.goldens import (
@@ -278,31 +275,6 @@ def test_singular_generator_raises_group_structure_error():
     semigroup = matrix_closure([GaussMatrix.identity(2), projector])
     with pytest.raises(GroupStructureError):
         identify_abstract(semigroup)
-
-
-def test_signature_label_families():
-    assert signature_label((1, -1, -1, 1, -1, -1, 1), abelian=False).tag == "Z4*xZ2"
-    assert signature_label((-1, -1, 1, -1, -1, 1, 1), abelian=False).tag == "Z4*xZ2"
-    assert signature_label((1,) * 7, abelian=True).tag == "Z2xZ2xZ2"
-    assert signature_label((1, 1, 1, -1, -1, -1, -1), abelian=True).tag == "Z4xZ2"
-    assert signature_label((1, -1, -1, -1, -1, -1, -1), abelian=False).tag == "Q4"
-    assert signature_label((1, 1, 1, 1, 1, -1, -1), abelian=False).tag == "D4"
-
-
-def test_signature_label_consistency_flags():
-    bad = signature_label((1,) * 7, abelian=False)
-    assert not bad.consistent and "abelian" in bad.note
-    with pytest.raises(ClassificationError):
-        signature_label((1, 1, 1, 1, 1, 1, -1), abelian=False)
-
-
-def test_aut_label():
-    assert aut_label((1, 1, 1), True).tag == "Z2xZ2"
-    assert aut_label((-1, -1, 1), True).tag == "Z4"
-    assert aut_label((-1, -1, -1), False).tag == "Q4/Z2"
-    assert aut_label((1, 1, -1), False).tag == "D4/Z2"
-    with pytest.raises(ClassificationError):
-        aut_label((-1, 1, 1), True)
 
 
 def test_identify_quaternion_group():

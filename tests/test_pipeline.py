@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 
-from clifcpt import autmat, fingroup, pipeline
+from clifcpt import autmat, fingroup, pipeline, verify
 from clifcpt.algebra import Multivector
 from clifcpt.exact import GaussMatrix
 from clifcpt.pipeline import classify_cell, sweep, sweep_to_csv, sweep_to_markdown, to_json
@@ -45,6 +45,25 @@ def test_sweep_pool_never_exceeds_cell_count(monkeypatch):
     assert to_json(small) == to_json(sweep(1, "real", jobs=1))
     sweep(2, "real", jobs=2)  # six cells
     assert requested == [3, 2]
+
+
+def test_a_flipped_closure_sign_breaks_label_consistency(monkeypatch):
+    # `label_consistent` and verify's sweep-label-consistency compare the
+    # commutation table read off the closure with the polarization of the
+    # squares, so one flipped sign must fail both.
+    read_signs = autmat.read_signs
+
+    def flipped(group):
+        squares, table = read_signs(group)
+        rows = [list(row) for row in table]
+        rows[1][4] = -rows[1][4]  # W against Pi
+        return squares, tuple(tuple(row) for row in rows)
+
+    assert classify_cell(2, 2)["realizations"][0]["label_consistent"] is True
+    monkeypatch.setattr(autmat, "read_signs", flipped)
+    assert classify_cell(2, 2)["realizations"][0]["label_consistent"] is False
+    check = {c.name: c for c in verify.suite_groups(2)}["sweep-label-consistency"]
+    assert not check.passed and "is not the polarization" in check.detail
 
 
 def test_realizations_close_signed_blades_not_matrices(monkeypatch):
@@ -134,7 +153,8 @@ def test_sweep_matrix_op_counts_are_pinned():
     # or stored numerators carry over from other tests: one product per
     # certification pair, no negated product in `check` or certification
     # of pure pairs, no candidate the choice rule rules out, and integer
-    # numerators converted once per matrix. A rise means repeated work.
+    # numerators converted once per matrix, and no product with I on the
+    # left in `product_over`. A rise means repeated work.
     import clifcpt
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(clifcpt.__file__)))
@@ -146,4 +166,4 @@ def test_sweep_matrix_op_counts_are_pinned():
         check=True,
         timeout=120,
     )
-    assert json.loads(out.stdout) == {"__mul__": 3125, "__neg__": 64, "_numerators": 1388}
+    assert json.loads(out.stdout) == {"__mul__": 2960, "__neg__": 64, "_numerators": 1070}
