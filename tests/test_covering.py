@@ -10,7 +10,7 @@ from clifcpt.covering import (
     reduce_odd,
 )
 from clifcpt.exact import GaussMatrix
-from clifcpt.fingroup import census_64, classify_form
+from clifcpt.fingroup import GroupStructureError, census_64, classify_form
 from clifcpt.spinrep import BasisProfile, build_spinbasis, certify_spinbasis, preset_spinbasis
 from pauli_bases import pauli_bases, sample_pauli_bases
 
@@ -144,6 +144,34 @@ def test_predict_realization_agrees_with_enumeration(monkeypatch):
         assert pred.commutation == r.commutation, where
         pi = r.matrix("Pi")
         assert pred.signature[3] == (pi * pi.conj()).pm_identity(), where
+
+
+def test_pt_cover_table_rows():
+    rows = {
+        (1, 1, 1, True): ("Z2xZ2xZ2", False),
+        (1, -1, -1, True): ("Z2xZ4", False),
+        (-1, 1, -1, True): ("Z2xZ4", False),
+        (-1, -1, 1, True): ("Z2xZ4", False),
+        (-1, -1, -1, False): ("Q4", True),
+        (-1, 1, 1, False): ("D4", True),
+        (1, -1, 1, False): ("D4", True),
+        (1, 1, -1, False): ("D4", True),
+    }
+    for (a, b, c, comm), (fiber, cliff) in rows.items():
+        form = classify_form((a, b, c))
+        assert (form.abelian, form.fiber, not form.abelian) == (comm, fiber, cliff)
+
+
+def test_cpt_cover_table_rows():
+    assert classify_form((1,) * 7)[::2] == (True, "Z2xZ2xZ2xZ2")
+    assert classify_form((1, -1, -1, 1, -1, -1, 1))[::2] == (False, "Z4*xZ2xZ2")
+    assert classify_form((1, 1, 1, -1, -1, -1, -1)).fiber == "Z4xZ2xZ2"
+    assert classify_form((1, -1, -1, -1, -1, -1, -1)).fiber == "Q4xZ2"
+    assert classify_form((-1, -1, 1, 1, 1, 1, 1)).fiber == "D4xZ2"
+    with pytest.raises(GroupStructureError):
+        classify_form((-1, 1, 1, 1, 1, 1, 1))  # minus count 1
+    # The D4xZ2 fiber is never abelian.
+    assert classify_form((1, 1, 1, 1, 1, -1, -1))[::2] == (False, "D4xZ2")
 
 
 def test_cliffordian_iff_nonabelian_fiber():

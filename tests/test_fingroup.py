@@ -11,6 +11,7 @@ from clifcpt.fingroup import (
     GroupStructureError,
     cayley_table,
     census_64,
+    classify_form,
     identify_abstract,
     order_structure,
     signed_closure,
@@ -275,6 +276,27 @@ def test_singular_generator_raises_group_structure_error():
     semigroup = matrix_closure([GaussMatrix.identity(2), projector])
     with pytest.raises(GroupStructureError):
         identify_abstract(semigroup)
+
+
+def test_signature_label_families():
+    assert classify_form((1, -1, -1, 1, -1, -1, 1))[:2] == (False, "Z4*xZ2")
+    assert classify_form((-1, -1, 1, -1, -1, 1, 1))[:2] == (False, "Z4*xZ2")
+    assert classify_form((1,) * 7)[:2] == (True, "Z2xZ2xZ2")
+    assert classify_form((1, 1, 1, -1, -1, -1, -1))[:2] == (True, "Z4xZ2")
+    assert classify_form((1, -1, -1, -1, -1, -1, -1))[:2] == (False, "Q4")
+    assert classify_form((1, 1, 1, 1, 1, -1, -1))[:2] == (False, "D4")
+    # An odd minus count is not a form.
+    with pytest.raises(GroupStructureError):
+        classify_form((1, 1, 1, 1, 1, 1, -1))
+
+
+def test_aut_label():
+    assert classify_form((1, 1, 1))[:2] == (True, "Z2xZ2")
+    assert classify_form((-1, -1, 1))[:2] == (True, "Z4")
+    assert classify_form((-1, -1, -1))[:2] == (False, "Q4/Z2")
+    assert classify_form((1, 1, -1))[:2] == (False, "D4/Z2")
+    # One minus sign makes a non-abelian triple.
+    assert classify_form((-1, 1, 1))[:2] == (False, "D4/Z2")
 
 
 def test_identify_quaternion_group():
