@@ -90,40 +90,6 @@ def _primed_generators(basis: SpinBasis) -> dict:
     }
 
 
-def _checked(name: str, m: GaussMatrix, basis: SpinBasis) -> None:
-    bad = check(name, m, basis)
-    if bad:
-        raise ConditionError("; ".join(bad))
-
-
-def _predicted_choice(basis: SpinBasis, name: str, failure: str) -> tuple[int, str]:
-    """The (mask, choice) of the candidate that the choice rule of
-    `predict_realization` names for element `name`, after its
-    increasing-index product meets the condition of `name` on every
-    generator; ConditionError when it does not."""
-    pred = predict_realization(certify_spinbasis(basis))
-    mask, choice = pred.masks[name], pred.choice_e if name == "E" else pred.choice_pi
-    bad = check(name, product_over(basis, mask), basis)
-    if bad:
-        raise ConditionError(f"{failure}{choice}: {'; '.join(bad)}")
-    return mask, choice
-
-
-def find_E(basis: SpinBasis) -> tuple[int, str]:
-    """The reversion matrix as (mask, choice): the product of all
-    antisymmetric or of all symmetric generators (empty product = I), as
-    the choice rule names, checked against the reversion condition."""
-    return _predicted_choice(basis, "E", "no valid reversion matrix: ")
-
-
-def find_Pi(basis: SpinBasis) -> tuple[int, str]:
-    """The coefficient-conjugation matrix as (mask, choice): the identity
-    (all-real basis), the product of all imaginary-entry generators, or
-    the product of all real-entry generators, as the choice rule names,
-    checked against the defining condition."""
-    return _predicted_choice(basis, "Pi", "pseudoautomorphism not representable in this basis: ")
-
-
 def read_signs(group: SignedGroup) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Square signs of the generators after the first (W, E, C, ... in
     ELEMENT_NAMES order) and the sign eps with X*Y = eps * Y*X for each
@@ -190,50 +156,36 @@ class Realization(NamedTuple):
         return squares.count(1), squares.count(-1)
 
 
-def complete_set(
-    basis: SpinBasis,
-    w: Multivector,
-    w_t: Multivector,
-    e: Multivector,
-    e_choice: str,
-    pi: Multivector,
-    pi_choice: str,
-) -> Realization:
-    """The realization of one (E, Pi) choice: C = E W^T, K = Pi W,
-    S = Pi E and F = Pi C formed as blade products, each checked on its
-    matrix, and the signs read off the closure of all eight blades."""
-    c = e * w_t
+def realize(basis: SpinBasis) -> Realization:
+    """The one CPT realization of `basis`, which is certified first. W is
+    the product of all generators, and E and Pi are the products that the
+    choice rule of `predict_realization` names; C = E W^T, K = Pi W,
+    S = Pi E and F = Pi C are blade products. Each of the seven is checked
+    on its generator product, and the signs are read off the closure of
+    all eight blades. For even n the other candidate of each pair fails
+    its condition (`verify` checks this), so no other realization exists."""
+    prof = certify_spinbasis(basis)  # an invalid basis fails here, before any condition check
+    pred = predict_realization(prof)
+    sig, n = basis.sig, basis.sig.n
+    w, e, pi = (Multivector.blade(sig, pred.masks[name]) for name in ("W", "E", "Pi"))
+    # W^T = g_n^T ... g_1^T: reversing n factors takes n(n-1)/2 swaps, and
+    # each antisymmetric generator contributes a sign.
+    c = e * w.scale((-1) ** (n * (n - 1) // 2 + grade(prof.mask(sym=False))))
     built = dict(zip(ELEMENT_NAMES[1:], (w, e, c, pi, pi * w, pi * e, pi * c)))
-    for name in ("C", "K", "S", "F"):
-        _checked(name, represent(basis, built[name]), basis)
     masks, rep_signs = {}, {}
     for name, x in built.items():
         # A signed blade has one term, with coefficient +-1.
         ((masks[name], (rep_signs[name], _)),) = x.num.items()
-    one = Multivector.scalar(basis.sig, 1)
+        # M g' = +-g M is linear in M, so the unsigned product stands for +-M.
+        bad = check(name, product_over(basis, masks[name]), basis)
+        if bad:
+            raise ConditionError("; ".join(bad))
+    one = Multivector.scalar(sig, 1)
     group = signed_closure((one, *built.values()), one)
     signature, commutation = read_signs(group)
-    return Realization(basis, masks, e_choice, pi_choice, rep_signs, group, signature, commutation)
-
-
-def enumerate_realizations(basis: SpinBasis) -> list[Realization]:
-    """The realizations of a certified basis: the one (E, Pi) choice that
-    the choice rule names, each element checked on its matrix and
-    completed to a realization. For even n the other candidate of each
-    pair fails its condition (`verify` checks this), so no other choice
-    exists."""
-    prof = certify_spinbasis(basis)  # an invalid basis fails here, before any condition check
-    sig, n = basis.sig, basis.sig.n
-    full = (1 << n) - 1
-    _checked("W", product_over(basis, full), basis)
-    w = Multivector.blade(sig, full)
-    # W^T = g_n^T ... g_1^T: reversing n factors takes n(n-1)/2 swaps, and
-    # each antisymmetric generator contributes a sign.
-    w_t = w.scale((-1) ** (n * (n - 1) // 2 + grade(prof.mask(sym=False))))
-    e_mask, e_choice = find_E(basis)
-    pi_mask, pi_choice = find_Pi(basis)
-    e, pi = Multivector.blade(sig, e_mask), Multivector.blade(sig, pi_mask)
-    return [complete_set(basis, w, w_t, e, e_choice, pi, pi_choice)]
+    return Realization(
+        basis, masks, pred.choice_e, pred.choice_pi, rep_signs, group, signature, commutation
+    )
 
 
 def mask_label(mask: int, physics_indices: bool = False) -> str:

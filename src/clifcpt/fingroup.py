@@ -189,9 +189,8 @@ def classify_form(signs: tuple[int, ...]) -> FormClass:
 
 def identify_abstract(group: SignedGroup) -> dict:
     """Transparent invariants of a closed matrix group, read off its
-    multiplication table: order, abelianness, center size, exponent,
-    element-order histogram; order-8 groups are matched against the five
-    groups of that order."""
+    multiplication table: order, abelianness, center size, exponent and
+    element-order histogram."""
     n = group.order
     if n > 32:
         raise GroupStructureError("identification supported only up to order 32")
@@ -200,17 +199,6 @@ def identify_abstract(group: SignedGroup) -> dict:
     abelian = all(central)
     orders = sorted(_element_order(group, i) for i in range(n))
     hist = dict(sorted(Counter(orders).items()))
-    name = None
-    if n == 8:
-        key = (abelian, tuple(sorted(hist.items())))
-        table8 = {
-            (True, ((1, 1), (2, 7))): "Z2xZ2xZ2",
-            (True, ((1, 1), (2, 3), (4, 4))): "Z4xZ2",
-            (True, ((1, 1), (2, 1), (4, 2), (8, 4))): "Z8",
-            (False, ((1, 1), (2, 5), (4, 2))): "D4",
-            (False, ((1, 1), (2, 1), (4, 6))): "Q8",
-        }
-        name = table8.get(key)
     return {
         "order": n,
         "abelian": abelian,
@@ -218,7 +206,6 @@ def identify_abstract(group: SignedGroup) -> dict:
         "exponent": lcm(*orders),
         "order_histogram": hist,
         "contains_minus_I": group.contains_minus_I,
-        "order8_name": name,
     }
 
 

@@ -24,7 +24,7 @@ from .algebra import (
     involution_via_omega_check,
     random_multivector,
 )
-from .autmat import ELEMENT_NAMES, Realization, check, enumerate_realizations, read_signs
+from .autmat import ELEMENT_NAMES, Realization, check, read_signs, realize
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, radon_hurwitz, ring_type
 from .exact import GaussMatrix
 from .fingroup import (
@@ -79,10 +79,10 @@ def _run(suite: str, name: str, fn) -> CheckResult:
     return CheckResult(suite, name, passed, detail, time.monotonic() - t0)
 
 
-def _realizations(table: dict, basis: SpinBasis) -> list[Realization]:
-    """The realizations of `basis`, enumerated once per verify run."""
+def _realization(table: dict, basis: SpinBasis) -> Realization:
+    """The realization of `basis`, built once per verify run."""
     if basis not in table:
-        table[basis] = enumerate_realizations(basis)
+        table[basis] = realize(basis)
     return table[basis]
 
 
@@ -204,15 +204,11 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
     def predictor_agreement():
         total = full = 0
         for sig in _even_real_sigs(max_dim):
-            basis = build_spinbasis(sig)
-            for r in _realizations(realizations, basis):
-                rep = predictor_analysis(r)
-                assert rep["verdict"] == "agree", (
-                    f"Cl({sig.p},{sig.q}): {rep['verdict']}"
-                )
-                total += 1
-                if rep["scope"] == "full":
-                    full += 1
+            rep = predictor_analysis(_realization(realizations, build_spinbasis(sig)))
+            assert rep["verdict"] == "agree", f"Cl({sig.p},{sig.q}): {rep['verdict']}"
+            total += 1
+            if rep["scope"] == "full":
+                full += 1
         return f"{total} realizations agree ({full} with ring-level arms)"
 
     out.append(_run("theorems", "predictor-vs-computation", predictor_agreement))
@@ -220,7 +216,7 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
     def complex_commutativity():
         for n in range(0, max_dim + 1, 2):
             basis = build_spinbasis(MetricSignature(n, 0, COMPLEX))
-            r = _realizations(realizations, basis)[0]
+            r = _realization(realizations, basis)
             pred = covering.predict_aut_complex(n)
             # W, E and C are elements 1, 2 and 3 of the commutation table.
             commuting = all(r.commutation[i][j] == 1 for i, j in ((1, 2), (1, 3), (2, 3)))
@@ -247,16 +243,16 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
                     if mask != predicted[name]:
                         other = product_over(basis, mask)
                         assert check(name, other, basis), f"{where}: {choice} also meets {name}"
-            for r in _realizations(realizations, basis):
-                dense = r.matrices()
-                for name, m in zip(ELEMENT_NAMES[1:], dense[1:]):
-                    bad = check(name, m, basis)
-                    assert not bad, f"{where}: {bad}"
-                # The independent reference: the matrices, closed on their own,
-                # form the same group (order, -I and invariants) as the blades.
-                group = signed_closure(dense, eye)
-                assert identify_abstract(group) == identify_abstract(r.group), f"{where}: group"
-                assert read_signs(group) == (r.signature, r.commutation), f"{where}: signs"
+            r = _realization(realizations, basis)
+            dense = r.matrices()
+            for name, m in zip(ELEMENT_NAMES[1:], dense[1:]):
+                bad = check(name, m, basis)
+                assert not bad, f"{where}: {bad}"
+            # The independent reference: the matrices, closed on their own,
+            # form the same group (order, -I and invariants) as the blades.
+            group = signed_closure(dense, eye)
+            assert identify_abstract(group) == identify_abstract(r.group), f"{where}: group"
+            assert read_signs(group) == (r.signature, r.commutation), f"{where}: signs"
         return f"{len(bases)} bases, all seven conditions exhaustive"
 
     out.append(_run("theorems", "intertwining-conditions", intertwining))
@@ -271,7 +267,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
     out = []
 
     def dirac_goldens():
-        r = _realizations(realizations, preset_spinbasis("dirac"))[0]
+        r = _realization(realizations, preset_spinbasis("dirac"))
         assert r.signature == DIRAC_EXT_SIGNATURE, sig_str(r.signature)
         table = cayley_table(ext_reps(r))
         assert table.cells == signed_cells(DIRAC_EXT_TABLE), "extended-set table mismatch"
@@ -299,7 +295,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
     out.append(_run("groups", "wigner-reflection-set", wigner_goldens))
 
     def closure_closedness():
-        r = _realizations(realizations, preset_spinbasis("dirac"))[0]
+        r = _realization(realizations, preset_spinbasis("dirac"))
         closure = signed_closure(r.matrices(), GaussMatrix.identity(r.basis.dim))
         elems = set(closure.elements)
         for x in closure.elements:
@@ -319,12 +315,12 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
 
     def sweep_labels():
         for sig in _even_real_sigs(max_dim):
-            for r in _realizations(realizations, build_spinbasis(sig)):
-                classify_form(r.signature)  # GroupStructureError unless a form
-                assert r.commutation == polarization(r.signature), (
-                    f"Cl({sig.p},{sig.q}): commutation is not the polarization "
-                    f"of {sig_str(r.signature)}"
-                )
+            r = _realization(realizations, build_spinbasis(sig))
+            classify_form(r.signature)  # GroupStructureError unless a form
+            assert r.commutation == polarization(r.signature), (
+                f"Cl({sig.p},{sig.q}): commutation is not the polarization "
+                f"of {sig_str(r.signature)}"
+            )
         return f"all realized signatures admissible and label-consistent to p+q={max_dim}"
 
     out.append(_run("groups", "sweep-label-consistency", sweep_labels))
@@ -450,13 +446,13 @@ def suite_coverings(max_dim: int, realizations: dict | None = None) -> list[Chec
     def label_fiber_families():
         count = 0
         for sig in _even_real_sigs(max_dim):
-            for r in _realizations(realizations, build_spinbasis(sig)):
-                fiber = classify_form(r.signature).fiber
-                # A closure with -I is the central extension: the fiber itself.
-                if r.group.order == 16:
-                    got = _invariants(r.group)
-                    assert got == _CPT_FIBERS[fiber][1], f"Cl({sig.p},{sig.q}): {fiber} vs {got}"
-                count += 1
+            r = _realization(realizations, build_spinbasis(sig))
+            fiber = classify_form(r.signature).fiber
+            # A closure with -I is the central extension: the fiber itself.
+            if r.group.order == 16:
+                got = _invariants(r.group)
+                assert got == _CPT_FIBERS[fiber][1], f"Cl({sig.p},{sig.q}): {fiber} vs {got}"
+            count += 1
         return f"label and cover fiber agree on {count} realizations"
 
     out.append(_run("coverings", "label-fiber-families", label_fiber_families))
@@ -490,7 +486,7 @@ _SUITES = {
 
 def _run_group(names, max_dim: int) -> dict[str, list[CheckResult]]:
     """Run `names` in order, sharing one realization table."""
-    realizations: dict[SpinBasis, list[Realization]] = {}
+    realizations: dict[SpinBasis, Realization] = {}
     return {name: _SUITES[name](max_dim, realizations) for name in names}
 
 

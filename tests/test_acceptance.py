@@ -10,7 +10,7 @@ import pytest
 
 from clifcpt import covering
 from clifcpt.algebra import COMPLEX, MetricSignature
-from clifcpt.autmat import enumerate_realizations
+from clifcpt.autmat import realize
 from clifcpt.classify import (
     dimension_audit,
     idempotent_factor_count,
@@ -58,7 +58,7 @@ def _even_real_sigs(max_dim):
 def test_c01_dirac_realization():
     t0 = time.monotonic()
     basis = preset_spinbasis("dirac")
-    r = enumerate_realizations(basis)[0]
+    r = realize(basis)
     g0, g1, g2, g3 = gamma_matrices()
     expected = {
         "W": product(g0, g1, g2, g3),
@@ -82,7 +82,7 @@ def test_c01_dirac_realization():
 
 def test_c02_both_cayley_tableaux():
     basis = preset_spinbasis("dirac")
-    r = enumerate_realizations(basis)[0]
+    r = realize(basis)
     ext_cells = cayley_table(ext_reps(r)).cells
     wig_cells = cayley_table(wigner_reps(basis)).cells
     golden_ext = signed_cells(DIRAC_EXT_TABLE)
@@ -173,10 +173,9 @@ def test_c07_certification_and_intertwining():
     conditions = 0
     for basis in bases:
         certify_spinbasis(basis)
-        for r in enumerate_realizations(basis):
-            for name, m in zip(ELEMENT_NAMES[1:], r.matrices()[1:]):
-                assert not check(name, m, basis)
-                conditions += 1
+        for name, m in zip(ELEMENT_NAMES[1:], realize(basis).matrices()[1:]):
+            assert not check(name, m, basis)
+            conditions += 1
     _report(7, "certification + intertwining", f"{len(bases)} bases, {conditions} conditions")
 
 
@@ -191,12 +190,11 @@ def test_c09_theorem_vs_computation():
     t0 = time.monotonic()
     total = full = 0
     for sig in _even_real_sigs(8):
-        for r in enumerate_realizations(build_spinbasis(sig)):
-            rep = predictor_analysis(r)
-            assert rep["verdict"] == "agree", f"Cl({sig.p},{sig.q}): {rep['verdict']}"
-            total += 1
-            if rep["scope"] == "full":
-                full += 1
+        rep = predictor_analysis(realize(build_spinbasis(sig)))
+        assert rep["verdict"] == "agree", f"Cl({sig.p},{sig.q}): {rep['verdict']}"
+        total += 1
+        if rep["scope"] == "full":
+            full += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
     assert total == 25 and full == 21
@@ -212,12 +210,12 @@ def test_c10_commutation_rules():
     for sig in _even_real_sigs(8):
         basis = build_spinbasis(sig)
         pred = covering.predict_realization(certify_spinbasis(basis))
-        for r in enumerate_realizations(basis):
-            # Pi and K commute as (-1)^(a*b), a and b the imaginary and
-            # real counts; S and F, with disjoint masks, as (-1)^(s*f).
-            assert r.commutation[4][5] == pred.commutation[4][5]
-            assert r.commutation[6][7] == pred.commutation[6][7]
-            checked += 1
+        r = realize(basis)
+        # Pi and K commute as (-1)^(a*b), a and b the imaginary and
+        # real counts; S and F, with disjoint masks, as (-1)^(s*f).
+        assert r.commutation[4][5] == pred.commutation[4][5]
+        assert r.commutation[6][7] == pred.commutation[6][7]
+        checked += 1
     _report(10, "commutation rules", f"both sign rules on {checked} realizations")
 
 
@@ -227,11 +225,9 @@ def test_c11_census():
     assert c["by_minus_count"] == {0: 1, 2: 21, 4: 35, 6: 7}
     realized = set()
     for sig in _even_real_sigs(8):
-        basis = build_spinbasis(sig)
-        for r in enumerate_realizations(basis):
-            mc = minus_count(r.signature)
-            assert mc in (0, 2, 4, 6)
-            realized.add(mc)
+        mc = minus_count(realize(build_spinbasis(sig)).signature)
+        assert mc in (0, 2, 4, 6)
+        realized.add(mc)
     assert realized == {0, 2, 4, 6}
     _report(11, "signature census", "1+21+35+7 = 64; realized minus counts admissible")
 

@@ -1,20 +1,21 @@
 import pytest
 
+from clifcpt import autmat, cli
 from clifcpt.algebra import COMPLEX, MetricSignature
 from clifcpt.autmat import (
     CONDITIONS,
     ELEMENT_NAMES,
     ConditionError,
     check,
-    enumerate_realizations,
-    find_E,
-    find_Pi,
     mask_label,
     read_signs,
+    realize,
 )
+from clifcpt.covering import choice_candidates
 from clifcpt.exact import GaussMatrix
 from clifcpt.fingroup import identify_abstract, minus_count, sig_str
 from clifcpt.spinrep import (
+    CertificationError,
     SpinBasis,
     build_spinbasis,
     certify_spinbasis,
@@ -33,10 +34,7 @@ from gammas import gamma_matrices, product
 
 @pytest.fixture(scope="module")
 def dirac_realization():
-    basis = preset_spinbasis("dirac")
-    rs = enumerate_realizations(basis)
-    assert len(rs) == 1
-    return rs[0]
+    return realize(preset_spinbasis("dirac"))
 
 
 def test_dirac_matrices_up_to_documented_sign(dirac_realization):
@@ -121,13 +119,13 @@ def test_intertwining_conditions_dirac(dirac_realization):
         bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
     pairs = 0
     for b in bases:
-        for real in enumerate_realizations(b):
-            for x in ELEMENT_NAMES[1:]:
-                for y in ELEMENT_NAMES[1:]:
-                    m = real.matrix(y)
-                    want = _conjugation_form(x, m, b)
-                    assert (not check(x, m, b)) == want, (b.sig, x, y)
-                    pairs += want
+        real = realize(b)
+        for x in ELEMENT_NAMES[1:]:
+            for y in ELEMENT_NAMES[1:]:
+                m = real.matrix(y)
+                want = _conjugation_form(x, m, b)
+                assert (not check(x, m, b)) == want, (b.sig, x, y)
+                pairs += want
     assert pairs >= 7 * len(bases)
 
 
@@ -147,18 +145,20 @@ def test_cl11_tower_products():
     w = _dense_w(basis)
     assert w == basis.gens[0] * basis.gens[1]
     assert (w * w).pm_identity() == 1
-    assert find_E(basis) == _only_survivor(basis, "E") == (0b01, "sym_product")
+    r = realize(basis)
+    assert (r.masks["E"], r.choice_e) == _only_survivor(basis, "E") == (0b01, "sym_product")
 
 
 def test_cl20_e_is_identity_and_c_is_w_transpose():
     basis = build_spinbasis(MetricSignature(2, 0))
     w = _dense_w(basis)
     assert (w * w).pm_identity() == -1
-    assert find_E(basis) == _only_survivor(basis, "E") == (0, "skew_product")
+    r = realize(basis)
+    assert (r.masks["E"], r.choice_e) == _only_survivor(basis, "E") == (0, "skew_product")
     e = product_over(basis, 0)
     assert e == GaussMatrix.identity(2)
-    assert enumerate_realizations(basis)[0].matrix("C") == e * w.transpose() == w.transpose()
-    assert find_Pi(basis) == _only_survivor(basis, "Pi") == (0, "identity")
+    assert r.matrix("C") == e * w.transpose() == w.transpose()
+    assert (r.masks["Pi"], r.choice_pi) == _only_survivor(basis, "Pi") == (0, "identity")
 
 
 def test_complex_c4_w_squares_plus():
@@ -169,7 +169,8 @@ def test_complex_c4_w_squares_plus():
 
 def test_complex_c2_e_choice_by_direct_check():
     basis = build_spinbasis(MetricSignature(2, 0, COMPLEX))
-    mask, choice = find_E(basis)
+    r = realize(basis)
+    mask, choice = r.masks["E"], r.choice_e
     assert (mask, choice) == _only_survivor(basis, "E")
     # k = 1 odd, so only the symmetric product intertwines: E = generator 1.
     assert choice == "sym_product"
@@ -177,10 +178,7 @@ def test_complex_c2_e_choice_by_direct_check():
 
 
 def test_enumerate_cl20_single_identity_pi_realization():
-    basis = build_spinbasis(MetricSignature(2, 0))
-    rs = enumerate_realizations(basis)
-    assert len(rs) == 1
-    r = rs[0]
+    r = realize(build_spinbasis(MetricSignature(2, 0)))
     assert r.choice_pi == "identity"
     # Pi = I collapse: d = +, e = a, f = b, g = c, and the extended set
     # reduces to the automorphism set.
@@ -193,11 +191,9 @@ def test_enumerate_cl20_single_identity_pi_realization():
 
 
 def test_trivial_cl00_realization():
-    basis = build_spinbasis(MetricSignature(0, 0))
-    rs = enumerate_realizations(basis)
-    assert len(rs) == 1
-    assert rs[0].signature == (1,) * 7
-    assert rs[0].abelian
+    r = realize(build_spinbasis(MetricSignature(0, 0)))
+    assert r.signature == (1,) * 7
+    assert r.abelian
 
 
 def test_w_square_general_formula():
@@ -212,18 +208,36 @@ def test_w_square_general_formula():
 
 def test_signature_minus_count_always_even():
     for p, q in ((0, 0), (1, 1), (0, 2), (1, 3), (4, 0), (2, 4), (3, 3)):
-        basis = build_spinbasis(MetricSignature(p, q))
-        for r in enumerate_realizations(basis):
-            assert minus_count(r.signature) in (0, 2, 4, 6)
+        r = realize(build_spinbasis(MetricSignature(p, q)))
+        assert minus_count(r.signature) in (0, 2, 4, 6)
 
 
 def test_condition_error_on_broken_basis():
-    # A "basis" violating anticommutation is rejected by the builders.
-    eye = GaussMatrix.identity(2)
+    # A "basis" violating anticommutation is rejected by certification,
+    # before any condition is checked.
     s1 = GaussMatrix([[0, 1], [1, 0]])
     broken = SpinBasis(MetricSignature(2, 0), (s1, s1), "test")
-    with pytest.raises(Exception):
-        find_E(broken)
+    with pytest.raises(CertificationError):
+        realize(broken)
+
+
+@pytest.mark.parametrize("name", ["E", "Pi"])
+def test_the_dense_check_catches_a_wrong_prediction(monkeypatch, capsys, name):
+    # `realize` builds the element that `predict_realization` names and
+    # checks it on its matrix, so a prediction that names the candidate
+    # the choice rule rules out fails that element's condition.
+    predict = autmat.predict_realization
+
+    def wrong(prof):
+        pred = predict(prof)
+        (other,) = (m for m, _ in choice_candidates(prof)[name] if m != pred.masks[name])
+        return pred._replace(masks=dict(pred.masks, **{name: other}))
+
+    monkeypatch.setattr(autmat, "predict_realization", wrong)
+    with pytest.raises(ConditionError, match=f"^{name} condition fails on generator"):
+        realize(preset_spinbasis("dirac"))
+    assert cli.main(["classify", "--p", "1", "--q", "3", "--basis", "dirac"]) == 1
+    assert f"verification failure: {name} condition fails" in capsys.readouterr().err
 
 
 def test_read_signs_rejects_a_pair_that_neither_commutes_nor_anticommutes():
@@ -319,21 +333,18 @@ def test_blade_realizations_match_dense_reference():
     # the symmetric generators, changes the sign of C and F here.
     bases = _parity_bases()
     assert len(bases) == 25 + 5 + 1 + 20
-    compared = 0
     for basis in bases:
-        got, want = enumerate_realizations(basis), dense_realizations(basis)
-        assert len(got) == len(want), basis.sig
-        for r, ref in zip(got, want):
-            where = (basis.sig, basis.provenance, r.choice_e, r.choice_pi)
-            assert (r.choice_e, r.choice_pi) == ref["choices"], where
-            assert r.masks == ref["masks"], where
-            assert r.rep_signs == ref["rep_signs"], where
-            assert r.signature == ref["signature"], where
-            assert r.commutation == ref["commutation"], where
-            assert r.group.order == ref["order"], where
-            assert r.group.contains_minus_I == ref["contains_minus_I"], where
-            assert identify_abstract(r.group) == ref["abstract"], where
-            assert r.order_counts == ref["order_counts"], where
-            assert list(r.matrices()) == ref["matrices"], where
-            compared += 1
-    assert compared >= len(bases)
+        # The dense reference tries both candidates of E and of Pi, and
+        # finds the one realization.
+        r, (ref,) = realize(basis), dense_realizations(basis)
+        where = (basis.sig, basis.provenance, r.choice_e, r.choice_pi)
+        assert (r.choice_e, r.choice_pi) == ref["choices"], where
+        assert r.masks == ref["masks"], where
+        assert r.rep_signs == ref["rep_signs"], where
+        assert r.signature == ref["signature"], where
+        assert r.commutation == ref["commutation"], where
+        assert r.group.order == ref["order"], where
+        assert r.group.contains_minus_I == ref["contains_minus_I"], where
+        assert identify_abstract(r.group) == ref["abstract"], where
+        assert r.order_counts == ref["order_counts"], where
+        assert list(r.matrices()) == ref["matrices"], where

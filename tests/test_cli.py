@@ -482,7 +482,7 @@ def test_verify_report_schema():
 
 def test_verify_reads_complex_realizations_from_the_run_table(monkeypatch):
     from clifcpt.algebra import COMPLEX, REAL, MetricSignature
-    from clifcpt.autmat import enumerate_realizations
+    from clifcpt.autmat import realize
     from clifcpt.exact import GaussMatrix
     from clifcpt.spinrep import build_spinbasis, preset_spinbasis
     from clifcpt.verify import suite_theorems
@@ -491,7 +491,7 @@ def test_verify_reads_complex_realizations_from_the_run_table(monkeypatch):
     for n in range(0, 7, 2):
         bases += [build_spinbasis(MetricSignature(p, n - p, REAL)) for p in range(n, -1, -1)]
         bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
-    table = {basis: enumerate_realizations(basis) for basis in bases}
+    table = {basis: realize(basis) for basis in bases}
 
     def refuse(self, other):
         raise AssertionError("a matrix product was formed")

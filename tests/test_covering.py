@@ -2,7 +2,7 @@ import pytest
 
 from clifcpt import algebra
 from clifcpt.algebra import COMPLEX, MetricSignature, Multivector
-from clifcpt.autmat import enumerate_realizations
+from clifcpt.autmat import realize
 from clifcpt.covering import (
     TheoremCoverageError,
     predict_aut_complex,
@@ -136,7 +136,7 @@ def test_predict_realization_agrees_with_enumeration(monkeypatch):
             m.setattr(Multivector, "__mul__", _refuse)
             m.setattr(algebra, "_swap_parity", _refuse)
             pred = predict_realization(prof)
-        (r,) = enumerate_realizations(basis)
+        r = realize(basis)
         where = basis.provenance, basis.sig
         assert (pred.choice_e, pred.choice_pi) == (r.choice_e, r.choice_pi), where
         assert pred.masks == r.masks, where

@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from clifcpt.algebra import COMPLEX, MetricSignature
-from clifcpt.autmat import ELEMENT_NAMES, enumerate_realizations, read_signs
+from clifcpt.autmat import ELEMENT_NAMES, read_signs, realize
 from clifcpt.exact import GaussMatrix, GaussRational
 from clifcpt.fingroup import (
     CLOSURE_LIMIT,
@@ -213,8 +213,7 @@ def test_closure_table_and_invariants_match_matrix_products():
         assert elems[g.identity] == GaussMatrix.identity(elems[0].dim)
         if g.minus_identity is not None:
             assert elems[g.minus_identity] == -elems[g.identity]
-        info, ref = identify_abstract(g), _identify_by_products(g)
-        assert {k: info[k] for k in ref} == ref
+        assert identify_abstract(g) == _identify_by_products(g)
 
 
 def _square_signs_by_products(mats):
@@ -238,11 +237,9 @@ def _commutation_by_products(mats):
 
 
 def test_sign_readout_matches_matrix_products():
-    realizations = [r for b in _reference_bases(8) for r in enumerate_realizations(b)]
+    realizations = [realize(b) for b in _reference_bases(8)]
     for r in realizations:
-        ref = next(
-            x for x in dense_realizations(r.basis) if x["choices"] == (r.choice_e, r.choice_pi)
-        )
+        (ref,) = dense_realizations(r.basis)
         mats = list(r.matrices())
         assert mats == ref["matrices"]
         assert r.signature == _square_signs_by_products(mats)
@@ -254,11 +251,11 @@ def test_sign_readout_matches_matrix_products():
         basis = build_spinbasis(MetricSignature(n, 0, COMPLEX))
         gens = dense_realizations(basis)[0]["matrices"][:4]
         sets.append(gens)
-        # The complex cell reads its W, E, C signs off its first realization.
+        # The complex cell reads its W, E, C signs off its realization.
         squares, table = read_signs(matrix_closure(gens))
-        first = enumerate_realizations(basis)[0]
-        assert first.signature[:3] == squares
-        assert tuple(row[:4] for row in first.commutation[:4]) == table
+        r = realize(basis)
+        assert r.signature[:3] == squares
+        assert tuple(row[:4] for row in r.commutation[:4]) == table
     for gens in sets:
         group = matrix_closure(gens)
         assert [group.elements[k] for k in group.generators] == gens
@@ -308,7 +305,7 @@ def test_identify_quaternion_group():
     assert info["order"] == 8
     assert not info["abelian"]
     assert info["order_histogram"] == {1: 1, 2: 1, 4: 6}
-    assert info["order8_name"] == "Q8"
+    assert info["center_size"] == 2
 
 
 def test_identify_klein_like_closure():
@@ -330,7 +327,7 @@ def test_identify_wigner_closure_invariants():
 
 def test_cayley_tables_match_goldens():
     basis = preset_spinbasis("dirac")
-    r = enumerate_realizations(basis)[0]
+    r = realize(basis)
     ext_table = cayley_table(ext_reps(r))
     assert ext_table.labels == DIRAC_EXT_LABELS
     assert ext_table.cells == signed_cells(DIRAC_EXT_TABLE)
@@ -342,7 +339,7 @@ def test_cayley_tables_match_goldens():
 
 def test_cayley_specific_cells():
     basis = preset_spinbasis("dirac")
-    r = enumerate_realizations(basis)[0]
+    r = realize(basis)
     ext_table = cayley_table(ext_reps(r))
     # Row W, column Pi -> -K; row T, column T -> -1 in the reflection set.
     w_row = ext_table.cells[1]
@@ -362,7 +359,7 @@ def test_cayley_rejects_non_closed_set():
 
 def test_cayley_markdown_render():
     basis = preset_spinbasis("dirac")
-    r = enumerate_realizations(basis)[0]
+    r = realize(basis)
     table = cayley_table(ext_reps(r))
     md = table.to_markdown({"W": "g0123"})
     lines = md.splitlines()

@@ -68,15 +68,14 @@ def test_a_flipped_closure_sign_breaks_label_consistency(monkeypatch):
 
 def test_realizations_close_signed_blades_not_matrices(monkeypatch):
     # The realization stage closes signed blades and hashes no matrix, yet
-    # tests all seven intertwining conditions on matrices: W once, the E
-    # and Pi candidates the choice rule names, and C, K, S and F, 7 per
-    # cell. The record reads every group fact off that one closure.
+    # tests all seven intertwining conditions on matrices, 7 per cell: W,
+    # the E and Pi the choice rule names, and C, K, S and F. The record
+    # reads every group fact off that one closure.
     cells = [(1, 3, "real", "dirac"), (3, 3, "real", "canonical"), (6, 0, "complex", "canonical")]
     expected = [classify_cell(*cell) for cell in cells]
-    closures = completions = checks = hashes_inside = 0
+    closures = realizations = checks = hashes_inside = 0
     inside = False
-    closure, complete_set, check = autmat.signed_closure, autmat.complete_set, autmat.check
-    enumerate_realizations = pipeline.enumerate_realizations
+    closure, check, realize = autmat.signed_closure, autmat.check, pipeline.realize
     matrix_hash = GaussMatrix.__hash__
 
     def blade_closure(gens, identity):
@@ -85,21 +84,17 @@ def test_realizations_close_signed_blades_not_matrices(monkeypatch):
         assert all(isinstance(x, Multivector) for x in (*gens, identity))
         return closure(gens, identity)
 
-    def counting_complete_set(*args, **kwargs):
-        nonlocal completions
-        completions += 1
-        return complete_set(*args, **kwargs)
-
     def counting_check(*args, **kwargs):
         nonlocal checks
         checks += 1
         return check(*args, **kwargs)
 
-    def tracked_enumerate(basis):
-        nonlocal inside
+    def tracked_realize(basis):
+        nonlocal inside, realizations
+        realizations += 1
         inside = True
         try:
-            return enumerate_realizations(basis)
+            return realize(basis)
         finally:
             inside = False
 
@@ -112,14 +107,13 @@ def test_realizations_close_signed_blades_not_matrices(monkeypatch):
         raise AssertionError("the record recomputed a group fact")
 
     monkeypatch.setattr(autmat, "signed_closure", blade_closure)
-    monkeypatch.setattr(autmat, "complete_set", counting_complete_set)
     monkeypatch.setattr(autmat, "check", counting_check)
-    monkeypatch.setattr(pipeline, "enumerate_realizations", tracked_enumerate)
+    monkeypatch.setattr(pipeline, "realize", tracked_realize)
     monkeypatch.setattr(GaussMatrix, "__hash__", tracked_hash)
     monkeypatch.setattr(fingroup, "signed_closure", refuse)
     monkeypatch.setattr(fingroup, "order_structure", refuse)
     assert [classify_cell(*cell) for cell in cells] == expected
-    assert completions >= len(cells) and closures == completions
+    assert realizations == closures == len(cells)
     assert checks == 7 * len(cells)
     assert hashes_inside == 0
 
@@ -153,8 +147,9 @@ def test_sweep_matrix_op_counts_are_pinned():
     # or stored numerators carry over from other tests: one product per
     # certification pair, no negated product in `check` or certification
     # of pure pairs, no candidate the choice rule rules out, and integer
-    # numerators converted once per matrix, and no product with I on the
-    # left in `product_over`. A rise means repeated work.
+    # numerators converted once per matrix, no product with I on the left
+    # in `product_over`, and no signed copy of a product for its condition
+    # check. A rise means repeated work.
     import clifcpt
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(clifcpt.__file__)))
@@ -166,4 +161,4 @@ def test_sweep_matrix_op_counts_are_pinned():
         check=True,
         timeout=120,
     )
-    assert json.loads(out.stdout) == {"__mul__": 2960, "__neg__": 64, "_numerators": 1070}
+    assert json.loads(out.stdout) == {"__mul__": 2960, "__neg__": 64, "_numerators": 1058}
