@@ -33,10 +33,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import Multivector, blade_indices, grade
-from .covering import predict_realization
+from .covering import PredictedRealization, predict_realization
 from .exact import GaussMatrix
 from .fingroup import SignedGroup, signed_closure
-from .spinrep import SpinBasis, certify_spinbasis, product_over, represent
+from .spinrep import SpinBasis, product_over, represent
 
 ELEMENT_NAMES = ("I", "W", "E", "C", "Pi", "K", "S", "F")
 
@@ -121,13 +121,12 @@ def is_abelian(table: tuple[tuple[int, ...], ...]) -> bool:
 class Realization(NamedTuple):
     """One CPT realization: the signed blades I, W, E, C, Pi, K, S, F
     (held by their signed closure), their generator masks and signs, the
-    (E, Pi) choices, and the square and commutation signs read off the
-    closure's table."""
+    prediction they were built from, and the square and commutation signs
+    read off the closure's table."""
 
     basis: SpinBasis
     masks: dict  # element name -> generator-slot bitmask
-    choice_e: str
-    choice_pi: str
+    predicted: PredictedRealization  # the (E, Pi) choices come from here
     rep_signs: dict  # element name -> +-1 vs increasing-index product
     group: SignedGroup  # closure of the eight signed blades
     signature: SigTuple
@@ -147,6 +146,11 @@ class Realization(NamedTuple):
         return is_abelian(self.commutation)
 
     @property
+    def aut_abelian(self) -> bool:
+        """Whether W, E and C, elements 1 to 3, commute."""
+        return is_abelian(tuple(row[1:4] for row in self.commutation[1:4]))
+
+    @property
     def order_counts(self) -> tuple[int, int]:
         """(count of order-2, count of order-4) among the representatives
         other than I; a representative is I exactly when its element is +-I."""
@@ -157,14 +161,15 @@ class Realization(NamedTuple):
 
 
 def realize(basis: SpinBasis) -> Realization:
-    """The one CPT realization of `basis`, which is certified first. W is
-    the product of all generators, and E and Pi are the products that the
-    choice rule of `predict_realization` names; C = E W^T, K = Pi W,
-    S = Pi E and F = Pi C are blade products. Each of the seven is checked
-    on its generator product, and the signs are read off the closure of
-    all eight blades. For even n the other candidate of each pair fails
-    its condition (`verify` checks this), so no other realization exists."""
-    prof = certify_spinbasis(basis)  # an invalid basis fails here, before any condition check
+    """The one CPT realization of the certified `basis`. W is the product
+    of all generators, and E and Pi are the products that the choice rule
+    of `predict_realization` names on `basis.profile`; C = E W^T,
+    K = Pi W, S = Pi E and F = Pi C are blade products. Each of the seven
+    is checked on its generator product, and the signs are read off the
+    closure of all eight blades. For even n the other candidate of each
+    pair fails its condition (`verify` checks this), so no other
+    realization exists."""
+    prof = basis.profile
     pred = predict_realization(prof)
     sig, n = basis.sig, basis.sig.n
     w, e, pi = (Multivector.blade(sig, pred.masks[name]) for name in ("W", "E", "Pi"))
@@ -183,9 +188,7 @@ def realize(basis: SpinBasis) -> Realization:
     one = Multivector.scalar(sig, 1)
     group = signed_closure((one, *built.values()), one)
     signature, commutation = read_signs(group)
-    return Realization(
-        basis, masks, pred.choice_e, pred.choice_pi, rep_signs, group, signature, commutation
-    )
+    return Realization(basis, masks, pred, rep_signs, group, signature, commutation)
 
 
 def mask_label(mask: int, physics_indices: bool = False) -> str:

@@ -16,7 +16,7 @@ from .autmat import ELEMENT_NAMES, Realization, mask_label, realize
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, ring_type
 from .exact import GaussMatrix
 from .fingroup import cayley_table, classify_form, minus_count, polarization, sig_str
-from .spinrep import SpinBasis, build_spinbasis, certify_spinbasis, load_spinbasis, preset_spinbasis
+from .spinrep import SpinBasis, build_spinbasis, load_spinbasis, preset_spinbasis
 
 _CHOICE_E_JSON = {"skew_product": "skew", "sym_product": "sym"}
 _CHOICE_PI_JSON = {"complex_product": "complex", "real_product": "real", "identity": "identity"}
@@ -70,17 +70,11 @@ def resolve_basis(p: int, q: int, field: str, basis_spec: str) -> SpinBasis:
     raise BasisSpecError(f"unknown basis spec {basis_spec!r}")
 
 
-def _aut_sub_abelian(r) -> bool:
-    """Whether W, E and C commute, read off a realization's commutation
-    table."""
-    return all(r.commutation[i][j] == 1 for i in (1, 2, 3) for j in (1, 2, 3))
-
-
 def predictor_analysis(r: Realization) -> dict:
-    """Compare the count-profile prediction against the matrix computation."""
-    sig = r.basis.sig
-    prof = certify_spinbasis(r.basis)
-    pred = covering.predict_realization(prof)
+    """Compare the count-profile prediction against the signs read off the
+    closure. Pi is a real matrix (see `predict_realization`), so the
+    computed Pi * conj(Pi) is the closure's Pi^2."""
+    sig, prof, pred = r.basis.sig, r.basis.profile, r.predicted
     checks: dict[str, dict] = {}
     failures: list[str] = []
 
@@ -90,9 +84,7 @@ def predictor_analysis(r: Realization) -> dict:
         if not ok:
             failures.append(name)
 
-    pi = r.matrix("Pi")
-    record("pi_times_conj_pi", pred.signature[3], (pi * pi.conj()).pm_identity())
-    for name, i in (("k_square", 4), ("s_square", 5), ("f_square", 6)):
+    for name, i in (("pi_times_conj_pi", 3), ("k_square", 4), ("s_square", 5), ("f_square", 6)):
         record(name, pred.signature[i], r.signature[i])
     record("pi_k_commutation", pred.commutation[4][5], r.commutation[4][5])
     record("s_f_commutation", pred.commutation[6][7], r.commutation[6][7])
@@ -103,7 +95,7 @@ def predictor_analysis(r: Realization) -> dict:
     if full_scope:
         pred_aut = classify_form(pred.signature[:3])
         record("aut_triple", sig_str(pred.signature[:3]), sig_str(r.signature[:3]))
-        record("aut_abelian", pred_aut.abelian, _aut_sub_abelian(r))
+        record("aut_abelian", pred_aut.abelian, r.aut_abelian)
         record("pt_fiber", pred_aut.fiber, classify_form(r.signature[:3]).fiber)
     else:
         reason = (
@@ -126,8 +118,8 @@ def realization_record(r: Realization) -> dict:
     abstract = fingroup.identify_abstract(r.group)
     predictor = predictor_analysis(r)
     return {
-        "choiceE": _CHOICE_E_JSON[r.choice_e],
-        "choicePi": _CHOICE_PI_JSON[r.choice_pi],
+        "choiceE": _CHOICE_E_JSON[r.predicted.choice_e],
+        "choicePi": _CHOICE_PI_JSON[r.predicted.choice_pi],
         "signature": sig_str(r.signature),
         "squares": dict(zip(ELEMENT_NAMES[1:], r.signature)),
         "commute": [list(row) for row in r.commutation],
@@ -194,7 +186,7 @@ def classify_cell(p: int, q: int, field: str = REAL, basis_spec: str = "canonica
     out.update(_arith_section(p, q))
     out["status"] = "matrix"
     basis = resolve_basis(p, q, REAL, basis_spec)
-    prof = certify_spinbasis(basis)
+    prof = basis.profile
     out["basis"] = {"provenance": basis.provenance, "dim": basis.dim, "profile": prof.as_dict()}
     out["realizations"] = [realization_record(realize(basis))]
     return out
@@ -249,17 +241,16 @@ def _classify_complex(p: int, q: int) -> dict:
     out["status"] = "matrix"
     sig = MetricSignature(p, q, COMPLEX)
     basis = build_spinbasis(sig)
-    prof = certify_spinbasis(basis)
+    prof = basis.profile
     r = realize(basis)
-    abelian = _aut_sub_abelian(r)
     cover = classify_form(pred.triple)
     out["basis"] = {"provenance": basis.provenance, "dim": basis.dim, "profile": prof.as_dict()}
     out["aut"] = {
         "raw_signature": sig_str(r.signature[:3]),
         "phase_normalized_signature": sig_str(pred.triple),
-        "abelian": abelian,
+        "abelian": r.aut_abelian,
         "commute": [list(row[:4]) for row in r.commutation[:4]],
-        "agree": abelian == pred.abelian,
+        "agree": r.aut_abelian == pred.abelian,
     }
     out["pin_cover"] = {"fiber": cover.fiber, "cliffordian": not cover.abelian}
     return out

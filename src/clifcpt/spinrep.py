@@ -5,7 +5,6 @@ drives the classification theorems."""
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
@@ -85,14 +84,17 @@ class BasisProfile(NamedTuple):
 
 
 class SpinBasis:
-    """Ordered generator matrices for Cl(p,q) or its complexification."""
+    """Ordered generator matrices for Cl(p,q) or its complexification,
+    certified when made: `profile` is the census of `certify_spinbasis`,
+    and a broken basis raises CertificationError instead of existing."""
 
-    __slots__ = ("sig", "gens", "provenance")
+    __slots__ = ("sig", "gens", "provenance", "profile")
 
     def __init__(self, sig: MetricSignature, gens: tuple[GaussMatrix, ...], provenance: str):
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "profile", certify_spinbasis(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -113,6 +115,7 @@ class SpinBasis:
         return hash((self.sig, self.provenance))
 
     def __reduce__(self):
+        # Unpickling runs __init__, so the copy is certified again.
         return SpinBasis, (self.sig, self.gens, self.provenance)
 
     @property
@@ -205,10 +208,8 @@ def _real_tower(p: int, q: int) -> list[GaussMatrix]:
     return pos + neg
 
 
-@lru_cache(maxsize=128)
 def build_spinbasis(sig: MetricSignature) -> SpinBasis:
-    """Deterministic canonical basis for an even-dimensional signature,
-    built and certified once per signature.
+    """Deterministic canonical basis for an even-dimensional signature.
 
     Complex field: the Brauer-Weyl tower. Real field: the all-real tower
     when p - q is literally 0 or 2, otherwise a square-balanced draw from
@@ -227,9 +228,7 @@ def build_spinbasis(sig: MetricSignature) -> SpinBasis:
         gens = _real_tower(sig.p, sig.q)
     else:
         gens = _real_mixed_basis(sig.p, sig.q)
-    basis = SpinBasis(sig, tuple(gens), "canonical")
-    certify_spinbasis(basis)
-    return basis
+    return SpinBasis(sig, tuple(gens), "canonical")
 
 
 _DIRAC_ROWS = {
@@ -252,9 +251,7 @@ def preset_spinbasis(name: str) -> SpinBasis:
         raise UnsupportedSignatureError(f"unknown preset {name!r}; available: dirac")
     sig = MetricSignature(1, 3, REAL)
     gens = tuple(GaussMatrix(_DIRAC_ROWS[i]) for i in (1, 2, 3, 4))
-    basis = SpinBasis(sig, gens, "preset:dirac")
-    certify_spinbasis(basis)
-    return basis
+    return SpinBasis(sig, gens, "preset:dirac")
 
 
 def _scan_traits(g: GaussMatrix, violations: list[str], idx: int) -> tuple[bool, bool, int] | None:
@@ -280,12 +277,12 @@ def _scan_traits(g: GaussMatrix, violations: list[str], idx: int) -> tuple[bool,
     return not has_im, symmetric, sq
 
 
-@lru_cache(maxsize=128)
 def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
     """Verify the Clifford relations, metric squares, and reality and
     symmetry purity of every generator; return the census on success.
 
-    Results are memoized per basis value (bases are immutable)."""
+    `SpinBasis.__init__` runs it once per basis and keeps the result as
+    `basis.profile`; it reads only `sig` and `gens`."""
     sig = basis.sig
     n = sig.n
     violations: list[str] = []
@@ -390,6 +387,4 @@ def load_spinbasis(path: str) -> SpinBasis:
         sig = MetricSignature(p, q, REAL)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpinBasisFileError(f"malformed spin basis file {path}: {exc}") from exc
-    basis = SpinBasis(sig, gens, f"file:{path}")
-    certify_spinbasis(basis)
-    return basis
+    return SpinBasis(sig, gens, f"file:{path}")

@@ -48,7 +48,7 @@ from .goldens import (
     signed_cells,
 )
 from .pipeline import ext_reps, predictor_analysis, wigner_reps
-from .spinrep import SpinBasis, build_spinbasis, certify_spinbasis, preset_spinbasis, product_over
+from .spinrep import build_spinbasis, preset_spinbasis, product_over
 
 _SEED = 20260810
 
@@ -79,11 +79,14 @@ def _run(suite: str, name: str, fn) -> CheckResult:
     return CheckResult(suite, name, passed, detail, time.monotonic() - t0)
 
 
-def _realization(table: dict, basis: SpinBasis) -> Realization:
-    """The realization of `basis`, built once per verify run."""
-    if basis not in table:
-        table[basis] = realize(basis)
-    return table[basis]
+def _realization(table: dict, key: MetricSignature | str) -> Realization:
+    """The realization of the canonical basis of signature `key`, or of
+    the dirac preset for "dirac"; each basis is built and realized once
+    per verify run."""
+    if key not in table:
+        basis = preset_spinbasis("dirac") if key == "dirac" else build_spinbasis(key)
+        table[key] = realize(basis)
+    return table[key]
 
 
 def _real_sigs(max_dim: int):
@@ -204,7 +207,7 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
     def predictor_agreement():
         total = full = 0
         for sig in _even_real_sigs(max_dim):
-            rep = predictor_analysis(_realization(realizations, build_spinbasis(sig)))
+            rep = predictor_analysis(_realization(realizations, sig))
             assert rep["verdict"] == "agree", f"Cl({sig.p},{sig.q}): {rep['verdict']}"
             total += 1
             if rep["scope"] == "full":
@@ -215,35 +218,28 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
 
     def complex_commutativity():
         for n in range(0, max_dim + 1, 2):
-            basis = build_spinbasis(MetricSignature(n, 0, COMPLEX))
-            r = _realization(realizations, basis)
+            r = _realization(realizations, MetricSignature(n, 0, COMPLEX))
             pred = covering.predict_aut_complex(n)
-            # W, E and C are elements 1, 2 and 3 of the commutation table.
-            commuting = all(r.commutation[i][j] == 1 for i, j in ((1, 2), (1, 3), (2, 3)))
-            assert commuting == pred.abelian, f"n={n}: commutativity vs prediction"
+            assert r.aut_abelian == pred.abelian, f"n={n}: commutativity vs prediction"
         return f"complex automorphism commutativity matches n mod 4 through n={max_dim}"
 
     out.append(_run("theorems", "complex-automorphism-groups", complex_commutativity))
 
     def intertwining():
-        bases = [preset_spinbasis("dirac")]
-        for sig in _even_real_sigs(max_dim):
-            bases.append(build_spinbasis(sig))
-        for n in range(0, max_dim + 1, 2):
-            bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
-        for basis in bases:
+        keys = ["dirac", *_even_real_sigs(max_dim)]
+        keys += [MetricSignature(n, 0, COMPLEX) for n in range(0, max_dim + 1, 2)]
+        for key in keys:
+            r = _realization(realizations, key)
+            basis = r.basis
             eye = GaussMatrix.identity(basis.dim)
             where = f"{basis.provenance} Cl({basis.sig.p},{basis.sig.q})"
             # The choice rule is unique: each E and Pi candidate it does not
             # name, unless it is the same product, fails its condition.
-            prof = certify_spinbasis(basis)
-            predicted = covering.predict_realization(prof).masks
-            for name, pair in covering.choice_candidates(prof).items():
+            for name, pair in covering.choice_candidates(basis.profile).items():
                 for mask, choice in pair:
-                    if mask != predicted[name]:
+                    if mask != r.predicted.masks[name]:
                         other = product_over(basis, mask)
                         assert check(name, other, basis), f"{where}: {choice} also meets {name}"
-            r = _realization(realizations, basis)
             dense = r.matrices()
             for name, m in zip(ELEMENT_NAMES[1:], dense[1:]):
                 bad = check(name, m, basis)
@@ -253,7 +249,7 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
             group = signed_closure(dense, eye)
             assert identify_abstract(group) == identify_abstract(r.group), f"{where}: group"
             assert read_signs(group) == (r.signature, r.commutation), f"{where}: signs"
-        return f"{len(bases)} bases, all seven conditions exhaustive"
+        return f"{len(keys)} bases, all seven conditions exhaustive"
 
     out.append(_run("theorems", "intertwining-conditions", intertwining))
     return out
@@ -267,7 +263,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
     out = []
 
     def dirac_goldens():
-        r = _realization(realizations, preset_spinbasis("dirac"))
+        r = _realization(realizations, "dirac")
         assert r.signature == DIRAC_EXT_SIGNATURE, sig_str(r.signature)
         table = cayley_table(ext_reps(r))
         assert table.cells == signed_cells(DIRAC_EXT_TABLE), "extended-set table mismatch"
@@ -279,7 +275,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
     out.append(_run("groups", "dirac-extended-set", dirac_goldens))
 
     def wigner_goldens():
-        basis = preset_spinbasis("dirac")
+        basis = _realization(realizations, "dirac").basis
         reps = wigner_reps(basis)
         table = cayley_table(reps)
         assert table.cells == signed_cells(WIGNER_CPT_TABLE), "reflection-set table mismatch"
@@ -295,7 +291,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
     out.append(_run("groups", "wigner-reflection-set", wigner_goldens))
 
     def closure_closedness():
-        r = _realization(realizations, preset_spinbasis("dirac"))
+        r = _realization(realizations, "dirac")
         closure = signed_closure(r.matrices(), GaussMatrix.identity(r.basis.dim))
         elems = set(closure.elements)
         for x in closure.elements:
@@ -315,7 +311,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
 
     def sweep_labels():
         for sig in _even_real_sigs(max_dim):
-            r = _realization(realizations, build_spinbasis(sig))
+            r = _realization(realizations, sig)
             classify_form(r.signature)  # GroupStructureError unless a form
             assert r.commutation == polarization(r.signature), (
                 f"Cl({sig.p},{sig.q}): commutation is not the polarization "
@@ -446,7 +442,7 @@ def suite_coverings(max_dim: int, realizations: dict | None = None) -> list[Chec
     def label_fiber_families():
         count = 0
         for sig in _even_real_sigs(max_dim):
-            r = _realization(realizations, build_spinbasis(sig))
+            r = _realization(realizations, sig)
             fiber = classify_form(r.signature).fiber
             # A closure with -I is the central extension: the fiber itself.
             if r.group.order == 16:
@@ -486,7 +482,7 @@ _SUITES = {
 
 def _run_group(names, max_dim: int) -> dict[str, list[CheckResult]]:
     """Run `names` in order, sharing one realization table."""
-    realizations: dict[SpinBasis, Realization] = {}
+    realizations: dict[MetricSignature | str, Realization] = {}
     return {name: _SUITES[name](max_dim, realizations) for name in names}
 
 

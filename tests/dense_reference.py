@@ -16,7 +16,7 @@ from clifcpt.algebra import MetricSignature
 from clifcpt.autmat import ELEMENT_NAMES, check, read_signs
 from clifcpt.exact import GaussMatrix
 from clifcpt.fingroup import identify_abstract, order_structure, signed_closure
-from clifcpt.spinrep import SpinBasis, build_spinbasis, certify_spinbasis, product_over
+from clifcpt.spinrep import SpinBasis, build_spinbasis, product_over
 
 
 def matrix_closure(mats):
@@ -59,7 +59,7 @@ def candidates(prof):
 def dense_realizations(basis):
     """One dict per realization, deduplicated by (signature, commutation)
     in the package's (E, Pi) order."""
-    prof = certify_spinbasis(basis)
+    prof = basis.profile
     full = (1 << basis.sig.n) - 1
     eye = GaussMatrix.identity(basis.dim)
     w = product_over(basis, full)

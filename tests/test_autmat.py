@@ -18,7 +18,6 @@ from clifcpt.spinrep import (
     CertificationError,
     SpinBasis,
     build_spinbasis,
-    certify_spinbasis,
     preset_spinbasis,
     product_over,
 )
@@ -136,7 +135,7 @@ def _dense_w(basis):
 def _only_survivor(basis, name):
     """The (mask, choice) of the one candidate of `name`, of both, whose
     product meets its condition, checked densely."""
-    ((_, choice, mask),) = _survivors(basis, name, candidates(certify_spinbasis(basis))[name])
+    ((_, choice, mask),) = _survivors(basis, name, candidates(basis.profile)[name])
     return mask, choice
 
 
@@ -146,7 +145,8 @@ def test_cl11_tower_products():
     assert w == basis.gens[0] * basis.gens[1]
     assert (w * w).pm_identity() == 1
     r = realize(basis)
-    assert (r.masks["E"], r.choice_e) == _only_survivor(basis, "E") == (0b01, "sym_product")
+    choice = r.predicted.choice_e
+    assert (r.masks["E"], choice) == _only_survivor(basis, "E") == (0b01, "sym_product")
 
 
 def test_cl20_e_is_identity_and_c_is_w_transpose():
@@ -154,11 +154,12 @@ def test_cl20_e_is_identity_and_c_is_w_transpose():
     w = _dense_w(basis)
     assert (w * w).pm_identity() == -1
     r = realize(basis)
-    assert (r.masks["E"], r.choice_e) == _only_survivor(basis, "E") == (0, "skew_product")
+    pred = r.predicted
+    assert (r.masks["E"], pred.choice_e) == _only_survivor(basis, "E") == (0, "skew_product")
     e = product_over(basis, 0)
     assert e == GaussMatrix.identity(2)
     assert r.matrix("C") == e * w.transpose() == w.transpose()
-    assert (r.masks["Pi"], r.choice_pi) == _only_survivor(basis, "Pi") == (0, "identity")
+    assert (r.masks["Pi"], pred.choice_pi) == _only_survivor(basis, "Pi") == (0, "identity")
 
 
 def test_complex_c4_w_squares_plus():
@@ -170,7 +171,7 @@ def test_complex_c4_w_squares_plus():
 def test_complex_c2_e_choice_by_direct_check():
     basis = build_spinbasis(MetricSignature(2, 0, COMPLEX))
     r = realize(basis)
-    mask, choice = r.masks["E"], r.choice_e
+    mask, choice = r.masks["E"], r.predicted.choice_e
     assert (mask, choice) == _only_survivor(basis, "E")
     # k = 1 odd, so only the symmetric product intertwines: E = generator 1.
     assert choice == "sym_product"
@@ -179,7 +180,7 @@ def test_complex_c2_e_choice_by_direct_check():
 
 def test_enumerate_cl20_single_identity_pi_realization():
     r = realize(build_spinbasis(MetricSignature(2, 0)))
-    assert r.choice_pi == "identity"
+    assert r.predicted.choice_pi == "identity"
     # Pi = I collapse: d = +, e = a, f = b, g = c, and the extended set
     # reduces to the automorphism set.
     a, b, c, d, e, f, g = r.signature
@@ -213,12 +214,11 @@ def test_signature_minus_count_always_even():
 
 
 def test_condition_error_on_broken_basis():
-    # A "basis" violating anticommutation is rejected by certification,
-    # before any condition is checked.
+    # A "basis" violating anticommutation is rejected by certification
+    # when it is made, so no condition is ever checked on it.
     s1 = GaussMatrix([[0, 1], [1, 0]])
-    broken = SpinBasis(MetricSignature(2, 0), (s1, s1), "test")
-    with pytest.raises(CertificationError):
-        realize(broken)
+    with pytest.raises(CertificationError, match="generators 1 and 2 do not anticommute"):
+        SpinBasis(MetricSignature(2, 0), (s1, s1), "test")
 
 
 @pytest.mark.parametrize("name", ["E", "Pi"])
@@ -337,8 +337,9 @@ def test_blade_realizations_match_dense_reference():
         # The dense reference tries both candidates of E and of Pi, and
         # finds the one realization.
         r, (ref,) = realize(basis), dense_realizations(basis)
-        where = (basis.sig, basis.provenance, r.choice_e, r.choice_pi)
-        assert (r.choice_e, r.choice_pi) == ref["choices"], where
+        choices = (r.predicted.choice_e, r.predicted.choice_pi)
+        where = (basis.sig, basis.provenance, *choices)
+        assert choices == ref["choices"], where
         assert r.masks == ref["masks"], where
         assert r.rep_signs == ref["rep_signs"], where
         assert r.signature == ref["signature"], where

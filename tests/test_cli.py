@@ -487,11 +487,12 @@ def test_verify_reads_complex_realizations_from_the_run_table(monkeypatch):
     from clifcpt.spinrep import build_spinbasis, preset_spinbasis
     from clifcpt.verify import suite_theorems
 
-    bases = [preset_spinbasis("dirac")]
+    # The run table maps each signature, or "dirac", to its realization.
+    table = {"dirac": realize(preset_spinbasis("dirac"))}
     for n in range(0, 7, 2):
-        bases += [build_spinbasis(MetricSignature(p, n - p, REAL)) for p in range(n, -1, -1)]
-        bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
-    table = {basis: realize(basis) for basis in bases}
+        sigs = [MetricSignature(p, n - p, REAL) for p in range(n, -1, -1)]
+        for sig in sigs + [MetricSignature(n, 0, COMPLEX)]:
+            table[sig] = realize(build_spinbasis(sig))
 
     def refuse(self, other):
         raise AssertionError("a matrix product was formed")

@@ -11,7 +11,7 @@ from clifcpt.covering import (
 )
 from clifcpt.exact import GaussMatrix
 from clifcpt.fingroup import GroupStructureError, census_64, classify_form
-from clifcpt.spinrep import BasisProfile, build_spinbasis, certify_spinbasis, preset_spinbasis
+from clifcpt.spinrep import BasisProfile, build_spinbasis, preset_spinbasis
 from pauli_bases import pauli_bases, sample_pauli_bases
 
 
@@ -63,7 +63,7 @@ def test_predicted_automorphisms_of_all_real_profiles_follow_the_real_arms():
 def test_predict_realization_on_quaternionic_profiles():
     # Dirac census: slots 2 and 4 real antisymmetric, 1 real symmetric,
     # 3 imaginary symmetric; E is the even skew product.
-    pred = predict_realization(certify_spinbasis(preset_spinbasis("dirac")))
+    pred = predict_realization(preset_spinbasis("dirac").profile)
     assert (pred.choice_e, pred.choice_pi) == ("skew_product", "real_product")
     assert _aut(pred) == ((-1, -1, 1), True)
     assert classify_form(pred.signature[:3]).label == "Z4"
@@ -90,9 +90,9 @@ def test_predict_aut_complex():
 
 
 def test_predict_pi_square():
-    dirac = predict_realization(certify_spinbasis(preset_spinbasis("dirac")))
+    dirac = predict_realization(preset_spinbasis("dirac").profile)
     assert (dirac.choice_pi, dirac.masks["Pi"], dirac.signature[3]) == ("real_product", 0b1011, -1)
-    tower = predict_realization(certify_spinbasis(build_spinbasis(MetricSignature(2, 0))))
+    tower = predict_realization(build_spinbasis(MetricSignature(2, 0)).profile)
     assert (tower.choice_pi, tower.masks["Pi"], tower.signature[3]) == ("identity", 0, 1)
     four_imag = predict_realization(_profile([(False, False)] * 4 + [(True, True)] * 2))
     assert (four_imag.choice_pi, four_imag.signature[3]) == ("complex_product", 1)  # 4 factors
@@ -103,7 +103,7 @@ def test_predict_pi_square():
 
 
 def test_square_rule_predictors_on_dirac():
-    pred = predict_realization(certify_spinbasis(preset_spinbasis("dirac")))
+    pred = predict_realization(preset_spinbasis("dirac").profile)
     # Masks as generator-slot bitmasks: K = {3}, S = {1}, F = {2,3,4}.
     assert (pred.masks["K"], pred.masks["S"], pred.masks["F"]) == (0b0100, 0b0001, 0b1110)
     assert pred.signature == (-1, -1, 1, -1, -1, 1, 1)
@@ -130,7 +130,7 @@ def test_predict_realization_agrees_with_enumeration(monkeypatch):
     stage computes, on canonical, preset and Pauli-word bases, without
     forming a single blade or matrix product."""
     for basis in _agreement_bases():
-        prof = certify_spinbasis(basis)
+        prof = basis.profile
         with monkeypatch.context() as m:
             m.setattr(GaussMatrix, "__mul__", _refuse)
             m.setattr(Multivector, "__mul__", _refuse)
@@ -138,7 +138,8 @@ def test_predict_realization_agrees_with_enumeration(monkeypatch):
             pred = predict_realization(prof)
         r = realize(basis)
         where = basis.provenance, basis.sig
-        assert (pred.choice_e, pred.choice_pi) == (r.choice_e, r.choice_pi), where
+        choices = r.predicted.choice_e, r.predicted.choice_pi
+        assert (pred.choice_e, pred.choice_pi) == choices, where
         assert pred.masks == r.masks, where
         assert pred.signature == r.signature, where
         assert pred.commutation == r.commutation, where

@@ -142,23 +142,82 @@ print(json.dumps(counts))
 """
 
 
-def test_sweep_matrix_op_counts_are_pinned():
-    # Matrix work on sweep(8), counted in a fresh process so that no basis
-    # or stored numerators carry over from other tests: one product per
-    # certification pair, no negated product in `check` or certification
-    # of pure pairs, no candidate the choice rule rules out, and integer
-    # numerators converted once per matrix, no product with I on the left
-    # in `product_over`, and no signed copy of a product for its condition
-    # check. A rise means repeated work.
+def _run_fresh(code: str):
+    """The JSON that `code` prints, run in a fresh process so that no basis
+    or stored numerators carry over from other tests."""
     import clifcpt
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(clifcpt.__file__)))
     out = subprocess.run(
-        [sys.executable, "-c", _COUNT_SWEEP_OPS],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
     )
-    assert json.loads(out.stdout) == {"__mul__": 2960, "__neg__": 64, "_numerators": 1058}
+    return json.loads(out.stdout)
+
+
+def test_sweep_matrix_op_counts_are_pinned():
+    # Matrix work on sweep(8): one product per certification pair, no
+    # negated product in `check` or certification of pure pairs, no
+    # candidate the choice rule rules out, and integer numerators
+    # converted once per matrix, no product with I on the left in
+    # `product_over`, no signed copy of a product for its condition check,
+    # and no dense Pi * conj(Pi) in the predictor comparison. A rise means
+    # repeated work.
+    assert _run_fresh(_COUNT_SWEEP_OPS) == {"__mul__": 2901, "__neg__": 64, "_numerators": 990}
+
+
+_COUNT_LIVE_BASES = """
+import gc
+from clifcpt import pipeline
+from clifcpt.spinrep import SpinBasis
+
+pipeline.sweep(8, "real", jobs=1)
+gc.collect()
+print(sum(isinstance(o, SpinBasis) for o in gc.get_objects()))
+"""
+
+
+def test_a_sweep_keeps_no_basis_alive():
+    # A sweep uses each basis for one cell, so no module-level cache may
+    # keep its 25 bases; `autmat._primed_generators` keeps the last one.
+    assert _run_fresh(_COUNT_LIVE_BASES) <= 1
+
+
+def _count_calls(monkeypatch, owners, name):
+    """Wrap function `name` on every module in `owners` with one shared
+    call counter, a one-element list."""
+    calls = [0]
+    raw = getattr(owners[0], name)
+
+    def counted(*args):
+        calls[0] += 1
+        return raw(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_sweep_certifies_and_predicts_each_basis_once(monkeypatch):
+    from clifcpt import covering, spinrep
+
+    certified = _count_calls(monkeypatch, [spinrep], "certify_spinbasis")
+    predicted = _count_calls(monkeypatch, [covering, autmat], "predict_realization")
+    sweep(8, "real", jobs=1)
+    # 1 + 3 + 5 + 7 + 9 even cells with p + q <= 8.
+    assert (certified, predicted) == ([25], [25])
+
+
+def test_verify_builds_each_basis_once(monkeypatch):
+    from clifcpt import SUITE_NAMES, covering
+
+    canonical = _count_calls(monkeypatch, [verify], "build_spinbasis")
+    preset = _count_calls(monkeypatch, [verify], "preset_spinbasis")
+    predicted = _count_calls(monkeypatch, [covering, autmat], "predict_realization")
+    assert all(r.passed for r in verify.run_suites(SUITE_NAMES, 6))
+    # 16 real and 4 complex even signatures with n <= 6, and dirac.
+    assert (canonical, preset, predicted) == ([20], [1], [21])

@@ -12,7 +12,6 @@ from clifcpt.spinrep import (
     SpinBasisFileError,
     UnsupportedSignatureError,
     build_spinbasis,
-    certify_spinbasis,
     load_spinbasis,
     preset_spinbasis,
     represent,
@@ -27,7 +26,7 @@ def test_cl11_tower():
     s1 = GaussMatrix([[0, 1], [1, 0]])
     eps = GaussMatrix([[0, 1], [-1, 0]])
     assert basis.gens == (s1, eps)
-    census = certify_spinbasis(basis).as_dict()
+    census = basis.profile.as_dict()
     assert (census["a"], census["b"], census["k"]) == (0, 2, 1)
 
 
@@ -36,7 +35,7 @@ def test_cl02_canonical():
     i_s1 = GaussMatrix([[0, GaussRational(0, 1)], [GaussRational(0, 1), 0]])
     i_s3 = GaussMatrix([[GaussRational(0, 1), 0], [0, GaussRational(0, -1)]])
     assert basis.gens == (i_s1, i_s3)
-    prof = certify_spinbasis(basis)
+    prof = basis.profile
     census = prof.as_dict()
     assert (census["a"], census["b"]) == (2, 0)
     assert prof.neg_mask == prof.mask() == 0b11
@@ -44,18 +43,18 @@ def test_cl02_canonical():
 
 def test_cl20_tower_real():
     basis = build_spinbasis(MetricSignature(2, 0))
-    census = certify_spinbasis(basis).as_dict()
+    census = basis.profile.as_dict()
     assert census["a"] == 0 and census["k"] == 0
 
 
 def test_real_tower_all_real():
     for p, q in ((0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (3, 3), (4, 2), (4, 4)):
-        prof = certify_spinbasis(build_spinbasis(MetricSignature(p, q)))
+        prof = build_spinbasis(MetricSignature(p, q)).profile
         assert prof.as_dict()["a"] == 0, f"Cl({p},{q}) tower has imaginary generators"
 
 
 def test_complex_canonical_profile():
-    prof = certify_spinbasis(build_spinbasis(MetricSignature(4, 0, COMPLEX)))
+    prof = build_spinbasis(MetricSignature(4, 0, COMPLEX)).profile
     census = prof.as_dict()
     assert (census["a"], census["b"]) == (2, 2)
     assert prof.neg_mask == 0
@@ -80,7 +79,7 @@ def test_dirac_profile_counts():
     assert real_flags == [True, True, False, True]
     assert sym_flags == [True, False, True, False]
 
-    prof = certify_spinbasis(preset_spinbasis("dirac"))
+    prof = preset_spinbasis("dirac").profile
     assert (prof.real_mask, prof.sym_mask, prof.neg_mask) == (0b1011, 0b0101, 0b1110)
     c = prof.as_dict()
     assert (c["a"], c["b"], c["k"]) == (1, 3, 2)
@@ -98,7 +97,7 @@ def test_unknown_preset():
 def test_canonical_bases_certify(n):
     for p in range(n + 1):
         basis = build_spinbasis(MetricSignature(p, n - p))
-        c = certify_spinbasis(basis).as_dict()
+        c = basis.profile.as_dict()
         assert c["a"] + c["b"] == n
         assert c["cs"] + c["ck"] == c["a"]
         assert c["rs"] + c["rk"] == c["b"]
@@ -107,7 +106,7 @@ def test_canonical_bases_certify(n):
         assert c["sym_pos"] + c["sym_neg"] == n - c["k"]
         assert c["skew_pos"] + c["skew_neg"] == c["k"]
     if n > 0:
-        certify_spinbasis(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
+        assert build_spinbasis(MetricSignature(n, 0, COMPLEX)).profile.n == n
 
 
 def _reference_traits(basis):
@@ -170,7 +169,7 @@ def test_profile_masks_match_per_generator_reference(tmp_path):
     assert any(len(row) > 1 for g in bases[-1].gens for row in g.entries)
     for basis in bases:
         traits = _reference_traits(basis)
-        prof = certify_spinbasis(basis)
+        prof = basis.profile
         assert prof.n == len(traits)
         assert prof.as_dict() == _reference_census(traits), basis.sig
         for real in (True, False, None):
@@ -188,11 +187,9 @@ def test_equal_slot_traits_give_equal_records(tmp_path):
         canonical = build_spinbasis(sig)
         conjugated = _conjugated(canonical, tmp_path)
         assert conjugated.gens != canonical.gens
-        a, b = certify_spinbasis(canonical), certify_spinbasis(conjugated)
+        a, b = canonical.profile, conjugated.profile
         assert a == b and hash(a) == hash(b)
-    assert certify_spinbasis(preset_spinbasis("dirac")) != certify_spinbasis(
-        build_spinbasis(MetricSignature(1, 3))
-    )
+    assert preset_spinbasis("dirac").profile != build_spinbasis(MetricSignature(1, 3)).profile
 
 
 def test_anticommutation_exhaustive_small():
@@ -299,7 +296,7 @@ def test_certification_messages_and_pair_products(monkeypatch):
         formed = []
         monkeypatch.setattr(GaussMatrix, "__mul__", lambda a, b: formed.append(1) or mul(a, b))
         with pytest.raises(CertificationError) as err:
-            certify_spinbasis(SpinBasis(MetricSignature(p, q), gens, "test"))
+            SpinBasis(MetricSignature(p, q), gens, "test")
         monkeypatch.undo()
         assert (err.value.violations, len(formed)) == (violations, products), (p, q)
 
@@ -327,7 +324,7 @@ def test_one_product_pair_verdicts_match_two_products():
             if gens[i] * gens[j] != -(gens[j] * gens[i])
         ]
         try:
-            certify_spinbasis(SpinBasis(basis.sig, tuple(gens), "variant"))
+            SpinBasis(basis.sig, tuple(gens), "variant")
             got = []
         except CertificationError as err:
             got = [v for v in err.violations if v.endswith("do not anticommute")]
@@ -407,11 +404,6 @@ def test_represent_intertwines_the_four_maps():
     assert samples >= 4 * len(bases)
 
 
-def test_build_spinbasis_is_memoized():
-    sig = MetricSignature(2, 2)
-    assert build_spinbasis(sig) is build_spinbasis(MetricSignature(2, 2))
-
-
 def test_signature_and_basis_are_immutable_values():
     sig = MetricSignature(1, 3)
     assert sig == MetricSignature(1, 3, "real") and hash(sig) == hash(MetricSignature(1, 3))
@@ -431,11 +423,12 @@ def test_signature_and_basis_are_immutable_values():
     twin = SpinBasis(MetricSignature(1, 3), gens, basis.provenance)
     assert twin == basis and hash(twin) == hash(basis)
     # gens take part in equality but not in the hash.
-    swapped = SpinBasis(basis.sig, gens[::-1], basis.provenance)
-    assert swapped != basis and hash(swapped) == hash(basis)
+    negated = SpinBasis(basis.sig, (-gens[0], *gens[1:]), basis.provenance)
+    assert negated != basis and hash(negated) == hash(basis)
     assert repr(basis).startswith("SpinBasis(sig=MetricSignature(p=1, q=3, field='real'), gens=(")
 
-    for record, name in ((sig, "p"), (sig, "field"), (basis, "gens"), (basis, "provenance")):
+    fields = ((sig, "p"), (sig, "field"), (basis, "gens"), (basis, "provenance"), (basis, "profile"))
+    for record, name in fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
 
@@ -445,16 +438,11 @@ def test_signature_and_basis_are_immutable_values():
     for record in (sig, basis, CheckResult("groups", "census", True, "ok", 0.25)):
         assert pickle.loads(pickle.dumps(record)) == record
 
-    certify_spinbasis(basis)
-    hits = certify_spinbasis.cache_info().hits
-    certify_spinbasis(twin)
-    assert certify_spinbasis.cache_info().hits == hits + 1
-
 
 def test_certify_reports_wrong_generator_count():
     sig = MetricSignature(1, 1)
     with pytest.raises(CertificationError, match="expected 2 generators"):
-        certify_spinbasis(SpinBasis(sig, (GaussMatrix.identity(2),), "test"))
+        SpinBasis(sig, (GaussMatrix.identity(2),), "test")
 
 
 def test_file_wrong_metric_square_rejected(tmp_path):
