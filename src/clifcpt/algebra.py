@@ -341,10 +341,6 @@ def volume_element(sig: MetricSignature) -> Multivector:
     return Multivector.blade(sig, (1 << sig.n) - 1)
 
 
-def volume_square_sign(sig: MetricSignature) -> int:
-    return blade_square_sign((1 << sig.n) - 1, sig)
-
-
 def involution_via_omega_check(a: Multivector) -> bool:
     """Check grade_involution(a) == omega * a * omega^-1 exactly.
 

@@ -13,7 +13,6 @@ from .exact import GaussMatrix, GaussRational, I_UNIT, kron
 PAULI_1 = GaussMatrix([[0, 1], [1, 0]])
 PAULI_2 = GaussMatrix([[0, GaussRational(0, -1)], [GaussRational(0, 1), 0]])
 PAULI_3 = GaussMatrix([[1, 0], [0, -1]])
-SKEW_E = GaussMatrix([[0, 1], [-1, 0]])  # real antisymmetric, squares to -I
 I2 = GaussMatrix.identity(2)
 
 
@@ -124,7 +123,7 @@ class SpinBasis:
 
 
 def _bw_pool(m: int) -> tuple[list[GaussMatrix], list[GaussMatrix], GaussMatrix]:
-    """The 2m+1 pairwise-anticommuting pool behind the even towers:
+    """The 2m+1 pairwise-anticommuting pool behind every canonical basis:
     m real symmetric generators (Pauli-1 cores), m imaginary antisymmetric
     ones (Pauli-2 cores), and the all-Pauli-3 tail; every square is +I.
 
@@ -147,16 +146,21 @@ def _bw_pool(m: int) -> tuple[list[GaussMatrix], list[GaussMatrix], GaussMatrix]
     return reals, imags, tail
 
 
-def _real_mixed_basis(p: int, q: int) -> list[GaussMatrix]:
-    """Generators for real (p,q) with p - q outside {0,2}: positives drawn
-    as-is from the pool, negatives multiplied by i.
+def _real_basis(p: int, q: int) -> list[GaussMatrix]:
+    """Generators for real (p,q): positives drawn as-is from the pool,
+    negatives multiplied by i.
 
     The split between real and imaginary pool elements is chosen so that
     the factor set of the coefficient-conjugation product always contains
     an even number of minus-square generators; the census square rules
     hold exactly in that regime. Multiplying a real pool element by i
     yields an imaginary minus-square generator and vice versa, so the
-    parity of the split is the only degree of freedom that matters.
+    parity of the split is the only degree of freedom that matters. For
+    p - q in {0, 2} the draw is all real.
+
+    p1 ranges over [lo, hi]. When lo < hi both parities occur, and lo = hi
+    only at p = 0 or p = n, where the wanted parity holds (p = 0 with m
+    odd has its own branch), so a split always exists.
     """
     n = p + q
     m = n // 2
@@ -166,54 +170,26 @@ def _real_mixed_basis(p: int, q: int) -> list[GaussMatrix]:
         # element for the tail makes the imaginary subset even-sized.
         chosen = reals + imags[: m - 1] + [tail]
         return [g.scale(I_UNIT) for g in chosen]
+    if p - q == 2:
+        return reals + [tail] + [g.scale(I_UNIT) for g in imags[: m - 1]]
     lo, hi = max(0, p - m), min(p, m)
     a_even = (p + m) % 2 == 0
-    p1 = None
-    for cand in range(hi, lo - 1, -1):
-        if a_even and cand % 2 == m % 2:
-            p1 = cand
+    for p1 in range(hi, lo - 1, -1):
+        if (p1 if a_even else p - p1) % 2 == m % 2:
             break
-        if not a_even and (p - cand) % 2 == m % 2:
-            p1 = cand
-            break
-    if p1 is None:
-        raise UnsupportedSignatureError(f"no square-balanced split for Cl({p},{q})")
     p2 = p - p1
     pos = reals[:p1] + imags[:p2]
     neg = [g.scale(I_UNIT) for g in reals[p1:] + imags[p2:]]
     return pos + neg
 
 
-def _real_tower(p: int, q: int) -> list[GaussMatrix]:
-    """All-real generators for p - q in {0, 2}, positives first.
-
-    Starts from the cores Cl(0,0) = {} and Cl(2,0) = {Pauli-1, Pauli-3}
-    and applies q extension steps; each step prepends the new generators
-    (Pauli-1 tensor I with square +I, and the real antisymmetric unit
-    tensor I with square -I) and promotes old ones behind a Pauli-3.
-    """
-    if p - q == 0:
-        pos: list[GaussMatrix] = []
-        neg: list[GaussMatrix] = []
-    elif p - q == 2:
-        pos = [PAULI_1, PAULI_3]
-        neg = []
-    else:
-        raise UnsupportedSignatureError(f"real tower exists only for p-q in {{0,2}}, got {p - q}")
-    for _ in range(q):
-        dim = pos[0].dim if pos else (neg[0].dim if neg else 1)
-        eye = GaussMatrix.identity(dim)
-        pos = [kron(PAULI_1, eye)] + [kron(PAULI_3, g) for g in pos]
-        neg = [kron(SKEW_E, eye)] + [kron(PAULI_3, g) for g in neg]
-    return pos + neg
-
-
 def build_spinbasis(sig: MetricSignature) -> SpinBasis:
-    """Deterministic canonical basis for an even-dimensional signature.
+    """Deterministic canonical basis for an even-dimensional signature,
+    drawn from the one Brauer-Weyl pool.
 
-    Complex field: the Brauer-Weyl tower. Real field: the all-real tower
-    when p - q is literally 0 or 2, otherwise a square-balanced draw from
-    the same pool with the q negatives multiplied by i.
+    Complex field: the Brauer-Weyl tower. Real field: a square-balanced
+    draw with the q negatives multiplied by i, all real when p - q is
+    0 or 2.
     """
     n = sig.n
     if n % 2 != 0:
@@ -224,10 +200,8 @@ def build_spinbasis(sig: MetricSignature) -> SpinBasis:
     if sig.field == COMPLEX:
         reals, imags, _ = _bw_pool(n // 2)
         gens = [g for pair in zip(reals, imags) for g in pair]
-    elif sig.p - sig.q in (0, 2):
-        gens = _real_tower(sig.p, sig.q)
     else:
-        gens = _real_mixed_basis(sig.p, sig.q)
+        gens = _real_basis(sig.p, sig.q)
     return SpinBasis(sig, tuple(gens), "canonical")
 
 

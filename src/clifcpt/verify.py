@@ -104,21 +104,30 @@ def _even_real_sigs(max_dim: int):
 # --- automorphism-law suite -------------------------------------------------
 
 
-def _maps():
-    """The eight coefficient/blade maps as (star, rev, bar) bit triples."""
+def _apply(bits, a: Multivector) -> Multivector:
+    """One of the eight coefficient/blade maps, named by its (star, rev,
+    bar) bit triple."""
+    s, r, b = bits
+    if s:
+        a = a.grade_involution()
+    if r:
+        a = a.reversion()
+    if b:
+        a = a.complex_conjugation()
+    return a
 
-    def apply(bits, a: Multivector) -> Multivector:
-        s, r, b = bits
-        out = a
-        if s:
-            out = out.grade_involution()
-        if r:
-            out = out.reversion()
-        if b:
-            out = out.complex_conjugation()
-        return out
 
-    return apply
+def _tableau(rng: random.Random, k: int) -> None:
+    """On 100 random Cl(1,3) samples, composing two of the maps whose
+    first k bits are free is the map of their XORed bits."""
+    sig = MetricSignature(1, 3, REAL)
+    maps = [bits + (0,) * (3 - k) for bits in iterproduct((0, 1), repeat=k)]
+    for _ in range(100):
+        a = random_multivector(sig, rng, allow_complex_coeffs=True)
+        for b1 in maps:
+            for b2 in maps:
+                composed = tuple(x ^ y for x, y in zip(b1, b2))
+                assert _apply(b1, _apply(b2, a)) == _apply(composed, a)
 
 
 def suite_automorphisms(max_dim: int, realizations: dict | None = None) -> list[CheckResult]:
@@ -168,29 +177,13 @@ def suite_automorphisms(max_dim: int, realizations: dict | None = None) -> list[
     out.append(_run("automorphisms", "volume-element-conjugation", omega_identity))
 
     def table4():
-        sig = MetricSignature(1, 3, REAL)
-        apply = _maps()
-        for _ in range(100):
-            a = random_multivector(sig, rng, allow_complex_coeffs=True)
-            for b1 in iterproduct((0, 1), repeat=2):
-                for b2 in iterproduct((0, 1), repeat=2):
-                    lhs = apply(b1 + (0,), apply(b2 + (0,), a))
-                    composed = tuple(x ^ y for x, y in zip(b1, b2)) + (0,)
-                    assert lhs == apply(composed, a)
+        _tableau(rng, 2)
         return "4x4 composition tableau == Klein four-group on 100 samples"
 
     out.append(_run("automorphisms", "four-map-tableau", table4))
 
     def table8():
-        sig = MetricSignature(1, 3, REAL)
-        apply = _maps()
-        for _ in range(100):
-            a = random_multivector(sig, rng, allow_complex_coeffs=True)
-            for b1 in iterproduct((0, 1), repeat=3):
-                for b2 in iterproduct((0, 1), repeat=3):
-                    lhs = apply(b1, apply(b2, a))
-                    composed = tuple(x ^ y for x, y in zip(b1, b2))
-                    assert lhs == apply(composed, a)
+        _tableau(rng, 3)
         return "8x8 composition tableau == Z2 x Z2 x Z2 on 100 samples"
 
     out.append(_run("automorphisms", "eight-map-tableau", table8))

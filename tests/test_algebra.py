@@ -12,11 +12,11 @@ from clifcpt.algebra import (
     OddDimensionError,
     SignatureMismatchError,
     blade_product,
+    blade_square_sign,
     grade,
     involution_via_omega_check,
     random_multivector,
     volume_element,
-    volume_square_sign,
 )
 from clifcpt.exact import ZERO, GaussMatrix, GaussRational
 from gammas import gamma_matrices, product
@@ -51,9 +51,8 @@ def test_sum_of_generators_squares_to_metric_trace():
 
 
 def test_volume_element_squares():
-    assert volume_square_sign(MetricSignature(1, 1)) == 1
-    assert volume_square_sign(CL20) == -1
-    assert volume_square_sign(CL13) == -1
+    for sig, sign in ((MetricSignature(1, 1), 1), (CL20, -1), (CL13, -1)):
+        assert blade_square_sign((1 << sig.n) - 1, sig) == sign
     omega = volume_element(CL13)
     assert omega * omega == Multivector.scalar(CL13, -1)
     # Matrix route: the gamma volume element squares to -I.

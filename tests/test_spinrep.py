@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 import random
@@ -48,9 +49,19 @@ def test_cl20_tower_real():
 
 
 def test_real_tower_all_real():
-    for p, q in ((0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (3, 3), (4, 2), (4, 4)):
+    for p, q in [(q + d, q) for q in range(7) for d in (0, 2) if 2 * q + d <= 12]:
         prof = build_spinbasis(MetricSignature(p, q)).profile
-        assert prof.as_dict()["a"] == 0, f"Cl({p},{q}) tower has imaginary generators"
+        assert prof.as_dict()["a"] == 0, f"Cl({p},{q}) basis has imaginary generators"
+
+
+def test_canonical_generators_are_pinned():
+    # Every canonical generator with n <= 12, real and complex, as exact
+    # entry strings; a change to any matrix changes the digest.
+    sigs = [MetricSignature(p, n - p) for n in range(0, 13, 2) for p in range(n, -1, -1)]
+    sigs += [MetricSignature(n, 0, COMPLEX) for n in range(0, 13, 2)]
+    doc = [[s.p, s.q, s.field, [g.to_strings() for g in build_spinbasis(s).gens]] for s in sigs]
+    digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "a9bf249f3e49fb1f702923360cda2c529348a0ed6f8c22b9487e44c08bf44e1e"
 
 
 def test_complex_canonical_profile():
