@@ -85,13 +85,18 @@ def idempotent_factor_count(p: int, q: int) -> int:
     return q - radon_hurwitz(q - p)
 
 
-def _gf2_reduce(x: int, pivots: dict[int, int]) -> int:
-    while x:
-        h = x.bit_length() - 1
-        if h not in pivots:
-            return x
-        x ^= pivots[h]
-    return 0
+def splitting_blade(sig: MetricSignature, chosen, start: int = 1) -> int | None:
+    """The least mask m >= start such that e_m is outside the span of the
+    blades `chosen`, squares to +1 and commutes with each of them, so that
+    (1 +- e_m)/2 would split their idempotent; None if there is none."""
+    span = {0}
+    for c in chosen:
+        span |= {s ^ c for s in span}
+    for m in range(start, 1 << sig.n):
+        if m not in span and blade_square_sign(m, sig) == 1:
+            if all(blades_commute(m, c, sig) for c in chosen):
+                return m
+    return None
 
 
 def primitive_idempotent(sig: MetricSignature) -> IdempotentData:
@@ -101,47 +106,38 @@ def primitive_idempotent(sig: MetricSignature) -> IdempotentData:
     sequence of k mutually commuting square-(+1) blades whose masks are
     GF(2)-independent; independence guarantees the expansion of f has
     exactly 2^k distinct terms, hence f is a nonzero idempotent.
+
+    One ascending pass over the masks takes each `splitting_blade` until
+    it holds k, and cannot get stuck. Q(A) = [e_A^2 = -1] is a quadratic
+    form on GF(2)^n with polar form b(A, B) = [e_A, e_B anticommute],
+    since (e_A e_B)^2 = +-e_A^2 e_B^2 with their commutation sign. The
+    chosen masks span a totally singular W (Q = b = 0 on W), and m is
+    taken exactly when W + <m> is one too; a mask that cannot extend W
+    cannot extend a larger W, so a pass that ends short of k ends at a
+    maximal W. Each maximal W contains the singular radical R = {x :
+    Q(x) = 0, b(x, .) = 0} (W + R is totally singular), which for odd n
+    may hold the full mask. Q is nonsingular on GF(2)^n / R, so by Witt's
+    extension theorem (Elman, Karpenko and Merkurjev, The Algebraic and
+    Geometric Theory of Quadratic Forms, AMS 2008, section 8) all maximal
+    W have one dimension: the pass reaches k whenever k blades exist, and
+    a depth-first search over the masks would choose as it does and never
+    backtrack.
     """
     p, q = sig.p, sig.q
     k = idempotent_factor_count(p, q)
-    n = sig.n
-    if k == 0:
-        f = Multivector.scalar(sig, 1)
-        return IdempotentData(0, (), f)
-
-    candidates = [m for m in range(1, 1 << n) if blade_square_sign(m, sig) == 1]
     chosen: list[int] = []
-    pivots: dict[int, int] = {}
-
-    def rec(start: int) -> bool:
-        if len(chosen) == k:
-            return True
-        for idx in range(start, len(candidates)):
-            m = candidates[idx]
-            red = _gf2_reduce(m, pivots)
-            if red == 0:
-                continue
-            if any(not blades_commute(m, c, sig) for c in chosen):
-                continue
-            h = red.bit_length() - 1
-            pivots[h] = red
-            chosen.append(m)
-            if rec(idx + 1):
-                return True
-            chosen.pop()
-            del pivots[h]
-        return False
-
-    if not rec(0):
-        raise IdempotentSearchError(
-            f"no commuting +1-square blade set of size {k} found for Cl({p},{q})"
-        )
+    while len(chosen) < k:
+        m = splitting_blade(sig, chosen, chosen[-1] + 1 if chosen else 1)
+        if m is None:
+            raise IdempotentSearchError(
+                f"no commuting +1-square blade set of size {k} found for Cl({p},{q})"
+            )
+        chosen.append(m)
 
     f = Multivector.scalar(sig, 1)
     half = Fraction(1, 2)
     for m in chosen:
-        factor = Multivector(sig, {0: half, m: half})
-        f = f * factor
+        f = f * Multivector(sig, {0: half, m: half})
     if f * f != f:
         raise IdempotentSearchError(f"constructed f is not idempotent for Cl({p},{q})")
     if len(f.terms) != 1 << k:

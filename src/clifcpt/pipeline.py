@@ -61,12 +61,7 @@ def resolve_basis(p: int, q: int, field: str, basis_spec: str) -> SpinBasis:
             raise BasisSpecError("the dirac preset is a basis of Cl(1,3) over the reals")
         return preset_spinbasis("dirac")
     if basis_spec.startswith("file:"):
-        basis = load_spinbasis(basis_spec[5:])
-        if (basis.sig.p, basis.sig.q) != (p, q):
-            raise BasisSpecError(
-                f"basis file is for Cl({basis.sig.p},{basis.sig.q}), requested Cl({p},{q})"
-            )
-        return basis
+        return load_spinbasis(basis_spec[5:], sig)
     raise BasisSpecError(f"unknown basis spec {basis_spec!r}")
 
 

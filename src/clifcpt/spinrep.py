@@ -29,7 +29,7 @@ class CertificationError(ValueError):
 
 
 class SpinBasisFileError(ValueError):
-    """A spin basis file could not be parsed."""
+    """A spin basis file could not be parsed or is for another signature."""
 
 
 # The census keys of BasisProfile.as_dict: name -> (reality, symmetry,
@@ -340,11 +340,12 @@ def save_spinbasis(basis: SpinBasis, path: str) -> None:
         fh.write("\n")
 
 
-def load_spinbasis(path: str) -> SpinBasis:
+def load_spinbasis(path: str, expect: MetricSignature | None = None) -> SpinBasis:
     """Load and fully certify a user-supplied basis file.
 
     Format: {"p": int, "q": int, "generators": [[[entry, ...], ...], ...]}
-    with entries as exact "a/b+c/d*i" strings.
+    with entries as exact "a/b+c/d*i" strings. A file for another (p, q)
+    than `expect` is rejected before certification.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -361,4 +362,6 @@ def load_spinbasis(path: str) -> SpinBasis:
         sig = MetricSignature(p, q, REAL)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpinBasisFileError(f"malformed spin basis file {path}: {exc}") from exc
+    if expect is not None and (p, q) != (expect.p, expect.q):
+        raise SpinBasisFileError(f"basis file is for Cl({p},{q}), requested Cl({expect.p},{expect.q})")
     return SpinBasis(sig, gens, f"file:{path}")

@@ -21,11 +21,12 @@ from .algebra import (
     MetricSignature,
     Multivector,
     OddDimensionError,
+    blade_format,
     involution_via_omega_check,
     random_multivector,
 )
 from .autmat import ELEMENT_NAMES, Realization, check, read_signs, realize
-from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, radon_hurwitz, ring_type
+from .classify import dimension_audit, primitive_idempotent, radon_hurwitz, ring_type, splitting_blade
 from .exact import GaussMatrix
 from .fingroup import (
     GroupStructureError,
@@ -457,7 +458,9 @@ def suite_coverings(max_dim: int, realizations: dict | None = None) -> list[Chec
                 sig = MetricSignature(p, q, REAL)
                 idem = primitive_idempotent(sig)
                 assert idem.f * idem.f == idem.f
-                assert idem.k == idempotent_factor_count(p, q)
+                # No blade splits f: checks k and the audit against the algebra.
+                extra = splitting_blade(sig, idem.generators_used)
+                assert extra is None, f"Cl({p},{q}): {blade_format(extra)} splits f"
                 assert ring_type(p + 4, q + 4).tag == ring_type(p, q).tag
         return f"ring/idempotent/audit arithmetic through p+q={max_dim}"
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from clifcpt.algebra import MetricSignature, Multivector
@@ -7,6 +10,7 @@ from clifcpt.classify import (
     primitive_idempotent,
     radon_hurwitz,
     ring_type,
+    splitting_blade,
 )
 
 
@@ -87,36 +91,57 @@ def test_dimension_audit_all_signatures():
             assert dimension_audit(p, n - p).passed
 
 
+def _gf2_rank(masks) -> int:
+    rank, rows = 0, list(masks)
+    for bit in reversed(range(max(rows, default=0).bit_length())):
+        pivot = next((r for r in rows if r >> bit & 1), None)
+        if pivot is None:
+            continue
+        rows = [r ^ pivot if r >> bit & 1 else r for r in rows if r != pivot]
+        rank += 1
+    return rank
+
+
 def test_idempotent_generator_set_is_lexicographically_least():
+    # Brute force over all k-subsets of the +1-square blades, in
+    # lexicographic order, against the greedy pass.
     from itertools import combinations
 
     from clifcpt.algebra import blade_square_sign, blades_commute
-    from clifcpt.classify import _gf2_reduce
 
-    for p in range(0, 5):
-        for q in range(0, 5 - p):
-            sig = MetricSignature(p, q)
+    for n in range(0, 7):
+        for p in range(n + 1):
+            sig = MetricSignature(p, n - p)
             data = primitive_idempotent(sig)
-            if data.k == 0:
-                continue
-            candidates = [
-                m for m in range(1, 1 << sig.n) if blade_square_sign(m, sig) == 1
-            ]
-            best = None
-            for combo in combinations(candidates, data.k):
-                if not all(
-                    blades_commute(x, y, sig) for x, y in combinations(combo, 2)
-                ):
-                    continue
-                pivots = {}
-                ok = True
-                for m in combo:
-                    red = _gf2_reduce(m, pivots)
-                    if red == 0:
-                        ok = False
-                        break
-                    pivots[red.bit_length() - 1] = red
-                if ok:
-                    best = combo
-                    break
-            assert best == data.generators_used
+            candidates = [m for m in range(1, 1 << n) if blade_square_sign(m, sig) == 1]
+            best = next(
+                combo
+                for combo in combinations(candidates, data.k)
+                if _gf2_rank(combo) == data.k
+                and all(blades_commute(x, y, sig) for x, y in combinations(combo, 2))
+            )
+            assert best == data.generators_used, (p, n - p)
+
+
+def test_chosen_blades_are_maximal_and_the_last_one_is_needed():
+    # No blade outside the span of the chosen ones squares to +1 and
+    # commutes with all of them; dropping the last chosen blade leaves one.
+    for n in range(0, 13):
+        for p in range(n + 1):
+            sig = MetricSignature(p, n - p)
+            chosen = primitive_idempotent(sig).generators_used
+            assert splitting_blade(sig, chosen) is None, (p, n - p)
+            if chosen:
+                assert splitting_blade(sig, chosen[:-1]) is not None, (p, n - p)
+
+
+def test_idempotent_factors_are_pinned():
+    # The chosen blades of every cell with n <= 12; a change to the
+    # search changes the digest.
+    doc = [
+        [p, n - p, primitive_idempotent(MetricSignature(p, n - p)).generator_strings()]
+        for n in range(0, 13)
+        for p in range(n, -1, -1)
+    ]
+    digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "06b1ea5bd6263ee9fcc04ff27a43cdd18c20e337cebb681d5c46193b6996f7e4"

@@ -700,11 +700,59 @@ def test_undecodable_basis_files_exit_2(tmp_path, capsys):
         assert reason in err
 
 
-def test_basis_file_with_huge_n_fails_certification(tmp_path, capsys):
+def test_basis_file_with_huge_n_fails_certification(tmp_path):
     # The signature is built before the generator count is checked, so it
-    # must not form anything of size 2^n.
+    # must not form anything of size 2^n. (`classify` rejects the file
+    # earlier, as a basis for another signature than the request.)
+    from clifcpt.spinrep import CertificationError, load_spinbasis
+
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"p": 10**12, "q": 3, "generators": []}))
-    code, _, err = run_cli(["classify", "--p", "1", "--q", "3", "--basis", f"file:{path}"], capsys)
+    with pytest.raises(CertificationError, match="expected 1000000000003 generators, got 0"):
+        load_spinbasis(str(path))
+
+
+def test_verify_fails_an_idempotent_that_is_not_primitive(capsys, monkeypatch):
+    # Fault: the k formula is one short on the cells (p, p) with p = 1
+    # mod 4, and the ring table tags them H to match. Then Cl(1,1) gets
+    # f = 1, which is idempotent and passes the dimension audit (one
+    # 1x1 block over H), and the tags still repeat under (p, q) ->
+    # (p + 4, q + 4); only the maximality oracle sees that e{1} splits f.
+    from clifcpt import classify, verify
+    from clifcpt.classify import RingType
+
+    def faulty(p, q):
+        return p == q and p % 4 == 1
+
+    k_count, ring = classify.idempotent_factor_count, classify.ring_type
+    faults = {
+        "idempotent_factor_count": lambda p, q: k_count(p, q) - faulty(p, q),
+        "ring_type": lambda p, q: RingType("H", 0) if faulty(p, q) else ring(p, q),
+    }
+    # Every module that binds the two functions sees the fault, as it
+    # would see an edit of their source.
+    for module in (classify, verify):
+        for name, fault in faults.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fault)
+    assert classify.dimension_audit(1, 1).passed
+    code, out, _ = run_cli(["verify", "--suite", "coverings", "--max-dim", "6"], capsys)
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert code == 1
-    assert "expected 1000000000003 generators, got 0" in err
+    assert len(failed) == 1
+    assert "[coverings] arithmetic-classification" in failed[0]
+    assert "Cl(1,1): e{1} splits f" in failed[0]
+
+
+def test_basis_file_for_another_signature_exits_2_before_certification(tmp_path, capsys):
+    # As a basis of Cl(13,1) or Cl(10^12,3), two generators would fail
+    # certification (exit 1); the declared signature is compared with the
+    # request first, so every mismatch is a usage error, as it is for a
+    # valid Cl(2,0) basis.
+    sigma1, sigma3 = [["0", "1"], ["1", "0"]], [["1", "0"], ["0", "-1"]]
+    for p, q in ((13, 1), (10**12, 3), (2, 0)):
+        path = tmp_path / f"cl-{p}-{q}.json"
+        path.write_text(json.dumps({"p": p, "q": q, "generators": [sigma1, sigma3]}))
+        code, out, err = run_cli(["classify", "--p", "1", "--q", "1", "--basis", f"file:{path}"], capsys)
+        assert (code, out) == (2, ""), (p, q)
+        assert err == f"error: basis file is for Cl({p},{q}), requested Cl(1,1)\n"

@@ -121,7 +121,7 @@ def test_realizations_close_signed_blades_not_matrices(monkeypatch):
 _COUNT_SWEEP_OPS = """
 import json
 from collections import Counter
-from clifcpt import exact, pipeline
+from clifcpt import classify, exact, pipeline
 
 counts = Counter()
 
@@ -137,6 +137,8 @@ def counting(owner, name):
 for name in ("__mul__", "__neg__"):
     counting(exact.GaussMatrix, name)
 counting(exact, "_numerators")
+for name in ("blade_square_sign", "blades_commute"):
+    counting(classify, name)
 pipeline.sweep(8, "real", jobs=1)
 print(json.dumps(counts))
 """
@@ -165,9 +167,16 @@ def test_sweep_matrix_op_counts_are_pinned():
     # candidate the choice rule rules out, and integer numerators
     # converted once per matrix, no product with I on the left in
     # `product_over`, no signed copy of a product for its condition check,
-    # and no dense Pi * conj(Pi) in the predictor comparison. A rise means
-    # repeated work.
-    assert _run_fresh(_COUNT_SWEEP_OPS) == {"__mul__": 2901, "__neg__": 64, "_numerators": 990}
+    # and no dense Pi * conj(Pi) in the predictor comparison. The idempotent
+    # search stops at its k-th blade instead of testing the square of every
+    # mask. A rise means repeated work.
+    assert _run_fresh(_COUNT_SWEEP_OPS) == {
+        "__mul__": 2901,
+        "__neg__": 64,
+        "_numerators": 990,
+        "blade_square_sign": 2008,
+        "blades_commute": 1304,
+    }
 
 
 _COUNT_LIVE_BASES = """
