@@ -65,13 +65,14 @@ def check(name: str, m: GaussMatrix, basis: SpinBasis) -> list[str]:
     """The generators on which `m` fails the condition of element `name`,
     tested as m * g' == sign * g * m: the conjugation form for an invertible
     m. Every m checked is a product of certified generators, each squaring
-    to +-I, so it is invertible."""
+    to +-I, so it is invertible. Neither product is built: the comparison
+    runs on their integer numerators."""
     transpose, conjugate, sign = CONDITIONS[name]
     primed = _primed_generators(basis)[transpose, conjugate]
     return [
         f"{name} condition fails on generator {i}"
         for i, (g, t) in enumerate(zip(basis.gens, primed), start=1)
-        if not (m * t).signed_eq(g * m, sign)
+        if not m.product_signed_eq(t, g, m, sign)
     ]
 
 

@@ -240,30 +240,31 @@ class GaussMatrix:
     def __mul__(self, other: GaussMatrix) -> GaussMatrix:
         if not isinstance(other, GaussMatrix):
             return NotImplemented
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"cannot multiply dims {self.dim} and {other.dim}")
-        if self._num is None:
-            self._num = _numerators(self.entries)
-        if other._num is None:
-            other._num = _numerators(other.entries)
-        aden, arows = self._num
-        bden, brows = other._num
-        den = aden * bden
-        out = []
-        for arow in arows:
-            acc: dict[int, tuple[int, int]] = {}
-            for k, ar, ai in arow:
-                for j, br, bi in brows[k]:
-                    old = acc.get(j, (0, 0))
-                    acc[j] = (old[0] + ar * br - ai * bi, old[1] + ar * bi + ai * br)
-            out.append(
+        den, rows = _product_rows(self, other)
+        return GaussMatrix._make(
+            self.dim,
+            tuple(
                 tuple(
                     (j, _exact(Fraction(re, den), Fraction(im, den)))
                     for j, (re, im) in sorted(acc.items())
                     if re or im
                 )
-            )
-        return GaussMatrix._make(self.dim, tuple(out))
+                for acc in rows
+            ),
+        )
+
+    def product_signed_eq(self, b: GaussMatrix, c: GaussMatrix, d: GaussMatrix, sign: int) -> bool:
+        """Whether self * b == sign * (c * d), for sign +1 or -1, forming
+        neither product: each row of both is accumulated as Gaussian-integer
+        numerators, x over den1 and y over den2, and x * den2 == sign * y * den1
+        is tested entry by entry, up to the first row that differs."""
+        lden, left = _product_rows(self, b)
+        rden, right = _product_rows(c, d)
+        if self.dim != c.dim:
+            return False
+        return all(
+            _scaled(lrow, rden) == _scaled(rrow, sign * lden) for lrow, rrow in zip(left, right)
+        )
 
     def __add__(self, other: GaussMatrix) -> GaussMatrix:
         if self.dim != other.dim:
@@ -373,6 +374,37 @@ def _numerators(entries: tuple) -> tuple[int, tuple]:
         )
         for row in entries
     )
+
+
+def _product_rows(a: GaussMatrix, b: GaussMatrix):
+    """a * b as integer numerators: (den, rows), den the product of the
+    operands' common denominators and rows a generator of each row's
+    {column: (re, im)} sums, the entry being (re + im*i) / den; a sum may
+    cancel to (0, 0). Each operand keeps its numerators in ``_num``."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"cannot multiply dims {a.dim} and {b.dim}")
+    if a._num is None:
+        a._num = _numerators(a.entries)
+    if b._num is None:
+        b._num = _numerators(b.entries)
+    aden, arows = a._num
+    bden, brows = b._num
+
+    def rows():
+        for arow in arows:
+            acc: dict[int, tuple[int, int]] = {}
+            for k, ar, ai in arow:
+                for j, br, bi in brows[k]:
+                    old = acc.get(j, (0, 0))
+                    acc[j] = (old[0] + ar * br - ai * bi, old[1] + ar * bi + ai * br)
+            yield acc
+
+    return aden * bden, rows()
+
+
+def _scaled(acc: dict, factor: int) -> dict:
+    """A row of numerator sums times `factor`, cancelled entries dropped."""
+    return {j: (re * factor, im * factor) for j, (re, im) in acc.items() if re or im}
 
 
 def _canonical_row(acc: dict) -> tuple:

@@ -531,6 +531,26 @@ def test_verify_exit_1_on_failing_check(capsys, monkeypatch):
             assert failed == [f"FAIL [{suite}] stub (0.00s) forced failure"]
 
 
+def test_verify_fails_intertwining_when_the_comparison_accepts_sign_plus(capsys, monkeypatch):
+    from clifcpt.exact import GaussMatrix
+
+    # A comparison that accepts every sign +1 condition lets the E and Pi
+    # candidates the choice rule does not name pass: only the intertwining
+    # check may see it.
+    raw = GaussMatrix.product_signed_eq
+
+    def lax(self, b, c, d, sign):
+        return sign > 0 or raw(self, b, c, d, sign)
+
+    monkeypatch.setattr(GaussMatrix, "product_signed_eq", lax)
+    code, out, _ = run_cli(["verify", "--suite", "theorems", "--max-dim", "4"], capsys)
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1, failed
+    assert failed[0].startswith("FAIL [theorems] intertwining-conditions (")
+    assert failed[0].endswith("preset:dirac Cl(1,3): sym_product also meets E")
+
+
 def test_out_of_range_inputs_exit_2(capsys):
     for argv in (
         ["classify", "--p", "20", "--q", "20"],

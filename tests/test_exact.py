@@ -193,6 +193,12 @@ def _assert_matches(got, want):
     assert GaussMatrix(got.rows) == got
 
 
+def _assert_product_signed_eq(a, b, c, d):
+    """a.product_signed_eq(b, c, d, s) agrees with the built products."""
+    for s in (1, -1):
+        assert a.product_signed_eq(b, c, d, s) == (a * b).signed_eq(c * d, s)
+
+
 def test_one_representation_agrees_with_dense_reference():
     rng = random.Random(13)
     for trial in range(160):
@@ -212,6 +218,25 @@ def test_one_representation_agrees_with_dense_reference():
         near = GaussMatrix([[-x for x in r] for r in ra[:-1]] + [rb[-1]])
         for y in (a, -a, b, -b, near):
             assert a.signed_eq(y, 1) == (a == y) and a.signed_eq(y, -1) == (a == -y)
+        # a * b against c * d: equal, negated, one entry of d changed, and
+        # over other common denominators (a * 2 against (a * 1/2) * 4).
+        assert a.product_signed_eq(b, a, b, 1) and a.product_signed_eq(b, -a, b, -1)
+        bumped = [list(r) for r in rb]
+        bumped[trial % dim][3 * trial % dim] += 1
+        eye, half = GaussMatrix.identity(dim), Fraction(1, 2)
+        others = ((a, b), (-a, b), (a, -b), (a, GaussMatrix(bumped)), (b, a))
+        for c, d in others + ((a.scale(half), b.scale(2)),):
+            _assert_product_signed_eq(a, b, c, d)
+        _assert_product_signed_eq(a, eye.scale(2), a.scale(half), eye.scale(4))
+        if dim > 1:
+            # Column 1 of c is its column 0 and row 1 of d is minus its row 0,
+            # so those terms of c * d cancel to exact zeros (whole rows at
+            # dim 2); d0 drops both rows.
+            c = GaussMatrix([[r[0], r[0], *r[2:]] for r in ra])
+            d = GaussMatrix([rb[0], [-x for x in rb[0]], *rb[2:]])
+            d0 = GaussMatrix([[0] * dim, [0] * dim, *rb[2:]])
+            assert c.product_signed_eq(d, c, d0, 1)
+            _assert_product_signed_eq(c, d, c, d0)
         pairs = [list(zip(r, t)) for r, t in zip(ra, rb)]
         _assert_matches(a + b, GaussMatrix([[x + y for x, y in row] for row in pairs]))
         _assert_matches(a - b, GaussMatrix([[x - y for x, y in row] for row in pairs]))
@@ -230,6 +255,9 @@ def test_one_representation_agrees_with_dense_reference():
         det = x * w - y * z
         assert (a * adj).entries == tuple(((i, det),) if det else () for i in range(2))
         _assert_matches(a * adj, _reference_mul(a, adj))
+        eye = GaussMatrix.identity(2)
+        for c, d in ((eye.scale(det), eye), (adj, a), (eye, a)):
+            _assert_product_signed_eq(a, adj, c, d)
 
 
 def test_dimension_mismatch_errors():

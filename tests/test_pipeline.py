@@ -134,7 +134,7 @@ def counting(owner, name):
 
     setattr(owner, name, wrapped)
 
-for name in ("__mul__", "__neg__"):
+for name in ("__mul__", "__neg__", "product_signed_eq"):
     counting(exact.GaussMatrix, name)
 counting(exact, "_numerators")
 for name in ("blade_square_sign", "blades_commute"):
@@ -169,10 +169,13 @@ def test_sweep_matrix_op_counts_are_pinned():
     # `product_over`, no signed copy of a product for its condition check,
     # and no dense Pi * conj(Pi) in the predictor comparison. The idempotent
     # search stops at its k-th blade instead of testing the square of every
-    # mask. A rise means repeated work.
+    # mask. `check` compares each condition's two products on their
+    # numerators and builds neither: 7 conditions on each of the 140
+    # generators of the 25 bases. A rise means repeated work.
     assert _run_fresh(_COUNT_SWEEP_OPS) == {
-        "__mul__": 2901,
+        "__mul__": 941,
         "__neg__": 64,
+        "product_signed_eq": 980,
         "_numerators": 990,
         "blade_square_sign": 2008,
         "blades_commute": 1304,
