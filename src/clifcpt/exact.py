@@ -317,21 +317,6 @@ class GaussMatrix:
             return NotImplemented
         return self.dim == other.dim and self.entries == other.entries
 
-    def signed_eq(self, other: GaussMatrix, sign: int) -> bool:
-        """Whether self == sign * other, for sign +1 or -1, without forming
-        -other."""
-        if sign > 0:
-            return self == other
-        if self.dim != other.dim:
-            return False
-        for ra, rb in zip(self.entries, other.entries):
-            if len(ra) != len(rb):
-                return False
-            for (j, v), (k, w) in zip(ra, rb):
-                if j != k or v.re != -w.re or v.im != -w.im:
-                    return False
-        return True
-
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(self.entries)

@@ -228,9 +228,13 @@ def preset_spinbasis(name: str) -> SpinBasis:
     return SpinBasis(sig, gens, "preset:dirac")
 
 
-def _scan_traits(g: GaussMatrix, violations: list[str], idx: int) -> tuple[bool, bool, int] | None:
+def _scan_traits(
+    g: GaussMatrix, eye: GaussMatrix, want: int, violations: list[str], idx: int
+) -> tuple[bool, bool, int] | None:
     """Reality, symmetry and square sign of one generator, or None after
-    recording why it has none."""
+    recording why it has none. g * g is compared with the metric square
+    `want` times eye * eye first, so a certified generator costs one
+    comparison, and then with its negative."""
     has_re = any(v.re != 0 for row in g.entries for _, v in row)
     has_im = any(v.im != 0 for row in g.entries for _, v in row)
     if has_re and has_im:
@@ -244,19 +248,21 @@ def _scan_traits(g: GaussMatrix, violations: list[str], idx: int) -> tuple[bool,
     else:
         violations.append(f"generator {idx} is neither symmetric nor antisymmetric")
         return None
-    sq = (g * g).pm_identity()
-    if sq is None:
-        violations.append(f"generator {idx} does not square to +I or -I")
-        return None
-    return not has_im, symmetric, sq
+    for sq in (want, -want):
+        if g.product_signed_eq(g, eye, eye, sq):
+            return not has_im, symmetric, sq
+    violations.append(f"generator {idx} does not square to +I or -I")
+    return None
 
 
 def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
     """Verify the Clifford relations, metric squares, and reality and
     symmetry purity of every generator; return the census on success.
 
-    `SpinBasis.__init__` runs it once per basis and keeps the result as
-    `basis.profile`; it reads only `sig` and `gens`."""
+    Squares and pairs (gi gj = -gj gi) are compared on integer
+    numerators by `GaussMatrix.product_signed_eq`, so no product is
+    formed. `SpinBasis.__init__` runs it once per basis and keeps the
+    result as `basis.profile`; it reads only `sig` and `gens`."""
     sig = basis.sig
     n = sig.n
     violations: list[str] = []
@@ -273,9 +279,10 @@ def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
             [f"dimension {dim} does not equal 2^(n/2) for n={n} generators"]
         )
 
+    eye = GaussMatrix.identity(dim)
     real_mask = sym_mask = neg_mask = scanned = 0
     for i, g in enumerate(basis.gens):
-        traits = _scan_traits(g, violations, i + 1)
+        traits = _scan_traits(g, eye, sig.metric_sign(i + 1), violations, i + 1)
         if traits is None:
             continue
         real, symmetric, square = traits
@@ -290,16 +297,7 @@ def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
     for i in range(n):
         for j in range(i + 1, n):
             gi, gj = basis.gens[i], basis.gens[j]
-            if scanned >> i & scanned >> j & 1:
-                # gi^T = si gi and gj^T = sj gj, so (gi gj)^T = si sj gj gi:
-                # the pair anticommutes exactly when P = gi gj is -si sj P^T,
-                # and -si sj is +1 exactly when one of the two is symmetric.
-                prod = gi * gj
-                sign = 1 if (sym_mask >> i ^ sym_mask >> j) & 1 else -1
-                anticommute = prod.signed_eq(prod.transpose(), sign)
-            else:
-                anticommute = gi * gj == -(gj * gi)
-            if not anticommute:
+            if not gi.product_signed_eq(gj, gj, gi, -1):
                 violations.append(f"generators {i + 1} and {j + 1} do not anticommute")
     if violations:
         raise CertificationError(violations)

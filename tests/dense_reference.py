@@ -7,8 +7,8 @@ filtered by the intertwining conditions and deduplicated as matrices, then
 C = E * W^T, K = Pi * W, S = Pi * E and F = Pi * C, checked and closed
 as matrices. Each condition is tested on literal matrix products compared
 with ==, not through `autmat.check`. `conjugated_bases` gives the seeded
-orthogonal conjugates of canonical bases that the metamorphic tests read
-back as basis files.
+orthogonal conjugates, transposes and complex conjugates of canonical
+bases that the metamorphic tests read back as basis files.
 """
 
 import random
@@ -141,10 +141,11 @@ def givens(rng, dim):
 
 
 def conjugated_bases():
-    """(kind, M, basis) with generators M g M^T: every canonical real basis
-    with n in (2, 4, 6) under a seeded signed permutation, which keeps the
-    generators monomial, then those with n = 4 under a seeded Givens
-    rotation, which makes them dense."""
+    """(kind, M, basis) from canonical real bases: with n in (2, 4, 6),
+    generators M g M^T under a seeded signed permutation M, which keeps
+    them monomial, and every generator transposed or complex-conjugated
+    (M is None); with n = 4, M g M^T under a seeded Givens rotation, which
+    makes them dense."""
     rng = random.Random(31)
     cases = [(p, n - p, signed_permutation) for n in (2, 4, 6) for p in range(n + 1)]
     cases += [(p, 4 - p, givens) for p in range(5)]
@@ -155,4 +156,10 @@ def conjugated_bases():
         mt = m.transpose()
         gens = tuple(m * g * mt for g in canonical.gens)
         out.append((make.__name__, m, SpinBasis(canonical.sig, gens, "conjugated")))
+    for n in (2, 4, 6):
+        for p in range(n + 1):
+            canonical = build_spinbasis(MetricSignature(p, n - p))
+            for kind in ("transpose", "conj"):
+                gens = tuple(getattr(g, kind)() for g in canonical.gens)
+                out.append((kind, None, SpinBasis(canonical.sig, gens, "conjugated")))
     return out

@@ -316,7 +316,7 @@ def test_ext_legend_uses_slot_indices_for_tower_bases():
 def _parity_bases():
     """Every canonical real basis with n <= 8 (n = 0 included), the
     complex bases with n <= 8, the Dirac basis, and the orthogonally
-    conjugated bases, monomial and dense."""
+    conjugated bases, monomial and dense, transposed and complex-conjugated."""
     bases = [
         build_spinbasis(MetricSignature(p, n - p)) for n in range(0, 9, 2) for p in range(n, -1, -1)
     ]
@@ -332,7 +332,7 @@ def test_blade_realizations_match_dense_reference():
     # its invariants. A flipped transpose sign in W^T, or one that ignores
     # the symmetric generators, changes the sign of C and F here.
     bases = _parity_bases()
-    assert len(bases) == 25 + 5 + 1 + 20
+    assert len(bases) == 25 + 5 + 1 + 50
     for basis in bases:
         # The dense reference tries both candidates of E and of Pi, and
         # finds the one realization.

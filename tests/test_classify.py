@@ -145,3 +145,38 @@ def test_idempotent_factors_are_pinned():
     ]
     digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
     assert digest == "06b1ea5bd6263ee9fcc04ff27a43cdd18c20e337cebb681d5c46193b6996f7e4"
+
+
+def _rank(m):
+    """The rank of a GaussMatrix, by Gauss-Jordan elimination over
+    GaussRational."""
+    rows = [list(row) for row in m.rows]
+    rank = 0
+    for col in range(m.dim):
+        pivot = next((r for r in range(rank, m.dim) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [x / lead for x in rows[rank]]
+        for r in range(m.dim):
+            if r != rank and not rows[r][col].is_zero():
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_idempotent_represents_as_a_rank_one_or_two_projector():
+    # On the spin basis of every even real cell with n <= 8, the primitive
+    # idempotent is an idempotent matrix of rank 1 over R and 2 over H: a
+    # minimal left ideal is one spinor column, or two for H. An f one blade
+    # short doubles the rank.
+    from clifcpt.spinrep import build_spinbasis, represent
+
+    for n in range(0, 9, 2):
+        for p in range(n + 1):
+            sig = MetricSignature(p, n - p)
+            f = represent(build_spinbasis(sig), primitive_idempotent(sig).f)
+            assert f * f == f, (p, n - p)
+            assert _rank(f) == {"R": 1, "H": 2}[ring_type(p, n - p).tag], (p, n - p)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -196,17 +197,17 @@ def test_user_basis_with_two_imaginary_generators_agrees(tmp_path, capsys):
 
 
 def test_classification_invariant_under_orthogonal_similarity(tmp_path, capsys):
-    # Metamorphic check: g -> M g M^T with M orthogonal keeps every
-    # Clifford relation, the reality and the symmetry of each generator,
-    # so a conjugated canonical basis, read back through --basis file:,
-    # must classify exactly as the canonical cell; only provenance differs.
-    # Signed permutations keep the generators monomial; the Givens
-    # rotation makes them dense.
+    # Metamorphic check: g -> M g M^T with M orthogonal, g -> g^T and
+    # g -> conj(g) each keep every Clifford relation, the reality and the
+    # symmetry of each generator, so a conjugated canonical basis, read
+    # back through --basis file:, must classify exactly as the canonical
+    # cell; only provenance differs. Signed permutations keep the
+    # generators monomial; the Givens rotation makes them dense.
     from clifcpt.spinrep import save_spinbasis
 
     for kind, m, conjugated in conjugated_bases():
         p, q = conjugated.sig.p, conjugated.sig.q
-        assert m * m.transpose() == m.identity(m.dim)
+        assert m is None or m * m.transpose() == m.identity(m.dim)
         if kind == "givens":
             assert any(len(row) > 1 for g in conjugated.gens for row in g.entries)
         path = tmp_path / f"cl{p}{q}-{kind}.json"
@@ -220,6 +221,30 @@ def test_classification_invariant_under_orthogonal_similarity(tmp_path, capsys):
             assert doc["basis"].pop("provenance") == basis
             docs.append(doc)
         assert docs[0] == docs[1], (p, q, kind)
+
+
+def test_unitary_conjugation_that_mixes_reality_fails_certification(tmp_path, capsys):
+    # Negative metamorphic check: g -> U g U^H with the rational unitary
+    # U = diag(1, (3+4i)/5, 1, ...) keeps every Clifford relation but
+    # gives generators entries with both real and imaginary parts, so the
+    # basis file must fail certification.
+    from clifcpt.algebra import MetricSignature
+    from clifcpt.exact import GaussMatrix, GaussRational
+    from clifcpt.spinrep import build_spinbasis
+
+    canonical = build_spinbasis(MetricSignature(1, 3))
+    dim = canonical.dim
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rows[1][1] = GaussRational(Fraction(3, 5), Fraction(4, 5))
+    u = GaussMatrix(rows)
+    uh = u.conj().transpose()
+    assert u * uh == GaussMatrix.identity(dim)
+    gens = [(u * g * uh).to_strings() for g in canonical.gens]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"p": 1, "q": 3, "generators": gens}))
+    code, _, err = run_cli(["classify", "--p", "1", "--q", "3", "--basis", f"file:{path}"], capsys)
+    assert code == 1
+    assert "mixed reality" in err
 
 
 def test_cayley_ext_markdown_golden(capsys):
@@ -364,6 +389,39 @@ def test_outputs_match_the_benchmark_golden_record(tmp_path, capsys, monkeypatch
         code, report, _ = run_cli(["verify", "--suite", "all", "--max-dim", "6"], capsys)
         assert code == 0
         assert [re.sub(r" \(\d+\.\d+s\)", "", line) for line in report.splitlines()] == golden["verify_lines"]
+
+
+_PINNED_SHA256 = {
+    ("sweep", "--max-dim", "8", "--format", "csv"): "38b729dba29b37a906e9548a5fa94178976c99a2919d23ed5a3cd6d76fa27255",
+    ("sweep", "--max-dim", "8", "--format", "md"): "bd49e48ac703f8f83ed581321c0daeee0fb332b7276eda8da48c3ac216d0df68",
+    ("sweep", "--field", "complex", "--max-dim", "8", "--format", "json"): "f04edd5f2f86bcd2c1793cfe8063916027d3b637361bdf0103a6325c7a4089f2",
+    ("classify", "--format", "json"): "d692d9f8c4cb914d529320958c9a6912465657164dc0839435db80f8406e435b",
+    ("classify", "--format", "md"): "8689cfa44ad4970572083907513dfb4726f29e89165256de2dc0260ac84b43b8",
+    ("cayley", "--set", "ext", "--format", "md"): "6cfe1b07f5ef0841b4128f5080a42b4cb6774460b9b503daae77abf2ef001e1d",
+    ("cayley", "--set", "ext", "--format", "json"): "e271f490a0608e9753c123ab94ae8afdb11f20b58ea784f85ac81c622741d72d",
+    ("cayley", "--set", "aut", "--format", "md"): "f9ad499b5ebecf542438cfcdcba4fa872aae236db8371173e6da8884e6583460",
+    ("cayley", "--set", "aut", "--format", "json"): "a8fa6251c4c092aba168dc5976d095f212f53337c24c649bf5472d47f130a7de",
+    ("cayley", "--set", "cpt-wigner", "--format", "md"): "212d194ed4eb281657680f1fd63300f4314b48e5a102967c0dc576b1e2e867eb",
+    ("cayley", "--set", "cpt-wigner", "--format", "json"): "9991da7bf5eca3f707edd89a096ce7a8725951d6f4621d92915b1028e582380d",
+}
+
+
+def test_outputs_match_their_pinned_digests(tmp_path, capsys, monkeypatch):
+    """The sweep files and the `dirac` classify and cayley outputs that
+    `bench/golden.json` does not cover, pinned by sha256: a changed output
+    byte fails here."""
+    monkeypatch.setenv("CLIFCPT_COLOR", "0")
+    for argv, digest in _PINNED_SHA256.items():
+        argv = list(argv)
+        if argv[0] == "sweep":
+            out = tmp_path / "atlas"
+            assert run_cli(argv + ["--jobs", "1", "--out", str(out)], capsys)[0] == 0
+            got = out.read_bytes()
+        else:
+            code, text, _ = run_cli(argv + ["--p", "1", "--q", "3", "--basis", "dirac"], capsys)
+            assert code == 0
+            got = text.encode()
+        assert hashlib.sha256(got).hexdigest() == digest, argv
 
 
 def test_file_bases_classify_as_the_benchmark_golden_cells(tmp_path, capsys):

@@ -195,8 +195,9 @@ def _assert_matches(got, want):
 
 def _assert_product_signed_eq(a, b, c, d):
     """a.product_signed_eq(b, c, d, s) agrees with the built products."""
-    for s in (1, -1):
-        assert a.product_signed_eq(b, c, d, s) == (a * b).signed_eq(c * d, s)
+    ab, cd = a * b, c * d
+    assert a.product_signed_eq(b, c, d, 1) == (ab == cd)
+    assert a.product_signed_eq(b, c, d, -1) == (ab == -cd)
 
 
 def test_one_representation_agrees_with_dense_reference():
@@ -214,16 +215,17 @@ def test_one_representation_agrees_with_dense_reference():
         # them and must equal, and hash equal to, one of fresh copies.
         again, fresh = a * b, GaussMatrix(ra) * GaussMatrix(rb)
         assert again == fresh and hash(again) == hash(fresh)
-        # -a with its last row taken from b: a near miss for sign -1.
+        # a * I against y * I, with -a's last row taken from b: a near miss
+        # for sign -1.
+        eye, half = GaussMatrix.identity(dim), Fraction(1, 2)
         near = GaussMatrix([[-x for x in r] for r in ra[:-1]] + [rb[-1]])
         for y in (a, -a, b, -b, near):
-            assert a.signed_eq(y, 1) == (a == y) and a.signed_eq(y, -1) == (a == -y)
+            _assert_product_signed_eq(a, eye, y, eye)
         # a * b against c * d: equal, negated, one entry of d changed, and
         # over other common denominators (a * 2 against (a * 1/2) * 4).
         assert a.product_signed_eq(b, a, b, 1) and a.product_signed_eq(b, -a, b, -1)
         bumped = [list(r) for r in rb]
         bumped[trial % dim][3 * trial % dim] += 1
-        eye, half = GaussMatrix.identity(dim), Fraction(1, 2)
         others = ((a, b), (-a, b), (a, -b), (a, GaussMatrix(bumped)), (b, a))
         for c, d in others + ((a.scale(half), b.scale(2)),):
             _assert_product_signed_eq(a, b, c, d)

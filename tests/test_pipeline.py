@@ -162,21 +162,21 @@ def _run_fresh(code: str):
 
 
 def test_sweep_matrix_op_counts_are_pinned():
-    # Matrix work on sweep(8): one product per certification pair, no
-    # negated product in `check` or certification of pure pairs, no
-    # candidate the choice rule rules out, and integer numerators
-    # converted once per matrix, no product with I on the left in
-    # `product_over`, no signed copy of a product for its condition check,
-    # and no dense Pi * conj(Pi) in the predictor comparison. The idempotent
-    # search stops at its k-th blade instead of testing the square of every
-    # mask. `check` compares each condition's two products on their
-    # numerators and builds neither: 7 conditions on each of the 140
-    # generators of the 25 bases. A rise means repeated work.
+    # Matrix work on sweep(8): no candidate the choice rule rules out,
+    # integer numerators converted once per matrix, no product with I on
+    # the left in `product_over`, and no dense Pi * conj(Pi) in the
+    # predictor comparison. The idempotent search stops at its k-th blade
+    # instead of testing the square of every mask. `check` and
+    # certification compare products on their numerators and build none:
+    # 7 conditions on each of the 140 generators of the 25 bases (980),
+    # one square test per generator against its metric sign (140), and one
+    # anticommutation test per pair (390). Each certified basis with n > 0
+    # converts its identity once (24). A rise means repeated work.
     assert _run_fresh(_COUNT_SWEEP_OPS) == {
-        "__mul__": 941,
+        "__mul__": 411,
         "__neg__": 64,
-        "product_signed_eq": 980,
-        "_numerators": 990,
+        "product_signed_eq": 1510,
+        "_numerators": 1014,
         "blade_square_sign": 2008,
         "blades_commute": 1304,
     }

@@ -265,9 +265,8 @@ def test_file_mixed_reality_rejected(tmp_path):
 
 
 def test_certification_messages_and_pair_products(monkeypatch):
-    # Each broken basis gets its exact violation list. A pair of generators
-    # that both passed their scan costs one product, any other pair two;
-    # each generator that reached the square test costs one more.
+    # Each broken basis gets its exact violation list, and certification
+    # forms no product: squares and pairs are compared on numerators.
     d = preset_spinbasis("dirac").gens
     one, minus = GaussRational(1, 1), GaussRational(-1, -1)
     mixed = GaussMatrix([[0, 0, 0, one], [0, 0, one, 0], [0, minus, 0, 0], [minus, 0, 0, 0]])
@@ -279,7 +278,7 @@ def test_certification_messages_and_pair_products(monkeypatch):
             (1, 3),
             (d[0], d[0], d[2], d[3]),
             ["generator 2 squares to +I, expected -I", "generators 1 and 2 do not anticommute"],
-            4 + 6,
+            0,
         ),
         (
             (1, 3),
@@ -288,19 +287,19 @@ def test_certification_messages_and_pair_products(monkeypatch):
                 "generator 3 has mixed reality (both real and imaginary entries)",
                 "generators 2 and 3 do not anticommute",
             ],
-            3 + 3 + 2 * 3,
+            0,
         ),
         (
             (3, 1),
             d,
             ["generator 2 squares to -I, expected +I", "generator 3 squares to -I, expected +I"],
-            4 + 6,
+            0,
         ),
-        # Two pure generators that commute fail through the one-product test.
-        ((2, 0), (s1, s1), ["generators 1 and 2 do not anticommute"], 2 + 1),
-        # A generator that failed its scan keeps the two-product test, which
-        # needs no symmetry sign: this one anticommutes with s3.
-        ((2, 0), (lopsided, s3), ["generator 1 is neither symmetric nor antisymmetric"], 1 + 2),
+        # Two pure generators that commute.
+        ((2, 0), (s1, s1), ["generators 1 and 2 do not anticommute"], 0),
+        # The pair test needs no symmetry sign, so a generator that failed
+        # its scan is still paired: this one anticommutes with s3.
+        ((2, 0), (lopsided, s3), ["generator 1 is neither symmetric nor antisymmetric"], 0),
     ]
     mul = GaussMatrix.__mul__
     for (p, q), gens, violations, products in cases:
@@ -342,6 +341,29 @@ def test_one_product_pair_verdicts_match_two_products():
         assert got == want, (basis.sig, basis.provenance)
         reported += len(got)
     assert reported > 0
+
+
+def test_certification_forms_no_product(monkeypatch):
+    # Squares and pairs are compared on numerators, so every basis below is
+    # certified with matrix products refused: each canonical basis with
+    # n <= 12, real and complex, the Dirac preset, and the conjugated
+    # bases, whose generators are built before the refusal.
+    variants = [(basis.sig, basis.gens) for _, _, basis in conjugated_bases()]
+
+    def refuse(self, other):
+        raise AssertionError("a matrix product was formed")
+
+    monkeypatch.setattr(GaussMatrix, "__mul__", refuse)
+    certified = 0
+    for n in range(0, 13, 2):
+        sigs = [MetricSignature(p, n - p) for p in range(n + 1)] + [MetricSignature(n, 0, COMPLEX)]
+        for sig in sigs:
+            assert build_spinbasis(sig).profile.n == n
+            certified += 1
+    assert preset_spinbasis("dirac").profile.n == 4
+    for sig, gens in variants:
+        assert SpinBasis(sig, gens, "variant").profile.n == sig.n
+    assert certified + 1 + len(variants) == 49 + 7 + 1 + 50
 
 
 def test_file_parse_error(tmp_path):
