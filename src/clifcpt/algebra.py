@@ -15,7 +15,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .exact import GaussRational, ZERO, _coerce, _exact, Scalarish
+from .exact import GaussRational, ZERO, _exact, Scalarish, common_divisor, gauss_parts
 
 REAL = "real"
 COMPLEX = "complex"
@@ -148,16 +148,6 @@ def blades_commute(x: int, y: int, sig: MetricSignature) -> bool:
     return sx == sy
 
 
-def _gauss_parts(c: GaussRational) -> tuple[int, int, int]:
-    """(re, im, den): c as a Gaussian integer over a positive denominator."""
-    den = lcm(c.re.denominator, c.im.denominator)
-    return (
-        c.re.numerator * (den // c.re.denominator),
-        c.im.numerator * (den // c.im.denominator),
-        den,
-    )
-
-
 class Multivector:
     """Sparse multivector over a fixed MetricSignature with Gaussian
     rational coefficients.
@@ -178,7 +168,7 @@ class Multivector:
             for mask, coeff in terms.items():
                 if not 0 <= mask < limit:
                     raise ValueError(f"blade mask {mask} out of range for n={sig.n}")
-                parts[mask] = _gauss_parts(_coerce(coeff))
+                parts[mask] = gauss_parts(coeff)
         den = lcm(*(d for _, _, d in parts.values()))
         num = {m: (re * (den // d), im * (den // d)) for m, (re, im, d) in parts.items()}
         self.num, self.den = _reduce(num, den)
@@ -227,7 +217,7 @@ class Multivector:
         return _make(self.sig, {m: (-re, -im) for m, (re, im) in self.num.items()}, self.den)
 
     def scale(self, s: Scalarish) -> Multivector:
-        sr, si, d = _gauss_parts(_coerce(s))
+        sr, si, d = gauss_parts(s)
         num = {m: (re * sr - im * si, re * si + im * sr) for m, (re, im) in self.num.items()}
         return _make(self.sig, *_reduce(num, self.den * d))
 
@@ -325,11 +315,7 @@ def _reduce(num: dict[int, tuple[int, int]], den: int) -> tuple[dict[int, tuple[
     """Canonical form of the numerators `num` over a positive `den`: drop
     the terms that cancelled and divide every part and `den` by their gcd."""
     num = {m: c for m, c in num.items() if c[0] or c[1]}
-    g = den
-    for re, im in num.values():
-        g = gcd(g, re, im)
-        if g == 1:
-            break
+    g = common_divisor(den, num.values())
     if g != 1:
         den //= g
         num = {m: (re // g, im // g) for m, (re, im) in num.items()}

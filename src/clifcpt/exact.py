@@ -7,7 +7,7 @@ so objects can be shared freely across threads and processes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalarish = Union["GaussRational", Fraction, int]
@@ -114,8 +114,6 @@ def _coerce(value: Scalarish) -> GaussRational:
 
 
 ZERO = GaussRational(0)
-ONE = GaussRational(1)
-MINUS_ONE = GaussRational(-1)
 I_UNIT = GaussRational(0, 1)
 
 
@@ -172,53 +170,99 @@ def parse_gauss(text: str) -> GaussRational:
         raise ValueError(f"zero denominator in GaussRational literal {text!r}") from None
 
 
-class GaussMatrix:
-    """A square matrix of GaussRational entries, stored by its nonzeros.
+def gauss_parts(c: Scalarish) -> tuple[int, int, int]:
+    """(re, im, den): c as a Gaussian integer over a positive denominator;
+    an int is read as it stands, with no Fraction formed."""
+    if isinstance(c, int):
+        return c, 0, 1
+    c = _coerce(c)
+    den = lcm(c.re.denominator, c.im.denominator)
+    return (
+        c.re.numerator * (den // c.re.denominator),
+        c.im.numerator * (den // c.im.denominator),
+        den,
+    )
 
-    ``entries[i]`` holds row i's ``(column, value)`` pairs in increasing
-    column order, with no zero values. The form is canonical, so equality
-    and hashing compare nonzeros only, and every operation loops over the
-    nonzeros: a signed monomial matrix (one nonzero per row), as every
-    generator and automorphism matrix of the spinor bases is, costs O(dim)
-    per product, a dense one the usual O(dim^3). A product stores each
-    operand's integer numerators beside its hash, so a matrix multiplied
-    again and again is converted once.
+
+def common_divisor(den: int, parts: Iterable[tuple[int, int]]) -> int:
+    """The gcd of a positive `den` and every (re, im) numerator pair:
+    dividing all of them by it brings the values to lowest terms. Stops
+    as soon as it reaches 1, so a denominator of 1 reads no pair."""
+    g = den
+    for re, im in parts:
+        if g == 1:
+            break
+        g = gcd(g, re, im)
+    return g
+
+
+class GaussMatrix:
+    """A square matrix over the Gaussian rationals, stored as
+    Gaussian-integer numerators over one common denominator.
+
+    ``num[i]`` holds row i's nonzeros as ``(column, re, im)`` int triples
+    in increasing column order, the entry being ``(re + im*i) / den``. The
+    form is canonical: den > 0 and gcd(den, every part) == 1, as in
+    `Multivector`, so equality and hashing compare ints only. Every
+    operation loops over the nonzeros: a signed monomial matrix (one
+    nonzero per row), as every generator and automorphism matrix of the
+    spinor bases is, costs O(dim) per product, a dense one the usual
+    O(dim^3). `GaussRational` values are formed only by the `entries`,
+    `rows` and `to_strings` views.
     """
 
-    __slots__ = ("dim", "entries", "_hash", "_num")
+    __slots__ = ("dim", "num", "den", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[Scalarish]]):
-        norm_rows = tuple(tuple(_coerce(e) for e in row) for row in rows)
-        dim = len(norm_rows)
+        parts = tuple(tuple(gauss_parts(e) for e in row) for row in rows)
+        dim = len(parts)
         if dim < 1:
             raise DimensionMismatchError("matrix must have dim >= 1")
-        for row in norm_rows:
+        for row in parts:
             if len(row) != dim:
                 raise DimensionMismatchError(
                     f"matrix is not square: {dim} rows, row of length {len(row)}"
                 )
+        # The lcm of lowest-term denominators leaves the numerators coprime
+        # to it, so this form is canonical as it stands.
+        den = lcm(*(d for row in parts for _, _, d in row))
         self.dim = dim
-        self.entries = tuple(
-            tuple((j, e) for j, e in enumerate(row) if e.re or e.im) for row in norm_rows
+        self.den = den
+        self.num = tuple(
+            tuple((j, x * (den // d), y * (den // d)) for j, (x, y, d) in enumerate(row) if x or y)
+            for row in parts
         )
         self._hash: int | None = None
-        self._num: tuple[int, tuple] | None = None
 
     @classmethod
-    def _make(cls, dim: int, entries: tuple) -> GaussMatrix:
-        """Internal constructor for entries already in canonical form."""
+    def _make(cls, dim: int, num: tuple, den: int) -> GaussMatrix:
+        """Internal constructor for nonzero rows in column order over a
+        positive `den`; brings them to lowest terms."""
+        g = common_divisor(den, (t[1:] for row in num for t in row))
+        if g != 1:
+            den //= g
+            num = tuple(tuple((j, re // g, im // g) for j, re, im in row) for row in num)
         m = object.__new__(cls)
         m.dim = dim
-        m.entries = entries
+        m.num = num
+        m.den = den
         m._hash = None
-        m._num = None
         return m
 
     @classmethod
     def identity(cls, dim: int) -> GaussMatrix:
         if dim < 1:
             raise DimensionMismatchError("matrix must have dim >= 1")
-        return cls._make(dim, tuple(((i, ONE),) for i in range(dim)))
+        return cls._make(dim, tuple(((i, 1, 0),) for i in range(dim)), 1)
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, GaussRational], ...], ...]:
+        """Read-only view of the nonzeros: each row's (column, value) pairs."""
+        den = self.den
+        return tuple(
+            tuple((j, _exact(Fraction(re, den), Fraction(im, den))) for j, re, im in row)
+            for row in self.num
+        )
 
     @property
     def rows(self) -> tuple[tuple[GaussRational, ...], ...]:
@@ -231,27 +275,11 @@ class GaussMatrix:
             out.append(tuple(dense))
         return tuple(out)
 
-    def _map(self, f) -> GaussMatrix:
-        """Apply f to every nonzero; f must map nonzeros to nonzeros."""
-        return GaussMatrix._make(
-            self.dim, tuple(tuple((j, f(v)) for j, v in row) for row in self.entries)
-        )
-
     def __mul__(self, other: GaussMatrix) -> GaussMatrix:
         if not isinstance(other, GaussMatrix):
             return NotImplemented
         den, rows = _product_rows(self, other)
-        return GaussMatrix._make(
-            self.dim,
-            tuple(
-                tuple(
-                    (j, _exact(Fraction(re, den), Fraction(im, den)))
-                    for j, (re, im) in sorted(acc.items())
-                    if re or im
-                )
-                for acc in rows
-            ),
-        )
+        return GaussMatrix._make(self.dim, tuple(map(_canonical_row, rows)), den)
 
     def product_signed_eq(self, b: GaussMatrix, c: GaussMatrix, d: GaussMatrix, sign: int) -> bool:
         """Whether self * b == sign * (c * d), for sign +1 or -1, forming
@@ -269,57 +297,64 @@ class GaussMatrix:
     def __add__(self, other: GaussMatrix) -> GaussMatrix:
         if self.dim != other.dim:
             raise DimensionMismatchError(f"cannot add dims {self.dim} and {other.dim}")
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
         out = []
-        for ra, rb in zip(self.entries, other.entries):
-            acc = dict(ra)
-            for j, v in rb:
-                acc[j] = acc[j] + v if j in acc else v
+        for ra, rb in zip(self.num, other.num):
+            acc = {j: (re * fa, im * fa) for j, re, im in ra}
+            for j, re, im in rb:
+                old = acc.get(j, (0, 0))
+                acc[j] = (old[0] + re * fb, old[1] + im * fb)
             out.append(_canonical_row(acc))
-        return GaussMatrix._make(self.dim, tuple(out))
+        return GaussMatrix._make(self.dim, tuple(out), self.den * fa)
 
     def __sub__(self, other: GaussMatrix) -> GaussMatrix:
         return self + -other
 
     def __neg__(self) -> GaussMatrix:
-        return self._map(GaussRational.__neg__)
+        return self.scale(-1)
 
     def scale(self, s: Scalarish) -> GaussMatrix:
-        s = _coerce(s)
-        if s == ONE:
+        sr, si, d = gauss_parts(s)
+        if (sr, si, d) == (1, 0, 1):
             return self
-        if s.is_zero():
-            return GaussMatrix._make(self.dim, ((),) * self.dim)
-        return self._map(lambda v: v * s)
+        # A zero s leaves every row empty, which _make reduces to den 1.
+        num = tuple(
+            tuple((j, re * sr - im * si, re * si + im * sr) for j, re, im in row if sr or si)
+            for row in self.num
+        )
+        return GaussMatrix._make(self.dim, num, self.den * d)
 
     def transpose(self) -> GaussMatrix:
-        cols: list[list[tuple[int, GaussRational]]] = [[] for _ in range(self.dim)]
-        for i, row in enumerate(self.entries):
-            for j, v in row:
-                cols[j].append((i, v))
-        return GaussMatrix._make(self.dim, tuple(map(tuple, cols)))
+        cols: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
+        for i, row in enumerate(self.num):
+            for j, re, im in row:
+                cols[j].append((i, re, im))
+        return GaussMatrix._make(self.dim, tuple(map(tuple, cols)), self.den)
 
     def conj(self) -> GaussMatrix:
-        return self._map(lambda v: v if v.im == 0 else v.conjugate())
+        num = tuple(tuple((j, re, -im) for j, re, im in row) for row in self.num)
+        return GaussMatrix._make(self.dim, num, self.den)
 
     def pm_identity(self) -> int | None:
         """Return +1 for I, -1 for -I, None otherwise."""
-        first = self.entries[0]
-        v = first[0][1] if first else ZERO
-        if v != ONE and v != MINUS_ONE:
+        first = self.num[0]
+        v = first[0][1] if first else 0
+        if self.den != 1 or v not in (1, -1):
             return None
-        for i, row in enumerate(self.entries):
-            if row != ((i, v),):
+        for i, row in enumerate(self.num):
+            if row != ((i, v, 0),):
                 return None
-        return 1 if v == ONE else -1
+        return v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
+        return self.dim == other.dim and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.entries)
+            self._hash = hash((self.den, self.num))
         return self._hash
 
     def __repr__(self) -> str:
@@ -347,36 +382,17 @@ class GaussMatrix:
         return cls([[parsed[e] for e in row] for row in rows])
 
 
-def _numerators(entries: tuple) -> tuple[int, tuple]:
-    """The nonzeros over one common denominator ``den``, the lcm of every
-    part's denominator: each row as ``(column, re, im)`` int triples, the
-    value being ``(re + im*i) / den``."""
-    den = lcm(*{x.denominator for row in entries for _, v in row for x in (v.re, v.im)})
-    return den, tuple(
-        tuple(
-            (j, v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
-            for j, v in row
-        )
-        for row in entries
-    )
-
-
 def _product_rows(a: GaussMatrix, b: GaussMatrix):
     """a * b as integer numerators: (den, rows), den the product of the
-    operands' common denominators and rows a generator of each row's
+    operands' denominators and rows a generator of each row's
     {column: (re, im)} sums, the entry being (re + im*i) / den; a sum may
-    cancel to (0, 0). Each operand keeps its numerators in ``_num``."""
+    cancel to (0, 0)."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"cannot multiply dims {a.dim} and {b.dim}")
-    if a._num is None:
-        a._num = _numerators(a.entries)
-    if b._num is None:
-        b._num = _numerators(b.entries)
-    aden, arows = a._num
-    bden, brows = b._num
+    brows = b.num
 
     def rows():
-        for arow in arows:
+        for arow in a.num:
             acc: dict[int, tuple[int, int]] = {}
             for k, ar, ai in arow:
                 for j, br, bi in brows[k]:
@@ -384,7 +400,7 @@ def _product_rows(a: GaussMatrix, b: GaussMatrix):
                     acc[j] = (old[0] + ar * br - ai * bi, old[1] + ar * bi + ai * br)
             yield acc
 
-    return aden * bden, rows()
+    return a.den * b.den, rows()
 
 
 def _scaled(acc: dict, factor: int) -> dict:
@@ -393,16 +409,21 @@ def _scaled(acc: dict, factor: int) -> dict:
 
 
 def _canonical_row(acc: dict) -> tuple:
-    """A row dict as (column, value) pairs, columns increasing, zeros dropped."""
-    return tuple((j, v) for j, v in sorted(acc.items()) if v.re or v.im)
+    """A row of numerator sums as (column, re, im) triples, columns
+    increasing, cancelled entries dropped."""
+    return tuple((j, re, im) for j, (re, im) in sorted(acc.items()) if re or im)
 
 
 def kron(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
     """Kronecker product; the left factor varies slowest."""
     db = b.dim
-    rows = tuple(
-        tuple((j * db + c, x * y) for j, x in ra for c, y in rb)
-        for ra in a.entries
-        for rb in b.entries
+    num = tuple(
+        tuple(
+            (j * db + c, xr * yr - xi * yi, xr * yi + xi * yr)
+            for j, xr, xi in ra
+            for c, yr, yi in rb
+        )
+        for ra in a.num
+        for rb in b.num
     )
-    return GaussMatrix._make(a.dim * db, rows)
+    return GaussMatrix._make(a.dim * db, num, a.den * b.den)

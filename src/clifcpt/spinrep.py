@@ -234,16 +234,17 @@ def _scan_traits(
     """Reality, symmetry and square sign of one generator, or None after
     recording why it has none. g * g is compared with the metric square
     `want` times eye * eye first, so a certified generator costs one
-    comparison, and then with its negative."""
-    has_re = any(v.re != 0 for row in g.entries for _, v in row)
-    has_im = any(v.im != 0 for row in g.entries for _, v in row)
+    comparison, and then with its negative; antisymmetry is tested as
+    g * eye == -(g^T * eye), so no negated matrix is formed."""
+    has_re = any(re for row in g.num for _, re, _ in row)
+    has_im = any(im for row in g.num for _, _, im in row)
     if has_re and has_im:
         violations.append(f"generator {idx} has mixed reality (both real and imaginary entries)")
         return None
     gt = g.transpose()
     if gt == g:
         symmetric = True
-    elif gt == -g:
+    elif g.product_signed_eq(eye, gt, eye, -1):
         symmetric = False
     else:
         violations.append(f"generator {idx} is neither symmetric nor antisymmetric")

@@ -8,7 +8,8 @@ C = E * W^T, K = Pi * W, S = Pi * E and F = Pi * C, checked and closed
 as matrices. Each condition is tested on literal matrix products compared
 with ==, not through `autmat.check`. `conjugated_bases` gives the seeded
 orthogonal conjugates, transposes and complex conjugates of canonical
-bases that the metamorphic tests read back as basis files.
+bases that the metamorphic tests read back as basis files; the Cayley
+conjugates are the fully dense ones, every entry over a denominator.
 """
 
 import random
@@ -140,15 +141,48 @@ def givens(rng, dim):
     return GaussMatrix(rows)
 
 
+def _inverse(rows):
+    """Gauss-Jordan inverse of a nonsingular square matrix given as rows of
+    Fractions, independent of the library."""
+    d = len(rows)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(rows)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[d:] for row in aug]
+
+
+def cayley(rng, dim):
+    """The Cayley transform Q = (I - A)(I + A)^-1 of a seeded rational
+    skew-symmetric A: exactly orthogonal, and dense. I + A is invertible
+    because A's eigenvalues are imaginary."""
+    a = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            a[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            a[j][i] = -a[i][j]
+    minus = [[int(i == j) - a[i][j] for j in range(dim)] for i in range(dim)]
+    plus = [[int(i == j) + a[i][j] for j in range(dim)] for i in range(dim)]
+    return GaussMatrix(minus) * GaussMatrix(_inverse(plus))
+
+
 def conjugated_bases():
     """(kind, M, basis) from canonical real bases: with n in (2, 4, 6),
     generators M g M^T under a seeded signed permutation M, which keeps
     them monomial, and every generator transposed or complex-conjugated
     (M is None); with n = 4, M g M^T under a seeded Givens rotation, which
-    makes them dense."""
+    makes them dense; with n in (4, 6), under a seeded Cayley transform,
+    which makes every entry nonzero over a common denominator."""
     rng = random.Random(31)
     cases = [(p, n - p, signed_permutation) for n in (2, 4, 6) for p in range(n + 1)]
     cases += [(p, 4 - p, givens) for p in range(5)]
+    cases += [(p, n - p, cayley) for n in (4, 6) for p in range(n + 1)]
     out = []
     for p, q, make in cases:
         canonical = build_spinbasis(MetricSignature(p, q))

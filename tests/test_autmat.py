@@ -332,7 +332,7 @@ def test_blade_realizations_match_dense_reference():
     # its invariants. A flipped transpose sign in W^T, or one that ignores
     # the symmetric generators, changes the sign of C and F here.
     bases = _parity_bases()
-    assert len(bases) == 25 + 5 + 1 + 50
+    assert len(bases) == 25 + 5 + 1 + 62
     for basis in bases:
         # The dense reference tries both candidates of E and of Pi, and
         # finds the one realization.

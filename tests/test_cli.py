@@ -202,7 +202,9 @@ def test_classification_invariant_under_orthogonal_similarity(tmp_path, capsys):
     # symmetry of each generator, so a conjugated canonical basis, read
     # back through --basis file:, must classify exactly as the canonical
     # cell; only provenance differs. Signed permutations keep the
-    # generators monomial; the Givens rotation makes them dense.
+    # generators monomial; the Givens rotation makes them dense; the Cayley
+    # transform makes every entry nonzero over a denominator, apart from
+    # the zero diagonal of an antisymmetric generator.
     from clifcpt.spinrep import save_spinbasis
 
     for kind, m, conjugated in conjugated_bases():
@@ -210,6 +212,9 @@ def test_classification_invariant_under_orthogonal_similarity(tmp_path, capsys):
         assert m is None or m * m.transpose() == m.identity(m.dim)
         if kind == "givens":
             assert any(len(row) > 1 for g in conjugated.gens for row in g.entries)
+        if kind == "cayley":
+            for g in conjugated.gens:
+                assert g.den > 1 and all(len(row) >= g.dim - 1 for row in g.num)
         path = tmp_path / f"cl{p}{q}-{kind}.json"
         save_spinbasis(conjugated, str(path))
         docs = []

@@ -262,6 +262,50 @@ def test_one_representation_agrees_with_dense_reference():
             _assert_product_signed_eq(a, adj, c, d)
 
 
+def _assert_lowest_terms(m):
+    """m's stored form is canonical: ints only, den > 0, nonzero parts
+    only, columns increasing and gcd(den, every part) == 1."""
+    assert type(m.den) is int and m.den > 0
+    for row in m.num:
+        cols = [j for j, _, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < m.dim for j in cols)
+        assert all(type(re) is int and type(im) is int and (re or im) for _, re, im in row)
+    assert gcd(m.den, *(x for row in m.num for _, re, im in row for x in (re, im))) == 1
+
+
+def test_every_result_is_stored_in_lowest_terms():
+    # Seeded dense matrices over non-unit denominators (an entry 1/7 makes
+    # sure of one): every result below is in lowest terms, and equal values
+    # reached by different routes are == and hash-equal, because equality
+    # and hashing read the stored ints alone.
+    rng = random.Random(41)
+    half = Fraction(1, 2)
+    for trial in range(60):
+        dim = rng.randint(1, 4)
+        ra = _dense_rows(rng, dim, "dense")
+        ra[0][0] = GaussRational(Fraction(1, 7))
+        a, b = GaussMatrix(ra), GaussMatrix(_dense_rows(rng, dim, KINDS[trial % len(KINDS)]))
+        s = _random_scalar(rng)
+        assert a.den % 7 == 0
+        results = [a * b, b * a, a + b, a - b, a.scale(s), a.scale(half), kron(a, b)]
+        results += [a.transpose(), a.conj(), -a, GaussMatrix.from_strings(a.to_strings())]
+        for m in results:
+            _assert_lowest_terms(m)
+        routes = [
+            (a.scale(half).scale(2), a),
+            ((a + a).scale(half), a),
+            ((a - b) + b, a),
+            (a.scale(3) - a.scale(2), a),
+            (a.scale(2) * b.scale(half), a * b),
+            (kron(a.scale(2), b.scale(half)), kron(a, b)),
+            (GaussMatrix.from_strings(a.to_strings()), a),
+            (GaussMatrix.identity(dim).scale(7) * a.scale(Fraction(1, 7)), a),
+        ]
+        for got, want in routes:
+            _assert_lowest_terms(got)
+            assert got == want and hash(got) == hash(want)
+
+
 def test_dimension_mismatch_errors():
     with pytest.raises(DimensionMismatchError):
         GaussMatrix.identity(2) * GaussMatrix.identity(3)

@@ -127,6 +127,7 @@ counts = Counter()
 
 def counting(owner, name):
     raw = getattr(owner, name)
+    counts[name] = 0
 
     def wrapped(*args):
         counts[name] += 1
@@ -136,7 +137,6 @@ def counting(owner, name):
 
 for name in ("__mul__", "__neg__", "product_signed_eq"):
     counting(exact.GaussMatrix, name)
-counting(exact, "_numerators")
 for name in ("blade_square_sign", "blades_commute"):
     counting(classify, name)
 pipeline.sweep(8, "real", jobs=1)
@@ -162,21 +162,21 @@ def _run_fresh(code: str):
 
 
 def test_sweep_matrix_op_counts_are_pinned():
-    # Matrix work on sweep(8): no candidate the choice rule rules out,
-    # integer numerators converted once per matrix, no product with I on
-    # the left in `product_over`, and no dense Pi * conj(Pi) in the
-    # predictor comparison. The idempotent search stops at its k-th blade
-    # instead of testing the square of every mask. `check` and
-    # certification compare products on their numerators and build none:
-    # 7 conditions on each of the 140 generators of the 25 bases (980),
-    # one square test per generator against its metric sign (140), and one
-    # anticommutation test per pair (390). Each certified basis with n > 0
-    # converts its identity once (24). A rise means repeated work.
+    # Matrix work on sweep(8): no candidate the choice rule rules out, no
+    # product with I on the left in `product_over`, and no dense
+    # Pi * conj(Pi) in the predictor comparison. The idempotent search
+    # stops at its k-th blade instead of testing the square of every mask.
+    # `check` and certification compare products on their integer
+    # numerators, which every matrix stores, and build none: 7 conditions
+    # on each of the 140 generators of the 25 bases (980), one square test
+    # per generator against its metric sign (140), one anticommutation
+    # test per pair (390), and one antisymmetry test g * I == -(g^T * I)
+    # per antisymmetric generator (64), which forms no negated matrix, so
+    # no matrix is negated at all. A rise means repeated work.
     assert _run_fresh(_COUNT_SWEEP_OPS) == {
         "__mul__": 411,
-        "__neg__": 64,
-        "product_signed_eq": 1510,
-        "_numerators": 1014,
+        "__neg__": 0,
+        "product_signed_eq": 1574,
         "blade_square_sign": 2008,
         "blades_commute": 1304,
     }

@@ -363,7 +363,7 @@ def test_certification_forms_no_product(monkeypatch):
     assert preset_spinbasis("dirac").profile.n == 4
     for sig, gens in variants:
         assert SpinBasis(sig, gens, "variant").profile.n == sig.n
-    assert certified + 1 + len(variants) == 49 + 7 + 1 + 50
+    assert certified + 1 + len(variants) == 49 + 7 + 1 + 62
 
 
 def test_file_parse_error(tmp_path):
