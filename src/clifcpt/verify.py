@@ -49,7 +49,7 @@ from .goldens import (
     signed_cells,
 )
 from .pipeline import ext_reps, predictor_analysis, wigner_reps
-from .spinrep import build_spinbasis, preset_spinbasis, product_over
+from .spinrep import SpinBasis, build_spinbasis, preset_spinbasis, product_over
 
 _SEED = 20260810
 
@@ -191,6 +191,82 @@ def suite_automorphisms(max_dim: int, realizations: dict | None = None) -> list[
     return out
 
 
+# --- dense reference -----------------------------------------------------------
+
+
+def _where(basis: SpinBasis) -> str:
+    return f"{basis.provenance} Cl({basis.sig.p},{basis.sig.q})"
+
+
+def dense_realization(basis: SpinBasis) -> dict:
+    """The realization of `basis` built from literal matrix products,
+    apart from `realize`'s blade arithmetic and choice rule.
+
+    W is the product of all generators. E and Pi are the one candidate of
+    each `covering.choice_candidates` pair whose product meets its
+    condition; a second one that meets it fails the check. C = E W^T with
+    a real transpose, K = Pi W, S = Pi E and F = Pi C. All seven
+    conditions are tested on every generator, each matrix's sign is read
+    against the increasing-index product of its mask, and the signs,
+    group and order counts come from the signed closure of the eight
+    matrices. `realization_facts` reads the same keys off a `Realization`."""
+    where = _where(basis)
+    full = (1 << basis.sig.n) - 1
+    eye = GaussMatrix.identity(basis.dim)
+    chosen = {}
+    for name, pair in covering.choice_candidates(basis.profile).items():
+        for mask, choice in pair:
+            if name in chosen and mask == chosen[name][0]:
+                continue  # the same product (n = 0)
+            if not check(name, product_over(basis, mask), basis):
+                assert name not in chosen, f"{where}: {choice} also meets {name}"
+                chosen[name] = mask, choice
+        assert name in chosen, f"{where}: no {name} candidate meets its condition"
+    (e, e_choice), (pi, pi_choice) = chosen["E"], chosen["Pi"]
+    masks = dict(zip(ELEMENT_NAMES[1:], (full, e, e ^ full, pi, pi ^ full, pi ^ e, pi ^ e ^ full)))
+    reps = [eye] + [product_over(basis, mask) for mask in masks.values()]
+    _, w, e, _, pi = reps[:5]
+    c = e * w.transpose()
+    mats = [eye, w, e, c, pi, pi * w, pi * e, pi * c]
+    rep_signs = {}
+    for name, m, rep in zip(ELEMENT_NAMES[1:], mats[1:], reps[1:]):
+        bad = check(name, m, basis)
+        assert not bad, f"{where}: {bad}"
+        assert m in (rep, -rep), f"{where}: {name} is not a signed generator product"
+        rep_signs[name] = 1 if m == rep else -1
+    group = signed_closure(mats, eye)
+    signature, commutation = read_signs(group)
+    return {
+        "choices": (e_choice, pi_choice),
+        "masks": masks,
+        "rep_signs": rep_signs,
+        "signature": signature,
+        "commutation": commutation,
+        "order": group.order,
+        "contains_minus_I": group.contains_minus_I,
+        "abstract": identify_abstract(group),
+        "order_counts": order_structure(reps),
+        "matrices": mats,
+    }
+
+
+def realization_facts(r: Realization) -> dict:
+    """The facts of the blade realization `r`, under the keys of
+    `dense_realization`."""
+    return {
+        "choices": (r.predicted.choice_e, r.predicted.choice_pi),
+        "masks": r.masks,
+        "rep_signs": r.rep_signs,
+        "signature": r.signature,
+        "commutation": r.commutation,
+        "order": r.group.order,
+        "contains_minus_I": r.group.contains_minus_I,
+        "abstract": identify_abstract(r.group),
+        "order_counts": r.order_counts,
+        "matrices": list(r.matrices()),
+    }
+
+
 # --- theorem suite -----------------------------------------------------------
 
 
@@ -224,25 +300,9 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
         keys += [MetricSignature(n, 0, COMPLEX) for n in range(0, max_dim + 1, 2)]
         for key in keys:
             r = _realization(realizations, key)
-            basis = r.basis
-            eye = GaussMatrix.identity(basis.dim)
-            where = f"{basis.provenance} Cl({basis.sig.p},{basis.sig.q})"
-            # The choice rule is unique: each E and Pi candidate it does not
-            # name, unless it is the same product, fails its condition.
-            for name, pair in covering.choice_candidates(basis.profile).items():
-                for mask, choice in pair:
-                    if mask != r.predicted.masks[name]:
-                        other = product_over(basis, mask)
-                        assert check(name, other, basis), f"{where}: {choice} also meets {name}"
-            dense = r.matrices()
-            for name, m in zip(ELEMENT_NAMES[1:], dense[1:]):
-                bad = check(name, m, basis)
-                assert not bad, f"{where}: {bad}"
-            # The independent reference: the matrices, closed on their own,
-            # form the same group (order, -I and invariants) as the blades.
-            group = signed_closure(dense, eye)
-            assert identify_abstract(group) == identify_abstract(r.group), f"{where}: group"
-            assert read_signs(group) == (r.signature, r.commutation), f"{where}: signs"
+            got, want = realization_facts(r), dense_realization(r.basis)
+            for field in want:
+                assert got[field] == want[field], f"{_where(r.basis)}: {field} differ"
         return f"{len(keys)} bases, all seven conditions exhaustive"
 
     out.append(_run("theorems", "intertwining-conditions", intertwining))
@@ -250,6 +310,12 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
 
 
 # --- group suite --------------------------------------------------------------
+
+
+def _bilinear(eps: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the table eps(v, w) is bilinear: eps(u, v ^ w) = eps(u, v) eps(u, w)."""
+    size = range(len(eps))
+    return all(eps[u][v ^ w] == eps[u][v] * eps[u][w] for u, v, w in iterproduct(size, repeat=3))
 
 
 def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckResult]:
@@ -299,6 +365,12 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
         c = census_64()
         assert c["total"] == 64, c["total"]
         assert c["by_minus_count"] == {0: 1, 2: 21, 4: 35, 6: 7}
+        # The oracle: the signatures are the sign tuples that are quadratic
+        # forms, those whose polarization is bilinear.
+        forms = [s for s in iterproduct((1, -1), repeat=7) if _bilinear(polarization(s))]
+        stray = [s for s in c["tuples"] if s not in forms]
+        assert not stray, f"the census admits {len(stray)} non-forms, such as {sig_str(stray[0])}"
+        assert c["tuples"] == forms, "the census lists the forms out of order"
         return "1 + 21 + 35 + 7 = 64"
 
     out.append(_run("groups", "signature-census", census))

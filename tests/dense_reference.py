@@ -1,127 +1,25 @@
-"""Test-local dense reference for the realization stage.
+"""Seeded bases and a matrix closure for the metamorphic tests.
 
-`dense_realizations` builds each realization's eight matrices as literal
-matrix products, the construction the package used before it moved to
-signed blades: W over all generators, both E and both Pi candidates
-filtered by the intertwining conditions and deduplicated as matrices, then
-C = E * W^T, K = Pi * W, S = Pi * E and F = Pi * C, checked and closed
-as matrices. Each condition is tested on literal matrix products compared
-with ==, not through `autmat.check`. `conjugated_bases` gives the seeded
-orthogonal conjugates, transposes and complex conjugates of canonical
-bases that the metamorphic tests read back as basis files; the Cayley
-conjugates are the fully dense ones, every entry over a denominator.
+`conjugated_bases` gives the seeded orthogonal conjugates, transposes and
+complex conjugates of canonical bases that the metamorphic tests read back
+as basis files and check against `clifcpt.verify.dense_realization`, the
+one dense reference of a realization; the Cayley conjugates are the fully
+dense ones, every entry over a denominator. `matrix_closure` closes
+matrices with the identity of their size.
 """
 
 import random
 from fractions import Fraction
 
 from clifcpt.algebra import MetricSignature
-from clifcpt.autmat import CONDITIONS, ELEMENT_NAMES, read_signs
 from clifcpt.exact import GaussMatrix
-from clifcpt.fingroup import identify_abstract, order_structure, signed_closure
-from clifcpt.spinrep import SpinBasis, build_spinbasis, product_over
+from clifcpt.fingroup import signed_closure
+from clifcpt.spinrep import SpinBasis, build_spinbasis
 
 
 def matrix_closure(mats):
     """The signed closure of matrices, with the identity of their size."""
     return signed_closure(mats, GaussMatrix.identity(mats[0].dim))
-
-
-def _sign_against(m, ref):
-    """The sign s with m == s * ref."""
-    if m == ref:
-        return 1
-    assert m == -ref, "not a signed increasing-index generator product"
-    return -1
-
-
-def _meets(name, m, basis):
-    """Whether m * g' == sign * g * m on every generator g, for the
-    (transpose, conjugate, sign) of element `name`."""
-    transpose, conjugate, sign = CONDITIONS[name]
-    for g in basis.gens:
-        primed = g.transpose() if transpose else g
-        primed = primed.conj() if conjugate else primed
-        if m * primed != (g * m).scale(sign):
-            return False
-    return True
-
-
-def _survivors(basis, name, candidates):
-    """The (matrix, choice, mask) of each candidate product that meets the
-    condition of `name`, deduplicated as matrices."""
-    out = []
-    for mask, choice in candidates:
-        m = product_over(basis, mask)
-        if _meets(name, m, basis) and all(m != kept for kept, _, _ in out):
-            out.append((m, choice, mask))
-    assert out, f"no {name} candidate survives"
-    return out
-
-
-def candidates(prof):
-    """Both (mask, choice) candidates of E and of Pi, written out apart
-    from the package's choice rule: E from the antisymmetric or the
-    symmetric generators, Pi from the imaginary ones (the identity when
-    there are none) or the real ones."""
-    imag = prof.mask(real=False)
-    return {
-        "E": [(prof.mask(sym=False), "skew_product"), (prof.sym_mask, "sym_product")],
-        "Pi": [(imag, "complex_product" if imag else "identity"), (prof.real_mask, "real_product")],
-    }
-
-
-def dense_realizations(basis):
-    """One dict per realization, deduplicated by (signature, commutation)
-    in the package's (E, Pi) order."""
-    prof = basis.profile
-    full = (1 << basis.sig.n) - 1
-    eye = GaussMatrix.identity(basis.dim)
-    w = product_over(basis, full)
-    assert _meets("W", w, basis)
-    both = candidates(prof)
-    es = _survivors(basis, "E", both["E"])
-    pis = _survivors(basis, "Pi", both["Pi"])
-    out, seen = [], set()
-    for e, e_choice, e_mask in es:
-        for pi, pi_choice, pi_mask in pis:
-            c = e * w.transpose()
-            mats = [eye, w, e, c, pi, pi * w, pi * e, pi * c]
-            for name, m in zip(ELEMENT_NAMES[1:], mats[1:]):
-                assert _meets(name, m, basis), name
-            masks = {
-                "W": full,
-                "E": e_mask,
-                "C": full ^ e_mask,
-                "Pi": pi_mask,
-                "K": pi_mask ^ full,
-                "S": pi_mask ^ e_mask,
-                "F": pi_mask ^ full ^ e_mask,
-            }
-            reps = [eye] + [product_over(basis, masks[name]) for name in ELEMENT_NAMES[1:]]
-            group = signed_closure(mats, eye)
-            signature, commutation = read_signs(group)
-            if (signature, commutation) in seen:
-                continue
-            seen.add((signature, commutation))
-            out.append(
-                {
-                    "choices": (e_choice, pi_choice),
-                    "masks": masks,
-                    "rep_signs": {
-                        name: _sign_against(m, rep)
-                        for name, m, rep in zip(ELEMENT_NAMES[1:], mats[1:], reps[1:])
-                    },
-                    "matrices": mats,
-                    "signature": signature,
-                    "commutation": commutation,
-                    "order": group.order,
-                    "contains_minus_I": group.contains_minus_I,
-                    "abstract": identify_abstract(group),
-                    "order_counts": order_structure(reps),
-                }
-            )
-    return out
 
 
 def signed_permutation(rng, dim):

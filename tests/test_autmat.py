@@ -13,7 +13,7 @@ from clifcpt.autmat import (
 )
 from clifcpt.covering import choice_candidates
 from clifcpt.exact import GaussMatrix
-from clifcpt.fingroup import identify_abstract, minus_count, sig_str
+from clifcpt.fingroup import minus_count, sig_str
 from clifcpt.spinrep import (
     CertificationError,
     SpinBasis,
@@ -21,13 +21,8 @@ from clifcpt.spinrep import (
     preset_spinbasis,
     product_over,
 )
-from dense_reference import (
-    _survivors,
-    candidates,
-    conjugated_bases,
-    dense_realizations,
-    matrix_closure,
-)
+from clifcpt.verify import dense_realization, realization_facts
+from dense_reference import conjugated_bases, matrix_closure
 from gammas import gamma_matrices, product
 
 
@@ -135,8 +130,8 @@ def _dense_w(basis):
 def _only_survivor(basis, name):
     """The (mask, choice) of the one candidate of `name`, of both, whose
     product meets its condition, checked densely."""
-    ((_, choice, mask),) = _survivors(basis, name, candidates(basis.profile)[name])
-    return mask, choice
+    ref = dense_realization(basis)
+    return ref["masks"][name], ref["choices"][("E", "Pi").index(name)]
 
 
 def test_cl11_tower_products():
@@ -335,17 +330,6 @@ def test_blade_realizations_match_dense_reference():
     assert len(bases) == 25 + 5 + 1 + 62
     for basis in bases:
         # The dense reference tries both candidates of E and of Pi, and
-        # finds the one realization.
-        r, (ref,) = realize(basis), dense_realizations(basis)
-        choices = (r.predicted.choice_e, r.predicted.choice_pi)
-        where = (basis.sig, basis.provenance, *choices)
-        assert choices == ref["choices"], where
-        assert r.masks == ref["masks"], where
-        assert r.rep_signs == ref["rep_signs"], where
-        assert r.signature == ref["signature"], where
-        assert r.commutation == ref["commutation"], where
-        assert r.group.order == ref["order"], where
-        assert r.group.contains_minus_I == ref["contains_minus_I"], where
-        assert identify_abstract(r.group) == ref["abstract"], where
-        assert r.order_counts == ref["order_counts"], where
-        assert list(r.matrices()) == ref["matrices"], where
+        # keeps the one that meets its condition.
+        where = (basis.sig, basis.provenance)
+        assert realization_facts(realize(basis)) == dense_realization(basis), where

@@ -614,6 +614,45 @@ def test_verify_fails_intertwining_when_the_comparison_accepts_sign_plus(capsys,
     assert failed[0].endswith("preset:dirac Cl(1,3): sym_product also meets E")
 
 
+def test_verify_fails_intertwining_when_the_sign_of_w_transpose_flips(capsys, monkeypatch):
+    from clifcpt import autmat
+
+    # `realize` takes the sign of W^T from the grade of the antisymmetric
+    # generators; one more flips C and F, which only the dense reference's
+    # rep_signs see.
+    monkeypatch.setattr(autmat, "grade", lambda mask: mask.bit_count() + 1)
+    code, out, _ = run_cli(["verify", "--suite", "theorems", "--max-dim", "4"], capsys)
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1, failed
+    assert failed[0].startswith("FAIL [theorems] intertwining-conditions (")
+    assert failed[0].endswith("preset:dirac Cl(1,3): rep_signs differ")
+
+
+def test_verify_census_fails_when_minus_count_counts_plus_signs(capsys, monkeypatch):
+    from clifcpt import fingroup
+
+    # The census then keeps the 64 odd-weight tuples, with the same counts
+    # by weight; every form label is looked up by a wrong minus count too.
+    monkeypatch.setattr(fingroup, "minus_count", lambda signs: sum(1 for s in signs if s > 0))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "4"], capsys)
+    assert code == 1
+    failed = {line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")}
+    assert failed == {
+        "FAIL [theorems] predictor-vs-computation",
+        "FAIL [theorems] complex-automorphism-groups",
+        "FAIL [groups] dirac-extended-set",
+        "FAIL [groups] wigner-reflection-set",
+        "FAIL [groups] signature-census",
+        "FAIL [groups] sweep-label-consistency",
+        "FAIL [coverings] pt-cover-table",
+        "FAIL [coverings] cpt-cover-table",
+        "FAIL [coverings] label-fiber-families",
+    }
+    assert "signature-census (" in out and "admits 64 non-forms, such as (+,+,+,+,+,+,-)" in out
+
+
 def test_out_of_range_inputs_exit_2(capsys):
     for argv in (
         ["classify", "--p", "20", "--q", "20"],

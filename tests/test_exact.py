@@ -211,8 +211,7 @@ def test_one_representation_agrees_with_dense_reference():
         s = rng.choice(UNITS + (GaussRational(0), _random_scalar(rng)))
         _assert_matches(a, GaussMatrix(a.rows))
         _assert_matches(a * b, _reference_mul(a, b))
-        # a and b now hold their numerators: the repeated product reuses
-        # them and must equal, and hash equal to, one of fresh copies.
+        # A repeated product equals, and hashes equal to, one of fresh copies.
         again, fresh = a * b, GaussMatrix(ra) * GaussMatrix(rb)
         assert again == fresh and hash(again) == hash(fresh)
         # a * I against y * I, with -a's last row taken from b: a near miss

@@ -25,7 +25,8 @@ from clifcpt.goldens import (
 )
 from clifcpt.pipeline import ext_reps, wigner_reps
 from clifcpt.spinrep import build_spinbasis, preset_spinbasis, product_over
-from dense_reference import dense_realizations, matrix_closure
+from clifcpt.verify import dense_realization
+from dense_reference import matrix_closure
 from gammas import gamma_matrices, product
 
 
@@ -35,7 +36,7 @@ def test_closure_identity_only():
 
 
 def test_closure_dirac_ext_is_sixteen():
-    g = matrix_closure(dense_realizations(preset_spinbasis("dirac"))[0]["matrices"])
+    g = matrix_closure(dense_realization(preset_spinbasis("dirac"))["matrices"])
     assert g.order == 16
     assert g.contains_minus_I
     elems = set(g.elements)
@@ -111,7 +112,7 @@ def _reference_bases(max_n):
 def _reference_generator_sets(max_n):
     """The eight matrices of every realization of the reference bases,
     built as literal products, then the reflection set."""
-    sets = [ref["matrices"] for b in _reference_bases(max_n) for ref in dense_realizations(b)]
+    sets = [dense_realization(b)["matrices"] for b in _reference_bases(max_n)]
     sets.append([m for _, m in wigner_reps(preset_spinbasis("dirac"))])
     return sets
 
@@ -123,12 +124,12 @@ def _reference_closures():
 def _tricky_generator_sets():
     """Inputs that no realization passes: duplicates, the identity not
     first, and an input that is redundant only up to sign."""
-    eye, w, e, _, pi = dense_realizations(preset_spinbasis("dirac"))[0]["matrices"][:5]
+    eye, w, e, _, pi = dense_realization(preset_spinbasis("dirac"))["matrices"][:5]
     duplicates = [w, w, e, eye, e, pi, w]
     identity_late = [w, e, eye, pi]
     # In Cl(4,4), <W, E> = {I, W, E, E*W} holds no -I: -E*W lies outside
     # it, and its negative inside.
-    eye, w, e = dense_realizations(build_spinbasis(MetricSignature(4, 4)))[0]["matrices"][:3]
+    eye, w, e = dense_realization(build_spinbasis(MetricSignature(4, 4)))["matrices"][:3]
     assert -eye not in _closure_members([w, e]) and e * w in _closure_members([w, e])
     sign_only = [eye, w, e, -(e * w)]
     return [duplicates, identity_late, sign_only]
@@ -239,9 +240,8 @@ def _commutation_by_products(mats):
 def test_sign_readout_matches_matrix_products():
     realizations = [realize(b) for b in _reference_bases(8)]
     for r in realizations:
-        (ref,) = dense_realizations(r.basis)
         mats = list(r.matrices())
-        assert mats == ref["matrices"]
+        assert mats == dense_realization(r.basis)["matrices"]
         assert r.signature == _square_signs_by_products(mats)
         assert r.commutation == _commutation_by_products(mats)
         reps = [product_over(r.basis, r.masks.get(name, 0)) for name in ELEMENT_NAMES]
@@ -249,7 +249,7 @@ def test_sign_readout_matches_matrix_products():
     sets = [[m for _, m in wigner_reps(preset_spinbasis("dirac"))]]
     for n in range(0, 9, 2):
         basis = build_spinbasis(MetricSignature(n, 0, COMPLEX))
-        gens = dense_realizations(basis)[0]["matrices"][:4]
+        gens = dense_realization(basis)["matrices"][:4]
         sets.append(gens)
         # The complex cell reads its W, E, C signs off its realization.
         squares, table = read_signs(matrix_closure(gens))
