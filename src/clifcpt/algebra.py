@@ -98,14 +98,7 @@ def grade(mask: int) -> int:
 
 def blade_indices(mask: int) -> list[int]:
     """1-based generator indices of a blade mask, increasing."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def blade_format(mask: int) -> str:
@@ -113,15 +106,19 @@ def blade_format(mask: int) -> str:
 
 
 def _swap_parity(x: int, y: int, neg_mask: int) -> int:
-    """Parity of the sign of the blade product e_x e_y: the transpositions
-    needed to sort the concatenated index sequence plus the repeated
-    indices that square to -1."""
-    a = x >> 1
-    swaps = (x & y & neg_mask).bit_count()
-    while a:
-        swaps += (a & y).bit_count()
-        a >>= 1
-    return swaps & 1
+    """Parity of the sign of e_x e_y: popcount(x & P) + popcount(x & y &
+    neg_mask) mod 2. Sorting e_x e_y takes one swap per pair (i in x, j in
+    y) with i > j, which for each i in x number P's bit i mod 2, P the
+    prefix parity of y << 1; a repeated index that squares to -1 adds a
+    sign. After p ^= p << t for t = 1, 2, 4, ... below s, bit i of p is the
+    parity of the s bits of y << 1 ending at i, P's bit for each i < s, and
+    s reaches x.bit_length(). popcount(a ^ b) = popcount(a) + popcount(b) mod 2."""
+    p = y << 1
+    s, top = 1, x.bit_length()
+    while s < top:
+        p ^= p << s
+        s <<= 1
+    return (x & (p ^ (y & neg_mask))).bit_count() & 1
 
 
 def blade_product(x: int, y: int, sig: MetricSignature) -> tuple[int, int]:
@@ -129,23 +126,28 @@ def blade_product(x: int, y: int, sig: MetricSignature) -> tuple[int, int]:
 
     The result is the symmetric difference of the masks.
     """
-    limit = 1 << sig.n
-    if x >= limit or y >= limit or x < 0 or y < 0:
+    if (x | y) >> sig.n:  # a negative mask shifts to -1
         raise ValueError(f"blade mask out of range for n={sig.n}")
     return (-1 if _swap_parity(x, y, sig.neg_mask) else 1), x ^ y
 
 
 def blade_square_sign(mask: int, sig: MetricSignature) -> int:
-    s, m = blade_product(mask, mask, sig)
-    assert m == 0
-    return s
+    """e_A^2 = (-1)^(k(k-1)/2 + |A & neg|) with k = |A|: in e_A e_A each
+    of the k(k-1)/2 pairs of distinct indices of A is out of order once,
+    and each index of A that squares to -1 repeats."""
+    if mask >> sig.n:
+        raise ValueError(f"blade mask out of range for n={sig.n}")
+    k = mask.bit_count()
+    return -1 if (k * (k - 1) // 2 + (mask & sig.neg_mask).bit_count()) & 1 else 1
 
 
 def blades_commute(x: int, y: int, sig: MetricSignature) -> bool:
-    sx, mx = blade_product(x, y, sig)
-    sy, my = blade_product(y, x, sig)
-    assert mx == my
-    return sx == sy
+    """Whether e_x e_y == e_y e_x: exactly when |x| |y| + |x & y| is even,
+    as each pair i in x, j in y with i != j is out of order in one of the
+    two products, and the rest of either sign is the same in both."""
+    if (x | y) >> sig.n:
+        raise ValueError(f"blade mask out of range for n={sig.n}")
+    return not (x.bit_count() * y.bit_count() + (x & y).bit_count()) & 1
 
 
 class Multivector:

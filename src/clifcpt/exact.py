@@ -41,13 +41,6 @@ class GaussRational:
     def __mul__(self, other: Scalarish) -> GaussRational:
         other = _coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
-        # Fast paths for the values that dominate monomial-matrix work.
-        if b == 0 and d == 0:
-            return _exact(a * c, b)
-        if b == 0:
-            return _exact(a * c, a * d)
-        if d == 0:
-            return _exact(a * c, b * c)
         return _exact(a * c - b * d, a * d + b * c)
 
     __radd__ = __add__
@@ -278,21 +271,27 @@ class GaussMatrix:
     def __mul__(self, other: GaussMatrix) -> GaussMatrix:
         if not isinstance(other, GaussMatrix):
             return NotImplemented
-        den, rows = _product_rows(self, other)
-        return GaussMatrix._make(self.dim, tuple(map(_canonical_row, rows)), den)
+        _same_dim(self, other)
+        num = tuple(_canonical_row(_row_times(row, other.num, 1)) for row in self.num)
+        return GaussMatrix._make(self.dim, num, self.den * other.den)
 
     def product_signed_eq(self, b: GaussMatrix, c: GaussMatrix, d: GaussMatrix, sign: int) -> bool:
         """Whether self * b == sign * (c * d), for sign +1 or -1, forming
-        neither product: each row of both is accumulated as Gaussian-integer
-        numerators, x over den1 and y over den2, and x * den2 == sign * y * den1
-        is tested entry by entry, up to the first row that differs."""
-        lden, left = _product_rows(self, b)
-        rden, right = _product_rows(c, d)
+        neither product: with g = gcd(lden, rden), x / lden == sign * y / rden
+        exactly when x * (rden / g) == y * (sign * lden / g), so rows of
+        numerators formed with those factors are compared until one differs."""
+        _same_dim(self, b)
+        _same_dim(c, d)
         if self.dim != c.dim:
             return False
-        return all(
-            _scaled(lrow, rden) == _scaled(rrow, sign * lden) for lrow, rrow in zip(left, right)
-        )
+        lden, rden = self.den * b.den, c.den * d.den
+        g = gcd(lden, rden)
+        lf, rf = rden // g, sign * (lden // g)
+        brows, drows = b.num, d.num
+        for arow, crow in zip(self.num, c.num):
+            if _row_times(arow, brows, lf) != _row_times(crow, drows, rf):
+                return False
+        return True
 
     def __add__(self, other: GaussMatrix) -> GaussMatrix:
         if self.dim != other.dim:
@@ -382,36 +381,35 @@ class GaussMatrix:
         return cls([[parsed[e] for e in row] for row in rows])
 
 
-def _product_rows(a: GaussMatrix, b: GaussMatrix):
-    """a * b as integer numerators: (den, rows), den the product of the
-    operands' denominators and rows a generator of each row's
-    {column: (re, im)} sums, the entry being (re + im*i) / den; a sum may
-    cancel to (0, 0)."""
+def _same_dim(a: GaussMatrix, b: GaussMatrix) -> None:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"cannot multiply dims {a.dim} and {b.dim}")
-    brows = b.num
-
-    def rows():
-        for arow in a.num:
-            acc: dict[int, tuple[int, int]] = {}
-            for k, ar, ai in arow:
-                for j, br, bi in brows[k]:
-                    old = acc.get(j, (0, 0))
-                    acc[j] = (old[0] + ar * br - ai * bi, old[1] + ar * bi + ai * br)
-            yield acc
-
-    return a.den * b.den, rows()
 
 
-def _scaled(acc: dict, factor: int) -> dict:
-    """A row of numerator sums times `factor`, cancelled entries dropped."""
-    return {j: (re * factor, im * factor) for j, (re, im) in acc.items() if re or im}
+def _row_times(arow: tuple, brows: tuple, f: int) -> dict:
+    """f * arow times the rows `brows` as {column: (re, im)} numerator
+    sums, those that cancel dropped. A row with one entry, as in a signed
+    monomial matrix, scales one row of `brows` and sums nothing; nothing
+    cancels, as Gaussian integers have no zero divisors and f != 0."""
+    acc: dict[int, tuple[int, int]] = {}
+    if len(arow) == 1:
+        k, ar, ai = arow[0]
+        ar, ai = ar * f, ai * f
+        for j, br, bi in brows[k]:
+            acc[j] = (ar * br - ai * bi, ar * bi + ai * br)
+        return acc
+    for k, ar, ai in arow:
+        ar, ai = ar * f, ai * f
+        for j, br, bi in brows[k]:
+            re, im = acc.get(j, (0, 0))
+            acc[j] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+    return {j: c for j, c in acc.items() if c[0] or c[1]}
 
 
 def _canonical_row(acc: dict) -> tuple:
     """A row of numerator sums as (column, re, im) triples, columns
     increasing, cancelled entries dropped."""
-    return tuple((j, re, im) for j, (re, im) in sorted(acc.items()) if re or im)
+    return tuple([(j, re, im) for j, (re, im) in sorted(acc.items()) if re or im])
 
 
 def kron(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:

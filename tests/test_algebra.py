@@ -11,8 +11,10 @@ from clifcpt.algebra import (
     Multivector,
     OddDimensionError,
     SignatureMismatchError,
+    _swap_parity,
     blade_product,
     blade_square_sign,
+    blades_commute,
     grade,
     involution_via_omega_check,
     random_multivector,
@@ -183,6 +185,56 @@ def test_blade_product_matches_per_bit_reference():
             for x in range(1 << n):
                 for y in range(1 << n):
                     assert blade_product(x, y, sig) == _blade_product_per_bit(x, y, sig)
+
+
+def _inversion_parity(x, y, neg):
+    """Brute force: the pairs (i in x, j in y) with i > j, plus the shared
+    indices in neg, mod 2."""
+    xs = [i for i in range(x.bit_length()) if x >> i & 1]
+    ys = [j for j in range(y.bit_length()) if y >> j & 1]
+    return (sum(i > j for i in xs for j in ys) + (x & y & neg).bit_count()) % 2
+
+
+def _mask_pairs():
+    """(n, x, y) for every mask pair with n <= 6, then a seeded n = 12 sample."""
+    for n in range(7):
+        for x in range(1 << n):
+            for y in range(1 << n):
+                yield n, x, y
+    rng = random.Random(12)
+    for _ in range(3000):
+        yield 12, rng.randrange(1 << 12), rng.randrange(1 << 12)
+
+
+def test_swap_parity_closed_form_matches_inversion_count():
+    for n, x, y in _mask_pairs():
+        full = (1 << n) - 1
+        for neg in (0, full, 0b101010101010 & full):
+            assert _swap_parity(x, y, neg) == _inversion_parity(x, y, neg), (x, y, neg)
+
+
+def test_square_and_commutation_closed_forms_match_blade_product():
+    # neg masks 0, all and the upper half, as in Cl(n,0), Cl(0,n) and a
+    # mixed signature.
+    for n, x, y in _mask_pairs():
+        half = n // 2
+        for sig in (MetricSignature(n, 0), MetricSignature(0, n), MetricSignature(half, n - half)):
+            assert blade_square_sign(x, sig) == blade_product(x, x, sig)[0], (x, sig)
+            xy, yx = blade_product(x, y, sig)[0], blade_product(y, x, sig)[0]
+            assert blades_commute(x, y, sig) == (xy == yx), (x, y, sig)
+
+
+def test_blade_signs_reject_masks_out_of_range():
+    for call in (
+        lambda: blade_product(16, 1, CL13),
+        lambda: blade_product(1, -1, CL13),
+        lambda: blade_square_sign(16, CL13),
+        lambda: blade_square_sign(-1, CL13),
+        lambda: blades_commute(1, 16, CL13),
+        lambda: blades_commute(-2, 1, CL13),
+    ):
+        with pytest.raises(ValueError, match="out of range"):
+            call()
 
 
 # --- reference: sparse blade -> GaussRational dicts ---------------------------

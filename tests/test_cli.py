@@ -653,6 +653,72 @@ def test_verify_census_fails_when_minus_count_counts_plus_signs(capsys, monkeypa
     assert "signature-census (" in out and "admits 64 non-forms, such as (+,+,+,+,+,+,-)" in out
 
 
+def test_verify_fails_when_blade_commutation_is_off_by_one(capsys, monkeypatch):
+    from clifcpt import classify
+
+    # An exponent of |x| |y| + |x & y| + 1 swaps commuting and
+    # anticommuting blades in the idempotent search. Only
+    # arithmetic-classification fails: its maximality oracle finds a
+    # blade that splits the f of Cl(1,1).
+    raw = classify.blades_commute
+    monkeypatch.setattr(classify, "blades_commute", lambda x, y, sig: not raw(x, y, sig))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "4"], capsys)
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL [coverings] arithmetic-classification (")
+    assert failed[0].endswith("Cl(1,1): e{1,2} splits f")
+
+
+def test_verify_fails_when_blade_signs_drop_the_metric(capsys, monkeypatch):
+    from clifcpt import algebra
+
+    # Multivector products and `blade_product` then read every generator
+    # as squaring to +1, while the closed-form square and commutation
+    # signs keep the metric.
+    raw = algebra._swap_parity
+    monkeypatch.setattr(algebra, "_swap_parity", lambda x, y, neg_mask: raw(x, y, 0))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "4"], capsys)
+    failed = {line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")}
+    assert code == 1
+    assert failed == {
+        "FAIL [automorphisms] volume-element-conjugation",
+        "FAIL [theorems] predictor-vs-computation",
+        "FAIL [theorems] intertwining-conditions",
+        "FAIL [groups] dirac-extended-set",
+        "FAIL [coverings] arithmetic-classification",
+    }
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Sets and dicts of masks and matrices must never order an output:
+    # the sweep JSON and the verify report, seconds removed, are the same
+    # bytes under three hash seeds.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+    def run(seed, *argv):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "clifcpt.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return re.sub(r" \(\d+\.\d+s\)", "", proc.stdout)
+
+    seen = set()
+    for seed in ("0", "1", "12345"):
+        out = tmp_path / f"sweep-{seed}.json"
+        run(seed, "sweep", "--max-dim", "6", "--jobs", "1", "--out", str(out))
+        report = run(seed, "verify", "--suite", "all", "--max-dim", "4")
+        seen.add((out.read_bytes(), report))
+    assert len(seen) == 1
+
+
 def test_out_of_range_inputs_exit_2(capsys):
     for argv in (
         ["classify", "--p", "20", "--q", "20"],

@@ -306,10 +306,84 @@ def test_every_result_is_stored_in_lowest_terms():
 
 
 def test_dimension_mismatch_errors():
-    with pytest.raises(DimensionMismatchError):
-        GaussMatrix.identity(2) * GaussMatrix.identity(3)
+    two, three = GaussMatrix.identity(2), GaussMatrix.identity(3)
+    with pytest.raises(DimensionMismatchError, match="cannot multiply dims 2 and 3"):
+        two * three
     with pytest.raises(DimensionMismatchError):
         GaussMatrix([[1, 2, 3], [4, 5, 6]])
+    # A comparison raises when either of its products would, and products
+    # of two different dims compare unequal.
+    with pytest.raises(DimensionMismatchError):
+        two.product_signed_eq(three, two, two, 1)
+    with pytest.raises(DimensionMismatchError):
+        two.product_signed_eq(two, two, three, -1)
+    assert two.product_signed_eq(two, three, three, 1) is False
+    assert three.product_signed_eq(three, two, two, -1) is False
+
+
+def _gm(rows):
+    """A matrix from rows of ints, "a/b" strings and (re, im) pairs."""
+
+    def entry(e):
+        parts = e if isinstance(e, tuple) else (e,)
+        return GaussRational(*map(Fraction, parts))
+
+    return GaussMatrix([[entry(e) for e in row] for row in rows])
+
+
+# Row 0 has one entry, row 1 three, row 2 none and row 3 one imaginary one.
+MIXED = [[0, 0, "2", 0], ["1/2", (0, 1), 0, -3], [0] * 4, [0, 0, 0, (1, -2)]]
+DENSE = [[(1, 1), 2, "-1/3", 0], [1, 0, (0, -1), 5], [3, "1/5", 1, 1], [0, (2, 3), 0, 1]]
+# Monomial rows whose single entries carry imaginary parts.
+MONO = [[0, (0, 2), 0, 0], [(3, -1), 0, 0, 0], [0, 0, 0, (0, "-1/2")], [0, 0, -1, 0]]
+# In ONES * CANCEL, row 0 cancels to zero in columns 0 and 1 but not 2,
+# and row 1 cancels to zero throughout.
+ONES = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
+CANCEL = [[1, 2, 1, 0], [-1, -2, 1, 0], [1, 2, -1, 0], [0, 0, 0, (0, 1)]]
+
+
+def test_row_kernel_against_literal_products():
+    mats = [_gm(rows) for rows in (MIXED, DENSE, MONO, ONES, CANCEL)]
+    for a in mats:
+        for b in mats:
+            _assert_matches(a * b, _reference_mul(a, b))
+    row0, row1, _, _ = (_gm(ONES) * _gm(CANCEL)).num
+    assert [j for j, _, _ in row0] == [2] and row1 == ()
+
+
+def _literal_signed_eq(a, b, c, d, sign):
+    want = _reference_mul(c, d)
+    return _reference_mul(a, b) == (want if sign > 0 else want.scale(-1))
+
+
+def test_product_signed_eq_against_literal_products():
+    mixed, dense, mono = _gm(MIXED), _gm(DENSE), _gm(MONO)
+    ones, cancel = _gm(ONES), _gm(CANCEL)
+    bumped = [list(r) for r in dense.scale(-3).rows]
+    bumped[1][2] += 1
+    quads = [
+        (mixed, dense, mixed, dense),
+        (mono, dense, mono, dense),
+        (ones, cancel, ones, cancel),
+        (ones, cancel, ones.scale(-1), cancel),
+        # The cancelled entries of ones * cancel against no entries at all.
+        (ones, cancel, _reference_mul(ones, cancel), GaussMatrix.identity(4)),
+        # Unequal denominators, the right side -1 times the left: the
+        # factors 1/3 and -3, and -1/7 and 7, spread over c and d.
+        (mixed, dense, mixed.scale(Fraction(1, 3)), dense.scale(-3)),
+        (mono.scale(Fraction(-1, 7)), dense, mono.scale(-1), dense.scale(Fraction(-1, 7))),
+        (mono, mixed.scale(Fraction(2, 5)), mono.scale(-2), mixed.scale(Fraction(1, 5))),
+        # A near miss: one entry of d changed.
+        (mixed, dense, mixed.scale(Fraction(1, 3)), GaussMatrix(bumped)),
+        (mono, mono, mono, mono.scale(-1)),
+    ]
+    seen = set()
+    for a, b, c, d in quads:
+        for sign in (1, -1):
+            got = a.product_signed_eq(b, c, d, sign)
+            assert got == _literal_signed_eq(a, b, c, d, sign)
+            seen.add((got, sign))
+    assert seen == {(True, 1), (True, -1), (False, 1), (False, -1)}
 
 
 def test_matrix_string_roundtrip():
