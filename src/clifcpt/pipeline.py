@@ -9,6 +9,8 @@ predictor-versus-computation comparison.
 from __future__ import annotations
 
 import json
+import os
+import sys
 
 from . import covering, fingroup
 from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
@@ -314,6 +316,70 @@ def cayley_for(p: int, q: int, set_name: str, basis_spec: str = "canonical"):
 # --- sweep ------------------------------------------------------------------
 
 
+def fan_out(fn, shares: list) -> list:
+    """[fn(s) for s in shares], with the first share run in this process
+    and each other one in a forked child.
+
+    A child pickles (ok, result or exception) into a pipe and always ends
+    with os._exit, so it runs no exit handler and flushes no inherited
+    buffer. A child's exception is raised again here with its type and
+    message; a child that ends without a result raises RuntimeError. Every
+    child is reaped, also when this process's own share raises. Forking is
+    only safe in a process without threads, as every clifcpt command is.
+    Where os.fork does not exist, the shares run here one after another.
+    """
+    if len(shares) < 2 or not hasattr(os, "fork"):
+        return [fn(s) for s in shares]
+    # Imported here: only a fan-out over two or more shares uses it.
+    import pickle
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                try:
+                    os.close(r)
+                    for _, fd in children:
+                        os.close(fd)
+                    try:
+                        payload = pickle.dumps((True, fn(share)))
+                    except BaseException as exc:
+                        payload = pickle.dumps((False, exc))
+                    with open(w, "wb") as pipe:
+                        pipe.write(payload)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        results = [fn(shares[0])]
+        for pid, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"worker process {pid} ended without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        # Read ends first: a child blocked on a full pipe ends only when
+        # its reader is gone.
+        for _, fd in children:
+            os.close(fd)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
 def _sweep_cell(args) -> dict:
     p, q, field = args
     if field == REAL and (p + q) % 2 == 1:
@@ -326,6 +392,8 @@ def sweep(max_dim: int, field: str = REAL, jobs: int = 1) -> dict:
 
     Each cell is classified once: an odd real cell takes the summaries of
     its even reduction targets from the even cells of the same sweep.
+    With jobs > 1, share k of the cells is every jobs-th cell from the
+    k-th, so that each share takes cells of every dimension.
     """
     if not 0 <= max_dim <= MAX_DIM:
         raise ValueError(f"max_dim must be between 0 and {MAX_DIM}")
@@ -336,17 +404,10 @@ def sweep(max_dim: int, field: str = REAL, jobs: int = 1) -> dict:
             (p, n - p, REAL) for n in range(0, max_dim + 1) for p in range(n, -1, -1)
         ]
         tasks.sort(key=lambda t: (t[0] + t[1], t[0]))
-    if jobs > 1:
-        # Imported here: loading multiprocessing slows the start of every
-        # command, and only a sweep with jobs > 1 uses it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # A forking pool starts all its workers at the first submit, so
-        # never ask for more than there are cells.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            cells = list(pool.map(_sweep_cell, tasks))
-    else:
-        cells = [_sweep_cell(t) for t in tasks]
+    jobs = max(1, min(jobs, len(tasks)))
+    shares = [tasks[k::jobs] for k in range(jobs)]
+    parts = fan_out(lambda share: [_sweep_cell(t) for t in share], shares)
+    cells = [cell for part in parts for cell in part]
     cells.sort(key=lambda c: (c["n"], c["p"]))
     matrix_cells = {(c["p"], c["q"]): c for c in cells if c["status"] == "matrix"}
     for cell in cells:

@@ -48,7 +48,7 @@ from .goldens import (
     WIGNER_CPT_TABLE,
     signed_cells,
 )
-from .pipeline import ext_reps, predictor_analysis, wigner_reps
+from .pipeline import ext_reps, fan_out, predictor_analysis, wigner_reps
 from .spinrep import SpinBasis, build_spinbasis, preset_spinbasis, product_over
 
 _SEED = 20260810
@@ -125,10 +125,11 @@ def _tableau(rng: random.Random, k: int) -> None:
     maps = [bits + (0,) * (3 - k) for bits in iterproduct((0, 1), repeat=k)]
     for _ in range(100):
         a = random_multivector(sig, rng, allow_complex_coeffs=True)
+        images = {bits: _apply(bits, a) for bits in maps}
         for b1 in maps:
             for b2 in maps:
                 composed = tuple(x ^ y for x, y in zip(b1, b2))
-                assert _apply(b1, _apply(b2, a)) == _apply(composed, a)
+                assert _apply(b1, images[b2]) == images[composed]
 
 
 def suite_automorphisms(max_dim: int, realizations: dict | None = None) -> list[CheckResult]:
@@ -141,20 +142,26 @@ def suite_automorphisms(max_dim: int, realizations: dict | None = None) -> list[
         count = 0
         for sig in _real_sigs(max_dim):
             samples = [random_multivector(sig, rng, allow_complex_coeffs=True) for _ in range(100)]
+            # Each sample with its grade involution, reversion, conjugation
+            # and complex conjugation.
+            images = []
             for a in samples:
-                assert a.grade_involution().grade_involution() == a
-                assert a.reversion().reversion() == a
-                assert a.conjugation().conjugation() == a
-                assert a.complex_conjugation().complex_conjugation() == a
-                assert a.reversion().grade_involution() == a.grade_involution().reversion()
-                assert a.conjugation() == a.reversion().grade_involution()
-            for i in range(0, len(samples) - 1, 2):
-                a, b = samples[i], samples[i + 1]
+                g, r, c, k = a.grade_involution(), a.reversion(), a.conjugation(), a.complex_conjugation()
+                assert g.grade_involution() == a
+                assert r.reversion() == a
+                assert c.conjugation() == a
+                assert k.complex_conjugation() == a
+                rg = r.grade_involution()
+                assert rg == g.reversion()
+                assert c == rg
+                images.append((a, g, r, c, k))
+            for i in range(0, len(images) - 1, 2):
+                (a, ga, ra, ca, ka), (b, gb, rb, cb, kb) = images[i], images[i + 1]
                 ab = a * b
-                assert ab.grade_involution() == a.grade_involution() * b.grade_involution()
-                assert ab.reversion() == b.reversion() * a.reversion()
-                assert ab.conjugation() == b.conjugation() * a.conjugation()
-                assert ab.complex_conjugation() == a.complex_conjugation() * b.complex_conjugation()
+                assert ab.grade_involution() == ga * gb
+                assert ab.reversion() == rb * ra
+                assert ab.conjugation() == cb * ca
+                assert ab.complex_conjugation() == ka * kb
                 count += 1
         return f"{count} random product pairs across p+q <= {max_dim}"
 
@@ -559,19 +566,13 @@ def run_suites(names, max_dim: int = 8, jobs: int = 1) -> list[CheckResult]:
 
     The suites that read realizations share one table; `automorphisms`
     reads none. With jobs > 1 and both kinds present, `automorphisms` runs
-    in one worker process while this process runs the others.
+    in one forked child while this process runs the others.
     """
     shared = [n for n in names if n != "automorphisms"]
     auto = [n for n in names if n == "automorphisms"]
     if jobs > 1 and shared and auto:
-        # Imported here: loading multiprocessing slows the start of every
-        # command, and only a verify that runs both kinds uses it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            worker = pool.submit(_run_group, auto, max_dim)
-            by_suite = _run_group(shared, max_dim)
-            by_suite.update(worker.result())
+        groups = fan_out(lambda group: _run_group(group, max_dim), [shared, auto])
+        by_suite = {**groups[0], **groups[1]}
     else:
         by_suite = _run_group(names, max_dim)
     return [r for name in names for r in by_suite[name]]

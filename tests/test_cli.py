@@ -30,34 +30,20 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
-def _inline_pool(monkeypatch):
-    """Replace ProcessPoolExecutor with a pool that runs each task in this
-    process, passing the task and its result through pickle as a worker
-    would; returns the list of names each task was submitted with."""
-    import concurrent.futures
-    import pickle
+def _record_fan_out(monkeypatch):
+    """Record the shares that verify's fan_out sends to forked children;
+    the shares still run, in real children. Returns the list of them."""
+    from clifcpt import pipeline
+    from clifcpt import verify as vf
 
-    submitted = []
+    sent = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            pass
+    def recording(fn, shares):
+        sent.extend(shares[1:])
+        return pipeline.fan_out(fn, shares)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fn, args = pickle.loads(pickle.dumps((fn, args)))
-            submitted.append(args[0])
-            future = concurrent.futures.Future()
-            future.set_result(pickle.loads(pickle.dumps(fn(*args))))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return submitted
+    monkeypatch.setattr(vf, "fan_out", recording)
+    return sent
 
 
 def test_classify_dirac_json(capsys):
@@ -491,12 +477,21 @@ def test_console_entry_point():
     assert doc["ring"] == "H"
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    code = (
-        "import sys, clifcpt.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+def test_import_leaves_the_process_pool_unloaded(tmp_path):
+    report = (
+        "sys.stderr.write(repr(sorted(m for m in sys.modules "
+        "if m.startswith(('concurrent', 'multiprocessing')))) + '\\n')"
     )
-    assert _fresh_python("-c", code).stdout.strip() == "[]"
+    # A sweep and a verify that both fork workers load no pool either.
+    out = tmp_path / "atlas.json"
+    work = (
+        "clifcpt.cli._usable_cores = lambda: 2; "
+        f"clifcpt.cli.main(['sweep', '--max-dim', '4', '--jobs', '2', '--out', {str(out)!r}]); "
+        "clifcpt.cli.main(['verify', '--max-dim', '2'])"
+    )
+    for code in ("import sys, clifcpt.cli", f"import sys, clifcpt.cli; {work}"):
+        assert _fresh_python("-c", f"{code}; {report}").stderr == "[]\n"
+    assert json.loads(out.read_text())["summary"]["cells"] == 15
 
 
 def test_classify_leaves_verify_and_dataclasses_unloaded():
@@ -578,11 +573,12 @@ def test_verify_exit_1_on_failing_check(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out and "forced failure" in out
     monkeypatch.undo()
-    # On two cores automorphisms runs in the worker, coverings in this process.
+    # On two cores automorphisms runs in a forked child, coverings in this
+    # process; the patched suite reaches the child through the fork.
     for suite in ("automorphisms", "coverings"):
         for cores in (1, 2):
             with monkeypatch.context() as m:
-                submitted = _inline_pool(m)
+                submitted = _record_fan_out(m)
                 m.setattr(cli, "_usable_cores", lambda: cores)
                 m.setitem(vf._SUITES, suite, lambda max_dim, table: [
                     CheckResult(suite, "stub", False, "forced failure", 0.0)
@@ -736,7 +732,7 @@ def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
     from clifcpt.autmat import ConditionError
 
     # (verify attribute to break, the check that then raises); on two
-    # cores the automorphisms check raises in the worker.
+    # cores the automorphisms check raises in the forked child.
     cases = (
         ("census_64", "[groups] signature-census"),
         ("involution_via_omega_check", "[automorphisms] volume-element-conjugation"),
@@ -749,7 +745,7 @@ def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
                 raise ConditionError(f"{attr} unavailable")
 
             with monkeypatch.context() as m:
-                submitted = _inline_pool(m)
+                submitted = _record_fan_out(m)
                 m.setattr(cli, "_usable_cores", lambda: cores)
                 m.setattr(vf, attr, broken)
                 code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "2"], capsys)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from clifcpt import autmat, fingroup, pipeline, verify
 from clifcpt.algebra import Multivector
 from clifcpt.exact import GaussMatrix
@@ -21,30 +23,106 @@ def test_sweep_reuses_even_cells_and_ignores_jobs():
 
 
 def test_sweep_pool_never_exceeds_cell_count(monkeypatch):
-    import concurrent.futures
-
     requested = []
+    real = pipeline.fan_out
 
-    class RecordingPool:
-        # Runs the cells in this process: the test starts no worker.
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def recording(fn, shares):
+        requested.append(len(shares))
+        return real(fn, shares)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeline, "fan_out", recording)
     small = sweep(1, "real", jobs=64)  # three cells
     assert requested == [3]
     assert to_json(small) == to_json(sweep(1, "real", jobs=1))
     sweep(2, "real", jobs=2)  # six cells
-    assert requested == [3, 2]
+    assert requested == [3, 1, 2]
+
+
+def test_sweep_fault_in_either_share_reports_as_in_one_process(tmp_path, capsys, monkeypatch):
+    from clifcpt.cli import main
+
+    # At d = 4 with two jobs, Cl(1,3) falls in the forked child's share
+    # and Cl(2,2) in this process's.
+    real = autmat.check
+    for cell in ((1, 3), (2, 2)):
+
+        def broken(name, m, basis, cell=cell):
+            if (basis.sig.p, basis.sig.q) == cell:
+                return [f"{name} broken on Cl{cell}"]
+            return real(name, m, basis)
+
+        monkeypatch.setattr(autmat, "check", broken)
+        runs = []
+        for jobs in ("1", "2"):
+            argv = ["sweep", "--max-dim", "4", "--jobs", jobs, "--out", str(tmp_path / "a.json")]
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0] == (1, "", f"verification failure: W broken on Cl{cell}\n")
+        assert not (tmp_path / "a.json").exists()
+
+
+def test_fan_out_raises_for_a_child_that_ends_without_a_result():
+    with pytest.raises(RuntimeError, match=r"^worker process \d+ ended without a result$") as info:
+        pipeline.fan_out(lambda s: os._exit(3) if s else s, [0, 1])
+    pid = int(info.value.args[0].split()[2])
+    with pytest.raises(ChildProcessError):  # already reaped
+        os.waitpid(pid, os.WNOHANG)
+
+
+def _fresh(code: str) -> str:
+    """The stdout of `code` run in a new interpreter, whose stdout is a
+    block-buffered pipe."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_fan_out_reaps_every_child_when_its_own_share_raises():
+    # The children's results overfill their pipes, so they end only once
+    # their read ends are closed; a wait before that close never returns.
+    code = """
+import os
+from clifcpt.pipeline import fan_out
+
+def work(share):
+    if share == 0:
+        raise ValueError("own share")
+    return b"x" * (1 << 20)
+
+try:
+    fan_out(work, [0, 1, 2])
+except ValueError as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+    assert _fresh(code) == "own share\nno child left\n"
+
+
+def test_fan_out_flushes_stdout_before_it_forks():
+    # A child that flushes its copy of an unflushed buffer would print it twice.
+    code = """
+import sys
+from clifcpt.pipeline import fan_out, sweep
+
+sys.stdout.write("marker\\n")
+sweep(4, jobs=2)
+sys.stdout.write("second\\n")
+fan_out(lambda share: sys.stdout.flush(), [0, 1])
+"""
+    assert _fresh(code) == "marker\nsecond\n"
+
+
+def test_fan_out_runs_in_process_without_fork(monkeypatch):
+    serial = to_json(sweep(4, "real", jobs=1))
+    monkeypatch.delattr(os, "fork")
+    assert to_json(sweep(4, "real", jobs=2)) == serial
+    assert pipeline.fan_out(lambda share: os.getpid(), [0, 1]) == [os.getpid()] * 2
 
 
 def test_a_flipped_closure_sign_breaks_label_consistency(monkeypatch):
