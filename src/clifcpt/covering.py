@@ -61,11 +61,12 @@ def _square(a: int, neg: int) -> int:
 def choice_candidates(prof: BasisProfile) -> dict[str, tuple[tuple[int, str], ...]]:
     """The two candidate (mask, choice) pairs of E and of Pi: E from the
     antisymmetric or the symmetric generators, Pi from the imaginary ones
-    (the identity when there are none) or the real ones."""
+    (the identity when there are none) or the real ones. Each choice is
+    named as `choiceE` and `choicePi` name it in the artifacts."""
     imag = prof.mask(real=False)
     return {
-        "E": ((prof.mask(sym=False), "skew_product"), (prof.sym_mask, "sym_product")),
-        "Pi": ((imag, "complex_product" if imag else "identity"), (prof.real_mask, "real_product")),
+        "E": ((prof.mask(sym=False), "skew"), (prof.sym_mask, "sym")),
+        "Pi": ((imag, "complex" if imag else "identity"), (prof.real_mask, "real")),
     }
 
 

@@ -6,6 +6,7 @@ so objects can be shared freely across threads and processes.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -26,7 +27,7 @@ class GaussRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Fraction | int | str = 0, im: Fraction | int | str = 0):
+    def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
         self.re = Fraction(re)
         self.im = Fraction(im)
 
@@ -133,34 +134,33 @@ def format_gauss(z: GaussRational) -> str:
     return "".join(parts)
 
 
+# format_gauss's grammar: a real part [+-]D, an imaginary part [+-][D[*]]i,
+# or both, D digits or digits/digits. A real part ends at the end of the
+# text or at the imaginary part's sign.
+_D = r"([0-9]+)(?:/([0-9]+))?"
+_LITERAL = re.compile(rf"(?:([+-]?){_D}(?=[+-]|$))?(?:([+-]?)(?:{_D}\*?)?(i))?")
+
+
+def _part(sign: str, num: str | None, den: str | None) -> Fraction:
+    value = Fraction(int(num or 1), int(den or 1))
+    return -value if sign == "-" else value
+
+
 def parse_gauss(text: str) -> GaussRational:
-    """Parse the canonical text form produced by :func:`format_gauss`."""
+    """Parse the canonical text form produced by :func:`format_gauss`, with
+    white space allowed anywhere. A value has no more digits than its literal."""
     if not isinstance(text, str):
         raise TypeError(f"GaussRational literal must be a string, not {type(text).__name__}")
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty GaussRational literal")
+    m = _LITERAL.fullmatch("".join(text.split()))
+    if m is None or not any(m.groups()):
+        raise ValueError(f"malformed GaussRational literal {text!r}")
+    re_sign, re_num, re_den, im_sign, im_num, im_den, unit = m.groups()
     try:
-        if not s.endswith("i"):
-            return GaussRational(Fraction(s))
-        body = s[:-1]
-        if body.endswith("*"):
-            body = body[:-1]
-        # Split off a leading real part at the last sign that is not part of
-        # a numerator sign or fraction bar.
-        re_part, im_part = "", body
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "+-*/":
-                re_part, im_part = body[:pos], body[pos:]
-                break
-        if im_part in ("", "+", "-"):
-            im = Fraction(im_part + "1")
-        else:
-            im = Fraction(im_part)
-        re = Fraction(re_part) if re_part else Fraction(0)
-        return GaussRational(re, im)
+        re_part = _part(re_sign, re_num, re_den) if re_num else Fraction(0)
+        im_part = _part(im_sign, im_num, im_den) if unit else Fraction(0)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in GaussRational literal {text!r}") from None
+    return _exact(re_part, im_part)
 
 
 def gauss_parts(c: Scalarish) -> tuple[int, int, int]:

@@ -20,9 +20,6 @@ from .exact import GaussMatrix
 from .fingroup import cayley_table, classify_form, minus_count, polarization, sig_str
 from .spinrep import SpinBasis, build_spinbasis, load_spinbasis, preset_spinbasis
 
-_CHOICE_E_JSON = {"skew_product": "skew", "sym_product": "sym"}
-_CHOICE_PI_JSON = {"complex_product": "complex", "real_product": "real", "identity": "identity"}
-
 SWEEP_CSV_COLUMNS = [
     "p",
     "q",
@@ -115,8 +112,8 @@ def realization_record(r: Realization) -> dict:
     abstract = fingroup.identify_abstract(r.group)
     predictor = predictor_analysis(r)
     return {
-        "choiceE": _CHOICE_E_JSON[r.predicted.choice_e],
-        "choicePi": _CHOICE_PI_JSON[r.predicted.choice_pi],
+        "choiceE": r.predicted.choice_e,
+        "choicePi": r.predicted.choice_pi,
         "signature": sig_str(r.signature),
         "squares": dict(zip(ELEMENT_NAMES[1:], r.signature)),
         "commute": [list(row) for row in r.commutation],

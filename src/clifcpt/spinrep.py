@@ -349,8 +349,9 @@ def load_spinbasis(path: str, expect: MetricSignature | None = None) -> SpinBasi
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: JSON nested deeper than the decoder can follow.
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer past the int-digit
+        # limit. RecursionError: nested deeper than the decoder can follow.
         raise SpinBasisFileError(f"cannot read spin basis file {path}: {exc}") from exc
     try:
         p, q = data["p"], data["q"]

@@ -576,21 +576,3 @@ def run_suites(names, max_dim: int = 8, jobs: int = 1) -> list[CheckResult]:
     else:
         by_suite = _run_group(names, max_dim)
     return [r for name in names for r in by_suite[name]]
-
-
-def report_dict(results: list[CheckResult]) -> dict:
-    return {
-        "checks": [
-            {
-                "suite": r.suite,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "seconds": round(r.seconds, 4),
-            }
-            for r in results
-        ],
-        "passed": all(r.passed for r in results),
-        "total": len(results),
-        "failures": sum(1 for r in results if not r.passed),
-    }

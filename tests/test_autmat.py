@@ -12,7 +12,7 @@ from clifcpt.autmat import (
     realize,
 )
 from clifcpt.covering import choice_candidates
-from clifcpt.exact import GaussMatrix
+from clifcpt.exact import I_UNIT, GaussMatrix
 from clifcpt.fingroup import minus_count, sig_str
 from clifcpt.spinrep import (
     CertificationError,
@@ -141,7 +141,7 @@ def test_cl11_tower_products():
     assert (w * w).pm_identity() == 1
     r = realize(basis)
     choice = r.predicted.choice_e
-    assert (r.masks["E"], choice) == _only_survivor(basis, "E") == (0b01, "sym_product")
+    assert (r.masks["E"], choice) == _only_survivor(basis, "E") == (0b01, "sym")
 
 
 def test_cl20_e_is_identity_and_c_is_w_transpose():
@@ -150,7 +150,7 @@ def test_cl20_e_is_identity_and_c_is_w_transpose():
     assert (w * w).pm_identity() == -1
     r = realize(basis)
     pred = r.predicted
-    assert (r.masks["E"], pred.choice_e) == _only_survivor(basis, "E") == (0, "skew_product")
+    assert (r.masks["E"], pred.choice_e) == _only_survivor(basis, "E") == (0, "skew")
     e = product_over(basis, 0)
     assert e == GaussMatrix.identity(2)
     assert r.matrix("C") == e * w.transpose() == w.transpose()
@@ -169,7 +169,7 @@ def test_complex_c2_e_choice_by_direct_check():
     mask, choice = r.masks["E"], r.predicted.choice_e
     assert (mask, choice) == _only_survivor(basis, "E")
     # k = 1 odd, so only the symmetric product intertwines: E = generator 1.
-    assert choice == "sym_product"
+    assert choice == "sym"
     assert product_over(basis, mask) == basis.gens[0]
 
 
@@ -333,3 +333,19 @@ def test_blade_realizations_match_dense_reference():
         # keeps the one that meets its condition.
         where = (basis.sig, basis.provenance)
         assert realization_facts(realize(basis)) == dense_realization(basis), where
+
+
+def test_last_positive_generator_times_i_is_a_basis_one_sign_over():
+    # (i g)^2 = -g^2, i g anticommutes with every other generator and has
+    # g's symmetry, and slot p is the last of Cl(p,q)'s positive slots; so
+    # the basis with g_p replaced by i g_p is a basis of Cl(p-1, q+1) whose
+    # slot p changes reality and squares to -I.
+    for n in (2, 4, 6):
+        for p in range(1, n + 1):
+            canonical = build_spinbasis(MetricSignature(p, n - p))
+            gens = list(canonical.gens)
+            gens[p - 1] = gens[p - 1].scale(I_UNIT)
+            basis = SpinBasis(MetricSignature(p - 1, n - p + 1), tuple(gens), "times-i")
+            bit, old = 1 << (p - 1), canonical.profile
+            assert basis.profile == old._replace(real_mask=old.real_mask ^ bit, neg_mask=old.neg_mask | bit)
+            assert realization_facts(realize(basis)) == dense_realization(basis), (p, n - p)

@@ -530,14 +530,6 @@ def test_sweep_complex_field(tmp_path, capsys):
     assert all(c["aut"]["agree"] for c in evens)
 
 
-def test_verify_report_schema():
-    from clifcpt.verify import report_dict, run_suites
-
-    report = report_dict(run_suites(["coverings"], max_dim=4))
-    jsonschema.validate(report, _schema("verify.schema.json"))
-    assert report["passed"] and report["failures"] == 0
-
-
 def test_verify_reads_complex_realizations_from_the_run_table(monkeypatch):
     from clifcpt.algebra import COMPLEX, REAL, MetricSignature
     from clifcpt.autmat import realize
@@ -607,7 +599,7 @@ def test_verify_fails_intertwining_when_the_comparison_accepts_sign_plus(capsys,
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1, failed
     assert failed[0].startswith("FAIL [theorems] intertwining-conditions (")
-    assert failed[0].endswith("preset:dirac Cl(1,3): sym_product also meets E")
+    assert failed[0].endswith("preset:dirac Cl(1,3): sym also meets E")
 
 
 def test_verify_fails_intertwining_when_the_sign_of_w_transpose_flips(capsys, monkeypatch):
@@ -686,6 +678,53 @@ def test_verify_fails_when_blade_signs_drop_the_metric(capsys, monkeypatch):
         "FAIL [groups] dirac-extended-set",
         "FAIL [coverings] arithmetic-classification",
     }
+
+
+def _negated_volume_square(monkeypatch):
+    from clifcpt import covering
+
+    raw = covering.reduce_odd
+
+    def fault(p, q):
+        red = raw(p, q)
+        return red._replace(omega_sq=-red.omega_sq)
+
+    monkeypatch.setattr(covering, "reduce_odd", fault)
+
+
+def _complex_prediction_two_dimensions_up(monkeypatch):
+    from clifcpt import covering
+
+    raw = covering.predict_aut_complex
+    monkeypatch.setattr(covering, "predict_aut_complex", lambda n: raw(n + 2))
+
+
+def _time_reversal_in_the_wrong_order(monkeypatch):
+    from clifcpt import pipeline
+
+    monkeypatch.setitem(pipeline._WIGNER_SLOT_SEQUENCES, "T", (4, 2))
+
+
+@pytest.mark.parametrize(
+    "fault, failed",
+    [
+        (_negated_volume_square, "FAIL [coverings] odd-dimension-reduction"),
+        (
+            _complex_prediction_two_dimensions_up,
+            "FAIL [theorems] complex-automorphism-groups n=0: commutativity vs prediction",
+        ),
+        (_time_reversal_in_the_wrong_order, "FAIL [groups] wigner-reflection-set reflection-set table mismatch"),
+    ],
+)
+def test_verify_fails_exactly_the_check_a_fault_targets(fault, failed, capsys, monkeypatch):
+    # Each fault reaches the pipeline too (odd cells, complex cells, the
+    # cpt-wigner Cayley table), yet only its own check may see it.
+    fault(monkeypatch)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "4"], capsys)
+    assert code == 1
+    lines = [re.sub(r" \(\d+\.\d+s\)", "", line).rstrip() for line in out.splitlines()]
+    assert [line for line in lines if line.startswith("FAIL")] == [failed]
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
@@ -882,6 +921,24 @@ def test_undecodable_basis_files_exit_2(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read spin basis file {path}: ")
         assert reason in err
+
+
+def test_basis_file_entries_outside_the_written_grammar_exit_2(tmp_path, capsys):
+    sigma3 = [["1", "0"], ["0", "-1"]]
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({"p": 2, "q": 0, "generators": [[["0", "1e300000"], ["1", "0"]], sigma3]}))
+    code, out, err = run_cli(["classify", "--p", "2", "--q", "0", "--basis", f"file:{path}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed spin basis file {path}: malformed GaussRational literal '1e300000'\n"
+
+
+def test_basis_file_with_an_over_long_integer_exits_2(tmp_path, capsys):
+    # The JSON decoder raises a plain ValueError past the int-digit limit.
+    path = tmp_path / "long-p.json"
+    path.write_text('{"p": ' + "1" * 5000 + ', "q": 0, "generators": []}')
+    code, out, err = run_cli(["classify", "--p", "1", "--q", "1", "--basis", f"file:{path}"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read spin basis file {path}: ")
 
 
 def test_basis_file_with_huge_n_fails_certification(tmp_path):

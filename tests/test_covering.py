@@ -64,14 +64,14 @@ def test_predict_realization_on_quaternionic_profiles():
     # Dirac census: slots 2 and 4 real antisymmetric, 1 real symmetric,
     # 3 imaginary symmetric; E is the even skew product.
     pred = predict_realization(preset_spinbasis("dirac").profile)
-    assert (pred.choice_e, pred.choice_pi) == ("skew_product", "real_product")
+    assert (pred.choice_e, pred.choice_pi) == ("skew", "real")
     assert _aut(pred) == ((-1, -1, 1), True)
     assert classify_form(pred.signature[:3]).label == "Z4"
 
     # Cl(4,0) from two real symmetric and two imaginary antisymmetric
     # generators, all squaring to +I.
     pred = predict_realization(_profile([(True, True)] * 2 + [(False, False)] * 2))
-    assert (pred.choice_e, pred.choice_pi) == ("skew_product", "complex_product")
+    assert (pred.choice_e, pred.choice_pi) == ("skew", "complex")
     assert pred.masks["E"] == pred.masks["Pi"] == 0b1100
     assert _aut(pred) == ((1, -1, -1), True)
 
@@ -91,15 +91,15 @@ def test_predict_aut_complex():
 
 def test_predict_pi_square():
     dirac = predict_realization(preset_spinbasis("dirac").profile)
-    assert (dirac.choice_pi, dirac.masks["Pi"], dirac.signature[3]) == ("real_product", 0b1011, -1)
+    assert (dirac.choice_pi, dirac.masks["Pi"], dirac.signature[3]) == ("real", 0b1011, -1)
     tower = predict_realization(build_spinbasis(MetricSignature(2, 0)).profile)
     assert (tower.choice_pi, tower.masks["Pi"], tower.signature[3]) == ("identity", 0, 1)
     four_imag = predict_realization(_profile([(False, False)] * 4 + [(True, True)] * 2))
-    assert (four_imag.choice_pi, four_imag.signature[3]) == ("complex_product", 1)  # 4 factors
+    assert (four_imag.choice_pi, four_imag.signature[3]) == ("complex", 1)  # 4 factors
     # Cl(1,1) from sigma2 (imaginary antisymmetric, +I) and i sigma1
     # (imaginary symmetric, -I): Pi = g1 g2 squares to -g1^2 g2^2 = +I.
     cl11 = predict_realization(_profile([(False, False), (False, True)]))
-    assert (cl11.choice_pi, cl11.masks["Pi"], cl11.signature[3]) == ("complex_product", 0b11, 1)
+    assert (cl11.choice_pi, cl11.masks["Pi"], cl11.signature[3]) == ("complex", 0b11, 1)
 
 
 def test_square_rule_predictors_on_dirac():

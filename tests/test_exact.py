@@ -50,6 +50,19 @@ def test_scalar_format_and_parse(value, text):
     assert parse_gauss(text) == value
 
 
+def test_parse_gauss_reads_only_the_written_grammar():
+    # Spaces may fall anywhere and "*" may be left out; nothing of
+    # Fraction's own grammar (points, exponents, underscores) is read, so
+    # a value never has more digits than its literal.
+    assert parse_gauss("3i") == GaussRational(0, 3)
+    assert parse_gauss(" 1/2 + 1/2 * i ") == GaussRational(Fraction(1, 2), Fraction(1, 2))
+    for text in ("1e3000000", "1e0", "1.5", "1_000", "*i", "i/2", "1+", "", "i+1", "1/2/3"):
+        with pytest.raises(ValueError, match="malformed GaussRational literal"):
+            parse_gauss(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_gauss("1/0*i")
+
+
 def test_scalar_parse_roundtrip_random():
     rng = random.Random(7)
     for _ in range(300):
