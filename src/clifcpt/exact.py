@@ -272,14 +272,27 @@ class GaussMatrix:
         if not isinstance(other, GaussMatrix):
             return NotImplemented
         _same_dim(self, other)
-        num = tuple(_canonical_row(_row_times(row, other.num, 1)) for row in self.num)
-        return GaussMatrix._make(self.dim, num, self.den * other.den)
+        brows = other.num
+        num = []
+        for row in self.num:
+            if len(row) == 1:
+                # One entry scales one row of other as it stands: its columns
+                # already increase, and nothing cancels, as Gaussian integers
+                # have no zero divisors.
+                ((k, ar, ai),) = row
+                num.append(tuple([(j, ar * br - ai * bi, ar * bi + ai * br) for j, br, bi in brows[k]]))
+            else:
+                num.append(_canonical_row(_row_times(row, brows, 1)))
+        return GaussMatrix._make(self.dim, tuple(num), self.den * other.den)
 
     def product_signed_eq(self, b: GaussMatrix, c: GaussMatrix, d: GaussMatrix, sign: int) -> bool:
         """Whether self * b == sign * (c * d), for sign +1 or -1, forming
         neither product: with g = gcd(lden, rden), x / lden == sign * y / rden
         exactly when x * (rden / g) == y * (sign * lden / g), so rows of
-        numerators formed with those factors are compared until one differs."""
+        numerators formed with those factors are compared until one differs.
+        Where a row of self, the row of b it selects, a row of c and the row
+        of d it selects each hold one entry, the one column and the two
+        scaled parts are compared as they stand."""
         _same_dim(self, b)
         _same_dim(c, d)
         if self.dim != c.dim:
@@ -289,6 +302,20 @@ class GaussMatrix:
         lf, rf = rden // g, sign * (lden // g)
         brows, drows = b.num, d.num
         for arow, crow in zip(self.num, c.num):
+            if len(arow) == len(crow) == 1:
+                ((ka, ar, ai),) = arow
+                ((kc, cr, ci),) = crow
+                brow, drow = brows[ka], drows[kc]
+                if len(brow) == len(drow) == 1:
+                    ((jb, br, bi),) = brow
+                    ((jd, dr, di),) = drow
+                    if (
+                        jb != jd
+                        or lf * (ar * br - ai * bi) != rf * (cr * dr - ci * di)
+                        or lf * (ar * bi + ai * br) != rf * (cr * di + ci * dr)
+                    ):
+                        return False
+                    continue
             if _row_times(arow, brows, lf) != _row_times(crow, drows, rf):
                 return False
         return True
@@ -332,6 +359,9 @@ class GaussMatrix:
         return GaussMatrix._make(self.dim, tuple(map(tuple, cols)), self.den)
 
     def conj(self) -> GaussMatrix:
+        """The entrywise complex conjugate; a real matrix is its own."""
+        if not any(im for row in self.num for _, _, im in row):
+            return self
         num = tuple(tuple((j, re, -im) for j, re, im in row) for row in self.num)
         return GaussMatrix._make(self.dim, num, self.den)
 
@@ -388,16 +418,10 @@ def _same_dim(a: GaussMatrix, b: GaussMatrix) -> None:
 
 def _row_times(arow: tuple, brows: tuple, f: int) -> dict:
     """f * arow times the rows `brows` as {column: (re, im)} numerator
-    sums, those that cancel dropped. A row with one entry, as in a signed
-    monomial matrix, scales one row of `brows` and sums nothing; nothing
-    cancels, as Gaussian integers have no zero divisors and f != 0."""
+    sums, those that cancel dropped. `GaussMatrix.__mul__` and
+    `product_signed_eq` take one-entry rows, as in a signed monomial
+    matrix, past it where they can."""
     acc: dict[int, tuple[int, int]] = {}
-    if len(arow) == 1:
-        k, ar, ai = arow[0]
-        ar, ai = ar * f, ai * f
-        for j, br, bi in brows[k]:
-            acc[j] = (ar * br - ai * bi, ar * bi + ai * br)
-        return acc
     for k, ar, ai in arow:
         ar, ai = ar * f, ai * f
         for j, br, bi in brows[k]:

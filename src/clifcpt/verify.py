@@ -496,16 +496,20 @@ def suite_coverings(max_dim: int, realizations: dict | None = None) -> list[Chec
     out.append(_run("coverings", "cpt-cover-table", cpt_rows))
 
     def odd_reduction():
-        r30 = covering.reduce_odd(3, 0)
-        assert r30.omega_sq == -1 and r30.targets == ((0, 2),)
-        r03 = covering.reduce_odd(0, 3)
-        assert r03.omega_sq == 1 and r03.targets == ((0, 2),)
-        r21 = covering.reduce_odd(2, 1)
-        assert set(r21.targets) == {(2, 0), (1, 1)}
-        assert covering.reduce_odd(1, 0).targets == ((0, 0),)
+        # (p, q) -> the volume element's square and the even targets.
+        expected = {
+            (3, 0): (-1, ((0, 2),)),
+            (0, 3): (1, ((0, 2),)),
+            (2, 1): (1, ((2, 0), (1, 1))),
+            (1, 0): (1, ((0, 0),)),
+        }
+        for (p, q), (omega_sq, targets) in expected.items():
+            red = covering.reduce_odd(p, q)
+            assert red.omega_sq == omega_sq, f"Cl({p},{q}): omega_sq {red.omega_sq:+d}, want {omega_sq:+d}"
+            assert red.targets == targets, f"Cl({p},{q}): targets {red.targets}, want {targets}"
         try:
             covering.reduce_odd(2, 2)
-            raise AssertionError("even input accepted")
+            raise AssertionError("Cl(2,2): even input accepted")
         except ValueError:
             pass
         return "volume-element squares and reduction targets"

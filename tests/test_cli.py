@@ -386,6 +386,9 @@ _PINNED_SHA256 = {
     ("sweep", "--max-dim", "8", "--format", "csv"): "38b729dba29b37a906e9548a5fa94178976c99a2919d23ed5a3cd6d76fa27255",
     ("sweep", "--max-dim", "8", "--format", "md"): "bd49e48ac703f8f83ed581321c0daeee0fb332b7276eda8da48c3ac216d0df68",
     ("sweep", "--field", "complex", "--max-dim", "8", "--format", "json"): "f04edd5f2f86bcd2c1793cfe8063916027d3b637361bdf0103a6325c7a4089f2",
+    # d = 12 runs the matrix kernel at dimension 64.
+    ("sweep", "--max-dim", "12", "--format", "json"): "884b61dca6380af5b063710655443c3aa324640500826f0e3b6c60b2654f4afb",
+    ("sweep", "--field", "complex", "--max-dim", "12", "--format", "json"): "c40b365b233a2489c0d00a5823ff8219a02edeb2d9172dabe612225eb01fb813",
     ("classify", "--format", "json"): "d692d9f8c4cb914d529320958c9a6912465657164dc0839435db80f8406e435b",
     ("classify", "--format", "md"): "8689cfa44ad4970572083907513dfb4726f29e89165256de2dc0260ac84b43b8",
     ("cayley", "--set", "ext", "--format", "md"): "6cfe1b07f5ef0841b4128f5080a42b4cb6774460b9b503daae77abf2ef001e1d",
@@ -708,7 +711,7 @@ def _time_reversal_in_the_wrong_order(monkeypatch):
 @pytest.mark.parametrize(
     "fault, failed",
     [
-        (_negated_volume_square, "FAIL [coverings] odd-dimension-reduction"),
+        (_negated_volume_square, "FAIL [coverings] odd-dimension-reduction Cl(3,0): omega_sq +1, want -1"),
         (
             _complex_prediction_two_dimensions_up,
             "FAIL [theorems] complex-automorphism-groups n=0: commutativity vs prediction",

@@ -399,6 +399,77 @@ def test_product_signed_eq_against_literal_products():
     assert seen == {(True, 1), (True, -1), (False, 1), (False, -1)}
 
 
+# One-entry rows throughout, imaginary parts and a denominator included;
+# MONO's row 3 (real) is the one row selecting row 2 of PERM.
+PERM = [[0, 0, 1, 0], [-1, 0, 0, 0], [0, 0, 0, (0, 1)], [0, "1/2", 0, 0]]
+# One-entry rows and one zero row.
+MONO_ZERO = [[0, (0, 2), 0, 0], [0] * 4, [0, 0, 0, (1, -1)], [(0, -1), 0, 0, 0]]
+
+
+def _with_row(rows, i, row):
+    return [row if k == i else r for k, r in enumerate(rows)]
+
+
+def test_one_entry_rows_against_literal_products():
+    mono, perm, zero = _gm(MONO), _gm(PERM), _gm(MONO_ZERO)
+    mixed, dense, eye = _gm(MIXED), _gm(DENSE), GaussMatrix.identity(4)
+    mats = [mono, perm, zero, mixed, dense]
+    for a in mats:
+        for b in mats:
+            _assert_matches(a * b, _reference_mul(a, b))
+    # PERM with row 1 moved to another column, and PERM with row 2 (i at
+    # column 3, which MONO's real row 3 selects) changed in its real or its
+    # imaginary part: mono * d then differs from mono * perm in one column
+    # only, or in one entry's real or imaginary part only.
+    column = _gm(_with_row(PERM, 1, [0, 0, 0, -1]))
+    real_part = _gm(_with_row(PERM, 2, [0, 0, 0, (1, 1)]))
+    imag_part = _gm(_with_row(PERM, 2, [0, 0, 0, (0, 2)]))
+    quads = [
+        # Every row on all four sides holds one entry.
+        (mono, perm, mono, perm),
+        (mono, perm, mono * perm, eye),
+        (mono, perm, mono, column),
+        (mono, perm, mono, real_part),
+        (mono, perm, mono, imag_part),
+        # Zero rows, selected and selecting.
+        (zero, perm, zero, perm),
+        (zero, perm, mono, perm),
+        (mono, zero, mono, zero),
+        (mono, mixed, mono * mixed, eye),
+        # One entry on only some sides.
+        (mono, dense, mono, dense),
+        (mixed, perm, mixed, perm),
+        (perm, mixed, perm * mixed, eye),
+        (eye, perm * mixed, perm, mixed),
+    ]
+    seen = set()
+    for a, b, c, d in quads:
+        # The second form spreads unequal denominators and a sign -1 over
+        # c and d: c * d becomes -(c * d).
+        for cc, dd, flip in ((c, d, 1), (c.scale(Fraction(1, 3)), d.scale(-3), -1)):
+            for sign in (1, -1):
+                got = a.product_signed_eq(b, cc, dd, sign)
+                assert got == _literal_signed_eq(a, b, c, d, sign * flip), (a, b, c, d, sign, flip)
+                seen.add((got, sign))
+    assert seen == {(True, 1), (True, -1), (False, 1), (False, -1)}
+    for d in (column, real_part, imag_part):
+        assert not mono.product_signed_eq(perm, mono, d, 1)
+        assert not mono.product_signed_eq(perm, mono, d, -1)
+
+
+def test_conj_of_a_real_matrix_is_itself():
+    dense = _gm(DENSE)
+    real = (dense + dense.conj()).scale(Fraction(1, 3))
+    assert real.conj() is real
+    eye = GaussMatrix.identity(3)
+    assert eye.conj() is eye
+    for rows in (MIXED, DENSE, MONO, PERM):
+        m = _gm(rows)
+        got = m.conj()
+        assert got is not m
+        _assert_matches(got, GaussMatrix([[e.conjugate() for e in row] for row in m.rows]))
+
+
 def test_matrix_string_roundtrip():
     g0, g1, g2, g3 = gamma_matrices()
     for g in (g0, g1, g2, g3):
