@@ -85,17 +85,13 @@ def idempotent_factor_count(p: int, q: int) -> int:
     return q - radon_hurwitz(q - p)
 
 
-def splitting_blade(
-    sig: MetricSignature, chosen, start: int = 1, span: set[int] | None = None
-) -> int | None:
+def splitting_blade(sig: MetricSignature, chosen, start: int = 1) -> int | None:
     """The least mask m >= start such that e_m is outside the span of the
     blades `chosen`, squares to +1 and commutes with each of them, so that
-    (1 +- e_m)/2 would split their idempotent; None if there is none.
-    `span`, when given, is that span, which is then not formed again."""
-    if span is None:
-        span = {0}
-        for c in chosen:
-            span |= {s ^ c for s in span}
+    (1 +- e_m)/2 would split their idempotent; None if there is none."""
+    span = {0}
+    for c in chosen:
+        span |= {s ^ c for s in span}
     for m in range(start, 1 << sig.n):
         if m not in span and blade_square_sign(m, sig) == 1:
             if all(blades_commute(m, c, sig) for c in chosen):
@@ -112,11 +108,9 @@ def primitive_idempotent(sig: MetricSignature) -> IdempotentData:
     exactly 2^k distinct terms, hence f is a nonzero idempotent.
 
     One ascending pass over the masks takes each `splitting_blade` until
-    it holds k, and cannot get stuck; the span of the chosen blades grows
-    by each blade taken instead of being formed again at each step.
-    Q(A) = [e_A^2 = -1] is a quadratic form on GF(2)^n with polar form
-    b(A, B) = [e_A, e_B anticommute], since (e_A e_B)^2 = +-e_A^2 e_B^2
-    with their commutation sign. The
+    it holds k, and cannot get stuck. Q(A) = [e_A^2 = -1] is a quadratic
+    form on GF(2)^n with polar form b(A, B) = [e_A, e_B anticommute],
+    since (e_A e_B)^2 = +-e_A^2 e_B^2 with their commutation sign. The
     chosen masks span a totally singular W (Q = b = 0 on W), and m is
     taken exactly when W + <m> is one too; a mask that cannot extend W
     cannot extend a larger W, so a pass that ends short of k ends at a
@@ -132,15 +126,13 @@ def primitive_idempotent(sig: MetricSignature) -> IdempotentData:
     p, q = sig.p, sig.q
     k = idempotent_factor_count(p, q)
     chosen: list[int] = []
-    span = {0}
     while len(chosen) < k:
-        m = splitting_blade(sig, chosen, chosen[-1] + 1 if chosen else 1, span)
+        m = splitting_blade(sig, chosen, chosen[-1] + 1 if chosen else 1)
         if m is None:
             raise IdempotentSearchError(
                 f"no commuting +1-square blade set of size {k} found for Cl({p},{q})"
             )
         chosen.append(m)
-        span |= {s ^ m for s in span}
 
     f = Multivector.scalar(sig, 1)
     half = Fraction(1, 2)

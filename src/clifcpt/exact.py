@@ -359,9 +359,6 @@ class GaussMatrix:
         return GaussMatrix._make(self.dim, tuple(map(tuple, cols)), self.den)
 
     def conj(self) -> GaussMatrix:
-        """The entrywise complex conjugate; a real matrix is its own."""
-        if not any(im for row in self.num for _, _, im in row):
-            return self
         num = tuple(tuple((j, re, -im) for j, re, im in row) for row in self.num)
         return GaussMatrix._make(self.dim, num, self.den)
 

@@ -5,7 +5,6 @@ drives the classification theorems."""
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
@@ -123,17 +122,14 @@ class SpinBasis:
         return self.gens[0].dim if self.gens else 1
 
 
-@lru_cache(maxsize=7)  # one pool per even n <= 12
-def _bw_pool(m: int) -> tuple[tuple[GaussMatrix, ...], tuple[GaussMatrix, ...], GaussMatrix]:
+def _bw_pool(m: int) -> tuple[list[GaussMatrix], list[GaussMatrix], GaussMatrix]:
     """The 2m+1 pairwise-anticommuting pool behind every canonical basis:
     m real symmetric generators (Pauli-1 cores), m imaginary antisymmetric
     ones (Pauli-2 cores), and the all-Pauli-3 tail; every square is +I.
 
-    Generator kk of each tuple carries its core behind kk-1 Pauli-3
-    factors and is padded with identities; interleaving the two tuples
-    gives the Brauer-Weyl tower of the complex field. Built once per m
-    per process, as every canonical basis with n = 2m, real or complex,
-    draws from it; its matrices are immutable."""
+    Generator kk of each list carries its core behind kk-1 Pauli-3 factors
+    and is padded with identities; interleaving the two lists gives the
+    Brauer-Weyl tower of the complex field."""
     reals, imags = [], []
     for kk in range(1, m + 1):
         for core, bucket in ((PAULI_1, reals), (PAULI_2, imags)):
@@ -147,7 +143,7 @@ def _bw_pool(m: int) -> tuple[tuple[GaussMatrix, ...], tuple[GaussMatrix, ...], 
     tail = GaussMatrix.identity(1)
     for _ in range(m):
         tail = kron(tail, PAULI_3)
-    return tuple(reals), tuple(imags), tail
+    return reals, imags, tail
 
 
 def _real_basis(p: int, q: int) -> list[GaussMatrix]:
@@ -172,10 +168,10 @@ def _real_basis(p: int, q: int) -> list[GaussMatrix]:
     if p == 0 and m % 2 == 1:
         # All generators are negatives; trading the last imaginary pool
         # element for the tail makes the imaginary subset even-sized.
-        chosen = reals + imags[: m - 1] + (tail,)
+        chosen = reals + imags[: m - 1] + [tail]
         return [g.scale(I_UNIT) for g in chosen]
     if p - q == 2:
-        return [*reals, tail, *(g.scale(I_UNIT) for g in imags[: m - 1])]
+        return reals + [tail] + [g.scale(I_UNIT) for g in imags[: m - 1]]
     lo, hi = max(0, p - m), min(p, m)
     a_even = (p + m) % 2 == 0
     for p1 in range(hi, lo - 1, -1):
@@ -184,7 +180,7 @@ def _real_basis(p: int, q: int) -> list[GaussMatrix]:
     p2 = p - p1
     pos = reals[:p1] + imags[:p2]
     neg = [g.scale(I_UNIT) for g in reals[p1:] + imags[p2:]]
-    return [*pos, *neg]
+    return pos + neg
 
 
 def build_spinbasis(sig: MetricSignature) -> SpinBasis:

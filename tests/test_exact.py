@@ -457,19 +457,6 @@ def test_one_entry_rows_against_literal_products():
         assert not mono.product_signed_eq(perm, mono, d, -1)
 
 
-def test_conj_of_a_real_matrix_is_itself():
-    dense = _gm(DENSE)
-    real = (dense + dense.conj()).scale(Fraction(1, 3))
-    assert real.conj() is real
-    eye = GaussMatrix.identity(3)
-    assert eye.conj() is eye
-    for rows in (MIXED, DENSE, MONO, PERM):
-        m = _gm(rows)
-        got = m.conj()
-        assert got is not m
-        _assert_matches(got, GaussMatrix([[e.conjugate() for e in row] for row in m.rows]))
-
-
 def test_matrix_string_roundtrip():
     g0, g1, g2, g3 = gamma_matrices()
     for g in (g0, g1, g2, g3):

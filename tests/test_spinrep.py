@@ -9,7 +9,6 @@ from clifcpt.algebra import COMPLEX, MetricSignature, Multivector, random_multiv
 from clifcpt.exact import GaussMatrix, GaussRational
 from clifcpt.spinrep import (
     CertificationError,
-    _bw_pool,
     SpinBasis,
     SpinBasisFileError,
     UnsupportedSignatureError,
@@ -103,19 +102,6 @@ def test_dirac_profile_counts():
 def test_unknown_preset():
     with pytest.raises(UnsupportedSignatureError):
         preset_spinbasis("majorana")
-
-
-def test_each_pool_is_built_once_and_left_as_built():
-    # Every canonical basis draws from the one cached pool of its n; none
-    # of them may change it, so after all of them each pool still equals
-    # a fresh uncached build.
-    for n in range(0, 13, 2):
-        for p in range(n + 1):
-            build_spinbasis(MetricSignature(p, n - p))
-        build_spinbasis(MetricSignature(n, 0, COMPLEX))
-    for m in range(7):
-        assert _bw_pool(m) is _bw_pool(m)
-        assert _bw_pool(m) == _bw_pool.__wrapped__(m)
 
 
 @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
