@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .exact import GaussRational, ZERO, _exact, Scalarish, common_divisor, gauss_parts
 
@@ -29,44 +29,30 @@ class OddDimensionError(ValueError):
     """The requested identity is not applicable in odd dimension."""
 
 
-class MetricSignature:
+class _SignatureFields(NamedTuple):
+    p: int
+    q: int
+    field: str = REAL
+
+
+class MetricSignature(_SignatureFields):
     """Metric data (p, q) plus the scalar field flag.
 
     Over the complex field only n = p + q matters: all generator squares
-    are normalized to +1. Instances are immutable values: equal fields
-    compare and hash equal.
-    """
+    are normalized to +1. A signature is the tuple of its fields. The
+    constructor validates them, and `_replace` (through `_make`) and
+    unpickling call the constructor."""
 
-    __slots__ = ("p", "q", "field")
+    __slots__ = ()
 
-    def __init__(self, p: int, q: int, field: str = REAL):
+    def __new__(cls, p: int, q: int, field: str = REAL):
         if p < 0 or q < 0:
             raise ValueError(f"p and q must be nonnegative, got ({p},{q})")
         if field not in (REAL, COMPLEX):
             raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "field", field)
+        return super().__new__(cls, p, q, field)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"MetricSignature(p={self.p!r}, q={self.q!r}, field={self.field!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.q, self.field) == (other.p, other.q, other.field)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q, self.field))
-
-    def __reduce__(self):
-        return MetricSignature, (self.p, self.q, self.field)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def n(self) -> int:
@@ -84,9 +70,9 @@ class MetricSignature:
     def neg_mask(self) -> int:
         """Blade mask of the generators that square to -1.
 
-        Formed on each read, not in __init__: a basis file may name a
-        (p, q) far too large to build, which certification then rejects
-        by its generator count."""
+        Formed on each read, not when the signature is made: a basis file
+        may name a (p, q) far too large to build, which certification then
+        rejects by its generator count."""
         if self.field == COMPLEX:
             return 0
         return ((1 << self.q) - 1) << self.p

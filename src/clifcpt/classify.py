@@ -58,14 +58,11 @@ class IdempotentData(NamedTuple):
 
 
 class DimensionAudit(NamedTuple):
-    p: int
-    q: int
     passed: bool
     total_dim: int
     summands: int
     matrix_size: int
     ring_dim: int
-    ring_tag: str
 
 
 def radon_hurwitz(i: int) -> int:
@@ -161,8 +158,8 @@ def dimension_audit(p: int, q: int) -> DimensionAudit:
     ideal_dim = 1 << (n - k) if n >= k else 0
     ring_dim = ring.dim_per_summand
     if ideal_dim % ring_dim != 0:
-        return DimensionAudit(p, q, False, total, ring.summands, 0, ring_dim, ring.tag)
+        return DimensionAudit(False, total, ring.summands, 0, ring_dim)
     size = ideal_dim // ring_dim
     ok = size > 0 and (size & (size - 1)) == 0
     ok = ok and ring.summands * size * size * ring_dim == total
-    return DimensionAudit(p, q, ok, total, ring.summands, size, ring_dim, ring.tag)
+    return DimensionAudit(ok, total, ring.summands, size, ring_dim)

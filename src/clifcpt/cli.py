@@ -36,17 +36,8 @@ _VERIFY_ERRORS = (
 )
 
 
-def _color_enabled() -> bool:
-    flag = os.environ.get("CLIFCPT_COLOR")
-    if flag == "1":
-        return True
-    if flag == "0":
-        return False
-    return sys.stdout.isatty()
-
-
 def _paint(text: str, ok: bool) -> str:
-    if not _color_enabled():
+    if not sys.stdout.isatty():
         return text
     code = "32" if ok else "31"
     return f"\x1b[{code}m{text}\x1b[0m"

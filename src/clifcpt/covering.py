@@ -30,8 +30,6 @@ class PredictedAut(NamedTuple):
 
 
 class OddReduction(NamedTuple):
-    p: int
-    q: int
     targets: tuple[tuple[int, int], ...]
     omega_sq: int
     complex_target: int | None
@@ -146,4 +144,4 @@ def reduce_odd(p: int, q: int) -> OddReduction:
         targets.append((q, p - 1))
     omega_sq = -1 if ((n * (n - 1) // 2) + q) % 2 else 1
     complex_target = n - 1 if (p - q) % 8 in (3, 7) else None
-    return OddReduction(p, q, tuple(targets), omega_sq, complex_target)
+    return OddReduction(tuple(targets), omega_sq, complex_target)

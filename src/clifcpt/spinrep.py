@@ -27,6 +27,11 @@ class CertificationError(ValueError):
         self.violations = list(violations)
         super().__init__("spin basis certification failed:\n  " + "\n  ".join(violations))
 
+    def __reduce__(self):
+        # A forked worker pickles it: rebuild it from the violations, not
+        # from the message.
+        return CertificationError, (self.violations,)
+
 
 class SpinBasisFileError(ValueError):
     """A spin basis file could not be parsed or is for another signature."""
@@ -82,40 +87,33 @@ class BasisProfile(NamedTuple):
         return {name: self.mask(*traits).bit_count() for name, traits in _CENSUS.items()}
 
 
-class SpinBasis:
+class _BasisFields(NamedTuple):
+    sig: MetricSignature
+    gens: tuple[GaussMatrix, ...]
+    provenance: str
+    profile: BasisProfile
+
+
+class SpinBasis(_BasisFields):
     """Ordered generator matrices for Cl(p,q) or its complexification,
     certified when made: `profile` is the census of `certify_spinbasis`,
-    and a broken basis raises CertificationError instead of existing."""
+    and a broken basis raises CertificationError instead of existing.
+    `_replace` (through `_make`) and unpickling call the constructor, so
+    a copy is certified again and its profile formed anew."""
 
-    __slots__ = ("sig", "gens", "provenance", "profile")
+    __slots__ = ()
 
-    def __init__(self, sig: MetricSignature, gens: tuple[GaussMatrix, ...], provenance: str):
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "profile", certify_spinbasis(self))
+    def __new__(cls, sig: MetricSignature, gens: tuple[GaussMatrix, ...], provenance: str):
+        return super().__new__(cls, sig, gens, provenance, certify_spinbasis(sig, gens))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:3]))
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"SpinBasis(sig={self.sig!r}, gens={self.gens!r}, provenance={self.provenance!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.sig, self.gens, self.provenance) == (other.sig, other.gens, other.provenance)
+    def __getnewargs__(self):
+        return self[:3]
 
     def __hash__(self) -> int:
         # gens are left out, so a cache lookup hashes no matrix.
         return hash((self.sig, self.provenance))
-
-    def __reduce__(self):
-        # Unpickling runs __init__, so the copy is certified again.
-        return SpinBasis, (self.sig, self.gens, self.provenance)
 
     @property
     def dim(self) -> int:
@@ -256,25 +254,24 @@ def _scan_traits(
     return None
 
 
-def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
+def certify_spinbasis(sig: MetricSignature, gens: tuple[GaussMatrix, ...]) -> BasisProfile:
     """Verify the Clifford relations, metric squares, and reality and
     symmetry purity of every generator; return the census on success.
 
     Squares and pairs (gi gj = -gj gi) are compared on integer
     numerators by `GaussMatrix.product_signed_eq`, so no product is
-    formed. `SpinBasis.__init__` runs it once per basis and keeps the
-    result as `basis.profile`; it reads only `sig` and `gens`."""
-    sig = basis.sig
+    formed. The `SpinBasis` constructor runs it once per basis, before
+    the basis exists, and keeps the result as `basis.profile`."""
     n = sig.n
     violations: list[str] = []
-    if len(basis.gens) != n:
-        raise CertificationError([f"expected {n} generators, got {len(basis.gens)}"])
+    if len(gens) != n:
+        raise CertificationError([f"expected {n} generators, got {len(gens)}"])
     if n == 0:
         return BasisProfile(0, 0, 0, 0)
-    dims = {g.dim for g in basis.gens}
+    dims = {g.dim for g in gens}
     if len(dims) != 1:
         raise CertificationError([f"generator dimensions differ: {sorted(dims)}"])
-    dim = basis.gens[0].dim
+    dim = gens[0].dim
     if n % 2 != 0 or dim != 1 << (n // 2):
         raise CertificationError(
             [f"dimension {dim} does not equal 2^(n/2) for n={n} generators"]
@@ -282,7 +279,7 @@ def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
 
     eye = GaussMatrix.identity(dim)
     real_mask = sym_mask = neg_mask = scanned = 0
-    for i, g in enumerate(basis.gens):
+    for i, g in enumerate(gens):
         traits = _scan_traits(g, eye, sig.metric_sign(i + 1), violations, i + 1)
         if traits is None:
             continue
@@ -297,7 +294,7 @@ def certify_spinbasis(basis: SpinBasis) -> BasisProfile:
         violations.append(f"generator {i} squares to {got}, expected {want}")
     for i in range(n):
         for j in range(i + 1, n):
-            gi, gj = basis.gens[i], basis.gens[j]
+            gi, gj = gens[i], gens[j]
             if not gi.product_signed_eq(gj, gj, gi, -1):
                 violations.append(f"generators {i + 1} and {j + 1} do not anticommute")
     if violations:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -369,7 +370,6 @@ def test_outputs_match_the_benchmark_golden_record(tmp_path, capsys, monkeypatch
     golden_path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "golden.json")
     with open(golden_path, encoding="utf-8") as fh:
         golden = json.load(fh)
-    monkeypatch.setenv("CLIFCPT_COLOR", "0")
     out = tmp_path / "atlas.json"
     argv = ["sweep", "--max-dim", "8", "--field", "real", "--jobs", "1", "--format", "json"]
     assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
@@ -400,11 +400,10 @@ _PINNED_SHA256 = {
 }
 
 
-def test_outputs_match_their_pinned_digests(tmp_path, capsys, monkeypatch):
+def test_outputs_match_their_pinned_digests(tmp_path, capsys):
     """The sweep files and the `dirac` classify and cayley outputs that
     `bench/golden.json` does not cover, pinned by sha256: a changed output
     byte fails here."""
-    monkeypatch.setenv("CLIFCPT_COLOR", "0")
     for argv, digest in _PINNED_SHA256.items():
         argv = list(argv)
         if argv[0] == "sweep":
@@ -452,13 +451,26 @@ def test_file_bases_classify_as_the_benchmark_golden_cells(tmp_path, capsys):
         assert got == golden["cells"][f"{m['p']},{m['q']}"], m["path"]
 
 
-def test_color_env_flag(capsys, monkeypatch):
-    monkeypatch.setenv("CLIFCPT_COLOR", "1")
-    _, out, _ = run_cli(["verify", "--suite", "coverings", "--max-dim", "2"], capsys)
-    assert "\x1b[32m" in out
-    monkeypatch.setenv("CLIFCPT_COLOR", "0")
-    _, out, _ = run_cli(["verify", "--suite", "coverings", "--max-dim", "2"], capsys)
-    assert "\x1b[" not in out
+def test_verify_colors_its_markers_exactly_on_a_tty(capsys, monkeypatch):
+    argv = ["verify", "--suite", "coverings", "--max-dim", "2"]
+    for tty in (True, False):
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: tty)
+        _, out, _ = run_cli(argv, capsys)
+        assert ("\x1b[32mPASS\x1b[0m [coverings]" in out) is tty
+        assert ("\x1b[" in out) is tty
+
+
+def test_every_reported_error_keeps_its_message_through_pickle():
+    # A forked worker hands its exception to this process through pickle.
+    from clifcpt.spinrep import CertificationError
+
+    for cls in cli._VERIFY_ERRORS + cli._USAGE_ERRORS:
+        if cls is CertificationError:
+            exc = cls(["generator 1 is broken", "generator 2 is broken"])
+        else:
+            exc = cls("Cl(1,3): broken")
+        again = pickle.loads(pickle.dumps(exc))
+        assert type(again) is cls and str(again) == str(exc), cls.__name__
 
 
 def _fresh_python(*args):

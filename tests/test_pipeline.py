@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from clifcpt import autmat, fingroup, pipeline, verify
+from clifcpt import autmat, fingroup, pipeline, spinrep, verify
 from clifcpt.algebra import Multivector
 from clifcpt.exact import GaussMatrix
 from clifcpt.pipeline import classify_cell, sweep, sweep_to_csv, sweep_to_markdown, to_json
@@ -41,6 +41,16 @@ def test_sweep_pool_never_exceeds_cell_count(monkeypatch):
 def test_sweep_fault_in_either_share_reports_as_in_one_process(tmp_path, capsys, monkeypatch):
     from clifcpt.cli import main
 
+    def failure_in_both_modes():
+        runs = []
+        for jobs in ("1", "2"):
+            argv = ["sweep", "--max-dim", "4", "--jobs", jobs, "--out", str(tmp_path / "a.json")]
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert not (tmp_path / "a.json").exists()
+        return runs[0]
+
     # At d = 4 with two jobs, Cl(1,3) falls in the forked child's share
     # and Cl(2,2) in this process's.
     real = autmat.check
@@ -52,14 +62,20 @@ def test_sweep_fault_in_either_share_reports_as_in_one_process(tmp_path, capsys,
             return real(name, m, basis)
 
         monkeypatch.setattr(autmat, "check", broken)
-        runs = []
-        for jobs in ("1", "2"):
-            argv = ["sweep", "--max-dim", "4", "--jobs", jobs, "--out", str(tmp_path / "a.json")]
-            code = main(argv)
-            runs.append((code, *capsys.readouterr()))
-        assert runs[0] == runs[1]
-        assert runs[0] == (1, "", f"verification failure: W broken on Cl{cell}\n")
-        assert not (tmp_path / "a.json").exists()
+        assert failure_in_both_modes() == (1, "", f"verification failure: W broken on Cl{cell}\n")
+    monkeypatch.setattr(autmat, "check", real)
+
+    # A certification failure crosses the pipe with its violations intact.
+    certify = spinrep.certify_spinbasis
+
+    def uncertified(sig, gens):
+        if (sig.p, sig.q) == (1, 3):
+            raise spinrep.CertificationError(["generator 1 is broken", "generator 2 is broken"])
+        return certify(sig, gens)
+
+    monkeypatch.setattr(spinrep, "certify_spinbasis", uncertified)
+    message = "spin basis certification failed:\n  generator 1 is broken\n  generator 2 is broken"
+    assert failure_in_both_modes() == (1, "", f"verification failure: {message}\n")
 
 
 def test_fan_out_raises_for_a_child_that_ends_without_a_result():

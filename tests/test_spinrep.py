@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from clifcpt import spinrep
 from clifcpt.algebra import COMPLEX, MetricSignature, Multivector, random_multivector
 from clifcpt.exact import GaussMatrix, GaussRational
 from clifcpt.spinrep import (
@@ -469,6 +470,37 @@ def test_signature_and_basis_are_immutable_values():
     # verify's worker returns its CheckResults through pickle.
     for record in (sig, basis, CheckResult("groups", "census", True, "ok", 0.25)):
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_replace_and_unpickling_go_through_the_constructor(monkeypatch):
+    sig = MetricSignature(1, 3)
+    for make, message in (
+        (lambda: sig._replace(p=-1), "p and q must be nonnegative, got (-1,3)"),
+        (lambda: MetricSignature._make((1, -3, "real")), "p and q must be nonnegative, got (1,-3)"),
+        (lambda: sig._replace(field="quaternion"), "field must be 'real' or 'complex', got 'quaternion'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+    assert sig._replace(q=1) == MetricSignature(1, 1) and type(sig._replace(q=1)) is MetricSignature
+
+    basis = preset_spinbasis("dirac")
+    with pytest.raises(CertificationError, match="generators 1 and 2 do not anticommute"):
+        basis._replace(gens=(GaussMatrix.identity(4), *basis.gens[1:]))
+    relabeled = basis._replace(provenance="copy")
+    assert type(relabeled) is SpinBasis and relabeled.profile == basis.profile
+
+    certified = []
+    certify = spinrep.certify_spinbasis
+
+    def counting(sig, gens):
+        certified.append(sig)
+        return certify(sig, gens)
+
+    monkeypatch.setattr(spinrep, "certify_spinbasis", counting)
+    copy = pickle.loads(pickle.dumps(basis))
+    assert certified == [basis.sig]
+    assert type(copy) is SpinBasis and copy == basis and copy.profile == basis.profile
 
 
 def test_certify_reports_wrong_generator_count():
