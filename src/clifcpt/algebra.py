@@ -91,20 +91,27 @@ def blade_format(mask: int) -> str:
     return "e{" + ",".join(str(i) for i in blade_indices(mask)) + "}"
 
 
-def _swap_parity(x: int, y: int, neg_mask: int) -> int:
-    """Parity of the sign of e_x e_y: popcount(x & P) + popcount(x & y &
-    neg_mask) mod 2. Sorting e_x e_y takes one swap per pair (i in x, j in
-    y) with i > j, which for each i in x number P's bit i mod 2, P the
-    prefix parity of y << 1; a repeated index that squares to -1 adds a
-    sign. After p ^= p << t for t = 1, 2, 4, ... below s, bit i of p is the
-    parity of the s bits of y << 1 ending at i, P's bit for each i < s, and
-    s reaches x.bit_length(). popcount(a ^ b) = popcount(a) + popcount(b) mod 2."""
+def _sign_mask(y: int, neg_mask: int, top: int) -> int:
+    """The mask t with popcount(x & t) mod 2 the sign parity of e_x e_y
+    for every x < 2**top: t = P ^ (y & neg_mask), P the prefix
+    parity of y << 1. Sorting e_x e_y takes one swap per pair (i in x, j
+    in y) with i > j, which for each i in x number P's bit i mod 2; a
+    repeated index that squares to -1 adds a sign. After p ^= p << s for
+    s = 1, 2, 4, ... below `top`, bit i of p is the parity of the s bits
+    of y << 1 ending at i, P's bit for each i < s, and s reaches `top`.
+    popcount(a ^ b) = popcount(a) + popcount(b) mod 2."""
     p = y << 1
-    s, top = 1, x.bit_length()
+    s = 1
     while s < top:
         p ^= p << s
         s <<= 1
-    return (x & (p ^ (y & neg_mask))).bit_count() & 1
+    return p ^ (y & neg_mask)
+
+
+def _swap_parity(x: int, y: int, neg_mask: int) -> int:
+    """Parity of the sign of e_x e_y: popcount(x & P) + popcount(x & y &
+    neg_mask) mod 2, P the prefix parity of y << 1 (see `_sign_mask`)."""
+    return (x & _sign_mask(y, neg_mask, x.bit_length())).bit_count() & 1
 
 
 def blade_product(x: int, y: int, sig: MetricSignature) -> tuple[int, int]:
@@ -211,25 +218,30 @@ class Multivector:
 
     def __mul__(self, other: Multivector) -> Multivector:
         self._check(other)
-        neg_mask = self.sig.neg_mask
+        neg_mask, top = self.sig.neg_mask, self.sig.n
+        # Each right blade's sign mask, formed once per product.
+        right = []
+        for my, (br, bi) in other.num.items():
+            right.append((my, br, bi, _sign_mask(my, neg_mask, top)))
         acc: dict[int, tuple[int, int]] = {}
         for mx, (ar, ai) in self.num.items():
-            for my, (br, bi) in other.num.items():
+            for my, br, bi, t in right:
                 re = ar * br - ai * bi
                 im = ar * bi + ai * br
-                if _swap_parity(mx, my, neg_mask):
+                if (mx & t).bit_count() & 1:
                     re, im = -re, -im
-                old = acc.get(mx ^ my, (0, 0))
-                acc[mx ^ my] = (old[0] + re, old[1] + im)
+                m = mx ^ my
+                old = acc.get(m)
+                acc[m] = (re, im) if old is None else (old[0] + re, old[1] + im)
         return _make(self.sig, *_reduce(acc, self.den * other.den))
 
     # --- the four fundamental maps + the pseudo map ---------------------
     def _grade_signed(self, pattern: int) -> Multivector:
         """Negate the terms whose grade mod 4 is a set bit of `pattern`."""
-        num = {
-            m: (-c[0], -c[1]) if (pattern >> (m.bit_count() & 3)) & 1 else c
-            for m, c in self.num.items()
-        }
+        # A loop, not a comprehension: on Python 3.11 that costs a frame.
+        num = {}
+        for m, c in self.num.items():
+            num[m] = (-c[0], -c[1]) if pattern >> (m.bit_count() & 3) & 1 else c
         return _make(self.sig, num, self.den)
 
     def grade_involution(self) -> Multivector:
@@ -246,7 +258,10 @@ class Multivector:
 
     def complex_conjugation(self) -> Multivector:
         """Conjugate every coefficient; blades are fixed, product preserved."""
-        return _make(self.sig, {m: (re, -im) for m, (re, im) in self.num.items()}, self.den)
+        num = {}
+        for m, (re, im) in self.num.items():
+            num[m] = (re, -im)
+        return _make(self.sig, num, self.den)
 
     # --- inspection -----------------------------------------------------
     @property
@@ -333,22 +348,37 @@ def involution_via_omega_check(a: Multivector) -> bool:
     return a.grade_involution() == omega * a * omega_inv
 
 
+def _below(bits, n: int) -> int:
+    """A draw from range(n), n >= 1, as `random.Random.randrange` takes it:
+    getrandbits(n.bit_length()) until the value is below n. So a +
+    _below(bits, b - a + 1) draws what randint(a, b) draws, in one frame."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_multivector(
     sig: MetricSignature,
     rng: random.Random,
     max_terms: int = 5,
     allow_complex_coeffs: bool | None = None,
 ) -> Multivector:
-    """A small random multivector; used by verification suites and tests."""
+    """A small random multivector; used by verification suites and tests.
+    Its draws are those of randint and randrange, taken through `_below`."""
     if allow_complex_coeffs is None:
         allow_complex_coeffs = sig.field == COMPLEX
-    nterms = rng.randint(1, max_terms)
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
+    bits = rng.getrandbits
+    size = 1 << sig.n
     # Each part is a/b with b in 1..4, so it is a whole multiple of 1/12.
     num: dict[int, tuple[int, int]] = {}
-    for _ in range(nterms):
-        mask = rng.randrange(0, 1 << sig.n)
-        re = rng.randint(-5, 5) * (12 // rng.randint(1, 4))
-        im = rng.randint(-5, 5) * (12 // rng.randint(1, 4)) if allow_complex_coeffs else 0
+    for _ in range(1 + _below(bits, max_terms)):
+        mask = _below(bits, size)
+        re = (_below(bits, 11) - 5) * (12 // (1 + _below(bits, 4)))
+        im = (_below(bits, 11) - 5) * (12 // (1 + _below(bits, 4))) if allow_complex_coeffs else 0
         old = num.get(mask, (0, 0))
         num[mask] = (old[0] + re, old[1] + im)
     return _make(sig, *_reduce(num, 12))

@@ -137,9 +137,9 @@ def primitive_idempotent(sig: MetricSignature) -> IdempotentData:
         f = f * Multivector(sig, {0: half, m: half})
     if f * f != f:
         raise IdempotentSearchError(f"constructed f is not idempotent for Cl({p},{q})")
-    if len(f.terms) != 1 << k:
+    if len(f.num) != 1 << k:
         raise IdempotentSearchError(
-            f"idempotent expansion for Cl({p},{q}) has {len(f.terms)} terms, expected {1 << k}"
+            f"idempotent expansion for Cl({p},{q}) has {len(f.num)} terms, expected {1 << k}"
         )
     return IdempotentData(k, tuple(chosen), f)
 

@@ -265,10 +265,11 @@ def _ref_graded(x, flip):
     return {m: (-c if flip(grade(m)) else c) for m, c in x.items()}
 
 
-def _ref_random_multivector(sig, rng, allow_complex_coeffs):
-    """random_multivector's draws, summed in GaussRational arithmetic."""
+def _ref_random_multivector(sig, rng, allow_complex_coeffs, max_terms=5):
+    """random_multivector's draws, taken with randint and randrange and
+    summed in GaussRational arithmetic."""
     terms = {}
-    for _ in range(rng.randint(1, 5)):
+    for _ in range(rng.randint(1, max_terms)):
         mask = rng.randrange(0, 1 << sig.n)
         re = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         im = Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if allow_complex_coeffs else 0
@@ -303,6 +304,10 @@ def test_operation_results_match_public_constructor():
     rng = random.Random(31)
     sigs = [MetricSignature(p, n - p) for n in range(7) for p in range(n + 1)]
     sigs += [MetricSignature(n, 0, COMPLEX) for n in range(7)]
+    # From n = 9 on, the sign mask's prefix-parity loop runs a 4th round.
+    for n in range(7, 13):
+        p = rng.randint(0, n)
+        sigs += [MetricSignature(p, n - p), MetricSignature(n, 0, COMPLEX)]
     for sig in sigs:
         for _ in range(12):
             ta = _random_rational_terms(sig, rng)
@@ -331,11 +336,23 @@ def test_operation_results_match_public_constructor():
                 _assert_canonical(got)
                 assert dict(got.terms) == want
                 assert got == Multivector(sig, want)
+        # The same draws as randint and randrange, and the generator left
+        # in the same state.
         for allow in (False, True):
-            seed = rng.getrandbits(32)
-            got = random_multivector(sig, random.Random(seed), allow_complex_coeffs=allow)
-            _assert_canonical(got)
-            assert dict(got.terms) == _ref_random_multivector(sig, random.Random(seed), allow)
+            for max_terms in (1, 5, 8):
+                seed = rng.getrandbits(32)
+                gen, ref = random.Random(seed), random.Random(seed)
+                got = random_multivector(sig, gen, max_terms, allow)
+                _assert_canonical(got)
+                assert dict(got.terms) == _ref_random_multivector(sig, ref, allow, max_terms)
+                assert gen.getstate() == ref.getstate()
+
+
+def test_random_multivector_rejects_fewer_than_one_term():
+    # As randint(1, max_terms) does, rather than drawing forever.
+    for max_terms in (0, -1):
+        with pytest.raises(ValueError):
+            random_multivector(CL13, random.Random(0), max_terms)
 
 
 def test_terms_is_a_read_only_view():

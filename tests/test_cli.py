@@ -677,11 +677,12 @@ def test_verify_fails_when_blade_commutation_is_off_by_one(capsys, monkeypatch):
 def test_verify_fails_when_blade_signs_drop_the_metric(capsys, monkeypatch):
     from clifcpt import algebra
 
-    # Multivector products and `blade_product` then read every generator
-    # as squaring to +1, while the closed-form square and commutation
-    # signs keep the metric.
-    raw = algebra._swap_parity
-    monkeypatch.setattr(algebra, "_swap_parity", lambda x, y, neg_mask: raw(x, y, 0))
+    # Multivector products and `blade_product` read their signs from the
+    # one sign-mask helper, and then read every generator as squaring to
+    # +1, while the closed-form square and commutation signs keep the
+    # metric.
+    raw = algebra._sign_mask
+    monkeypatch.setattr(algebra, "_sign_mask", lambda y, neg_mask, top: raw(y, 0, top))
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
     code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "4"], capsys)
     failed = {line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")}
@@ -693,6 +694,53 @@ def test_verify_fails_when_blade_signs_drop_the_metric(capsys, monkeypatch):
         "FAIL [groups] dirac-extended-set",
         "FAIL [coverings] arithmetic-classification",
     }
+
+
+def _i_times(a):
+    from clifcpt.exact import GaussRational
+
+    return a.scale(GaussRational(0, 1))
+
+
+@pytest.mark.parametrize(
+    "method, fault, failed",
+    [
+        # Reversion that negates grade 3 only, not grades 2 and 3.
+        ("reversion", lambda a: a._grade_signed(0b1000), {"involution-laws"}),
+        # A grade involution that negates grade 1 only; omega a omega^-1
+        # still negates grade 3 too.
+        (
+            "grade_involution",
+            lambda a: a._grade_signed(0b0010),
+            {"involution-laws", "volume-element-conjugation"},
+        ),
+        # (re, im) -> (-im, re), multiplication by i: neither an involution
+        # nor multiplicative. Of the tableaux only the eight-map one
+        # applies the bar bit.
+        ("complex_conjugation", _i_times, {"involution-laws", "eight-map-tableau"}),
+        # Reversion times i, which both tableaux apply.
+        (
+            "reversion",
+            lambda a: _i_times(a._grade_signed(0b1100)),
+            {"involution-laws", "four-map-tableau", "eight-map-tableau"},
+        ),
+    ],
+)
+def test_verify_fails_the_automorphism_checks_a_broken_map_breaks(method, fault, failed, capsys, monkeypatch):
+    from clifcpt.algebra import Multivector
+
+    # On two cores the automorphisms suite runs in a forked child, which
+    # the patched map reaches through the fork; the report is the same.
+    for cores in (1, 2):
+        with monkeypatch.context() as m:
+            submitted = _record_fan_out(m)
+            m.setattr(Multivector, method, fault)
+            m.setattr(cli, "_usable_cores", lambda: cores)
+            code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "4"], capsys)
+        assert submitted == ([] if cores == 1 else [["automorphisms"]])
+        assert code == 1
+        got = {line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")}
+        assert got == {f"FAIL [automorphisms] {name}" for name in failed}, cores
 
 
 def _negated_volume_square(monkeypatch):

@@ -134,7 +134,7 @@ def test_predict_realization_agrees_with_enumeration(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(GaussMatrix, "__mul__", _refuse)
             m.setattr(Multivector, "__mul__", _refuse)
-            m.setattr(algebra, "_swap_parity", _refuse)
+            m.setattr(algebra, "_sign_mask", _refuse)
             pred = predict_realization(prof)
         r = realize(basis)
         where = basis.provenance, basis.sig
