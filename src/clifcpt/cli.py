@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import os
 import sys
 import tempfile
@@ -207,7 +210,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
+@functools.cache
+def _freeze_at_exit() -> None:
+    """Have the interpreter's exit-time cycle collections skip every
+    object alive at exit, which the OS frees a moment later anyway.
+
+    atexit handlers run before those collections, and nothing is frozen
+    before the interpreter exits, so in-process callers are unaffected.
+    The cache makes this run once per process, however often main runs.
+    Frozen files still open at exit emit no ResourceWarning, so a run
+    that can show warnings (-X dev, -W) keeps the full collections.
+    """
+    if not (sys.flags.dev_mode or sys.warnoptions):
+        atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_at_exit()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {

@@ -8,9 +8,9 @@ predictor-versus-computation comparison.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import covering, fingroup
 from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
@@ -545,4 +545,56 @@ def sweep_to_markdown(result: dict) -> str:
 
 
 def to_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The exact text of json.dumps(obj, indent=2, sort_keys=True) + "\n".
+
+    With indent set, json falls back to its pure-Python encoder; this
+    writes the same text in one pass into one list. It accepts only what
+    the artifacts hold: dicts with str keys, lists, str, bool, int and
+    None. Anything else raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    # bool is a subclass of int, so True and False are tested first.
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"to_json: key {key!r} is not a str")
+            out.append(sep)
+            out.append(_json_str(key))
+            out.append(": ")
+            _write_json(obj[key], inner, out)
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"to_json cannot write {type(obj).__name__}")

@@ -522,6 +522,34 @@ def test_classify_leaves_verify_and_dataclasses_unloaded():
         assert loaded <= bare, (code, sorted(loaded - bare))
 
 
+_FREEZE_PROBE = """
+import atexit, contextlib, gc, io, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+import clifcpt.cli
+if sys.argv[1:] == ["main"]:
+    before = atexit._ncallbacks()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for _ in range(2):
+            clifcpt.cli.main(["classify", "--p", "1", "--q", "3", "--basis", "dirac"])
+    print("registered", atexit._ncallbacks() - before)
+"""
+
+
+def test_main_freezes_the_heap_at_exit_unless_warnings_can_show():
+    # The probe's handler, registered first, runs after main's gc.freeze.
+    def probe(*args):
+        words = _fresh_python(*args).stdout.split()
+        return dict(zip(words[::2], map(int, words[1::2])))
+
+    frozen = probe("-c", _FREEZE_PROBE, "main")
+    assert frozen["registered"] == 1 and frozen["frozen"] > 0
+    # A frozen file still open at exit would emit no ResourceWarning.
+    for flag in (("-X", "dev"), ("-W", "default")):
+        assert probe(*flag, "-c", _FREEZE_PROBE, "main") == {"registered": 0, "frozen": 0}
+    # Importing the CLI alone, as the benchmark's set-up sample does.
+    assert probe("-c", _FREEZE_PROBE) == {"frozen": 0}
+
+
 def test_fingroup_import_leaves_autmat_unloaded():
     # fingroup is the lower layer: autmat builds on it, never the reverse.
     code = "import sys, clifcpt.fingroup; print('clifcpt.autmat' in sys.modules)"
@@ -768,6 +796,39 @@ def _time_reversal_in_the_wrong_order(monkeypatch):
     monkeypatch.setitem(pipeline._WIGNER_SLOT_SEQUENCES, "T", (4, 2))
 
 
+def _closure_listing_its_last_element_negated(monkeypatch):
+    from clifcpt import verify as vf
+
+    # verify's own closures list their last element with the wrong sign.
+    # The table stays right, so order, identification and signs read off
+    # it do not change; only multiplying the listed elements shows it.
+    raw = vf.signed_closure
+
+    def fault(gens, identity):
+        group = raw(gens, identity)
+        return group._replace(elements=group.elements[:-1] + (-group.elements[-1],))
+
+    monkeypatch.setattr(vf, "signed_closure", fault)
+
+
+def _w_and_pi_read_as_anticommuting(monkeypatch):
+    from clifcpt import autmat
+    from clifcpt import verify as vf
+
+    # In the realizations and the dense reference alike, so that the two
+    # still agree.
+    raw = autmat.read_signs
+
+    def fault(group):
+        squares, table = raw(group)
+        rows = [list(row) for row in table]
+        rows[1][4] = -rows[1][4]
+        return squares, tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(autmat, "read_signs", fault)
+    monkeypatch.setattr(vf, "read_signs", fault)
+
+
 @pytest.mark.parametrize(
     "fault, failed",
     [
@@ -777,17 +838,28 @@ def _time_reversal_in_the_wrong_order(monkeypatch):
             "FAIL [theorems] complex-automorphism-groups n=0: commutativity vs prediction",
         ),
         (_time_reversal_in_the_wrong_order, "FAIL [groups] wigner-reflection-set reflection-set table mismatch"),
+        (_closure_listing_its_last_element_negated, "FAIL [groups] closure-closedness"),
+        # dirac-extended-set tests the same law, commutation equal to the
+        # polarization of the squares, on the dirac basis, so it fails too.
+        (
+            _w_and_pi_read_as_anticommuting,
+            (
+                "FAIL [groups] dirac-extended-set",
+                "FAIL [groups] sweep-label-consistency Cl(0,0): commutation is not the polarization of (+,+,+,+,+,+,+)",
+            ),
+        ),
     ],
 )
 def test_verify_fails_exactly_the_check_a_fault_targets(fault, failed, capsys, monkeypatch):
-    # Each fault reaches the pipeline too (odd cells, complex cells, the
+    # Most faults reach the pipeline too (odd cells, complex cells, the
     # cpt-wigner Cayley table), yet only its own check may see it.
     fault(monkeypatch)
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
     code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "4"], capsys)
     assert code == 1
     lines = [re.sub(r" \(\d+\.\d+s\)", "", line).rstrip() for line in out.splitlines()]
-    assert [line for line in lines if line.startswith("FAIL")] == [failed]
+    want = [failed] if isinstance(failed, str) else list(failed)
+    assert [line for line in lines if line.startswith("FAIL")] == want
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -20,6 +21,42 @@ def test_sweep_reuses_even_cells_and_ignores_jobs():
     assert len(odd) == 20
     for cell in odd:
         assert cell == classify_cell(cell["p"], cell["q"])
+
+
+# Quote, backslash, controls, DEL, non-ASCII, LINE SEPARATOR, a lone
+# surrogate and an astral character; "B" sorts before "a" by code point.
+_JSON_CHARS = 'aB_ "\\/\x00\x1f\x7f\xe9\u2028\ud800\U0001f600'
+
+
+def _random_json(rng, depth):
+    """A seeded document of the types to_json accepts, nested up to
+    `depth` containers deep."""
+
+    def text(length):
+        return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(length)))
+
+    kind = rng.randrange(5 if depth == 0 else 7)
+    if kind == 0:
+        return rng.choice((True, False, None))
+    if kind == 1:
+        return rng.choice((0, -1, 2**64 + 1, -(2**64) - 1, rng.randrange(-(2**80), 2**80)))
+    if kind <= 4:
+        return text(5)
+    if kind == 5:
+        return [_random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {text(3): _random_json(rng, depth - 1) for _ in range(rng.randrange(5))}
+
+
+def test_to_json_writes_the_bytes_of_json_dumps():
+    rng = random.Random(32)
+    deep = {"a": [{"b": [{"c": [[], {}]}]}], "B": None, "\u2028": [True, False, -(2**70)]}
+    docs = [deep, [], {}, "", 2**64 + 1] + [_random_json(rng, 6) for _ in range(300)]
+    for doc in docs:
+        assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # Only what the artifacts hold: no float, tuple, set or non-str key.
+    for doc in (0.5, (1,), {1}, {1: "a"}, {"a": [{"b": 0.5}]}):
+        with pytest.raises(TypeError):
+            to_json(doc)
 
 
 def test_sweep_pool_never_exceeds_cell_count(monkeypatch):
