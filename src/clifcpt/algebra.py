@@ -13,9 +13,9 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
-from .exact import GaussRational, ZERO, _exact, Scalarish, common_divisor, gauss_parts
+from .exact import GaussRational, ZERO, _exact, Scalarish, common_divisor, format_parts, gauss_parts
 
 REAL = "real"
 COMPLEX = "complex"
@@ -124,23 +124,35 @@ def blade_product(x: int, y: int, sig: MetricSignature) -> tuple[int, int]:
     return (-1 if _swap_parity(x, y, sig.neg_mask) else 1), x ^ y
 
 
+def _square_parity(mask: int, neg_mask: int) -> int:
+    """1 if e_mask squares to -1, else 0: e_A^2 = (-1)^(k(k-1)/2 + |A &
+    neg|) with k = |A|, as in e_A e_A each of the k(k-1)/2 pairs of
+    distinct indices of A is out of order once, and each index of A that
+    squares to -1 repeats. No range check."""
+    k = mask.bit_count()
+    return (k * (k - 1) // 2 + (mask & neg_mask).bit_count()) & 1
+
+
+def _commute_parity(x: int, y: int) -> int:
+    """0 if e_x e_y == e_y e_x, 1 if they anticommute: the parity of |x|
+    |y| + |x & y|, as each pair i in x, j in y with i != j is out of order
+    in one of the two products, and the rest of either sign is the same in
+    both. No range check."""
+    return (x.bit_count() * y.bit_count() + (x & y).bit_count()) & 1
+
+
 def blade_square_sign(mask: int, sig: MetricSignature) -> int:
-    """e_A^2 = (-1)^(k(k-1)/2 + |A & neg|) with k = |A|: in e_A e_A each
-    of the k(k-1)/2 pairs of distinct indices of A is out of order once,
-    and each index of A that squares to -1 repeats."""
+    """e_A^2 as +1 or -1 (see `_square_parity`)."""
     if mask >> sig.n:
         raise ValueError(f"blade mask out of range for n={sig.n}")
-    k = mask.bit_count()
-    return -1 if (k * (k - 1) // 2 + (mask & sig.neg_mask).bit_count()) & 1 else 1
+    return -1 if _square_parity(mask, sig.neg_mask) else 1
 
 
 def blades_commute(x: int, y: int, sig: MetricSignature) -> bool:
-    """Whether e_x e_y == e_y e_x: exactly when |x| |y| + |x & y| is even,
-    as each pair i in x, j in y with i != j is out of order in one of the
-    two products, and the rest of either sign is the same in both."""
+    """Whether e_x e_y == e_y e_x (see `_commute_parity`)."""
     if (x | y) >> sig.n:
         raise ValueError(f"blade mask out of range for n={sig.n}")
-    return not (x.bit_count() * y.bit_count() + (x & y).bit_count()) & 1
+    return not _commute_parity(x, y)
 
 
 class Multivector:
@@ -286,16 +298,14 @@ class Multivector:
     def __hash__(self) -> int:
         return hash((self.sig, self.den, frozenset(self.num.items())))
 
-    def __iter__(self) -> Iterator[tuple[int, GaussRational]]:
-        return iter(sorted(self.terms.items()))
-
     def __str__(self) -> str:
         if not self.num:
             return "0"
         parts = []
-        for mask, coeff in self:
-            cs = str(coeff)
-            if ("+" in cs[1:]) or ("-" in cs[1:]):
+        for mask in sorted(self.num):
+            re, im = self.num[mask]
+            cs = format_parts(re, im, self.den)
+            if re and im:
                 cs = f"({cs})"
             parts.append(f"{cs}*{blade_format(mask)}")
         return " + ".join(parts)
@@ -323,6 +333,23 @@ def _reduce(num: dict[int, tuple[int, int]], den: int) -> tuple[dict[int, tuple[
         den //= g
         num = {m: (re // g, im // g) for m, (re, im) in num.items()}
     return num, den
+
+
+def idempotent_product(sig: MetricSignature, masks) -> Multivector:
+    """The product (1 + e_m1)/2 (1 + e_m2)/2 ... over `masks`, in order,
+    formed by doubling instead of by Multivector products: each factor
+    (1 + e_m)/2 keeps every term c e_x and adds c e_x e_m = +-c e_(x^m),
+    with the sign of `_sign_mask`. For GF(2)-independent masks no x ^ m
+    is already a term, so the product has 2^k terms of numerator +-1 over
+    the denominator 2^k, which is canonical; dependent masks overwrite
+    terms and leave fewer."""
+    neg_mask, top = sig.neg_mask, sig.n
+    num = {0: (1, 0)}
+    for m in masks:
+        t = _sign_mask(m, neg_mask, top)
+        for x, (re, _) in list(num.items()):
+            num[x ^ m] = (-re, 0) if (x & t).bit_count() & 1 else (re, 0)
+    return _make(sig, num, 1 << len(masks))
 
 
 def volume_element(sig: MetricSignature) -> Multivector:

@@ -3,15 +3,15 @@ numbers, primitive idempotents, and the Wedderburn dimension audit."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
     MetricSignature,
     Multivector,
+    _commute_parity,
+    _square_parity,
     blade_format,
-    blade_square_sign,
-    blades_commute,
+    idempotent_product,
 )
 
 _RH_TABLE = (0, 1, 2, 2, 3, 3, 3, 3)
@@ -85,14 +85,21 @@ def idempotent_factor_count(p: int, q: int) -> int:
 def splitting_blade(sig: MetricSignature, chosen, start: int = 1) -> int | None:
     """The least mask m >= start such that e_m is outside the span of the
     blades `chosen`, squares to +1 and commutes with each of them, so that
-    (1 +- e_m)/2 would split their idempotent; None if there is none."""
+    (1 +- e_m)/2 would split their idempotent; None if there is none.
+    Each mask is tested for its square, then for the span, then for
+    commutation with each chosen blade, up to the first failure."""
+    neg_mask = sig.neg_mask
     span = {0}
     for c in chosen:
         span |= {s ^ c for s in span}
     for m in range(start, 1 << sig.n):
-        if m not in span and blade_square_sign(m, sig) == 1:
-            if all(blades_commute(m, c, sig) for c in chosen):
-                return m
+        if _square_parity(m, neg_mask) or m in span:
+            continue
+        for c in chosen:
+            if _commute_parity(m, c):
+                break
+        else:
+            return m
     return None
 
 
@@ -119,6 +126,10 @@ def primitive_idempotent(sig: MetricSignature) -> IdempotentData:
     W have one dimension: the pass reaches k whenever k blades exist, and
     a depth-first search over the masks would choose as it does and never
     backtrack.
+
+    f is formed in closed form by `idempotent_product`, with no
+    Multivector product and no test of f * f = f, which follows from the
+    above; `verify`'s arithmetic-classification check multiplies it out.
     """
     p, q = sig.p, sig.q
     k = idempotent_factor_count(p, q)
@@ -131,12 +142,7 @@ def primitive_idempotent(sig: MetricSignature) -> IdempotentData:
             )
         chosen.append(m)
 
-    f = Multivector.scalar(sig, 1)
-    half = Fraction(1, 2)
-    for m in chosen:
-        f = f * Multivector(sig, {0: half, m: half})
-    if f * f != f:
-        raise IdempotentSearchError(f"constructed f is not idempotent for Cl({p},{q})")
+    f = idempotent_product(sig, chosen)
     if len(f.num) != 1 << k:
         raise IdempotentSearchError(
             f"idempotent expansion for Cl({p},{q}) has {len(f.num)} terms, expected {1 << k}"

@@ -117,21 +117,25 @@ def format_gauss(z: GaussRational) -> str:
     Examples of the grammar: "0", "1", "-1/2", "i", "-i", "3*i",
     "1/2+1/2*i", "1/2-1/2*i".
     """
-    if z.re == 0 and z.im == 0:
-        return "0"
-    parts = []
-    if z.re != 0:
-        parts.append(str(z.re))
-    if z.im != 0:
-        mag = abs(z.im)
-        unit = "i" if mag == 1 else f"{mag}*i"
-        if z.im < 0:
-            parts.append(f"-{unit}")
-        elif parts:
-            parts.append(f"+{unit}")
-        else:
-            parts.append(unit)
-    return "".join(parts)
+    return format_parts(*gauss_parts(z))
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms as Fraction prints it: "n" or "n/d"."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def format_parts(re: int, im: int, den: int) -> str:
+    """The `format_gauss` text of (re + im*i)/den, den > 0, read from the
+    integer parts: each part is brought to lowest terms on its own."""
+    if not im:
+        return _ratio(re, den) if re else "0"
+    mag = abs(im)
+    unit = "i" if mag == den else f"{_ratio(mag, den)}*i"
+    if not re:
+        return f"-{unit}" if im < 0 else unit
+    return f"{_ratio(re, den)}{'-' if im < 0 else '+'}{unit}"
 
 
 # format_gauss's grammar: a real part [+-]D, an imaginary part [+-][D[*]]i,

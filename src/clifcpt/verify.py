@@ -334,9 +334,14 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
         assert r.signature == DIRAC_EXT_SIGNATURE, sig_str(r.signature)
         table = cayley_table(ext_reps(r))
         assert table.cells == signed_cells(DIRAC_EXT_TABLE), "extended-set table mismatch"
-        assert r.group.order == 16 and r.group.contains_minus_I
-        assert classify_form(r.signature).label == "Z4*xZ2"
-        assert r.commutation == polarization(r.signature)
+        where = _where(r.basis)
+        assert r.group.order == 16, f"{where}: closure of order {r.group.order}, want 16"
+        assert r.group.contains_minus_I, f"{where}: the closure does not contain -I"
+        label = classify_form(r.signature).label
+        assert label == "Z4*xZ2", f"{where}: label {label}, want Z4*xZ2"
+        assert r.commutation == polarization(r.signature), (
+            f"{where}: commutation is not the polarization of {sig_str(r.signature)}"
+        )
         return "signature, 64-cell table, order-16 closure, label"
 
     out.append(_run("groups", "dirac-extended-set", dirac_goldens))
@@ -361,9 +366,12 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
         r = _realization(realizations, "dirac")
         closure = signed_closure(r.matrices(), GaussMatrix.identity(r.basis.dim))
         elems = set(closure.elements)
-        for x in closure.elements:
-            for y in closure.elements:
-                assert (x * y) in elems
+        for i, x in enumerate(closure.elements):
+            for j, y in enumerate(closure.elements):
+                assert (x * y) in elems, (
+                    f"{_where(r.basis)}: the product of elements {i} and {j} "
+                    f"is not in the order-{closure.order} closure"
+                )
         return f"order-{closure.order} closure closed under all {closure.order ** 2} products"
 
     out.append(_run("groups", "closure-closedness", closure_closedness))
@@ -540,7 +548,7 @@ def suite_coverings(max_dim: int, realizations: dict | None = None) -> list[Chec
                 assert dimension_audit(p, q).passed, f"audit failed for ({p},{q})"
                 sig = MetricSignature(p, q, REAL)
                 idem = primitive_idempotent(sig)
-                assert idem.f * idem.f == idem.f
+                assert idem.f * idem.f == idem.f, f"Cl({p},{q}): f = {idem.f} is not idempotent"
                 # No blade splits f: checks k and the audit against the algebra.
                 extra = splitting_blade(sig, idem.generators_used)
                 assert extra is None, f"Cl({p},{q}): {blade_format(extra)} splits f"

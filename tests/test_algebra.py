@@ -12,6 +12,7 @@ from clifcpt.algebra import (
     OddDimensionError,
     SignatureMismatchError,
     _swap_parity,
+    blade_format,
     blade_product,
     blade_square_sign,
     blades_commute,
@@ -20,7 +21,7 @@ from clifcpt.algebra import (
     random_multivector,
     volume_element,
 )
-from clifcpt.exact import ZERO, GaussMatrix, GaussRational
+from clifcpt.exact import ZERO, GaussMatrix, GaussRational, format_gauss, format_parts
 from gammas import gamma_matrices, product
 
 CL13 = MetricSignature(1, 3)
@@ -139,6 +140,52 @@ def test_canonical_string_form():
     assert str(Multivector.zero(CL13)) == "0"
     mixed = Multivector(CL13, {1: GaussRational(Fraction(1, 2), Fraction(1, 2))})
     assert str(mixed) == "(1/2+1/2*i)*e{1}"
+
+
+def _fraction_text(z: GaussRational) -> str:
+    """format_gauss as it was written on the Fraction parts, before the
+    integer formatter: the reference for the text of a coefficient."""
+    if z.re == 0 and z.im == 0:
+        return "0"
+    parts = [str(z.re)] if z.re != 0 else []
+    if z.im != 0:
+        mag = abs(z.im)
+        unit = "i" if mag == 1 else f"{mag}*i"
+        parts.append(f"-{unit}" if z.im < 0 else f"+{unit}" if parts else unit)
+    return "".join(parts)
+
+
+def test_strings_match_the_fraction_reference():
+    # Seeded random multivectors, scaled so that their denominators range
+    # over 1..12 times 1..9, against the text formed from each Fraction.
+    rng = random.Random(33)
+    seen = set()
+    for trial in range(600):
+        sig = MetricSignature(rng.randint(0, 3), rng.randint(0, 3))
+        mv = random_multivector(sig, rng, max_terms=6, allow_complex_coeffs=trial % 3 != 0)
+        mv = mv.scale(GaussRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+        parts = []
+        for m, c in sorted(mv.terms.items()):
+            text = _fraction_text(c)
+            parts.append(f"({text})*{blade_format(m)}" if c.re and c.im else f"{text}*{blade_format(m)}")
+        assert str(mv) == (" + ".join(parts) or "0")
+        for m, (re, im) in mv.num.items():
+            text = _fraction_text(mv.coefficient(m))
+            assert format_parts(re, im, mv.den) == format_gauss(mv.coefficient(m)) == text
+            seen.add("mixed" if re and im else "real" if re else "imaginary")
+            seen.update(["negative real"] * (re < 0) + ["negative imaginary"] * (im < 0))
+            seen.update(["denominator 1"] * (mv.den == 1) + ["imaginary over d > 1"] * (im % mv.den != 0))
+        seen.update(["zero"] * mv.is_zero())
+    assert seen == {
+        "mixed",
+        "real",
+        "imaginary",
+        "negative real",
+        "negative imaginary",
+        "denominator 1",
+        "imaginary over d > 1",
+        "zero",
+    }
 
 
 def test_grade_helper():

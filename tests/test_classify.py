@@ -1,10 +1,13 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from clifcpt import classify
 from clifcpt.algebra import MetricSignature, Multivector
 from clifcpt.classify import (
+    IdempotentSearchError,
     dimension_audit,
     idempotent_factor_count,
     primitive_idempotent,
@@ -64,7 +67,7 @@ def test_primitive_idempotent_small_cases():
     assert str(f20.f) == "1/2*e{} + 1/2*e{1}"
 
 
-@pytest.mark.parametrize("n", range(0, 11))
+@pytest.mark.parametrize("n", range(0, 13))
 def test_idempotent_property_all_signatures(n):
     for p in range(n + 1):
         q = n - p
@@ -74,6 +77,47 @@ def test_idempotent_property_all_signatures(n):
         assert data.f * data.f == data.f
         assert len(data.generators_used) == data.k
         assert len(data.f.terms) == 1 << data.k
+
+
+def test_closed_form_idempotent_is_the_literal_product():
+    # f built by doubling against prod (1 + e_m)/2 multiplied out with
+    # Multivector products, on every real cell with n <= 12.
+    half = Fraction(1, 2)
+    for n in range(0, 13):
+        for p in range(n + 1):
+            sig = MetricSignature(p, n - p)
+            data = primitive_idempotent(sig)
+            want = Multivector.scalar(sig, 1)
+            for m in data.generators_used:
+                want = want * Multivector(sig, {0: half, m: half})
+            got = data.f
+            assert (got.num, got.den) == (want.num, want.den), (p, n - p)
+            assert hash(got) == hash(want) and str(got) == str(want), (p, n - p)
+
+
+def test_primitive_idempotent_forms_no_multivector_product(monkeypatch):
+    calls = [0]
+    raw = Multivector.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return raw(a, b)
+
+    monkeypatch.setattr(Multivector, "__mul__", counted)
+    one = Multivector.scalar(MetricSignature(1, 1), 1)
+    assert one * one == one and calls == [1]
+    for n in range(0, 13):
+        for p in range(n + 1):
+            primitive_idempotent(MetricSignature(p, n - p))
+    assert calls == [1]
+
+
+def test_dependent_blades_are_refused(monkeypatch):
+    # A search that takes every next mask chooses e1, e2 and e{1,2} on
+    # Cl(3,3), where k = 3; their product has 4 terms, not 8.
+    monkeypatch.setattr(classify, "splitting_blade", lambda sig, chosen, start=1: start)
+    with pytest.raises(IdempotentSearchError, match=r"Cl\(3,3\) has 4 terms, expected 8"):
+        primitive_idempotent(MetricSignature(3, 3))
 
 
 def test_dimension_audit_examples():

@@ -691,8 +691,8 @@ def test_verify_fails_when_blade_commutation_is_off_by_one(capsys, monkeypatch):
     # anticommuting blades in the idempotent search. Only
     # arithmetic-classification fails: its maximality oracle finds a
     # blade that splits the f of Cl(1,1).
-    raw = classify.blades_commute
-    monkeypatch.setattr(classify, "blades_commute", lambda x, y, sig: not raw(x, y, sig))
+    raw = classify._commute_parity
+    monkeypatch.setattr(classify, "_commute_parity", lambda x, y: 1 - raw(x, y))
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
     code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "4"], capsys)
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -700,6 +700,32 @@ def test_verify_fails_when_blade_commutation_is_off_by_one(capsys, monkeypatch):
     assert len(failed) == 1
     assert failed[0].startswith("FAIL [coverings] arithmetic-classification (")
     assert failed[0].endswith("Cl(1,1): e{1,2} splits f")
+
+
+@pytest.mark.parametrize(
+    "kept, detail",
+    [
+        # Every generator read as squaring to +1: the maximality oracle,
+        # which reads the same rule, finds a blade of Cl(0,1), where k = 0.
+        (0, "Cl(0,1): e{1} splits f"),
+        # Only e1 and e2 keep their metric, so no cell with n <= 2 changes;
+        # Cl(0,3) chooses e3, which squares to -1, and f * f != f.
+        (0b11, "Cl(0,3): f = 1/2*e{} + 1/2*e{3} is not idempotent"),
+    ],
+)
+def test_verify_fails_when_the_search_misreads_blade_squares(kept, detail, capsys, monkeypatch):
+    from clifcpt import classify
+
+    # `primitive_idempotent` no longer tests f * f = f, so a wrong square
+    # rule in the search writes a wrong f; only arithmetic-classification
+    # may see it.
+    raw = classify._square_parity
+    monkeypatch.setattr(classify, "_square_parity", lambda mask, neg_mask: raw(mask, neg_mask & kept))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "4"], capsys)
+    failed = [re.sub(r" \(\d+\.\d+s\)", "", line) for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    assert failed == [f"FAIL [coverings] arithmetic-classification {detail}"]
 
 
 def test_verify_fails_when_blade_signs_drop_the_metric(capsys, monkeypatch):
@@ -838,13 +864,18 @@ def _w_and_pi_read_as_anticommuting(monkeypatch):
             "FAIL [theorems] complex-automorphism-groups n=0: commutativity vs prediction",
         ),
         (_time_reversal_in_the_wrong_order, "FAIL [groups] wigner-reflection-set reflection-set table mismatch"),
-        (_closure_listing_its_last_element_negated, "FAIL [groups] closure-closedness"),
+        (
+            _closure_listing_its_last_element_negated,
+            "FAIL [groups] closure-closedness preset:dirac Cl(1,3): "
+            "the product of elements 1 and 14 is not in the order-16 closure",
+        ),
         # dirac-extended-set tests the same law, commutation equal to the
         # polarization of the squares, on the dirac basis, so it fails too.
         (
             _w_and_pi_read_as_anticommuting,
             (
-                "FAIL [groups] dirac-extended-set",
+                "FAIL [groups] dirac-extended-set preset:dirac Cl(1,3): "
+                "commutation is not the polarization of (-,-,+,-,-,+,+)",
                 "FAIL [groups] sweep-label-consistency Cl(0,0): commutation is not the polarization of (+,+,+,+,+,+,+)",
             ),
         ),

@@ -268,7 +268,7 @@ def counting(owner, name):
 
 for name in ("__mul__", "__neg__", "product_signed_eq"):
     counting(exact.GaussMatrix, name)
-for name in ("blade_square_sign", "blades_commute"):
+for name in ("_square_parity", "_commute_parity"):
     counting(classify, name)
 pipeline.sweep(8, "real", jobs=1)
 print(json.dumps(counts))
@@ -296,7 +296,10 @@ def test_sweep_matrix_op_counts_are_pinned():
     # Matrix work on sweep(8): no candidate the choice rule rules out, no
     # product with I on the left in `product_over`, and no dense
     # Pi * conj(Pi) in the predictor comparison. The idempotent search
-    # stops at its k-th blade instead of testing the square of every mask.
+    # stops at its k-th blade instead of testing the square of every mask:
+    # it reads the square of each of the 2050 masks it passes once, and
+    # the commutation of a +1-square mask outside the span with each
+    # chosen blade up to the first that anticommutes.
     # `check` and certification compare products on their integer
     # numerators, which every matrix stores, and build none: 7 conditions
     # on each of the 140 generators of the 25 bases (980), one square test
@@ -308,8 +311,8 @@ def test_sweep_matrix_op_counts_are_pinned():
         "__mul__": 411,
         "__neg__": 0,
         "product_signed_eq": 1574,
-        "blade_square_sign": 2008,
-        "blades_commute": 1304,
+        "_square_parity": 2050,
+        "_commute_parity": 1304,
     }
 
 
