@@ -22,11 +22,12 @@ from .algebra import (
     Multivector,
     OddDimensionError,
     blade_format,
+    blade_product,
     involution_via_omega_check,
     random_multivector,
 )
 from .autmat import ELEMENT_NAMES, Realization, check, read_signs, realize
-from .classify import dimension_audit, primitive_idempotent, radon_hurwitz, ring_type, splitting_blade
+from .classify import dimension_audit, primitive_idempotent, radon_hurwitz, ring_type
 from .exact import GaussMatrix
 from .fingroup import (
     GroupStructureError,
@@ -549,9 +550,18 @@ def suite_coverings(max_dim: int, realizations: dict | None = None) -> list[Chec
                 sig = MetricSignature(p, q, REAL)
                 idem = primitive_idempotent(sig)
                 assert idem.f * idem.f == idem.f, f"Cl({p},{q}): f = {idem.f} is not idempotent"
-                # No blade splits f: checks k and the audit against the algebra.
-                extra = splitting_blade(sig, idem.generators_used)
-                assert extra is None, f"Cl({p},{q}): {blade_format(extra)} splits f"
+                # No blade splits f: checks k and the audit against the
+                # algebra. Signs come from blade_product, not from the
+                # square and commutation rules that the search reads.
+                chosen = idem.generators_used
+                span = {0}
+                for c in chosen:
+                    span |= {s ^ c for s in span}
+                for m in range(1, 1 << n):
+                    if m in span or blade_product(m, m, sig)[0] < 0:
+                        continue
+                    splits = all(blade_product(m, c, sig) == blade_product(c, m, sig) for c in chosen)
+                    assert not splits, f"Cl({p},{q}): {blade_format(m)} splits f"
                 assert ring_type(p + 4, q + 4).tag == ring_type(p, q).tag
         return f"ring/idempotent/audit arithmetic through p+q={max_dim}"
 

@@ -689,8 +689,8 @@ def test_verify_fails_when_blade_commutation_is_off_by_one(capsys, monkeypatch):
 
     # An exponent of |x| |y| + |x & y| + 1 swaps commuting and
     # anticommuting blades in the idempotent search. Only
-    # arithmetic-classification fails: its maximality oracle finds a
-    # blade that splits the f of Cl(1,1).
+    # arithmetic-classification fails: Cl(2,1), the first cell with k = 2,
+    # takes the anticommuting e1 and e2, so f * f != f.
     raw = classify._commute_parity
     monkeypatch.setattr(classify, "_commute_parity", lambda x, y: 1 - raw(x, y))
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
@@ -699,15 +699,16 @@ def test_verify_fails_when_blade_commutation_is_off_by_one(capsys, monkeypatch):
     assert code == 1
     assert len(failed) == 1
     assert failed[0].startswith("FAIL [coverings] arithmetic-classification (")
-    assert failed[0].endswith("Cl(1,1): e{1,2} splits f")
+    assert failed[0].endswith("Cl(2,1): f = 1/4*e{} + 1/4*e{1} + 1/4*e{2} + 1/4*e{1,2} is not idempotent")
 
 
 @pytest.mark.parametrize(
     "kept, detail",
     [
-        # Every generator read as squaring to +1: the maximality oracle,
-        # which reads the same rule, finds a blade of Cl(0,1), where k = 0.
-        (0, "Cl(0,1): e{1} splits f"),
+        # Every generator read as squaring to +1: Cl(0,3), the first cell
+        # with a negative generator and k > 0, chooses e1, which squares
+        # to -1, and f * f != f.
+        (0, "Cl(0,3): f = 1/2*e{} + 1/2*e{1} is not idempotent"),
         # Only e1 and e2 keep their metric, so no cell with n <= 2 changes;
         # Cl(0,3) chooses e3, which squares to -1, and f * f != f.
         (0b11, "Cl(0,3): f = 1/2*e{} + 1/2*e{3} is not idempotent"),
@@ -726,6 +727,29 @@ def test_verify_fails_when_the_search_misreads_blade_squares(kept, detail, capsy
     failed = [re.sub(r" \(\d+\.\d+s\)", "", line) for line in out.splitlines() if line.startswith("FAIL")]
     assert code == 1
     assert failed == [f"FAIL [coverings] arithmetic-classification {detail}"]
+
+
+def test_verify_maximality_oracle_finds_a_blade_the_search_left_out(capsys, monkeypatch):
+    from clifcpt import verify
+    from clifcpt.algebra import idempotent_product
+    from clifcpt.classify import IdempotentData
+
+    # Dropping the last chosen blade leaves an idempotent that is not
+    # primitive, so f * f = f still holds; only the maximality oracle,
+    # which reads blade_product, sees it, first on Cl(1,0), where k = 1.
+    raw = verify.primitive_idempotent
+
+    def short(sig):
+        idem = raw(sig)
+        kept = idem.generators_used[:-1]
+        return IdempotentData(len(kept), kept, idempotent_product(sig, kept))
+
+    monkeypatch.setattr(verify, "primitive_idempotent", short)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-dim", "4"], capsys)
+    failed = [re.sub(r" \(\d+\.\d+s\)", "", line) for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    assert failed == ["FAIL [coverings] arithmetic-classification Cl(1,0): e{1} splits f"]
 
 
 def test_verify_fails_when_blade_signs_drop_the_metric(capsys, monkeypatch):

@@ -178,6 +178,48 @@ def test_fan_out_runs_in_process_without_fork(monkeypatch):
     assert pipeline.fan_out(lambda share: os.getpid(), [0, 1]) == [os.getpid()] * 2
 
 
+# The CPUs this process may run on when the tests start; every fan-out
+# must leave the caller with exactly these.
+_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+_placement = pytest.mark.skipif(len(_CPUS) < 2, reason="placement needs sched_setaffinity and two usable CPUs")
+
+
+@_placement
+def test_fan_out_runs_share_k_on_cpu_k_mod_the_cpu_count():
+    # On two CPUs: [[c0], [c1], [c0]].
+    cpus = sorted(_CPUS)
+    expected = [[cpus[k % len(cpus)]] for k in range(3)]
+    assert pipeline.fan_out(lambda s: sorted(os.sched_getaffinity(0)), [0, 1, 2]) == expected
+    assert os.sched_getaffinity(0) == _CPUS
+
+
+@_placement
+@pytest.mark.parametrize("failing", [None, 0, 1])
+def test_fan_out_restores_the_callers_affinity(failing):
+    def work(share):
+        if share == failing:
+            raise ValueError(f"share {share}")
+        return share
+
+    if failing is None:
+        assert pipeline.fan_out(work, [0, 1]) == [0, 1]
+    else:
+        with pytest.raises(ValueError, match=f"^share {failing}$"):
+            pipeline.fan_out(work, [0, 1])
+    assert os.sched_getaffinity(0) == _CPUS
+
+
+@_placement
+def test_fan_out_ignores_a_placement_that_fails(monkeypatch):
+    def refuse(pid, cpus):
+        raise OSError("placement refused")
+
+    # The children inherit the patch through the fork.
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    assert pipeline.fan_out(lambda s: s * s, [1, 2, 3]) == [1, 4, 9]
+    assert os.sched_getaffinity(0) == _CPUS
+
+
 def test_a_flipped_closure_sign_breaks_label_consistency(monkeypatch):
     # `label_consistent` and verify's sweep-label-consistency compare the
     # commutation table read off the closure with the polarization of the
