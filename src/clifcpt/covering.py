@@ -1,6 +1,6 @@
 """Classification-theorem predictors and the odd-dimension reduction.
 
-The predictors compute, from arithmetic data only (the three masks of
+The predictors compute, from arithmetic data only (the two masks of
 the basis profile, or n for the complex field), what the classification
 theorems assert about the automorphism matrices: the (E, Pi) choices,
 the generator masks, every square sign including Pi*conj(Pi), and every
@@ -70,7 +70,7 @@ def choice_candidates(prof: BasisProfile) -> dict[str, tuple[tuple[int, str], ..
 
 def predict_realization(prof: BasisProfile) -> PredictedRealization:
     """The one CPT realization of an even-dimensional certified basis,
-    read off the popcounts of its profile's three masks.
+    read off the popcounts of its profile's two masks.
 
     Each element is a signed blade +-e_A, A a set of generator slots, and
     each certified generator g is purely real or imaginary, purely
@@ -78,8 +78,8 @@ def predict_realization(prof: BasisProfile) -> PredictedRealization:
 
     Square rule: (+-e_A)^2 = (-1)^(k(k-1)/2 + |A & neg|) with k = |A|.
     Reversing the k factors of the second copy takes k(k-1)/2 swaps of
-    anticommuting generators, and each generator in A squaring to -I
-    gives one more sign.
+    anticommuting generators, and each generator of A in neg (the slots
+    squaring to -I, real_mask ^ sym_mask) gives one more sign.
 
     Commutation rule: e_A e_B = (-1)^(|A||B| + |A & B|) e_B e_A. Moving
     each of the |B| generators of e_B past e_A costs |A| swaps, less one
@@ -113,7 +113,7 @@ def predict_realization(prof: BasisProfile) -> PredictedRealization:
         for first, second in choice_candidates(prof).values()
     )
     masks = dict(zip(_ELEMENTS, (full, e, e ^ full, pi, pi ^ full, pi ^ e, pi ^ e ^ full)))
-    signature = tuple(_square(a, prof.neg_mask) for a in masks.values())
+    signature = tuple(_square(a, prof.real_mask ^ prof.sym_mask) for a in masks.values())
     return PredictedRealization(choice_e, choice_pi, masks, signature, polarization(signature))
 
 

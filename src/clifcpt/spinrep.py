@@ -37,41 +37,39 @@ class SpinBasisFileError(ValueError):
     """A spin basis file could not be parsed or is for another signature."""
 
 
-# The census keys of BasisProfile.as_dict: name -> (reality, symmetry,
-# square) of the generators it counts; None leaves that trait free.
+# The census keys of BasisProfile.as_dict: name -> (reality, symmetry) of
+# the generators it counts; None leaves that trait free. Each square key
+# names the class its sign forces: +I iff real == symmetric (certify_spinbasis).
 _CENSUS = {
-    "a": (False, None, None),
-    "b": (True, None, None),
-    "k": (None, False, None),
-    "cs": (False, True, None),
-    "ck": (False, False, None),
-    "rs": (True, True, None),
-    "rk": (True, False, None),
-    "sym_pos": (None, True, 1),
-    "sym_neg": (None, True, -1),
-    "skew_pos": (None, False, 1),
-    "skew_neg": (None, False, -1),
-    "aplus": (False, None, 1),
-    "aminus": (False, None, -1),
-    "bplus": (True, None, 1),
-    "bminus": (True, None, -1),
+    "a": (False, None),
+    "b": (True, None),
+    "k": (None, False),
+    "cs": (False, True),
+    "ck": (False, False),
+    "rs": (True, True),
+    "rk": (True, False),
+    "sym_pos": (True, True),
+    "sym_neg": (False, True),
+    "skew_pos": (False, False),
+    "skew_neg": (True, False),
+    "aplus": (False, False),
+    "aminus": (False, True),
+    "bplus": (True, True),
+    "bminus": (True, False),
 }
 
 
 class BasisProfile(NamedTuple):
     """Census of a certified spin basis as generator-slot masks (bit i-1
-    is generator i): the real-entry generators (the rest are imaginary),
-    the symmetric ones (the rest are antisymmetric), and those squaring
-    to -I (the rest square to +I)."""
+    is generator i): the real-entry generators (the rest are imaginary)
+    and the symmetric ones (the rest are antisymmetric). The generators
+    squaring to -I are real_mask ^ sym_mask."""
 
     n: int
     real_mask: int
     sym_mask: int
-    neg_mask: int
 
-    def mask(
-        self, real: bool | None = None, sym: bool | None = None, square: int | None = None
-    ) -> int:
+    def mask(self, real: bool | None = None, sym: bool | None = None) -> int:
         """Slots of the generators with every given trait; the count of a
         class is the popcount of its mask."""
         m = (1 << self.n) - 1
@@ -79,8 +77,6 @@ class BasisProfile(NamedTuple):
             m &= self.real_mask if real else ~self.real_mask
         if sym is not None:
             m &= self.sym_mask if sym else ~self.sym_mask
-        if square is not None:
-            m &= self.neg_mask if square < 0 else ~self.neg_mask
         return m
 
     def as_dict(self) -> dict:
@@ -227,13 +223,12 @@ def preset_spinbasis(name: str) -> SpinBasis:
 
 
 def _scan_traits(
-    g: GaussMatrix, eye: GaussMatrix, want: int, violations: list[str], idx: int
-) -> tuple[bool, bool, int] | None:
-    """Reality, symmetry and square sign of one generator, or None after
-    recording why it has none. g * g is compared with the metric square
-    `want` times eye * eye first, so a certified generator costs one
-    comparison, and then with its negative; antisymmetry is tested as
-    g * eye == -(g^T * eye), so no negated matrix is formed."""
+    g: GaussMatrix, eye: GaussMatrix, violations: list[str], idx: int
+) -> tuple[bool, bool] | None:
+    """Reality and symmetry of one generator, or None after recording why
+    it has none. g * g is compared once, with eye * eye times the sign its
+    traits force by the square rule of `certify_spinbasis`; antisymmetry
+    is tested as g * eye == -(g^T * eye), so no negated matrix is formed."""
     has_re = any(re for row in g.num for _, re, _ in row)
     has_im = any(im for row in g.num for _, _, im in row)
     if has_re and has_im:
@@ -247,9 +242,8 @@ def _scan_traits(
     else:
         violations.append(f"generator {idx} is neither symmetric nor antisymmetric")
         return None
-    for sq in (want, -want):
-        if g.product_signed_eq(g, eye, eye, sq):
-            return not has_im, symmetric, sq
+    if g.product_signed_eq(g, eye, eye, -1 if has_im == symmetric else 1):
+        return not has_im, symmetric
     violations.append(f"generator {idx} does not square to +I or -I")
     return None
 
@@ -257,6 +251,12 @@ def _scan_traits(
 def certify_spinbasis(sig: MetricSignature, gens: tuple[GaussMatrix, ...]) -> BasisProfile:
     """Verify the Clifford relations, metric squares, and reality and
     symmetry purity of every generator; return the census on success.
+
+    Square rule: a pure generator g with g^2 = +-I squares to -I exactly
+    when it is real antisymmetric or imaginary symmetric. For real h, h h^T
+    is positive semidefinite, so not -I; g^2 is +g g^T or -g g^T for real
+    symmetric or antisymmetric g, and -h h^T or +h h^T for g = i h with h
+    real symmetric or antisymmetric. So the -I slots are real_mask ^ sym_mask.
 
     Squares and pairs (gi gj = -gj gi) are compared on integer
     numerators by `GaussMatrix.product_signed_eq`, so no product is
@@ -267,7 +267,7 @@ def certify_spinbasis(sig: MetricSignature, gens: tuple[GaussMatrix, ...]) -> Ba
     if len(gens) != n:
         raise CertificationError([f"expected {n} generators, got {len(gens)}"])
     if n == 0:
-        return BasisProfile(0, 0, 0, 0)
+        return BasisProfile(0, 0, 0)
     dims = {g.dim for g in gens}
     if len(dims) != 1:
         raise CertificationError([f"generator dimensions differ: {sorted(dims)}"])
@@ -278,18 +278,16 @@ def certify_spinbasis(sig: MetricSignature, gens: tuple[GaussMatrix, ...]) -> Ba
         )
 
     eye = GaussMatrix.identity(dim)
-    real_mask = sym_mask = neg_mask = scanned = 0
+    real_mask = sym_mask = scanned = 0
     for i, g in enumerate(gens):
-        traits = _scan_traits(g, eye, sig.metric_sign(i + 1), violations, i + 1)
+        traits = _scan_traits(g, eye, violations, i + 1)
         if traits is None:
             continue
-        real, symmetric, square = traits
-        bit = 1 << i
-        scanned |= bit
-        real_mask |= bit if real else 0
-        sym_mask |= bit if symmetric else 0
-        neg_mask |= bit if square < 0 else 0
-    for i in blade_indices((neg_mask ^ sig.neg_mask) & scanned):
+        real, symmetric = traits
+        scanned |= 1 << i
+        real_mask |= real << i
+        sym_mask |= symmetric << i
+    for i in blade_indices((real_mask ^ sym_mask ^ sig.neg_mask) & scanned):
         want, got = ("-I", "+I") if sig.metric_sign(i) < 0 else ("+I", "-I")
         violations.append(f"generator {i} squares to {got}, expected {want}")
     for i in range(n):
@@ -299,7 +297,7 @@ def certify_spinbasis(sig: MetricSignature, gens: tuple[GaussMatrix, ...]) -> Ba
                 violations.append(f"generators {i + 1} and {j + 1} do not anticommute")
     if violations:
         raise CertificationError(violations)
-    return BasisProfile(n, real_mask, sym_mask, neg_mask)
+    return BasisProfile(n, real_mask, sym_mask)
 
 
 def product_over(basis: SpinBasis, mask: int) -> GaussMatrix:

@@ -14,7 +14,7 @@ import traceback
 from itertools import product as iterproduct
 from typing import NamedTuple
 
-from . import SUITE_NAMES, covering
+from . import SUITE_NAMES, algebra, covering
 from .algebra import (
     COMPLEX,
     REAL,
@@ -22,7 +22,6 @@ from .algebra import (
     Multivector,
     OddDimensionError,
     blade_format,
-    blade_product,
     involution_via_omega_check,
     random_multivector,
 )
@@ -551,16 +550,18 @@ def suite_coverings(max_dim: int, realizations: dict | None = None) -> list[Chec
                 idem = primitive_idempotent(sig)
                 assert idem.f * idem.f == idem.f, f"Cl({p},{q}): f = {idem.f} is not idempotent"
                 # No blade splits f: checks k and the audit against the
-                # algebra. Signs come from blade_product, not from the
-                # square and commutation rules that the search reads.
-                chosen = idem.generators_used
+                # algebra. Signs come from blade_product's sign masks, e_x e_y
+                # with sign parity |x & t_y|, not from the search's rules.
+                neg = sig.neg_mask
+                chosen = [(c, algebra._sign_mask(c, neg, n)) for c in idem.generators_used]
                 span = {0}
-                for c in chosen:
+                for c, _ in chosen:
                     span |= {s ^ c for s in span}
                 for m in range(1, 1 << n):
-                    if m in span or blade_product(m, m, sig)[0] < 0:
+                    tm = algebra._sign_mask(m, neg, n)
+                    if m in span or (m & tm).bit_count() & 1:
                         continue
-                    splits = all(blade_product(m, c, sig) == blade_product(c, m, sig) for c in chosen)
+                    splits = all(not ((m & tc) ^ (c & tm)).bit_count() & 1 for c, tc in chosen)
                     assert not splits, f"Cl({p},{q}): {blade_format(m)} splits f"
                 assert ring_type(p + 4, q + 4).tag == ring_type(p, q).tag
         return f"ring/idempotent/audit arithmetic through p+q={max_dim}"

@@ -1,7 +1,7 @@
 import pytest
 
 from clifcpt import autmat, cli
-from clifcpt.algebra import COMPLEX, MetricSignature
+from clifcpt.algebra import COMPLEX, MetricSignature, blade_indices
 from clifcpt.autmat import (
     CONDITIONS,
     ELEMENT_NAMES,
@@ -12,9 +12,12 @@ from clifcpt.autmat import (
     realize,
 )
 from clifcpt.covering import choice_candidates
-from clifcpt.exact import I_UNIT, GaussMatrix
+from clifcpt.exact import I_UNIT, GaussMatrix, kron
 from clifcpt.fingroup import minus_count, sig_str
+from clifcpt.pipeline import realization_record
 from clifcpt.spinrep import (
+    PAULI_1,
+    PAULI_3,
     CertificationError,
     SpinBasis,
     build_spinbasis,
@@ -346,6 +349,74 @@ def test_last_positive_generator_times_i_is_a_basis_one_sign_over():
             gens = list(canonical.gens)
             gens[p - 1] = gens[p - 1].scale(I_UNIT)
             basis = SpinBasis(MetricSignature(p - 1, n - p + 1), tuple(gens), "times-i")
-            bit, old = 1 << (p - 1), canonical.profile
-            assert basis.profile == old._replace(real_mask=old.real_mask ^ bit, neg_mask=old.neg_mask | bit)
+            bit, old, new = 1 << (p - 1), canonical.profile, basis.profile
+            assert new == old._replace(real_mask=old.real_mask ^ bit)
+            assert (new.real_mask ^ new.sym_mask) & bit and not (old.real_mask ^ old.sym_mask) & bit
             assert realization_facts(realize(basis)) == dense_realization(basis), (p, n - p)
+
+
+def test_permuting_slots_within_a_trait_class_keeps_the_realization():
+    # The slots of one (reality, symmetry) class share their square by the
+    # square rule, so rotating them gives a basis of the same signature and
+    # profile. `realize` reads only the profile and the metric, so its
+    # record (masks, signature, labels) stays the same, and the dense
+    # reference of the rotated basis agrees with it.
+    bases = [build_spinbasis(MetricSignature(p, n - p)) for n in range(0, 9, 2) for p in range(n + 1)]
+    bases += [basis for _, _, basis in conjugated_bases()]
+    variants = 0
+    for basis in bases:
+        prof, record = basis.profile, realization_record(realize(basis))
+        for real in (True, False):
+            for sym in (True, False):
+                slots = blade_indices(prof.mask(real, sym))
+                if len(slots) < 2:
+                    continue
+                assert len({basis.sig.metric_sign(i) for i in slots}) == 1
+                gens = list(basis.gens)
+                for i, j in zip(slots, slots[1:] + slots[:1]):
+                    gens[i - 1] = basis.gens[j - 1]
+                moved = SpinBasis(basis.sig, tuple(gens), "class-rotated")
+                where = (basis.sig, basis.provenance, real, sym)
+                assert moved.gens != basis.gens and moved.profile == prof, where
+                r = realize(moved)
+                assert realization_record(r) == record, where
+                assert realization_facts(r) == dense_realization(moved), where
+                variants += 1
+    assert (len(bases), variants) == (25 + 62, 146)
+
+
+def _kronecker_step(basis):
+    """{g (x) Z} and I (x) X, I (x) XZ, positives first: g (x) Z keeps g's
+    traits and square, anticommutes with both new generators, which
+    anticommute with each other, so this is a basis of Cl(p+1, q+1)."""
+    p, q = basis.sig.p, basis.sig.q
+    eye = GaussMatrix.identity(basis.dim)
+    old = [kron(g, PAULI_3) for g in basis.gens]
+    gens = old[:p] + [kron(eye, PAULI_1)] + old[p:] + [kron(eye, PAULI_1 * PAULI_3)]
+    return SpinBasis(MetricSignature(p + 1, q + 1), tuple(gens), "kronecker-step")
+
+
+def test_kronecker_step_adds_a_slot_of_each_sign():
+    # The new +I slot I (x) X is real symmetric and the new -I slot
+    # I (x) XZ real antisymmetric, as the square rule predicts; every old
+    # slot keeps its traits, and the blade realization of each step equals
+    # its dense reference. From the n = 4 conjugated bases up to n = 8.
+    steps = 0
+    for _, _, basis in conjugated_bases():
+        if basis.sig.n != 4:
+            continue
+        while basis.sig.n < 8:
+            p, n = basis.sig.p, basis.sig.n
+            step = _kronecker_step(basis)
+            old, new = basis.profile, step.profile
+
+            def spread(mask):
+                return mask & ((1 << p) - 1) | mask >> p << (p + 1)
+
+            where = (step.sig, basis.provenance)
+            assert new.real_mask == spread(old.real_mask) | 1 << p | 1 << (n + 1), where
+            assert new.sym_mask == spread(old.sym_mask) | 1 << p, where
+            assert realization_facts(realize(step)) == dense_realization(step), where
+            basis = step
+            steps += 1
+    assert steps == 2 * 25

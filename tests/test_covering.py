@@ -16,13 +16,11 @@ from pauli_bases import pauli_bases, sample_pauli_bases
 
 
 def _profile(traits):
-    """A census from (real, symmetric) pairs, slot 1 first. A certified
-    generator squares to -I exactly when it is real antisymmetric or
-    imaginary symmetric (g g^T, resp. -g g^*, is positive), so the
-    square follows from the other two traits."""
-    masks = [0, 0, 0]
-    for i, (real, symmetric) in enumerate(traits):
-        for j, flag in enumerate((real, symmetric, real != symmetric)):
+    """A census from (real, symmetric) pairs, slot 1 first; the squares
+    follow from them by the square rule of `spinrep.certify_spinbasis`."""
+    masks = [0, 0]
+    for i, flags in enumerate(traits):
+        for j, flag in enumerate(flags):
             masks[j] |= flag << i
     return BasisProfile(len(traits), *masks)
 

@@ -345,10 +345,11 @@ def test_sweep_matrix_op_counts_are_pinned():
     # `check` and certification compare products on their integer
     # numerators, which every matrix stores, and build none: 7 conditions
     # on each of the 140 generators of the 25 bases (980), one square test
-    # per generator against its metric sign (140), one anticommutation
-    # test per pair (390), and one antisymmetry test g * I == -(g^T * I)
-    # per antisymmetric generator (64), which forms no negated matrix, so
-    # no matrix is negated at all. A rise means repeated work.
+    # per generator against the sign its reality and symmetry force (140),
+    # one anticommutation test per pair (390), and one antisymmetry test
+    # g * I == -(g^T * I) per antisymmetric generator (64), which forms no
+    # negated matrix, so no matrix is negated at all. A rise means
+    # repeated work.
     assert _run_fresh(_COUNT_SWEEP_OPS) == {
         "__mul__": 411,
         "__neg__": 0,

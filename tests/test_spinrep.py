@@ -21,6 +21,7 @@ from clifcpt.spinrep import (
 )
 from dense_reference import conjugated_bases
 from gammas import gamma_matrices
+from pauli_bases import pauli_bases, sample_pauli_bases
 
 
 def test_cl11_tower():
@@ -40,7 +41,7 @@ def test_cl02_canonical():
     prof = basis.profile
     census = prof.as_dict()
     assert (census["a"], census["b"]) == (2, 0)
-    assert prof.neg_mask == prof.mask() == 0b11
+    assert prof.real_mask ^ prof.sym_mask == prof.mask() == 0b11
 
 
 def test_cl20_tower_real():
@@ -69,7 +70,7 @@ def test_complex_canonical_profile():
     prof = build_spinbasis(MetricSignature(4, 0, COMPLEX)).profile
     census = prof.as_dict()
     assert (census["a"], census["b"]) == (2, 2)
-    assert prof.neg_mask == 0
+    assert prof.real_mask ^ prof.sym_mask == 0
 
 
 def test_odd_dimension_unsupported():
@@ -92,7 +93,7 @@ def test_dirac_profile_counts():
     assert sym_flags == [True, False, True, False]
 
     prof = preset_spinbasis("dirac").profile
-    assert (prof.real_mask, prof.sym_mask, prof.neg_mask) == (0b1011, 0b0101, 0b1110)
+    assert tuple(prof) == (4, 0b1011, 0b0101) and prof.real_mask ^ prof.sym_mask == 0b1110
     c = prof.as_dict()
     assert (c["a"], c["b"], c["k"]) == (1, 3, 2)
     assert (c["cs"], c["ck"], c["rs"], c["rk"]) == (1, 0, 1, 2)
@@ -173,12 +174,19 @@ def _conjugated(basis, tmp_path):
 
 
 def test_profile_masks_match_per_generator_reference(tmp_path):
+    # The reference reads each square off g * g, so the census checks the
+    # square rule: -I exactly on the real antisymmetric and the imaginary
+    # symmetric generators. The Pauli-word and conjugated bases reach all
+    # four (reality, symmetry) classes with dense and monomial generators.
     bases = [preset_spinbasis("dirac")]
     for n in range(0, 9, 2):
         bases += [build_spinbasis(MetricSignature(p, n - p)) for p in range(n + 1)]
         bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
+    bases += pauli_bases(2) + pauli_bases(4) + sample_pauli_bases(6, 48, seed=6)
+    bases += [basis for _, _, basis in conjugated_bases()]
     bases.append(_conjugated(build_spinbasis(MetricSignature(1, 3)), tmp_path))
     assert any(len(row) > 1 for g in bases[-1].gens for row in g.entries)
+    assert len(bases) == 1 + 25 + 5 + 492 + 48 + 62 + 1
     for basis in bases:
         traits = _reference_traits(basis)
         prof = basis.profile
@@ -192,6 +200,43 @@ def test_profile_masks_match_per_generator_reference(tmp_path):
                     if real in (None, r) and sym in (None, s)
                 )
                 assert prof.mask(real=real, sym=sym) == want, (basis.sig, real, sym)
+
+
+def test_square_rule_on_each_trait_class():
+    # One 2x2 generator per (reality, symmetry) class, with the square the
+    # rule forces: X (real symmetric, +I), XZ (real antisymmetric, -I), iX
+    # (imaginary symmetric, -I) and iXZ (imaginary antisymmetric, +I).
+    # Certified pairs give their profiles; on the wrong metric, each
+    # generator reports the square its class forces.
+    x, z = spinrep.PAULI_1, spinrep.PAULI_3
+    i = GaussRational(0, 1)
+    xz, ix, iz = x * z, x.scale(i), z.scale(i)
+    ixz = xz.scale(i)
+    eye = GaussMatrix.identity(2)
+    assert [g * g for g in (x, xz, ix, ixz)] == [eye, -eye, -eye, eye]
+    certified = [
+        ((2, 0), (x, z), (0b11, 0b11)),
+        ((1, 1), (x, xz), (0b11, 0b01)),
+        ((0, 2), (ix, iz), (0b00, 0b11)),
+        ((2, 0), (ixz, x), (0b10, 0b10)),
+        ((1, 1), (ixz, ix), (0b00, 0b10)),
+        ((1, 1), (z, xz), (0b11, 0b01)),
+    ]
+    for (p, q), gens, masks in certified:
+        prof = SpinBasis(MetricSignature(p, q), gens, "test").profile
+        assert prof == (2, *masks), (p, q, masks)
+        assert prof.real_mask ^ prof.sym_mask == MetricSignature(p, q).neg_mask
+    rejected = [
+        ((0, 2), (x, z), ["generator 1 squares to +I, expected -I", "generator 2 squares to +I, expected -I"]),
+        ((2, 0), (x, xz), ["generator 2 squares to -I, expected +I"]),
+        ((2, 0), (ix, iz), ["generator 1 squares to -I, expected +I", "generator 2 squares to -I, expected +I"]),
+        ((0, 2), (ixz, x), ["generator 1 squares to +I, expected -I", "generator 2 squares to +I, expected -I"]),
+        ((1, 1), (ix, ixz), ["generator 1 squares to -I, expected +I", "generator 2 squares to +I, expected -I"]),
+    ]
+    for (p, q), gens, violations in rejected:
+        with pytest.raises(CertificationError) as err:
+            SpinBasis(MetricSignature(p, q), gens, "test")
+        assert err.value.violations == violations, (p, q)
 
 
 def test_equal_slot_traits_give_equal_records(tmp_path):
