@@ -8,12 +8,7 @@ import json
 from typing import NamedTuple
 
 from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
-from .exact import GaussMatrix, GaussRational, I_UNIT, kron
-
-PAULI_1 = GaussMatrix([[0, 1], [1, 0]])
-PAULI_2 = GaussMatrix([[0, GaussRational(0, -1)], [GaussRational(0, 1), 0]])
-PAULI_3 = GaussMatrix([[1, 0], [0, -1]])
-I2 = GaussMatrix.identity(2)
+from .exact import GaussMatrix, I_UNIT
 
 
 class UnsupportedSignatureError(ValueError):
@@ -116,28 +111,34 @@ class SpinBasis(_BasisFields):
         return self.gens[0].dim if self.gens else 1
 
 
+def pauli_word(m: int, x: int, z: int) -> GaussMatrix:
+    """The real word X^x Z^z on m qubits, bit m-1 of x and z the first
+    Kronecker factor, as bit m-1 of a row index is: row r holds one
+    entry, at column r ^ x, with sign (-1)^|(r ^ x) & z|. Phases go
+    through `GaussMatrix.scale`.
+
+    Per qubit ZX = -XZ, so Z^z X^x = (-1)^|x & z| X^x Z^z. Hence W^2 =
+    (-1)^|x & z| I; as a real signed permutation, W^T = W^-1 = W^2 W,
+    so W is symmetric exactly when W^2 = +I; and W W' = (-1)^|z & x'|
+    X^(x^x') Z^(z^z') = (-1)^(|z & x'| + |x & z'|) W' W, so two words
+    anticommute exactly when |x & z'| + |z & x'| is odd."""
+    cols = (r ^ x for r in range(1 << m))
+    num = tuple(((c, -1 if (c & z).bit_count() & 1 else 1, 0),) for c in cols)
+    return GaussMatrix._make(1 << m, num, 1)
+
+
 def _bw_pool(m: int) -> tuple[list[GaussMatrix], list[GaussMatrix], GaussMatrix]:
     """The 2m+1 pairwise-anticommuting pool behind every canonical basis:
-    m real symmetric generators (Pauli-1 cores), m imaginary antisymmetric
-    ones (Pauli-2 cores), and the all-Pauli-3 tail; every square is +I.
-
-    Generator kk of each list carries its core behind kk-1 Pauli-3 factors
-    and is padded with identities; interleaving the two lists gives the
-    Brauer-Weyl tower of the complex field."""
+    m real symmetric words Z...Z X I...I, m imaginary antisymmetric ones
+    i(Z...Z XZ I...I) (sigma_2 = i XZ) and the tail Z...Z; every square
+    is +I. The j-th word of each list has its core on qubit j; interleaving
+    the two lists gives the Brauer-Weyl tower of the complex field."""
     reals, imags = [], []
-    for kk in range(1, m + 1):
-        for core, bucket in ((PAULI_1, reals), (PAULI_2, imags)):
-            g = GaussMatrix.identity(1)
-            for _ in range(kk - 1):
-                g = kron(g, PAULI_3)
-            g = kron(g, core)
-            for _ in range(m - kk):
-                g = kron(g, I2)
-            bucket.append(g)
-    tail = GaussMatrix.identity(1)
-    for _ in range(m):
-        tail = kron(tail, PAULI_3)
-    return reals, imags, tail
+    for k in reversed(range(m)):
+        x, z = 1 << k, (1 << m) - (2 << k)  # the core's qubit, the qubits before it
+        reals.append(pauli_word(m, x, z))
+        imags.append(pauli_word(m, x, z | x).scale(I_UNIT))
+    return reals, imags, pauli_word(m, 0, (1 << m) - 1)
 
 
 def _real_basis(p: int, q: int) -> list[GaussMatrix]:
@@ -199,17 +200,9 @@ def build_spinbasis(sig: MetricSignature) -> SpinBasis:
     return SpinBasis(sig, tuple(gens), "canonical")
 
 
-_DIRAC_ROWS = {
-    1: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
-    2: [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]],
-    3: [
-        [0, 0, 0, GaussRational(0, -1)],
-        [0, 0, GaussRational(0, 1), 0],
-        [0, GaussRational(0, 1), 0, 0],
-        [GaussRational(0, -1), 0, 0, 0],
-    ],
-    4: [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],
-}
+# The dirac preset as (phase, x, z) words on two qubits: gamma^0 = Z (x) I
+# and gamma^k = ZX (x) sigma_k, with ZX = -XZ and sigma_2 = i XZ.
+_DIRAC_WORDS = ((1, 0b00, 0b10), (-1, 0b11, 0b10), (-I_UNIT, 0b11, 0b11), (-1, 0b10, 0b11))
 
 
 def preset_spinbasis(name: str) -> SpinBasis:
@@ -218,7 +211,7 @@ def preset_spinbasis(name: str) -> SpinBasis:
     if name != "dirac":
         raise UnsupportedSignatureError(f"unknown preset {name!r}; available: dirac")
     sig = MetricSignature(1, 3, REAL)
-    gens = tuple(GaussMatrix(_DIRAC_ROWS[i]) for i in (1, 2, 3, 4))
+    gens = tuple(pauli_word(2, x, z).scale(phase) for phase, x, z in _DIRAC_WORDS)
     return SpinBasis(sig, gens, "preset:dirac")
 
 

@@ -15,23 +15,18 @@ a certified basis of Cl(p, q) with p the count of those generators.
 import random
 
 from clifcpt.algebra import MetricSignature
-from clifcpt.exact import I_UNIT, GaussMatrix, kron
-from clifcpt.spinrep import PAULI_1, PAULI_3, SpinBasis
+from clifcpt.exact import I_UNIT
+from clifcpt.spinrep import SpinBasis, pauli_word
 
-_FACTORS = {
-    (0, 0): GaussMatrix.identity(2),
-    (1, 0): PAULI_1,
-    (0, 1): PAULI_3,
-    (1, 1): PAULI_1 * PAULI_3,
-}
+
+def _reversed_bits(m, v):
+    return int(format(v, f"0{m}b")[::-1], 2)
 
 
 def word(m, x, z):
-    """The real matrix X^x Z^z on m qubits."""
-    out = GaussMatrix.identity(1)
-    for j in range(m):
-        out = kron(out, _FACTORS[(x >> j) & 1, (z >> j) & 1])
-    return out
+    """The real matrix X^x Z^z on m qubits. Qubit j is bit j here and
+    bit m-1-j in `pauli_word`, so both masks are read backwards."""
+    return pauli_word(m, _reversed_bits(m, x), _reversed_bits(m, z))
 
 
 def _anticommute(a, b):

@@ -16,11 +16,10 @@ from clifcpt.exact import I_UNIT, GaussMatrix, kron
 from clifcpt.fingroup import minus_count, sig_str
 from clifcpt.pipeline import realization_record
 from clifcpt.spinrep import (
-    PAULI_1,
-    PAULI_3,
     CertificationError,
     SpinBasis,
     build_spinbasis,
+    pauli_word,
     preset_spinbasis,
     product_over,
 )
@@ -390,9 +389,9 @@ def _kronecker_step(basis):
     traits and square, anticommutes with both new generators, which
     anticommute with each other, so this is a basis of Cl(p+1, q+1)."""
     p, q = basis.sig.p, basis.sig.q
-    eye = GaussMatrix.identity(basis.dim)
-    old = [kron(g, PAULI_3) for g in basis.gens]
-    gens = old[:p] + [kron(eye, PAULI_1)] + old[p:] + [kron(eye, PAULI_1 * PAULI_3)]
+    eye, x, z = GaussMatrix.identity(basis.dim), pauli_word(1, 1, 0), pauli_word(1, 0, 1)
+    old = [kron(g, z) for g in basis.gens]
+    gens = old[:p] + [kron(eye, x)] + old[p:] + [kron(eye, x * z)]
     return SpinBasis(MetricSignature(p + 1, q + 1), tuple(gens), "kronecker-step")
 
 
@@ -420,3 +419,42 @@ def test_kronecker_step_adds_a_slot_of_each_sign():
             basis = step
             steps += 1
     assert steps == 2 * 25
+
+
+def _signature_step(basis):
+    """{g1, g1 g2, ..., g1 gn}, positives first, for g1^2 = +I: g1 keeps its
+    square, (g1 gk)^2 = -gk^2, and the products anticommute with g1 and
+    with each other, so this is a basis of Cl(q+1, p-1) (Lounesto,
+    Clifford Algebras and Spinors, 2nd ed., ch. 16)."""
+    p, q = basis.sig.p, basis.sig.q
+    g1, *rest = basis.gens
+    products = [g1 * g for g in rest]
+    gens = [g1] + products[p - 1 :] + products[: p - 1]
+    return SpinBasis(MetricSignature(q + 1, p - 1), tuple(gens), "signature-step")
+
+
+def test_signature_step_realizes_cl_q_plus_1_p_minus_1():
+    # g1 gk is real exactly when g1 and gk share their reality, and
+    # (g1 gk)^T = gk^T g1^T = -s1 sk g1 gk for symmetry signs s1, sk, so
+    # it is symmetric exactly when g1 and gk differ in symmetry. From the
+    # canonical bases with n <= 8 and the n = 4 conjugated ones, p >= 1.
+    bases = [build_spinbasis(MetricSignature(p, n - p)) for n in range(2, 9, 2) for p in range(1, n + 1)]
+    bases += [b for _, _, b in conjugated_bases() if b.sig.n == 4 and b.sig.p >= 1]
+    for basis in bases:
+        p, q = basis.sig.p, basis.sig.q
+        old, step = basis.profile, _signature_step(basis)
+        # Old slot k of each new slot j > 1: the q negatives, then g2..gp.
+        slots = list(range(p + 1, p + q + 1)) + list(range(2, p + 1))
+
+        def step_mask(mask, agree):
+            # Slot 1 keeps its bit; slot j > 1 is set when the bits of old
+            # slots 1 and k agree (reality) or differ (symmetry).
+            first = mask & 1
+            return first | sum(((first == mask >> (k - 1) & 1) == agree) << j for j, k in enumerate(slots, 1))
+
+        real, sym = step_mask(old.real_mask, True), step_mask(old.sym_mask, False)
+        where = (basis.sig, basis.provenance)
+        assert step.sig == MetricSignature(q + 1, p - 1), where
+        assert (step.profile.real_mask, step.profile.sym_mask) == (real, sym), where
+        assert realization_facts(realize(step)) == dense_realization(step), where
+    assert len(bases) == 20 + 20

@@ -879,6 +879,25 @@ def _w_and_pi_read_as_anticommuting(monkeypatch):
     monkeypatch.setattr(vf, "read_signs", fault)
 
 
+def _pt_fibers_d4_and_q4_swapped(monkeypatch):
+    from clifcpt import fingroup
+
+    # The pipeline names a predicted and a computed PT fiber through the
+    # same table, so the two still agree; only the cover table, which
+    # pairs each fiber with its label, sees the swap.
+    monkeypatch.setitem(fingroup._FORM_NAMES, (2, False, 1), ("D4/Z2", "Q4"))
+    monkeypatch.setitem(fingroup._FORM_NAMES, (2, False, 3), ("Q4/Z2", "D4"))
+
+
+def _cpt_labels_d4_and_q4_swapped(monkeypatch):
+    from clifcpt import fingroup
+
+    # The fibers stay, so label-fiber-families, which reads only fibers,
+    # still passes.
+    monkeypatch.setitem(fingroup._FORM_NAMES, (3, False, 2), ("Q4", "D4xZ2"))
+    monkeypatch.setitem(fingroup._FORM_NAMES, (3, False, 6), ("D4", "Q4xZ2"))
+
+
 @pytest.mark.parametrize(
     "fault, failed",
     [
@@ -888,6 +907,14 @@ def _w_and_pi_read_as_anticommuting(monkeypatch):
             "FAIL [theorems] complex-automorphism-groups n=0: commutativity vs prediction",
         ),
         (_time_reversal_in_the_wrong_order, "FAIL [groups] wigner-reflection-set reflection-set table mismatch"),
+        (
+            _pt_fibers_d4_and_q4_swapped,
+            "FAIL [coverings] pt-cover-table (+,+,-): FormClass(abelian=False, label='D4/Z2', fiber='Q4')",
+        ),
+        (
+            _cpt_labels_d4_and_q4_swapped,
+            "FAIL [coverings] cpt-cover-table (+,+,+,+,+,-,-): FormClass(abelian=False, label='Q4', fiber='D4xZ2')",
+        ),
         (
             _closure_listing_its_last_element_negated,
             "FAIL [groups] closure-closedness preset:dirac Cl(1,3): "

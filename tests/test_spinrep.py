@@ -7,7 +7,7 @@ import pytest
 
 from clifcpt import spinrep
 from clifcpt.algebra import COMPLEX, MetricSignature, Multivector, random_multivector
-from clifcpt.exact import GaussMatrix, GaussRational
+from clifcpt.exact import GaussMatrix, GaussRational, kron
 from clifcpt.spinrep import (
     CertificationError,
     SpinBasis,
@@ -202,13 +202,39 @@ def test_profile_masks_match_per_generator_reference(tmp_path):
                 assert prof.mask(real=real, sym=sym) == want, (basis.sig, real, sym)
 
 
+def _kron_word(m, x, z):
+    """X^x Z^z as a Kronecker chain of one-qubit factors, bit m-1 first."""
+    px, pz, eye = GaussMatrix([[0, 1], [1, 0]]), GaussMatrix([[1, 0], [0, -1]]), GaussMatrix.identity(2)
+    out = GaussMatrix.identity(1)
+    for j in reversed(range(m)):
+        out = kron(out, (px if x >> j & 1 else eye) * (pz if z >> j & 1 else eye))
+    return out
+
+
+def test_pauli_word_matches_a_kron_chain_and_its_rules():
+    for m in range(4):
+        for x in range(1 << m):
+            for z in range(1 << m):
+                assert spinrep.pauli_word(m, x, z) == _kron_word(m, x, z), (m, x, z)
+    # The three rules of the docstring, on every pair of words with m <= 2.
+    for m in range(3):
+        eye = GaussMatrix.identity(1 << m)
+        words = {(x, z): spinrep.pauli_word(m, x, z) for x in range(1 << m) for z in range(1 << m)}
+        for (x, z), w in words.items():
+            square = eye if (x & z).bit_count() % 2 == 0 else -eye
+            assert w * w == square and (w.transpose() == w) == (square == eye), (m, x, z)
+            for (x2, z2), w2 in words.items():
+                odd = ((x & z2).bit_count() + (z & x2).bit_count()) % 2
+                assert w * w2 == (-(w2 * w) if odd else w2 * w), (m, x, z, x2, z2)
+
+
 def test_square_rule_on_each_trait_class():
     # One 2x2 generator per (reality, symmetry) class, with the square the
     # rule forces: X (real symmetric, +I), XZ (real antisymmetric, -I), iX
     # (imaginary symmetric, -I) and iXZ (imaginary antisymmetric, +I).
     # Certified pairs give their profiles; on the wrong metric, each
     # generator reports the square its class forces.
-    x, z = spinrep.PAULI_1, spinrep.PAULI_3
+    x, z = spinrep.pauli_word(1, 1, 0), spinrep.pauli_word(1, 0, 1)
     i = GaussRational(0, 1)
     xz, ix, iz = x * z, x.scale(i), z.scale(i)
     ixz = xz.scale(i)
