@@ -29,14 +29,13 @@ W^T = g_n^T ... g_1^T is a signed blade too.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .algebra import Multivector, blade_indices, grade
 from .covering import PredictedRealization, predict_realization
 from .exact import GaussMatrix
 from .fingroup import SignedGroup, signed_closure
-from .spinrep import SpinBasis, product_over, represent
+from .spinrep import SpinBasis, product_over
 
 ELEMENT_NAMES = ("I", "W", "E", "C", "Pi", "K", "S", "F")
 
@@ -61,34 +60,32 @@ class ConditionError(RuntimeError):
 SigTuple = tuple[int, int, int, int, int, int, int]
 
 
-def check(name: str, m: GaussMatrix, basis: SpinBasis) -> list[str]:
-    """The generators on which `m` fails the condition of element `name`,
-    tested as m * g' == sign * g * m: the conjugation form for an invertible
-    m. Every m checked is a product of certified generators, each squaring
-    to +-I, so it is invertible. Neither product is built: the comparison
-    runs on their integer numerators."""
-    transpose, conjugate, sign = CONDITIONS[name]
-    primed = _primed_generators(basis)[transpose, conjugate]
-    return [
-        f"{name} condition fails on generator {i}"
-        for i, (g, t) in enumerate(zip(basis.gens, primed), start=1)
-        if not m.product_signed_eq(t, g, m, sign)
-    ]
-
-
-@lru_cache(maxsize=1)
-def _primed_generators(basis: SpinBasis) -> dict:
-    """(transpose, conjugate) -> the generators g' of `check`, formed from
-    the matrices themselves (not from the certified profile). Kept for the
-    last basis only: the pipeline and `verify` check one basis at a time."""
+def conditions(basis: SpinBasis) -> Callable[[str, GaussMatrix], list[str]]:
+    """The intertwining test of `basis`: (name, m) -> the generators on
+    which m fails the condition of element `name`, tested as
+    m * g' == sign * g * m, the conjugation form for an invertible m. Every
+    m tested is a product of certified generators, each squaring to +-I,
+    so it is invertible. The g' are formed once per call, from the
+    matrices themselves (not from the certified profile). Neither product
+    is built: the comparison runs on their integer numerators."""
     gens = basis.gens
     transposed = tuple(g.transpose() for g in gens)
-    return {
+    primed = {
         (False, False): gens,
         (True, False): transposed,
         (False, True): tuple(g.conj() for g in gens),
         (True, True): tuple(g.conj() for g in transposed),
     }
+
+    def failures(name: str, m: GaussMatrix) -> list[str]:
+        transpose, conjugate, sign = CONDITIONS[name]
+        return [
+            f"{name} condition fails on generator {i}"
+            for i, (g, t) in enumerate(zip(gens, primed[transpose, conjugate]), start=1)
+            if not m.product_signed_eq(t, g, m, sign)
+        ]
+
+    return failures
 
 
 def read_signs(group: SignedGroup) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -121,26 +118,17 @@ def is_abelian(table: tuple[tuple[int, ...], ...]) -> bool:
 
 class Realization(NamedTuple):
     """One CPT realization: the signed blades I, W, E, C, Pi, K, S, F
-    (held by their signed closure), their generator masks and signs, the
-    prediction they were built from, and the square and commutation signs
-    read off the closure's table."""
+    (held by their signed closure), the prediction they were built from
+    (which holds their generator masks), their signs against the
+    increasing-index products, and the square and commutation signs read
+    off the closure's table."""
 
     basis: SpinBasis
-    masks: dict  # element name -> generator-slot bitmask
-    predicted: PredictedRealization  # the (E, Pi) choices come from here
+    predicted: PredictedRealization  # the (E, Pi) choices and masks come from here
     rep_signs: dict  # element name -> +-1 vs increasing-index product
     group: SignedGroup  # closure of the eight signed blades
     signature: SigTuple
     commutation: tuple[tuple[int, ...], ...]
-
-    def matrices(self) -> tuple[GaussMatrix, ...]:
-        """The matrices of the eight elements in ELEMENT_NAMES order, I first."""
-        return tuple(self.matrix(name) for name in ELEMENT_NAMES)
-
-    def matrix(self, name: str) -> GaussMatrix:
-        """The spinor matrix of element `name`: its signed generator product."""
-        g = self.group
-        return represent(self.basis, g.elements[g.generators[ELEMENT_NAMES.index(name)]])
 
     @property
     def abelian(self) -> bool:
@@ -178,18 +166,19 @@ def realize(basis: SpinBasis) -> Realization:
     # each antisymmetric generator contributes a sign.
     c = e * w.scale((-1) ** (n * (n - 1) // 2 + grade(prof.mask(sym=False))))
     built = dict(zip(ELEMENT_NAMES[1:], (w, e, c, pi, pi * w, pi * e, pi * c)))
-    masks, rep_signs = {}, {}
+    test, rep_signs = conditions(basis), {}
     for name, x in built.items():
-        # A signed blade has one term, with coefficient +-1.
-        ((masks[name], (rep_signs[name], _)),) = x.num.items()
+        # A signed blade has one term, with coefficient +-1, on the XOR of
+        # its factors' masks: the predicted mask.
+        ((_, (rep_signs[name], _)),) = x.num.items()
         # M g' = +-g M is linear in M, so the unsigned product stands for +-M.
-        bad = check(name, product_over(basis, masks[name]), basis)
+        bad = test(name, product_over(basis, pred.masks[name]))
         if bad:
             raise ConditionError("; ".join(bad))
     one = Multivector.scalar(sig, 1)
     group = signed_closure((one, *built.values()), one)
     signature, commutation = read_signs(group)
-    return Realization(basis, masks, pred, rep_signs, group, signature, commutation)
+    return Realization(basis, pred, rep_signs, group, signature, commutation)
 
 
 def mask_label(mask: int, physics_indices: bool = False) -> str:

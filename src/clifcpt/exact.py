@@ -436,17 +436,3 @@ def _canonical_row(acc: dict) -> tuple:
     increasing, cancelled entries dropped."""
     return tuple([(j, re, im) for j, (re, im) in sorted(acc.items()) if re or im])
 
-
-def kron(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
-    """Kronecker product; the left factor varies slowest."""
-    db = b.dim
-    num = tuple(
-        tuple(
-            (j * db + c, xr * yr - xi * yi, xr * yi + xi * yr)
-            for j, xr, xi in ra
-            for c, yr, yi in rb
-        )
-        for ra in a.num
-        for rb in b.num
-    )
-    return GaussMatrix._make(a.dim * db, num, a.den * b.den)

@@ -118,7 +118,7 @@ def realization_record(r: Realization) -> dict:
         "squares": dict(zip(ELEMENT_NAMES[1:], r.signature)),
         "commute": [list(row) for row in r.commutation],
         "abelian": r.abelian,
-        "masks": {name: blade_indices(r.masks[name]) for name in r.masks},
+        "masks": {name: blade_indices(mask) for name, mask in r.predicted.masks.items()},
         "rep_signs": dict(r.rep_signs),
         "label": form.label,
         # The closure's commutation table against the one its squares imply.
@@ -282,7 +282,7 @@ def ext_reps(r: Realization) -> list[tuple[str, Multivector]]:
     """Normalized representatives: each element replaced by the blade of
     its generator mask, sign +1."""
     sig = r.basis.sig
-    return [(name, Multivector.blade(sig, r.masks.get(name, 0))) for name in ELEMENT_NAMES]
+    return [(name, Multivector.blade(sig, r.predicted.masks.get(name, 0))) for name in ELEMENT_NAMES]
 
 
 def cayley_for(p: int, q: int, set_name: str, basis_spec: str = "canonical"):
@@ -306,7 +306,7 @@ def cayley_for(p: int, q: int, set_name: str, basis_spec: str = "canonical"):
         raise BasisSpecError(f"unknown table set {set_name!r}")
     legend = {"I": "1"}
     for name in ELEMENT_NAMES[1 : len(reps)]:
-        legend[name] = mask_label(r.masks[name], physics)
+        legend[name] = mask_label(r.predicted.masks[name], physics)
     return cayley_table(reps), legend
 
 

@@ -102,10 +102,6 @@ class SpinBasis(_BasisFields):
     def __getnewargs__(self):
         return self[:3]
 
-    def __hash__(self) -> int:
-        # gens are left out, so a cache lookup hashes no matrix.
-        return hash((self.sig, self.provenance))
-
     @property
     def dim(self) -> int:
         return self.gens[0].dim if self.gens else 1

@@ -25,7 +25,7 @@ from .algebra import (
     involution_via_omega_check,
     random_multivector,
 )
-from .autmat import ELEMENT_NAMES, Realization, check, read_signs, realize
+from .autmat import ELEMENT_NAMES, Realization, conditions, read_signs, realize
 from .classify import dimension_audit, primitive_idempotent, radon_hurwitz, ring_type
 from .exact import GaussMatrix
 from .fingroup import (
@@ -220,12 +220,12 @@ def dense_realization(basis: SpinBasis) -> dict:
     where = _where(basis)
     full = (1 << basis.sig.n) - 1
     eye = GaussMatrix.identity(basis.dim)
-    chosen = {}
+    test, chosen = conditions(basis), {}
     for name, pair in covering.choice_candidates(basis.profile).items():
         for mask, choice in pair:
             if name in chosen and mask == chosen[name][0]:
                 continue  # the same product (n = 0)
-            if not check(name, product_over(basis, mask), basis):
+            if not test(name, product_over(basis, mask)):
                 assert name not in chosen, f"{where}: {choice} also meets {name}"
                 chosen[name] = mask, choice
         assert name in chosen, f"{where}: no {name} candidate meets its condition"
@@ -237,7 +237,7 @@ def dense_realization(basis: SpinBasis) -> dict:
     mats = [eye, w, e, c, pi, pi * w, pi * e, pi * c]
     rep_signs = {}
     for name, m, rep in zip(ELEMENT_NAMES[1:], mats[1:], reps[1:]):
-        bad = check(name, m, basis)
+        bad = test(name, m)
         assert not bad, f"{where}: {bad}"
         assert m in (rep, -rep), f"{where}: {name} is not a signed generator product"
         rep_signs[name] = 1 if m == rep else -1
@@ -257,12 +257,19 @@ def dense_realization(basis: SpinBasis) -> dict:
     }
 
 
+def realization_matrices(r: Realization) -> list[GaussMatrix]:
+    """The matrices of the eight elements of `r` in ELEMENT_NAMES order, I
+    first: each element's signed generator product."""
+    masks, signs = r.predicted.masks, r.rep_signs
+    return [product_over(r.basis, masks.get(name, 0)).scale(signs.get(name, 1)) for name in ELEMENT_NAMES]
+
+
 def realization_facts(r: Realization) -> dict:
     """The facts of the blade realization `r`, under the keys of
     `dense_realization`."""
     return {
         "choices": (r.predicted.choice_e, r.predicted.choice_pi),
-        "masks": r.masks,
+        "masks": r.predicted.masks,
         "rep_signs": r.rep_signs,
         "signature": r.signature,
         "commutation": r.commutation,
@@ -270,7 +277,7 @@ def realization_facts(r: Realization) -> dict:
         "contains_minus_I": r.group.contains_minus_I,
         "abstract": identify_abstract(r.group),
         "order_counts": r.order_counts,
-        "matrices": list(r.matrices()),
+        "matrices": realization_matrices(r),
     }
 
 
@@ -364,7 +371,7 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
 
     def closure_closedness():
         r = _realization(realizations, "dirac")
-        closure = signed_closure(r.matrices(), GaussMatrix.identity(r.basis.dim))
+        closure = signed_closure(realization_matrices(r), GaussMatrix.identity(r.basis.dim))
         elems = set(closure.elements)
         for i, x in enumerate(closure.elements):
             for j, y in enumerate(closure.elements):

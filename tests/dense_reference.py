@@ -5,7 +5,8 @@ complex conjugates of canonical bases that the metamorphic tests read back
 as basis files and check against `clifcpt.verify.dense_realization`, the
 one dense reference of a realization; the Cayley conjugates are the fully
 dense ones, every entry over a denominator. `matrix_closure` closes
-matrices with the identity of their size.
+matrices with the identity of their size, and `kron` is the Kronecker
+product, entry by entry.
 """
 
 import random
@@ -20,6 +21,15 @@ from clifcpt.spinrep import SpinBasis, build_spinbasis
 def matrix_closure(mats):
     """The signed closure of matrices, with the identity of their size."""
     return signed_closure(mats, GaussMatrix.identity(mats[0].dim))
+
+
+def kron(a, b):
+    """Kronecker product, entry by entry; the left factor varies slowest."""
+    db = b.dim
+    d = a.dim * db
+    return GaussMatrix(
+        [[a.rows[i // db][j // db] * b.rows[i % db][j % db] for j in range(d)] for i in range(d)]
+    )
 
 
 def signed_permutation(rng, dim):

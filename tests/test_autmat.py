@@ -6,13 +6,13 @@ from clifcpt.autmat import (
     CONDITIONS,
     ELEMENT_NAMES,
     ConditionError,
-    check,
+    conditions,
     mask_label,
     read_signs,
     realize,
 )
 from clifcpt.covering import choice_candidates
-from clifcpt.exact import I_UNIT, GaussMatrix, kron
+from clifcpt.exact import I_UNIT, GaussMatrix
 from clifcpt.fingroup import minus_count, sig_str
 from clifcpt.pipeline import realization_record
 from clifcpt.spinrep import (
@@ -23,14 +23,19 @@ from clifcpt.spinrep import (
     preset_spinbasis,
     product_over,
 )
-from clifcpt.verify import dense_realization, realization_facts
-from dense_reference import conjugated_bases, matrix_closure
+from clifcpt.verify import dense_realization, realization_facts, realization_matrices
+from dense_reference import conjugated_bases, kron, matrix_closure
 from gammas import gamma_matrices, product
 
 
 @pytest.fixture(scope="module")
 def dirac_realization():
     return realize(preset_spinbasis("dirac"))
+
+
+def _matrices(r):
+    """Element name -> the signed generator product of realization `r`."""
+    return dict(zip(ELEMENT_NAMES, realization_matrices(r)))
 
 
 def test_dirac_matrices_up_to_documented_sign(dirac_realization):
@@ -45,15 +50,7 @@ def test_dirac_matrices_up_to_documented_sign(dirac_realization):
         "S": g0,
         "F": product(g1, g2, g3),
     }
-    built = {
-        "W": r.matrix("W"),
-        "E": r.matrix("E"),
-        "C": r.matrix("C"),
-        "Pi": r.matrix("Pi"),
-        "K": r.matrix("K"),
-        "S": r.matrix("S"),
-        "F": r.matrix("F"),
-    }
+    built = _matrices(r)
     for name, want in expected.items():
         got = built[name]
         sign = r.rep_signs[name]
@@ -71,7 +68,7 @@ def test_dirac_signature_and_commutation(dirac_realization):
 
 
 def test_dirac_identity_web(dirac_realization):
-    w, e, c, pi, k, s, f = dirac_realization.matrices()[1:]
+    w, e, c, pi, k, s, f = realization_matrices(dirac_realization)[1:]
     assert k == pi * w
     assert s == pi * e
     assert f == pi * c
@@ -81,12 +78,12 @@ def test_dirac_identity_web(dirac_realization):
 
 
 def test_dirac_pi_times_conj_pi(dirac_realization):
-    pi = dirac_realization.matrix("Pi")
+    pi = _matrices(dirac_realization)["Pi"]
     assert (pi * pi.conj()).pm_identity() == -1
 
 
 def _conjugation_form(name, m, basis):
-    """Reference for `check`: m * g' * m^-1 == sign * g on every generator,
+    """Reference for `conditions`: m * g' * m^-1 == sign * g on every generator,
     with m^-1 = s * m where m * m = s * I."""
     transpose, conjugate, sign = CONDITIONS[name]
     inv = m.scale((m * m).pm_identity())
@@ -102,12 +99,12 @@ def test_intertwining_conditions_dirac(dirac_realization):
     # For the Dirac basis each matrix meets its own condition and no other,
     # so a swapped or mistyped row of the condition table fails here.
     r = dirac_realization
-    basis = r.basis
+    basis, test, mats = r.basis, conditions(r.basis), _matrices(r)
     for x in ELEMENT_NAMES[1:]:
         for y in ELEMENT_NAMES[1:]:
-            assert (not check(x, r.matrix(y), basis)) == (x == y), (x, y)
+            assert (not test(x, mats[y])) == (x == y), (x, y)
     # On every realization of the canonical real and complex bases with
-    # n <= 6 and of the Dirac basis, the commuting form that `check` tests
+    # n <= 6 and of the Dirac basis, the commuting form that `conditions` tests
     # agrees with the conjugation form on all 7 x 7 (condition, matrix) pairs.
     bases = [basis]
     for n in range(0, 7, 2):
@@ -115,12 +112,12 @@ def test_intertwining_conditions_dirac(dirac_realization):
         bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
     pairs = 0
     for b in bases:
-        real = realize(b)
+        test, mats = conditions(b), _matrices(realize(b))
         for x in ELEMENT_NAMES[1:]:
             for y in ELEMENT_NAMES[1:]:
-                m = real.matrix(y)
+                m = mats[y]
                 want = _conjugation_form(x, m, b)
-                assert (not check(x, m, b)) == want, (b.sig, x, y)
+                assert (not test(x, m)) == want, (b.sig, x, y)
                 pairs += want
     assert pairs >= 7 * len(bases)
 
@@ -143,7 +140,7 @@ def test_cl11_tower_products():
     assert (w * w).pm_identity() == 1
     r = realize(basis)
     choice = r.predicted.choice_e
-    assert (r.masks["E"], choice) == _only_survivor(basis, "E") == (0b01, "sym")
+    assert (r.predicted.masks["E"], choice) == _only_survivor(basis, "E") == (0b01, "sym")
 
 
 def test_cl20_e_is_identity_and_c_is_w_transpose():
@@ -152,11 +149,11 @@ def test_cl20_e_is_identity_and_c_is_w_transpose():
     assert (w * w).pm_identity() == -1
     r = realize(basis)
     pred = r.predicted
-    assert (r.masks["E"], pred.choice_e) == _only_survivor(basis, "E") == (0, "skew")
+    assert (pred.masks["E"], pred.choice_e) == _only_survivor(basis, "E") == (0, "skew")
     e = product_over(basis, 0)
     assert e == GaussMatrix.identity(2)
-    assert r.matrix("C") == e * w.transpose() == w.transpose()
-    assert (r.masks["Pi"], pred.choice_pi) == _only_survivor(basis, "Pi") == (0, "identity")
+    assert _matrices(r)["C"] == e * w.transpose() == w.transpose()
+    assert (pred.masks["Pi"], pred.choice_pi) == _only_survivor(basis, "Pi") == (0, "identity")
 
 
 def test_complex_c4_w_squares_plus():
@@ -168,7 +165,7 @@ def test_complex_c4_w_squares_plus():
 def test_complex_c2_e_choice_by_direct_check():
     basis = build_spinbasis(MetricSignature(2, 0, COMPLEX))
     r = realize(basis)
-    mask, choice = r.masks["E"], r.predicted.choice_e
+    mask, choice = r.predicted.masks["E"], r.predicted.choice_e
     assert (mask, choice) == _only_survivor(basis, "E")
     # k = 1 odd, so only the symmetric product intertwines: E = generator 1.
     assert choice == "sym"
@@ -182,10 +179,11 @@ def test_enumerate_cl20_single_identity_pi_realization():
     # reduces to the automorphism set.
     a, b, c, d, e, f, g = r.signature
     assert d == 1 and e == a and f == b and g == c
-    assert r.matrix("K") == r.matrix("W")
-    assert r.matrix("S") == r.matrix("E")
-    assert r.matrix("F") == r.matrix("C")
-    assert (r.matrix("Pi") * r.matrix("Pi").conj()).pm_identity() == 1
+    mats = _matrices(r)
+    assert mats["K"] == mats["W"]
+    assert mats["S"] == mats["E"]
+    assert mats["F"] == mats["C"]
+    assert (mats["Pi"] * mats["Pi"].conj()).pm_identity() == 1
 
 
 def test_trivial_cl00_realization():
@@ -255,7 +253,7 @@ def test_read_signs_rejects_a_pair_that_neither_commutes_nor_anticommutes():
 def test_check_reports_failing_generator_indices():
     basis = preset_spinbasis("dirac")
     wrong = GaussMatrix.identity(4)
-    bad = check("W", wrong, basis)
+    bad = conditions(basis)("W", wrong)
     assert bad and "generator 1" in bad[0]
 
 
@@ -275,31 +273,20 @@ def test_seven_conditions_extend_to_random_multivectors(dirac_realization):
     from clifcpt.algebra import random_multivector
     from clifcpt.spinrep import represent
 
-    r = dirac_realization
-    basis = r.basis
+    basis, m = dirac_realization.basis, _matrices(dirac_realization)
     rng = random.Random(23)
     for _ in range(30):
         a = random_multivector(basis.sig, rng, allow_complex_coeffs=True)
-        m = represent(basis, a)
-        mt = m.transpose()
-        mc = m.conj()
-        mtc = mt.conj()
-        assert represent(basis, a.grade_involution()) * r.matrix("W") == r.matrix("W") * m
-        assert represent(basis, a.reversion()) * r.matrix("E") == r.matrix("E") * mt
-        assert represent(basis, a.conjugation()) * r.matrix("C") == r.matrix("C") * mt
-        assert represent(basis, a.complex_conjugation()) * r.matrix("Pi") == r.matrix("Pi") * mc
-        assert (
-            represent(basis, a.grade_involution().complex_conjugation()) * r.matrix("K")
-            == r.matrix("K") * mc
-        )
-        assert (
-            represent(basis, a.reversion().complex_conjugation()) * r.matrix("S")
-            == r.matrix("S") * mtc
-        )
-        assert (
-            represent(basis, a.conjugation().complex_conjugation()) * r.matrix("F")
-            == r.matrix("F") * mtc
-        )
+        ra = represent(basis, a)
+        rt, rc = ra.transpose(), ra.conj()
+        rtc = rt.conj()
+        assert represent(basis, a.grade_involution()) * m["W"] == m["W"] * ra
+        assert represent(basis, a.reversion()) * m["E"] == m["E"] * rt
+        assert represent(basis, a.conjugation()) * m["C"] == m["C"] * rt
+        assert represent(basis, a.complex_conjugation()) * m["Pi"] == m["Pi"] * rc
+        assert represent(basis, a.grade_involution().complex_conjugation()) * m["K"] == m["K"] * rc
+        assert represent(basis, a.reversion().complex_conjugation()) * m["S"] == m["S"] * rtc
+        assert represent(basis, a.conjugation().complex_conjugation()) * m["F"] == m["F"] * rtc
 
 
 def test_ext_legend_uses_slot_indices_for_tower_bases():

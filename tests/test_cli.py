@@ -879,6 +879,58 @@ def _w_and_pi_read_as_anticommuting(monkeypatch):
     monkeypatch.setattr(vf, "read_signs", fault)
 
 
+def _predicted_s_square_flipped(monkeypatch):
+    from clifcpt import autmat, covering
+
+    # `realize` builds from the predicted masks and reads its signs off
+    # the closure, so only the predictor comparison reads the predicted
+    # signature.
+    raw = covering.predict_realization
+
+    def fault(prof):
+        pred = raw(prof)
+        s = pred.signature
+        return pred._replace(signature=(*s[:5], -s[5], s[6]))
+
+    monkeypatch.setattr(covering, "predict_realization", fault)
+    monkeypatch.setattr(autmat, "predict_realization", fault)
+
+
+def _extended_set_with_s_negated(monkeypatch):
+    from clifcpt import pipeline
+    from clifcpt import verify as vf
+
+    raw = pipeline.ext_reps
+
+    def fault(r):
+        return [(name, -x if name == "S" else x) for name, x in raw(r)]
+
+    monkeypatch.setattr(pipeline, "ext_reps", fault)
+    monkeypatch.setattr(vf, "ext_reps", fault)
+
+
+def _closure_squares_off_the_generators_read_as_plus(monkeypatch):
+    from clifcpt import autmat
+    from clifcpt import verify as vf
+
+    # In the blade closures and the dense ones alike, so that the two
+    # still agree. The table keeps every generator's square and every
+    # product of two generators, all that `read_signs` reads, and stays
+    # commutative where it was; only the element orders change.
+    raw = vf.signed_closure
+
+    def fault(gens, identity):
+        group = raw(gens, identity)
+        mul = [list(row) for row in group.mul]
+        for x in set(range(group.order)) - set(group.generators):
+            if mul[x][x] == group.minus_identity:
+                mul[x][x] = group.identity
+        return group._replace(mul=tuple(map(tuple, mul)))
+
+    monkeypatch.setattr(autmat, "signed_closure", fault)
+    monkeypatch.setattr(vf, "signed_closure", fault)
+
+
 def _pt_fibers_d4_and_q4_swapped(monkeypatch):
     from clifcpt import fingroup
 
@@ -914,6 +966,15 @@ def _cpt_labels_d4_and_q4_swapped(monkeypatch):
         (
             _cpt_labels_d4_and_q4_swapped,
             "FAIL [coverings] cpt-cover-table (+,+,+,+,+,-,-): FormClass(abelian=False, label='Q4', fiber='D4xZ2')",
+        ),
+        (
+            _predicted_s_square_flipped,
+            "FAIL [theorems] predictor-vs-computation Cl(0,0): disagree:s_square",
+        ),
+        (_extended_set_with_s_negated, "FAIL [groups] dirac-extended-set extended-set table mismatch"),
+        (
+            _closure_squares_off_the_generators_read_as_plus,
+            "FAIL [coverings] label-fiber-families Cl(1,3): Z4*xZ2xZ2 vs (False, 4, {1: 1, 2: 11, 4: 4})",
         ),
         (
             _closure_listing_its_last_element_negated,

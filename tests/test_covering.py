@@ -2,7 +2,7 @@ import pytest
 
 from clifcpt import algebra
 from clifcpt.algebra import COMPLEX, MetricSignature, Multivector
-from clifcpt.autmat import realize
+from clifcpt.autmat import ELEMENT_NAMES, realize
 from clifcpt.covering import (
     TheoremCoverageError,
     predict_aut_complex,
@@ -12,6 +12,7 @@ from clifcpt.covering import (
 from clifcpt.exact import GaussMatrix
 from clifcpt.fingroup import GroupStructureError, census_64, classify_form
 from clifcpt.spinrep import BasisProfile, build_spinbasis, preset_spinbasis
+from clifcpt.verify import realization_matrices
 from pauli_bases import pauli_bases, sample_pauli_bases
 
 
@@ -138,10 +139,12 @@ def test_predict_realization_agrees_with_enumeration(monkeypatch):
         where = basis.provenance, basis.sig
         choices = r.predicted.choice_e, r.predicted.choice_pi
         assert (pred.choice_e, pred.choice_pi) == choices, where
-        assert pred.masks == r.masks, where
+        # The mask of each blade in the closure, its one term.
+        blades = (r.group.elements[i] for i in r.group.generators[1:])
+        assert pred.masks == {name: next(iter(x.num)) for name, x in zip(ELEMENT_NAMES[1:], blades)}, where
         assert pred.signature == r.signature, where
         assert pred.commutation == r.commutation, where
-        pi = r.matrix("Pi")
+        pi = realization_matrices(r)[4]
         assert pred.signature[3] == (pi * pi.conj()).pm_identity(), where
 
 

@@ -25,7 +25,7 @@ from clifcpt.goldens import (
 )
 from clifcpt.pipeline import ext_reps, wigner_reps
 from clifcpt.spinrep import build_spinbasis, preset_spinbasis, product_over
-from clifcpt.verify import dense_realization
+from clifcpt.verify import dense_realization, realization_matrices
 from dense_reference import matrix_closure
 from gammas import gamma_matrices, product
 
@@ -240,11 +240,11 @@ def _commutation_by_products(mats):
 def test_sign_readout_matches_matrix_products():
     realizations = [realize(b) for b in _reference_bases(8)]
     for r in realizations:
-        mats = list(r.matrices())
+        mats = realization_matrices(r)
         assert mats == dense_realization(r.basis)["matrices"]
         assert r.signature == _square_signs_by_products(mats)
         assert r.commutation == _commutation_by_products(mats)
-        reps = [product_over(r.basis, r.masks.get(name, 0)) for name in ELEMENT_NAMES]
+        reps = [product_over(r.basis, r.predicted.masks.get(name, 0)) for name in ELEMENT_NAMES]
         assert r.order_counts == order_structure(reps)
     sets = [[m for _, m in wigner_reps(preset_spinbasis("dirac"))]]
     for n in range(0, 9, 2):

@@ -90,17 +90,17 @@ def test_sweep_fault_in_either_share_reports_as_in_one_process(tmp_path, capsys,
 
     # At d = 4 with two jobs, Cl(1,3) falls in the forked child's share
     # and Cl(2,2) in this process's.
-    real = autmat.check
+    real = autmat.conditions
     for cell in ((1, 3), (2, 2)):
 
-        def broken(name, m, basis, cell=cell):
+        def broken(basis, cell=cell):
             if (basis.sig.p, basis.sig.q) == cell:
-                return [f"{name} broken on Cl{cell}"]
-            return real(name, m, basis)
+                return lambda name, m: [f"{name} broken on Cl{cell}"]
+            return real(basis)
 
-        monkeypatch.setattr(autmat, "check", broken)
+        monkeypatch.setattr(autmat, "conditions", broken)
         assert failure_in_both_modes() == (1, "", f"verification failure: W broken on Cl{cell}\n")
-    monkeypatch.setattr(autmat, "check", real)
+    monkeypatch.setattr(autmat, "conditions", real)
 
     # A certification failure crosses the pipe with its violations intact.
     certify = spinrep.certify_spinbasis
@@ -241,14 +241,15 @@ def test_a_flipped_closure_sign_breaks_label_consistency(monkeypatch):
 
 def test_realizations_close_signed_blades_not_matrices(monkeypatch):
     # The realization stage closes signed blades and hashes no matrix, yet
-    # tests all seven intertwining conditions on matrices, 7 per cell: W,
-    # the E and Pi the choice rule names, and C, K, S and F. The record
-    # reads every group fact off that one closure.
+    # tests all seven intertwining conditions on matrices, with one
+    # intertwining test per cell and 7 calls of it: W, the E and Pi the
+    # choice rule names, and C, K, S and F. The record reads every group
+    # fact off that one closure.
     cells = [(1, 3, "real", "dirac"), (3, 3, "real", "canonical"), (6, 0, "complex", "canonical")]
     expected = [classify_cell(*cell) for cell in cells]
-    closures = realizations = checks = hashes_inside = 0
+    closures = realizations = tests = checks = hashes_inside = 0
     inside = False
-    closure, check, realize = autmat.signed_closure, autmat.check, pipeline.realize
+    closure, conditions, realize = autmat.signed_closure, autmat.conditions, pipeline.realize
     matrix_hash = GaussMatrix.__hash__
 
     def blade_closure(gens, identity):
@@ -257,10 +258,17 @@ def test_realizations_close_signed_blades_not_matrices(monkeypatch):
         assert all(isinstance(x, Multivector) for x in (*gens, identity))
         return closure(gens, identity)
 
-    def counting_check(*args, **kwargs):
-        nonlocal checks
-        checks += 1
-        return check(*args, **kwargs)
+    def counting_conditions(basis):
+        nonlocal tests
+        tests += 1
+        test = conditions(basis)
+
+        def counting_test(name, m):
+            nonlocal checks
+            checks += 1
+            return test(name, m)
+
+        return counting_test
 
     def tracked_realize(basis):
         nonlocal inside, realizations
@@ -280,13 +288,13 @@ def test_realizations_close_signed_blades_not_matrices(monkeypatch):
         raise AssertionError("the record recomputed a group fact")
 
     monkeypatch.setattr(autmat, "signed_closure", blade_closure)
-    monkeypatch.setattr(autmat, "check", counting_check)
+    monkeypatch.setattr(autmat, "conditions", counting_conditions)
     monkeypatch.setattr(pipeline, "realize", tracked_realize)
     monkeypatch.setattr(GaussMatrix, "__hash__", tracked_hash)
     monkeypatch.setattr(fingroup, "signed_closure", refuse)
     monkeypatch.setattr(fingroup, "order_structure", refuse)
     assert [classify_cell(*cell) for cell in cells] == expected
-    assert realizations == closures == len(cells)
+    assert realizations == closures == tests == len(cells)
     assert checks == 7 * len(cells)
     assert hashes_inside == 0
 
@@ -372,8 +380,8 @@ print(sum(isinstance(o, SpinBasis) for o in gc.get_objects()))
 
 def test_a_sweep_keeps_no_basis_alive():
     # A sweep uses each basis for one cell, so no module-level cache may
-    # keep its 25 bases; `autmat._primed_generators` keeps the last one.
-    assert _run_fresh(_COUNT_LIVE_BASES) <= 1
+    # keep any of its 25 bases.
+    assert _run_fresh(_COUNT_LIVE_BASES) == 0
 
 
 def _count_calls(monkeypatch, owners, name):

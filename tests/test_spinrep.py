@@ -7,7 +7,7 @@ import pytest
 
 from clifcpt import spinrep
 from clifcpt.algebra import COMPLEX, MetricSignature, Multivector, random_multivector
-from clifcpt.exact import GaussMatrix, GaussRational, kron
+from clifcpt.exact import GaussMatrix, GaussRational
 from clifcpt.spinrep import (
     CertificationError,
     SpinBasis,
@@ -19,7 +19,7 @@ from clifcpt.spinrep import (
     represent,
     save_spinbasis,
 )
-from dense_reference import conjugated_bases
+from dense_reference import conjugated_bases, kron
 from gammas import gamma_matrices
 from pauli_bases import pauli_bases, sample_pauli_bases
 
@@ -526,9 +526,8 @@ def test_signature_and_basis_are_immutable_values():
     gens = tuple(GaussMatrix.from_strings(g.to_strings()) for g in basis.gens)
     twin = SpinBasis(MetricSignature(1, 3), gens, basis.provenance)
     assert twin == basis and hash(twin) == hash(basis)
-    # gens take part in equality but not in the hash.
     negated = SpinBasis(basis.sig, (-gens[0], *gens[1:]), basis.provenance)
-    assert negated != basis and hash(negated) == hash(basis)
+    assert negated != basis
     assert repr(basis).startswith("SpinBasis(sig=MetricSignature(p=1, q=3, field='real'), gens=(")
 
     fields = ((sig, "p"), (sig, "field"), (basis, "gens"), (basis, "provenance"), (basis, "profile"))
