@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .exact import GaussRational, ZERO, _exact, Scalarish, common_divisor, format_parts, gauss_parts
 
@@ -122,6 +122,26 @@ def blade_product(x: int, y: int, sig: MetricSignature) -> tuple[int, int]:
     if (x | y) >> sig.n:  # a negative mask shifts to -1
         raise ValueError(f"blade mask out of range for n={sig.n}")
     return (-1 if _swap_parity(x, y, sig.neg_mask) else 1), x ^ y
+
+
+def signed_blade_mul(sig: MetricSignature) -> Callable[[int, int], int]:
+    """The product of signed blades of `sig` held as ints: +-e_A is the
+    mask A in bits 0..n-1 with the sign bit n set for -e_A. The product
+    XORs both (masks and signs) and flips the sign bit by the parity of
+    `_sign_mask`, formed once per right factor and kept by the returned
+    function, which lives as long as its caller holds it. No range check."""
+    n, neg_mask = sig.n, sig.neg_mask
+    low, minus = (1 << n) - 1, 1 << n
+    sign_masks: dict[int, int] = {}
+
+    def mul(x: int, y: int) -> int:
+        t = sign_masks.get(y)
+        if t is None:
+            t = sign_masks[y] = _sign_mask(y & low, neg_mask, n) & low
+        z = x ^ y
+        return z ^ minus if (x & t).bit_count() & 1 else z
+
+    return mul
 
 
 def _square_parity(mask: int, neg_mask: int) -> int:

@@ -1,11 +1,13 @@
 """Construction and certification of the seven discrete-symmetry elements
 W, E, C, Pi, K, S, F for a certified spin basis.
 
-Each element is a signed basis blade +-e_A of Cl(p,q), built and closed
-as a `Multivector` monomial. Its matrix, the signed increasing-index
-product of the generators in A, must satisfy the element's defining
-intertwining condition M g' M^-1 = +-g exhaustively over all generators,
-tested in the equivalent form M g' = +-g M:
+Each element is a signed basis blade +-e_A of Cl(p,q), held as an int
+with the mask A in bits 0..n-1 and the sign in bit n, and built and
+closed with `algebra.signed_blade_mul`, the geometric product's sign
+rule on such ints. Its matrix, the signed increasing-index product of
+the generators in A, must satisfy the element's defining intertwining
+condition M g' M^-1 = +-g exhaustively over all generators, tested in
+the equivalent form M g' = +-g M:
 
     W  g         = -g W          (grade involution)
     E  g^T       =  g E          (reversion)
@@ -22,16 +24,17 @@ irreducible module. The 2^n blade matrices are then linearly independent,
 so +-e_A <-> its matrix product_over(A) is a bijection that respects
 products: two signed blades are equal exactly when their matrices are,
 and the closures of the eight blades and of the eight matrices are
-isomorphic, with the same table in the same insertion order. Each
-certified generator is also purely symmetric or antisymmetric, so
-W^T = g_n^T ... g_1^T is a signed blade too.
+isomorphic, with the same table in the same insertion order (the tests
+check this element by element). Each certified generator is also
+purely symmetric or antisymmetric, so W^T = g_n^T ... g_1^T is a signed
+blade too.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .algebra import Multivector, blade_indices, grade
+from .algebra import blade_indices, grade, signed_blade_mul
 from .covering import PredictedRealization, predict_realization
 from .exact import GaussMatrix
 from .fingroup import SignedGroup, signed_closure
@@ -126,7 +129,7 @@ class Realization(NamedTuple):
     basis: SpinBasis
     predicted: PredictedRealization  # the (E, Pi) choices and masks come from here
     rep_signs: dict  # element name -> +-1 vs increasing-index product
-    group: SignedGroup  # closure of the eight signed blades
+    group: SignedGroup  # closure of the eight signed blades, as ints
     signature: SigTuple
     commutation: tuple[tuple[int, ...], ...]
 
@@ -160,23 +163,25 @@ def realize(basis: SpinBasis) -> Realization:
     realization exists."""
     prof = basis.profile
     pred = predict_realization(prof)
-    sig, n = basis.sig, basis.sig.n
-    w, e, pi = (Multivector.blade(sig, pred.masks[name]) for name in ("W", "E", "Pi"))
+    n = basis.sig.n
+    minus = 1 << n  # the sign bit of a signed blade (see `signed_blade_mul`)
+    mul = signed_blade_mul(basis.sig)
+    w, e, pi = (pred.masks[name] for name in ("W", "E", "Pi"))
     # W^T = g_n^T ... g_1^T: reversing n factors takes n(n-1)/2 swaps, and
     # each antisymmetric generator contributes a sign.
-    c = e * w.scale((-1) ** (n * (n - 1) // 2 + grade(prof.mask(sym=False))))
-    built = dict(zip(ELEMENT_NAMES[1:], (w, e, c, pi, pi * w, pi * e, pi * c)))
+    wt_negated = (n * (n - 1) // 2 + grade(prof.mask(sym=False))) & 1
+    c = mul(e, w ^ minus if wt_negated else w)
+    built = dict(zip(ELEMENT_NAMES[1:], (w, e, c, pi, mul(pi, w), mul(pi, e), mul(pi, c))))
     test, rep_signs = conditions(basis), {}
     for name, x in built.items():
-        # A signed blade has one term, with coefficient +-1, on the XOR of
-        # its factors' masks: the predicted mask.
-        ((_, (rep_signs[name], _)),) = x.num.items()
+        # A signed blade's mask is the XOR of its factors' masks, the
+        # predicted mask, and its sign bit is its sign.
+        rep_signs[name] = -1 if x & minus else 1
         # M g' = +-g M is linear in M, so the unsigned product stands for +-M.
         bad = test(name, product_over(basis, pred.masks[name]))
         if bad:
             raise ConditionError("; ".join(bad))
-    one = Multivector.scalar(sig, 1)
-    group = signed_closure((one, *built.values()), one)
+    group = signed_closure((0, *built.values()), 0, mul, minus)
     signature, commutation = read_signs(group)
     return Realization(basis, pred, rep_signs, group, signature, commutation)
 

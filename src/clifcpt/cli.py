@@ -158,6 +158,10 @@ def cmd_sweep(args) -> int:
         raise UsageError("--jobs must be positive")
     if os.path.isdir(args.out):
         raise UsageError(f"--out {args.out} is a directory")
+    # The write replaces the path, so a FIFO or a device there would become
+    # a regular file.
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        raise UsageError(f"--out {args.out} exists and is not a regular file")
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise UsageError(f"--out {args.out} is in a directory that does not exist")
     result = pipeline.sweep(args.max_dim, args.field, args.jobs)

@@ -5,16 +5,18 @@ census."""
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from itertools import product as iterproduct
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import Multivector
 from .exact import GaussMatrix
 
-# A group element: a matrix, or a signed blade of the Clifford algebra.
-Element = GaussMatrix | Multivector
+# A group element: a matrix, or a signed blade of the Clifford algebra, as
+# a `Multivector` or as an int (see `algebra.signed_blade_mul`).
+Element = GaussMatrix | Multivector | int
 
 CLOSURE_LIMIT = 256
 
@@ -43,7 +45,7 @@ class SignedGroup(NamedTuple):
     mul: tuple[tuple[int, ...], ...]  # mul[i][j]: index of elements[i] * elements[j]
     identity: int  # index of I
     minus_identity: int | None  # index of -I, if present
-    generators: tuple[int, ...]  # index of each matrix passed in, duplicates included
+    generators: tuple[int, ...]  # index of each element passed in, duplicates included
 
     @property
     def order(self) -> int:
@@ -54,11 +56,18 @@ class SignedGroup(NamedTuple):
         return self.minus_identity is not None
 
 
-def signed_closure(gens: Sequence[Element], identity: Element) -> SignedGroup:
-    """Fixed-point closure of the given elements under multiplication,
+def signed_closure(
+    gens: Sequence[Element],
+    identity: Element,
+    mul: Callable[[Element, Element], Element] = operator.mul,
+    minus_identity: Element | None = None,
+) -> SignedGroup:
+    """Fixed-point closure of the given elements under the product `mul`,
     with the index of every product and of every generator. The elements
     are matrices or signed blades; `identity` is the unit of their ring,
-    and its negative is -I.
+    and -I is `minus_identity`, by default -identity. Signed blades held
+    as ints pass their product and the int of -I; they hash and compare
+    as ints.
 
     An input outside the closure of the inputs before it becomes a root,
     and every element is right-multiplied by every root exactly once, in
@@ -94,20 +103,21 @@ def signed_closure(gens: Sequence[Element], identity: Element) -> SignedGroup:
             # elements lack only the new root, new ones lack every root.
             for head, row in enumerate(right):
                 for k in range(len(row), len(roots)):
-                    prod = order[head] * roots[k]
+                    prod = mul(order[head], roots[k])
                     j = seen.get(prod)
                     row.append(insert(prod, head, k) if j is None else j)
         generators.append(idx)
     unit = seen.get(identity)
     if unit is None:
         raise GroupStructureError("the closure has no identity; a generator is singular")
-    mul = []
+    table = []
     for x in range(len(order)):
         row = []
         for prefix, k in origin:
             row.append(right[x][k] if prefix is None else right[row[prefix]][k])
-        mul.append(tuple(row))
-    return SignedGroup(tuple(order), tuple(mul), unit, seen.get(-identity), tuple(generators))
+        table.append(tuple(row))
+    minus = seen.get(-identity if minus_identity is None else minus_identity)
+    return SignedGroup(tuple(order), tuple(table), unit, minus, tuple(generators))
 
 
 def order_structure(reps: Sequence[GaussMatrix]) -> tuple[int, int]:

@@ -19,6 +19,7 @@ from clifcpt.algebra import (
     grade,
     involution_via_omega_check,
     random_multivector,
+    signed_blade_mul,
     volume_element,
 )
 from clifcpt.exact import ZERO, GaussMatrix, GaussRational, format_gauss, format_parts
@@ -232,6 +233,35 @@ def test_blade_product_matches_per_bit_reference():
             for x in range(1 << n):
                 for y in range(1 << n):
                     assert blade_product(x, y, sig) == _blade_product_per_bit(x, y, sig)
+
+
+def _signed_blade(sig, x):
+    """The Multivector of the signed-blade int x: mask in bits 0..n-1,
+    sign in bit n."""
+    return Multivector.blade(sig, x & ((1 << sig.n) - 1), -1 if x >> sig.n else 1)
+
+
+def test_signed_blade_mul_matches_multivector_products():
+    # Every pair of signed blades, both signs of each, for every (p, q)
+    # with n <= 4 in both fields, then a seeded sample at n = 12. One
+    # product function per signature serves all of its pairs, so its sign
+    # masks are reused across left factors.
+    cases = [
+        (MetricSignature(p, n - p, f), [(x, y) for x in range(2 << n) for y in range(2 << n)])
+        for n in range(5)
+        for p in range(n + 1)
+        for f in (REAL, COMPLEX)
+    ]
+    rng = random.Random(12)
+    for p, f in ((12, REAL), (5, REAL), (0, REAL), (3, COMPLEX)):
+        pairs = [(rng.randrange(1 << 13), rng.randrange(1 << 13)) for _ in range(400)]
+        cases.append((MetricSignature(p, 12 - p, f), pairs))
+    for sig, pairs in cases:
+        mul = signed_blade_mul(sig)
+        for x, y in pairs:
+            z = mul(x, y)
+            assert 0 <= z < 2 << sig.n, (sig, x, y)
+            assert _signed_blade(sig, z) == _signed_blade(sig, x) * _signed_blade(sig, y), (sig, x, y)
 
 
 def _inversion_parity(x, y, neg):

@@ -13,7 +13,7 @@ from clifcpt.autmat import (
 )
 from clifcpt.covering import choice_candidates
 from clifcpt.exact import I_UNIT, GaussMatrix
-from clifcpt.fingroup import minus_count, sig_str
+from clifcpt.fingroup import minus_count, sig_str, signed_closure
 from clifcpt.pipeline import realization_record
 from clifcpt.spinrep import (
     CertificationError,
@@ -26,6 +26,7 @@ from clifcpt.spinrep import (
 from clifcpt.verify import dense_realization, realization_facts, realization_matrices
 from dense_reference import conjugated_bases, kron, matrix_closure
 from gammas import gamma_matrices, product
+from pauli_bases import pauli_bases
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +323,34 @@ def test_blade_realizations_match_dense_reference():
         # keeps the one that meets its condition.
         where = (basis.sig, basis.provenance)
         assert realization_facts(realize(basis)) == dense_realization(basis), where
+
+
+def test_blade_closure_equals_the_dense_matrix_closure():
+    # The module docstring's claim: the closure of the eight signed blades
+    # and that of their eight signed generator products have the same
+    # table, in the same insertion order, and element i of the one is
+    # element i of the other. On every canonical basis with n <= 12 in
+    # both fields, the Dirac basis, the conjugated bases and every
+    # Pauli-word basis with 4 generators.
+    bases = [
+        build_spinbasis(MetricSignature(p, n - p)) for n in range(0, 13, 2) for p in range(n + 1)
+    ]
+    bases += [build_spinbasis(MetricSignature(n, 0, COMPLEX)) for n in range(0, 13, 2)]
+    bases.append(preset_spinbasis("dirac"))
+    bases += [basis for _, _, basis in conjugated_bases()]
+    bases += pauli_bases(4)
+    assert len(bases) == 49 + 7 + 1 + 62 + 480
+    for basis in bases:
+        where = (basis.sig, basis.provenance)
+        r = realize(basis)
+        blades, dense = r.group, signed_closure(realization_matrices(r), GaussMatrix.identity(basis.dim))
+        assert blades.mul == dense.mul, where
+        assert blades.generators == dense.generators, where
+        assert (blades.identity, blades.minus_identity) == (dense.identity, dense.minus_identity), where
+        n = basis.sig.n
+        for x, m in zip(blades.elements, dense.elements):
+            # A signed blade: its mask below bit n, its sign in bit n.
+            assert product_over(basis, x & ((1 << n) - 1)).scale(-1 if x >> n else 1) == m, where
 
 
 def test_last_positive_generator_times_i_is_a_basis_one_sign_over():

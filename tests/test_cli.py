@@ -345,6 +345,24 @@ def test_sweep_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypa
     assert list(tmp_path.rglob(".clifcpt-*.tmp")) == [] and not out.exists()
 
 
+def test_sweep_out_onto_a_fifo_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    import stat
+
+    from clifcpt import pipeline
+
+    def no_sweep(*args):
+        raise AssertionError("sweep ran before --out was checked")
+
+    # The FIFO is never opened: a reader or writer would block on it.
+    fifo = tmp_path / "atlas.json"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(pipeline, "sweep", no_sweep)
+    code, _, err = run_cli(["sweep", "--max-dim", "8", "--out", str(fifo)], capsys)
+    assert code == 2 and "not a regular file" in err and "Traceback" not in err
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert list(tmp_path.rglob(".clifcpt-*.tmp")) == []
+
+
 def test_sweep_csv_columns(tmp_path, capsys):
     out = tmp_path / "atlas.csv"
     assert run_cli(
@@ -869,13 +887,16 @@ def _time_reversal_in_the_wrong_order(monkeypatch):
 
 def _closure_listing_its_last_element_negated(monkeypatch):
     from clifcpt import verify as vf
+    from clifcpt.exact import GaussMatrix
 
-    # verify's own closures list their last element with the wrong sign.
-    # The table stays right, so order, identification and signs read off
-    # it do not change; only multiplying the listed elements shows it.
+    # verify's own closures, all of matrices, list their last element with
+    # the wrong sign. The table stays right, so order, identification and
+    # signs read off it do not change; only multiplying the listed
+    # elements shows it.
     raw = vf.signed_closure
 
-    def fault(gens, identity):
+    def fault(gens, identity, *product):
+        assert all(isinstance(x, GaussMatrix) for x in (*gens, identity)) and not product
         group = raw(gens, identity)
         return group._replace(elements=group.elements[:-1] + (-group.elements[-1],))
 
@@ -934,14 +955,15 @@ def _closure_squares_off_the_generators_read_as_plus(monkeypatch):
     from clifcpt import autmat
     from clifcpt import verify as vf
 
-    # In the blade closures and the dense ones alike, so that the two
-    # still agree. The table keeps every generator's square and every
-    # product of two generators, all that `read_signs` reads, and stays
-    # commutative where it was; only the element orders change.
+    # In the blade closures, which pass their product and -I, and the
+    # dense ones alike, so that the two still agree. The table keeps
+    # every generator's square and every product of two generators, all
+    # that `read_signs` reads, and stays commutative where it was; only
+    # the element orders change.
     raw = vf.signed_closure
 
-    def fault(gens, identity):
-        group = raw(gens, identity)
+    def fault(gens, identity, *product):
+        group = raw(gens, identity, *product)
         mul = [list(row) for row in group.mul]
         for x in set(range(group.order)) - set(group.generators):
             if mul[x][x] == group.minus_identity:

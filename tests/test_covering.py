@@ -139,9 +139,11 @@ def test_predict_realization_agrees_with_enumeration(monkeypatch):
         where = basis.provenance, basis.sig
         choices = r.predicted.choice_e, r.predicted.choice_pi
         assert (pred.choice_e, pred.choice_pi) == choices, where
-        # The mask of each blade in the closure, its one term.
+        # The mask of each signed blade in the closure, its bits below the
+        # sign bit n.
         blades = (r.group.elements[i] for i in r.group.generators[1:])
-        assert pred.masks == {name: next(iter(x.num)) for name, x in zip(ELEMENT_NAMES[1:], blades)}, where
+        low = (1 << basis.sig.n) - 1
+        assert pred.masks == {name: x & low for name, x in zip(ELEMENT_NAMES[1:], blades)}, where
         assert pred.signature == r.signature, where
         assert pred.commutation == r.commutation, where
         pi = realization_matrices(r)[4]

@@ -9,7 +9,6 @@ import time
 import pytest
 
 from clifcpt import autmat, fingroup, pipeline, spinrep, verify
-from clifcpt.algebra import Multivector
 from clifcpt.exact import GaussMatrix
 from clifcpt.pipeline import classify_cell, sweep, sweep_to_csv, sweep_to_markdown, to_json
 
@@ -383,11 +382,12 @@ def test_realizations_close_signed_blades_not_matrices(monkeypatch):
     closure, conditions, realize = autmat.signed_closure, autmat.conditions, pipeline.realize
     matrix_hash = GaussMatrix.__hash__
 
-    def blade_closure(gens, identity):
+    def blade_closure(gens, identity, mul, minus_identity):
         nonlocal closures
         closures += 1
-        assert all(isinstance(x, Multivector) for x in (*gens, identity))
-        return closure(gens, identity)
+        # Signed blades as plain ints, with their own product and -I.
+        assert all(type(x) is int for x in (*gens, identity, minus_identity))
+        return closure(gens, identity, mul, minus_identity)
 
     def counting_conditions(basis):
         nonlocal tests
@@ -496,6 +496,33 @@ def test_sweep_matrix_op_counts_are_pinned():
         "_square_parity": 2050,
         "_commute_parity": 1304,
     }
+
+
+_COUNT_MV_PRODUCTS = """
+import json
+from clifcpt import pipeline
+from clifcpt.algebra import Multivector
+
+raw = Multivector.__mul__
+counts = {}
+
+def counted(a, b):
+    counts[field] += 1
+    return raw(a, b)
+
+Multivector.__mul__ = counted
+for field in ("real", "complex"):
+    counts[field] = 0
+    pipeline.sweep(8, field, jobs=1)
+print(json.dumps(counts))
+"""
+
+
+def test_sweep_makes_no_multivector_product():
+    # The realization stage closes signed blades held as ints, and the
+    # idempotent is formed by doubling, so no sweep multiplies two
+    # multivectors.
+    assert _run_fresh(_COUNT_MV_PRODUCTS) == {"real": 0, "complex": 0}
 
 
 _COUNT_LIVE_BASES = """
