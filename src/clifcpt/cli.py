@@ -194,7 +194,7 @@ def cmd_cayley(args) -> int:
 def cmd_verify(args) -> int:
     if not 0 <= args.max_dim <= MAX_DIM:
         raise UsageError(f"--max-dim must be between 0 and {MAX_DIM}")
-    # Imported here: verify loads goldens and traceback, which no other
+    # Imported here: verify loads goldens and its suites, which no other
     # command needs.
     from . import verify
 

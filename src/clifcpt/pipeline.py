@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _json_str
 
 from . import covering, fingroup
 from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
@@ -601,16 +600,20 @@ def to_json(obj) -> str:
     the artifacts hold: dicts with str keys, lists, str, bool, int and
     None. Anything else raises TypeError.
     """
+    # Imported here: only the commands that write JSON use it.
+    from json.encoder import encode_basestring_ascii
+
     out: list[str] = []
-    _write_json(obj, "\n", out)
+    _write_json(obj, "\n", out, encode_basestring_ascii)
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(obj, newline: str, out: list[str]) -> None:
+def _write_json(obj, newline: str, out: list[str], string) -> None:
+    """Append the text of `obj` to `out`; `string` is json's string encoder."""
     # bool is a subclass of int, so True and False are tested first.
     if isinstance(obj, str):
-        out.append(_json_str(obj))
+        out.append(string(obj))
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -629,9 +632,9 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"to_json: key {key!r} is not a str")
             out.append(sep)
-            out.append(_json_str(key))
+            out.append(string(key))
             out.append(": ")
-            _write_json(obj[key], inner, out)
+            _write_json(obj[key], inner, out, string)
             sep = comma
         out.append(newline + "}")
     elif isinstance(obj, list):
@@ -642,7 +645,7 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         sep, comma = "[" + inner, "," + inner
         for item in obj:
             out.append(sep)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, string)
             sep = comma
         out.append(newline + "]")
     else:

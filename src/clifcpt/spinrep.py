@@ -4,7 +4,6 @@ drives the classification theorems."""
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
@@ -313,6 +312,9 @@ def represent(basis: SpinBasis, mv: Multivector) -> GaussMatrix:
 
 
 def save_spinbasis(basis: SpinBasis, path: str) -> None:
+    # Imported here: only basis files use it.
+    import json
+
     data = {
         "p": basis.sig.p,
         "q": basis.sig.q,
@@ -330,6 +332,9 @@ def load_spinbasis(path: str, expect: MetricSignature | None = None) -> SpinBasi
     with entries as exact "a/b+c/d*i" strings. A file for another (p, q)
     than `expect` is rejected before certification.
     """
+    # Imported here: only basis files use it.
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

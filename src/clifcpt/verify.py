@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import random
 import time
-import traceback
 from itertools import product as iterproduct
 from typing import NamedTuple
 
@@ -73,8 +72,12 @@ def _run(suite: str, name: str, fn) -> CheckResult:
         passed = False
     except Exception as exc:
         # A check that crashes must not lose the results of the others.
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        at = f"{os.path.basename(where.filename)}:{where.lineno}"
+        # The innermost frame is where it raised, as traceback.extract_tb
+        # gives it, without loading traceback and linecache.
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        at = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
         detail = f"{type(exc).__name__}: {exc} (at {at})"
         passed = False
     return CheckResult(suite, name, passed, detail, time.monotonic() - t0)
@@ -130,16 +133,16 @@ def _tableau(k: int) -> str:
     rng = random.Random(f"{_SEED} tableau {k}")
     sig = MetricSignature(1, 3, REAL)
     maps = [bits + (0,) * (3 - k) for bits in iterproduct((0, 1), repeat=k)]
+    # Each pair of maps with the map of their XORed bits.
+    pairs = [(b1, b2, tuple(x ^ y for x, y in zip(b1, b2))) for b1 in maps for b2 in maps]
     for _ in range(100):
         a = random_multivector(sig, rng, allow_complex_coeffs=True)
         images = {bits: _apply(bits, a) for bits in maps}
-        for b1 in maps:
-            for b2 in maps:
-                composed = tuple(x ^ y for x, y in zip(b1, b2))
-                assert _apply(b1, images[b2]) == images[composed], (
-                    f"Cl(1,3): the {_map_name(b1)} after the {_map_name(b2)} "
-                    f"is not the {_map_name(composed)}"
-                )
+        for b1, b2, composed in pairs:
+            assert _apply(b1, images[b2]) == images[composed], (
+                f"Cl(1,3): the {_map_name(b1)} after the {_map_name(b2)} "
+                f"is not the {_map_name(composed)}"
+            )
     if k == 2:
         return "4x4 composition tableau == Klein four-group on 100 samples"
     return "8x8 composition tableau == Z2 x Z2 x Z2 on 100 samples"
@@ -498,19 +501,27 @@ def _extension(signs: tuple[int, ...]) -> SignedGroup:
     a = [q[1 << i] for i in range(k)]
     b = {(i, j): q[(1 << i) | (1 << j)] ^ a[i] ^ a[j] for i in range(k) for j in range(i + 1, k)}
 
-    def beta(v: int, w: int) -> int:
-        diagonal = sum(a[i] & (v >> i) & (w >> i) for i in range(k))
-        return (diagonal + sum(c & (v >> i) & (w >> j) for (i, j), c in b.items())) % 2
+    def linear(v: int) -> int:
+        """L(v), with beta(v, w) = parity(w & L(v)) since beta is bilinear:
+        bit j of L(v) is a_j v_j + sum_{i<j} b_ij v_i."""
+        out = 0
+        for j in range(k):
+            bit = a[j] & (v >> j)
+            for i in range(j):
+                bit ^= b[i, j] & (v >> i)
+            out |= bit << j
+        return out
 
-    cocycle = [[beta(v, w) for w in range(size)] for v in range(size)]
-    mul = tuple(
-        tuple(
-            (((x ^ y) >> k) ^ cocycle[x % size][y % size]) * size + (x ^ y) % size
-            for y in range(2 * size)
-        )
-        for x in range(2 * size)
-    )
-    return SignedGroup(tuple(range(2 * size)), mul, 0, size, ())
+    # The products (0, v)(0, w) form row v; a sign s + t = 1 flips the
+    # top bit, so (s, v) times (t, w) reads the row or its flip.
+    plus, minus = [], []
+    for v in range(size):
+        lv = linear(v)
+        row = tuple(((w & lv).bit_count() & 1) * size + (v ^ w) for w in range(size))
+        flipped = tuple(x ^ size for x in row)
+        plus.append(row + flipped)
+        minus.append(flipped + row)
+    return SignedGroup(tuple(range(2 * size)), (*plus, *minus), 0, size, ())
 
 
 def _check_forms(k: int) -> dict:

@@ -5,6 +5,7 @@ import pickle
 import re
 import subprocess
 import sys
+import traceback
 from fractions import Fraction
 
 import jsonschema
@@ -550,6 +551,32 @@ def test_classify_leaves_verify_and_dataclasses_unloaded():
         assert loaded <= bare, (code, sorted(loaded - bare))
 
 
+def test_startup_leaves_json_and_traceback_unloaded(tmp_path):
+    # verify reads and writes no JSON, and finds where a crashed check
+    # raised without traceback; json loads only where a command reads a
+    # basis file or writes JSON, and pickle only in a fan-out over workers.
+    guarded = ("json", "traceback", "pickle")
+    report = f"import sys; sys.stderr.write(' '.join(set({guarded!r}) & set(sys.modules)))"
+    # A name that the interpreter's site hooks already load is not ours.
+    bare = set(_fresh_python("-c", report).stderr.split())
+    verify = (
+        "import clifcpt.cli; clifcpt.cli._usable_cores = lambda: 1; "
+        "clifcpt.cli.main(['verify', '--suite', 'all', '--max-dim', '2'])"
+    )
+    for code, unloaded in (("import clifcpt.cli", guarded), (verify, ("json", "traceback"))):
+        loaded = set(_fresh_python("-c", f"{code}; {report}").stderr.split())
+        assert not (loaded - bare) & set(unloaded), (code, sorted(loaded - bare))
+    # A basis file still reads, with json imported where it is read.
+    from clifcpt.spinrep import preset_spinbasis, save_spinbasis
+
+    path = tmp_path / "dirac.json"
+    save_spinbasis(preset_spinbasis("dirac"), str(path))
+    argv = ("classify", "--p", "1", "--q", "3")
+    from_file = _fresh_python("-m", "clifcpt.cli", *argv, "--basis", f"file:{path}").stdout
+    preset = _fresh_python("-m", "clifcpt.cli", *argv, "--basis", "dirac").stdout
+    assert json.loads(from_file)["realizations"] == json.loads(preset)["realizations"]
+
+
 _FREEZE_PROBE = """
 import atexit, contextlib, gc, io, sys
 atexit.register(lambda: print("frozen", gc.get_freeze_count()))
@@ -1091,19 +1118,43 @@ def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
     from clifcpt import verify as vf
     from clifcpt.autmat import ConditionError
 
-    # (verify attribute to break, the check that then raises); on two
-    # cores it may raise in either worker.
+    def raising(attr):
+        """A stand-in for `attr` that raises, with the detail it then
+        leaves and the line it raises from."""
+
+        def broken(*args):
+            raise ConditionError(f"{attr} unavailable")
+
+        return broken, f"ConditionError: {attr} unavailable", broken.__code__.co_firstlineno + 1
+
+    def raising_inside_a_call(attr):
+        # The second line of a multi-line call raises: the site is the
+        # line that traceback names.
+        def broken(*args):
+            return max(
+                {}[f"{attr} unavailable"],
+                0,
+            )
+
+        try:
+            broken()
+        except KeyError as exc:
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+        second = broken.__code__.co_firstlineno + 2
+        assert (os.path.basename(where.filename), where.lineno) == ("test_cli.py", second)
+        return broken, f"KeyError: '{attr} unavailable'", where.lineno
+
+    # (the stand-in's maker, the verify attribute it replaces, the check
+    # that then raises); on two cores it may raise in either worker.
     cases = (
-        ("census_64", "[groups] signature-census"),
-        ("involution_via_omega_check", "[automorphisms] volume-element-conjugation"),
-        ("radon_hurwitz", "[coverings] arithmetic-classification"),
+        (raising, "census_64", "[groups] signature-census"),
+        (raising, "involution_via_omega_check", "[automorphisms] volume-element-conjugation"),
+        (raising, "radon_hurwitz", "[coverings] arithmetic-classification"),
+        (raising_inside_a_call, "census_64", "[groups] signature-census"),
     )
-    for attr, check in cases:
+    for make, attr, check in cases:
+        broken, message, lineno = make(attr)
         for cores in (1, 2):
-
-            def broken(*args):
-                raise ConditionError(f"{attr} unavailable")
-
             with monkeypatch.context() as m:
                 submitted = _record_fan_out(m)
                 m.setattr(cli, "_usable_cores", lambda: cores)
@@ -1116,7 +1167,7 @@ def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
             failed = [line for line in lines if line.startswith("FAIL")]
             assert len(failed) == 1
             assert check in failed[0]
-            assert f"ConditionError: {attr} unavailable" in failed[0]
+            assert failed[0].endswith(f" {message} (at test_cli.py:{lineno})"), failed[0]
 
 
 def test_run_suites_keeps_the_order_of_names_in_a_pool():
