@@ -7,7 +7,8 @@ closed with `algebra.signed_blade_mul`, the geometric product's sign
 rule on such ints. Its matrix, the signed increasing-index product of
 the generators in A, must satisfy the element's defining intertwining
 condition M g' M^-1 = +-g exhaustively over all generators, tested in
-the equivalent form M g' = +-g M:
+the equivalent form M g' = +-g M (as a parity of bits when every
+generator is a Pauli word, `word_conditions`):
 
     W  g         = -g W          (grade involution)
     E  g^T       =  g E          (reversion)
@@ -38,7 +39,7 @@ from .algebra import blade_indices, grade, signed_blade_mul
 from .covering import PredictedRealization, predict_realization
 from .exact import GaussMatrix
 from .fingroup import SignedGroup, signed_closure
-from .spinrep import SpinBasis, product_over
+from .spinrep import SpinBasis, as_word, as_words, product_over
 
 ELEMENT_NAMES = ("I", "W", "E", "C", "Pi", "K", "S", "F")
 
@@ -86,6 +87,46 @@ def conditions(basis: SpinBasis) -> Callable[[str, GaussMatrix], list[str]]:
             f"{name} condition fails on generator {i}"
             for i, (g, t) in enumerate(zip(gens, primed[transpose, conjugate]), start=1)
             if not m.product_signed_eq(t, g, m, sign)
+        ]
+
+    return failures
+
+
+def word_conditions(basis: SpinBasis) -> Callable[[str, GaussMatrix], list[str]] | None:
+    """The test of `conditions` as parities of bits, for a basis whose
+    generators `spinrep.as_words` reads as Pauli words; None for any
+    other basis.
+
+    A word g = phase X^x Z^z has g^T = (-1)^|x & z| g (`certify_spinbasis`)
+    and conj(g) = conj(phase) X^x Z^z, which is -g exactly when the phase
+    is imaginary; so g' = kappa_g g, kappa_g the product of the signs that
+    the condition's flags select. Words multiply to a word:
+    (a X^x Z^z)(b X^u Z^v) = ab (-1)^|z & u| X^(x ^ u) Z^(z ^ v), with ab
+    a unit again. So m, a product of generators, is a word, read back off
+    its matrix, and m g = (-1)^(|x_m & z_g| + |z_m & x_g|) g m
+    (`pauli_word`). As g m is invertible, m g' = sign g m holds exactly
+    when (-1)^(|x_m & z_g| + |z_m & x_g|) kappa_g = sign, that is when
+    the two overlaps and the sign bits of kappa_g and `sign` add up to
+    an even count. An m that is not a word raises ConditionError."""
+    words = as_words(basis.gens)
+    if words is None:
+        return None
+    # x, z and the sign bits of kappa_g from a transpose and a conjugation.
+    traits = [(x, z, (x & z).bit_count() & 1, 1 if phase.im else 0) for phase, x, z in words]
+
+    def failures(name: str, m: GaussMatrix) -> list[str]:
+        transpose, conjugate, sign = CONDITIONS[name]
+        word = as_word(m)
+        if word is None:
+            raise ConditionError(f"{name} matrix is not a Pauli word")
+        _, xm, zm = word
+        return [
+            f"{name} condition fails on generator {i}"
+            for i, (x, z, skew, imag) in enumerate(traits, start=1)
+            if (
+                (xm & z).bit_count() + (zm & x).bit_count()
+                + (sign < 0) + transpose * skew + conjugate * imag
+            ) & 1
         ]
 
     return failures
@@ -157,10 +198,11 @@ def realize(basis: SpinBasis) -> Realization:
     of all generators, and E and Pi are the products that the choice rule
     of `predict_realization` names on `basis.profile`; C = E W^T,
     K = Pi W, S = Pi E and F = Pi C are blade products. Each of the seven
-    is checked on its generator product, and the signs are read off the
-    closure of all eight blades. For even n the other candidate of each
-    pair fails its condition (`verify` checks this), so no other
-    realization exists."""
+    is checked on its generator product, by `word_conditions` on a basis
+    of Pauli words and by `conditions` on any other, and the signs are
+    read off the closure of all eight blades. For even n the other
+    candidate of each pair fails its condition (`verify` checks this), so
+    no other realization exists."""
     prof = basis.profile
     pred = predict_realization(prof)
     n = basis.sig.n
@@ -172,7 +214,7 @@ def realize(basis: SpinBasis) -> Realization:
     wt_negated = (n * (n - 1) // 2 + grade(prof.mask(sym=False))) & 1
     c = mul(e, w ^ minus if wt_negated else w)
     built = dict(zip(ELEMENT_NAMES[1:], (w, e, c, pi, mul(pi, w), mul(pi, e), mul(pi, c))))
-    test, rep_signs = conditions(basis), {}
+    test, rep_signs = word_conditions(basis) or conditions(basis), {}
     for name, x in built.items():
         # A signed blade's mask is the XOR of its factors' masks, the
         # predicted mask, and its sign bit is its sign.

@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
-from .exact import GaussMatrix, I_UNIT
+from .exact import GaussMatrix, GaussRational, I_UNIT
 
 
 class UnsupportedSignatureError(ValueError):
@@ -210,6 +210,51 @@ def preset_spinbasis(name: str) -> SpinBasis:
     return SpinBasis(sig, gens, "preset:dirac")
 
 
+# The unit phases of a Pauli word, keyed by their (re, im) numerators.
+_PHASES = {(1, 0): GaussRational(1), (-1, 0): GaussRational(-1), (0, 1): I_UNIT, (0, -1): -I_UNIT}
+
+
+def as_word(g: GaussMatrix) -> tuple[GaussRational, int, int] | None:
+    """(phase, x, z) with g == pauli_word(m, x, z).scale(phase) and the
+    phase in {+-1, +-i}, read off the matrix itself; None when g is no
+    such word. The only candidates are x, the column of row 0; the
+    phase, the entry of row x, at column 0; and z, whose bit k is set
+    when the entry at column 2^k is not the phase. g is that word exactly
+    when its denominator is 1, its dim a power of two and every row r
+    holds one entry, phase * (-1)^|c & z| at column c = r ^ x. O(dim); it
+    stops at the first row that fails."""
+    num, dim = g.num, g.dim
+    if g.den != 1 or dim & (dim - 1) or len(num[0]) != 1:
+        return None
+    x = num[0][0][0]
+    head = num[x]
+    phase = _PHASES.get(head[0][1:]) if len(head) == 1 else None
+    if phase is None:
+        return None
+    _, pr, pi = head[0]
+    z = 0
+    for k in (1 << j for j in range(dim.bit_length() - 1)):
+        if num[k ^ x] != ((k, pr, pi),):
+            z |= k
+    for r, row in enumerate(num):
+        c = r ^ x
+        if row != (((c, -pr, -pi) if (c & z).bit_count() & 1 else (c, pr, pi)),):
+            return None
+    return phase, x, z
+
+
+def as_words(gens: tuple[GaussMatrix, ...]) -> list[tuple[GaussRational, int, int]] | None:
+    """`as_word` of every generator, or None from the first that is not
+    a word."""
+    words = []
+    for g in gens:
+        word = as_word(g)
+        if word is None:
+            return None
+        words.append(word)
+    return words
+
+
 def _scan_traits(
     g: GaussMatrix, eye: GaussMatrix, violations: list[str], idx: int
 ) -> tuple[bool, bool] | None:
@@ -246,10 +291,23 @@ def certify_spinbasis(sig: MetricSignature, gens: tuple[GaussMatrix, ...]) -> Ba
     symmetric or antisymmetric g, and -h h^T or +h h^T for g = i h with h
     real symmetric or antisymmetric. So the -I slots are real_mask ^ sym_mask.
 
-    Squares and pairs (gi gj = -gj gi) are compared on integer
-    numerators by `GaussMatrix.product_signed_eq`, so no product is
-    formed. The `SpinBasis` constructor runs it once per basis, before
-    the basis exists, and keeps the result as `basis.profile`."""
+    Word route, taken when `as_words` reads every generator as a word
+    g = phase * W, W = X^x Z^z: W is a real signed permutation, so
+    W^T = W^-1, and W^2 = (-1)^|x & z| I (`pauli_word`), so
+    g^T = (-1)^|x & z| g. Every entry is the phase times +-1. So g is
+    pure, real exactly when its phase is, symmetric exactly when |x & z|
+    is even and antisymmetric otherwise, and g^2 = phase^2 (-1)^|x & z| I
+    is -I exactly when one of phase^2 = -1 (imaginary) and |x & z| odd
+    (antisymmetric) holds: when real != symmetric, the square rule. So
+    the scan passes every word with no comparison, and a pair
+    anticommutes exactly when |x_i & z_j| + |z_i & x_j| is odd.
+
+    Dense route, every other basis: squares and pairs (gi gj = -gj gi)
+    are compared on integer numerators by `GaussMatrix.product_signed_eq`,
+    so no product is formed. Both routes report the metric squares and
+    then the pairs, in the same order and words. The `SpinBasis`
+    constructor runs it once per basis, before the basis exists, and
+    keeps the result as `basis.profile`."""
     n = sig.n
     violations: list[str] = []
     if len(gens) != n:
@@ -265,23 +323,39 @@ def certify_spinbasis(sig: MetricSignature, gens: tuple[GaussMatrix, ...]) -> Ba
             [f"dimension {dim} does not equal 2^(n/2) for n={n} generators"]
         )
 
-    eye = GaussMatrix.identity(dim)
+    words = as_words(gens)
     real_mask = sym_mask = scanned = 0
-    for i, g in enumerate(gens):
-        traits = _scan_traits(g, eye, violations, i + 1)
-        if traits is None:
-            continue
-        real, symmetric = traits
-        scanned |= 1 << i
-        real_mask |= real << i
-        sym_mask |= symmetric << i
+    if words is not None:
+        scanned = (1 << n) - 1
+        for i, (phase, x, z) in enumerate(words):
+            real_mask |= (not phase.im) << i
+            sym_mask |= (not (x & z).bit_count() & 1) << i
+
+        def anticommute(i: int, j: int) -> bool:
+            (_, xi, zi), (_, xj, zj) = words[i], words[j]
+            return bool(((xi & zj).bit_count() + (zi & xj).bit_count()) & 1)
+
+    else:
+        eye = GaussMatrix.identity(dim)
+        for i, g in enumerate(gens):
+            traits = _scan_traits(g, eye, violations, i + 1)
+            if traits is None:
+                continue
+            real, symmetric = traits
+            scanned |= 1 << i
+            real_mask |= real << i
+            sym_mask |= symmetric << i
+
+        def anticommute(i: int, j: int) -> bool:
+            gi, gj = gens[i], gens[j]
+            return gi.product_signed_eq(gj, gj, gi, -1)
+
     for i in blade_indices((real_mask ^ sym_mask ^ sig.neg_mask) & scanned):
         want, got = ("-I", "+I") if sig.metric_sign(i) < 0 else ("+I", "-I")
         violations.append(f"generator {i} squares to {got}, expected {want}")
     for i in range(n):
         for j in range(i + 1, n):
-            gi, gj = gens[i], gens[j]
-            if not gi.product_signed_eq(gj, gj, gi, -1):
+            if not anticommute(i, j):
                 violations.append(f"generators {i + 1} and {j + 1} do not anticommute")
     if violations:
         raise CertificationError(violations)

@@ -379,9 +379,20 @@ def suite_theorems(max_dim: int, realizations: dict | None = None) -> list[Check
 
 
 def _bilinear(eps: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether the table eps(v, w) is bilinear: eps(u, v ^ w) = eps(u, v) eps(u, w)."""
-    size = range(len(eps))
-    return all(eps[u][v ^ w] == eps[u][v] * eps[u][w] for u, v, w in iterproduct(size, repeat=3))
+    """Whether the table eps(v, w) of signs is bilinear: eps(u, v ^ w) =
+    eps(u, v) eps(u, w) for all u, v, w. Tested row by row: eps(u, 0) = 1,
+    every value +-1, and eps(u, v) the product of eps(u, e_i) over the
+    bits e_i of v, read as eps(u, v) = eps(u, v - b) eps(u, b) with b the
+    lowest bit of v: one test per entry, not one per triple. A row so made
+    is bilinear: the bits of v ^ w are those of v and of w but the shared
+    ones, whose two factors square to 1. A bilinear row of signs has
+    eps(u, 0) = eps(u, 0)^2 = 1 and, by induction over the bits of v, the
+    product form."""
+    return all(
+        row[0] == 1
+        and all(s in (1, -1) and s == row[v & (v - 1)] * row[v & -v] for v, s in enumerate(row))
+        for row in eps
+    )
 
 
 def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckResult]:

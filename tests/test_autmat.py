@@ -10,8 +10,9 @@ from clifcpt.autmat import (
     mask_label,
     read_signs,
     realize,
+    word_conditions,
 )
-from clifcpt.covering import choice_candidates
+from clifcpt.covering import choice_candidates, predict_realization
 from clifcpt.exact import I_UNIT, GaussMatrix
 from clifcpt.fingroup import minus_count, sig_str, signed_closure
 from clifcpt.pipeline import realization_record
@@ -26,7 +27,7 @@ from clifcpt.spinrep import (
 from clifcpt.verify import dense_realization, realization_facts, realization_matrices
 from dense_reference import conjugated_bases, kron, matrix_closure
 from gammas import gamma_matrices, product
-from pauli_bases import pauli_bases
+from pauli_bases import pauli_bases, sample_pauli_bases
 
 
 @pytest.fixture(scope="module")
@@ -474,3 +475,41 @@ def test_signature_step_realizes_cl_q_plus_1_p_minus_1():
         assert (step.profile.real_mask, step.profile.sym_mask) == (real, sym), where
         assert realization_facts(realize(step)) == dense_realization(step), where
     assert len(bases) == 20 + 20
+
+
+def test_the_word_test_fails_where_the_dense_test_fails():
+    # On every built-in basis and every Pauli-word basis with 2 or 4
+    # generators, and a seeded sample with 6: each of the seven conditions,
+    # on each element's matrix and on both candidates of each choice pair,
+    # fails on the same generators under the parity test as under the
+    # matrix comparison.
+    bases = [preset_spinbasis("dirac")]
+    for n in range(0, 13, 2):
+        bases += [build_spinbasis(MetricSignature(p, n - p)) for p in range(n + 1)]
+        bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
+    bases += pauli_bases(2) + pauli_bases(4) + sample_pauli_bases(6, 48, seed=6)
+    tested = failing = 0
+    for basis in bases:
+        words, dense = word_conditions(basis), conditions(basis)
+        masks = set(predict_realization(basis.profile).masks.values())
+        masks |= {mask for pair in choice_candidates(basis.profile).values() for mask, _ in pair}
+        for mask in sorted(masks):
+            m = product_over(basis, mask)
+            for name in CONDITIONS:
+                bad = words(name, m)
+                assert bad == dense(name, m), (basis.sig, basis.provenance, mask, name)
+                tested += 1
+                failing += bool(bad)
+    assert (tested, failing) == (25648, 21469)
+
+
+def test_the_word_test_is_for_words_only():
+    # A basis with a generator that is no word gets no word test, and a
+    # matrix that is no word fails the test of a word basis by name.
+    for kind, _, basis in conjugated_bases():
+        if kind in ("givens", "cayley"):
+            assert word_conditions(basis) is None
+    test = word_conditions(preset_spinbasis("dirac"))
+    dense = GaussMatrix([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(ConditionError, match="^E matrix is not a Pauli word$"):
+        test("E", dense)

@@ -116,7 +116,9 @@ def test_sweep_fault_in_either_share_reports_as_in_one_process(tmp_path, capsys,
         return runs[0]
 
     # At d = 4 with two jobs, either worker may take Cl(1,3) or Cl(2,2).
-    real = autmat.conditions
+    # Every canonical basis is one of Pauli words, so `realize` tests its
+    # elements with `word_conditions`: the fault goes there.
+    real = autmat.word_conditions
     for cell in ((1, 3), (2, 2)):
 
         def broken(basis, cell=cell):
@@ -124,9 +126,9 @@ def test_sweep_fault_in_either_share_reports_as_in_one_process(tmp_path, capsys,
                 return lambda name, m: [f"{name} broken on Cl{cell}"]
             return real(basis)
 
-        monkeypatch.setattr(autmat, "conditions", broken)
+        monkeypatch.setattr(autmat, "word_conditions", broken)
         assert failure_in_both_modes() == (1, "", f"verification failure: W broken on Cl{cell}\n")
-    monkeypatch.setattr(autmat, "conditions", real)
+    monkeypatch.setattr(autmat, "word_conditions", real)
 
     # A certification failure crosses the pipe with its violations intact.
     certify = spinrep.certify_spinbasis
@@ -373,13 +375,14 @@ def test_realizations_close_signed_blades_not_matrices(monkeypatch):
     # The realization stage closes signed blades and hashes no matrix, yet
     # tests all seven intertwining conditions on matrices, with one
     # intertwining test per cell and 7 calls of it: W, the E and Pi the
-    # choice rule names, and C, K, S and F. The record reads every group
-    # fact off that one closure.
+    # choice rule names, and C, K, S and F. These bases are of Pauli words,
+    # so the test is `word_conditions`, and no dense test is built. The
+    # record reads every group fact off that one closure.
     cells = [(1, 3, "real", "dirac"), (3, 3, "real", "canonical"), (6, 0, "complex", "canonical")]
     expected = [classify_cell(*cell) for cell in cells]
     closures = realizations = tests = checks = hashes_inside = 0
     inside = False
-    closure, conditions, realize = autmat.signed_closure, autmat.conditions, pipeline.realize
+    closure, conditions, realize = autmat.signed_closure, autmat.word_conditions, pipeline.realize
     matrix_hash = GaussMatrix.__hash__
 
     def blade_closure(gens, identity, mul, minus_identity):
@@ -418,8 +421,12 @@ def test_realizations_close_signed_blades_not_matrices(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the record recomputed a group fact")
 
+    def dense_test(basis):
+        raise AssertionError("a word basis built the dense intertwining test")
+
     monkeypatch.setattr(autmat, "signed_closure", blade_closure)
-    monkeypatch.setattr(autmat, "conditions", counting_conditions)
+    monkeypatch.setattr(autmat, "word_conditions", counting_conditions)
+    monkeypatch.setattr(autmat, "conditions", dense_test)
     monkeypatch.setattr(pipeline, "realize", tracked_realize)
     monkeypatch.setattr(GaussMatrix, "__hash__", tracked_hash)
     monkeypatch.setattr(fingroup, "signed_closure", refuse)
@@ -433,7 +440,7 @@ def test_realizations_close_signed_blades_not_matrices(monkeypatch):
 _COUNT_SWEEP_OPS = """
 import json
 from collections import Counter
-from clifcpt import classify, exact, pipeline
+from clifcpt import autmat, classify, exact, pipeline, spinrep
 
 counts = Counter()
 
@@ -451,6 +458,8 @@ for name in ("__mul__", "__neg__", "product_signed_eq"):
     counting(exact.GaussMatrix, name)
 for name in ("_square_parity", "_commute_parity"):
     counting(classify, name)
+for owner in (spinrep, autmat):
+    counting(owner, "as_word")
 pipeline.sweep(8, "real", jobs=1)
 print(json.dumps(counts))
 """
@@ -481,20 +490,22 @@ def test_sweep_matrix_op_counts_are_pinned():
     # it reads the square of each of the 2050 masks it passes once, and
     # the commutation of a +1-square mask outside the span with each
     # chosen blade up to the first that anticommutes.
-    # `autmat.conditions` and certification compare products on their
-    # integer numerators, which every matrix stores, and build none: 7
-    # conditions on each of the 140 generators of the 25 bases (980), one
-    # square test per generator against the sign its reality and symmetry
-    # force (140), one anticommutation test per pair (390), and one
-    # antisymmetry test g * I == -(g^T * I) per antisymmetric generator
-    # (64), which forms no negated matrix, so no matrix is negated at all.
+    # Every basis of the sweep is one of Pauli words, so certification and
+    # the intertwining test run on the bits that `spinrep.as_word` reads
+    # off each matrix, and compare no product: no `product_signed_eq`
+    # call (1574 on the dense route). A word is read 455 times: the 140
+    # generators of the 25 bases once in certification and once more in
+    # `autmat.word_conditions`, and each of the 7 element matrices of the
+    # 25 bases (175), which `product_over` forms from the generators with
+    # the 411 products, none with I on the left. No matrix is negated.
     # A rise means repeated work.
     assert _run_fresh(_COUNT_SWEEP_OPS) == {
         "__mul__": 411,
         "__neg__": 0,
-        "product_signed_eq": 1574,
+        "product_signed_eq": 0,
         "_square_parity": 2050,
         "_commute_parity": 1304,
+        "as_word": 455,
     }
 
 

@@ -2,17 +2,20 @@ import hashlib
 import json
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
 from clifcpt import spinrep
 from clifcpt.algebra import COMPLEX, MetricSignature, Multivector, random_multivector
-from clifcpt.exact import GaussMatrix, GaussRational
+from clifcpt.exact import I_UNIT, GaussMatrix, GaussRational
 from clifcpt.spinrep import (
     CertificationError,
     SpinBasis,
     SpinBasisFileError,
     UnsupportedSignatureError,
+    as_word,
+    as_words,
     build_spinbasis,
     load_spinbasis,
     preset_spinbasis,
@@ -595,3 +598,169 @@ def test_canonical_bases_roundtrip_through_files(tmp_path):
             path = tmp_path / f"cl_{p}_{n - p}.json"
             save_spinbasis(basis, str(path))
             assert load_spinbasis(str(path)).gens == basis.gens
+
+
+# --- the word route -----------------------------------------------------------
+
+
+def _built_in_bases():
+    """Every canonical basis with n <= 12 in both fields, and the Dirac basis."""
+    bases = [preset_spinbasis("dirac")]
+    for n in range(0, 13, 2):
+        bases += [build_spinbasis(MetricSignature(p, n - p)) for p in range(n + 1)]
+        bases.append(build_spinbasis(MetricSignature(n, 0, COMPLEX)))
+    return bases
+
+
+def _word_bases():
+    bases = _built_in_bases() + pauli_bases(2) + pauli_bases(4) + sample_pauli_bases(6, 48, seed=6)
+    assert len(bases) == 1 + 49 + 7 + 12 + 480 + 48
+    return bases
+
+
+_UNITS = (1, -1, I_UNIT, -I_UNIT)
+
+
+def _every_word(m):
+    """Every i^k X^x Z^z on m qubits, keyed by its matrix: a reference for
+    `as_word` that tries every candidate."""
+    return {
+        spinrep.pauli_word(m, x, z).scale(phase): (phase, x, z)
+        for phase in _UNITS
+        for x in range(1 << m)
+        for z in range(1 << m)
+    }
+
+
+def test_as_word_reads_each_built_in_generator_as_built():
+    for m in range(7):
+        reals, imags, tail = spinrep._bw_pool(m)
+        for j, k in enumerate(reversed(range(m))):
+            x, z = 1 << k, (1 << m) - (2 << k)
+            assert as_word(reals[j]) == (1, x, z)
+            assert as_word(imags[j]) == (I_UNIT, x, z | x)
+        assert as_word(tail) == (1, 0, (1 << m) - 1)
+    assert [as_word(g) for g in preset_spinbasis("dirac").gens] == list(spinrep._DIRAC_WORDS)
+    for basis in _built_in_bases():
+        m = basis.sig.n // 2
+        for g in basis.gens:
+            phase, x, z = as_word(g)
+            assert phase in _UNITS and spinrep.pauli_word(m, x, z).scale(phase) == g
+
+
+def test_as_word_agrees_with_trying_every_word():
+    # On m <= 3 qubits: each word, each word with one entry's sign flipped,
+    # with one more entry in a row, over a denominator, times 2 or 1 + i,
+    # and the generators of the conjugated bases, among them monomial
+    # conjugates that are no words. Relabelling rows and columns keeps one
+    # entry per row and every square, but not always a word's sign
+    # pattern: swapping 3 and 4 takes Z (x) I (x) I = diag(1, 1, 1, 1, -1,
+    # -1, -1, -1) to a diagonal of signs that is no character of the row
+    # index, while X (x) X (x) X, the relabelling r -> r ^ 7, keeps it a word.
+    swap = GaussMatrix([[int(j == (i ^ 7 if i in (3, 4) else i)) for j in range(8)] for i in range(8)])
+    z_ii, x_all = spinrep.pauli_word(3, 0, 0b100), spinrep.pauli_word(3, 0b111, 0)
+    relabelled = [swap * z_ii * swap, swap.scale(-1) * z_ii * swap, x_all * z_ii * x_all]
+    assert [as_word(g) for g in relabelled] == [None, None, (-1, 0, 0b100)]
+    tried = refused = 0
+    for m in range(4):
+        words = _every_word(m)
+        dim = 1 << m
+        variants = list(words)
+        for i, g in enumerate(words):
+            rows = [list(row) for row in g.rows]
+            r = i % dim
+            c = next(j for j, e in enumerate(rows[r]) if e)
+            flipped = [row[:] for row in rows]
+            flipped[r][c] = -flipped[r][c]
+            wider = [row[:] for row in rows]
+            wider[r][(c + 1) % dim] = 1 if dim > 1 else wider[r][c]
+            variants += [GaussMatrix(flipped), GaussMatrix(wider)]
+            variants += [g.scale(s) for s in (Fraction(1, 2), 2, GaussRational(1, 1))]
+        variants += [g for _, _, basis in conjugated_bases() if basis.dim == dim for g in basis.gens]
+        variants += relabelled if m == 3 else []
+        for g in variants:
+            assert as_word(g) == words.get(g), g
+            tried += 1
+            refused += g not in words
+    assert (tried, refused) == (2329, 1797)
+
+
+def test_word_and_dense_certificates_give_the_same_profile(monkeypatch):
+    bases = _word_bases()
+    assert all(as_words(basis.gens) is not None for basis in bases)
+    monkeypatch.setattr(spinrep, "as_words", lambda gens: None)
+    for basis in bases:
+        assert spinrep.certify_spinbasis(basis.sig, basis.gens) == basis.profile, basis.provenance
+
+
+def _certify_counting(sig, gens):
+    """(the profile or the violations, product_signed_eq calls) of
+    certifying gens."""
+    calls = []
+    raw = GaussMatrix.product_signed_eq
+    GaussMatrix.product_signed_eq = lambda *args: calls.append(1) or raw(*args)
+    try:
+        outcome = spinrep.certify_spinbasis(sig, gens)
+    except CertificationError as err:
+        outcome = err.violations
+    finally:
+        GaussMatrix.product_signed_eq = raw
+    return outcome, len(calls)
+
+
+def test_conjugated_bases_take_the_dense_route():
+    # A basis takes the word route exactly when every generator is a word,
+    # and then compares no matrix. The transposes and complex conjugates
+    # of words are words; the Givens and Cayley conjugates are not.
+    routes = {}
+    for kind, _, basis in conjugated_bases():
+        words = as_words(basis.gens)
+        _, calls = _certify_counting(basis.sig, basis.gens)
+        assert (calls == 0) == (words is not None), (kind, basis.sig)
+        routes.setdefault(kind, set()).add(words is not None)
+    assert routes == {
+        "signed_permutation": {True, False},
+        "givens": {False},
+        "cayley": {False},
+        "transpose": {True},
+        "conj": {True},
+    }
+
+
+def test_word_route_gives_the_dense_messages(monkeypatch):
+    # Two commuting words, wrong metric squares, and seeded tuples of words
+    # that need not anticommute: the same violations in the same order.
+    d = preset_spinbasis("dirac").gens
+    s1 = spinrep.pauli_word(1, 1, 0)
+    cases = [
+        ((2, 0), (s1, s1), ["generators 1 and 2 do not anticommute"]),
+        (
+            (1, 3),
+            (d[0], d[0], d[2], d[3]),
+            ["generator 2 squares to +I, expected -I", "generators 1 and 2 do not anticommute"],
+        ),
+        ((3, 1), d, ["generator 2 squares to -I, expected +I", "generator 3 squares to -I, expected +I"]),
+    ]
+    rng = random.Random(42)
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        n = 2 * m
+        p = rng.randint(0, n)
+        gens = tuple(
+            spinrep.pauli_word(m, rng.randrange(1 << m), rng.randrange(1 << m)).scale(rng.choice(_UNITS))
+            for _ in range(n)
+        )
+        cases.append(((p, n - p), gens, None))
+    broken = 0
+    for (p, q), gens, want in cases:
+        sig = MetricSignature(p, q)
+        assert as_words(gens) is not None
+        words, calls = _certify_counting(sig, gens)
+        assert calls == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(spinrep, "as_words", lambda gens: None)
+            dense, calls = _certify_counting(sig, gens)
+        assert calls > 0
+        assert words == dense == (dense if want is None else want), (p, q)
+        broken += isinstance(words, list)
+    assert (broken, len(cases)) == (293, 303)

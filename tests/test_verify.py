@@ -61,3 +61,24 @@ def test_tableau_compares_every_pair_on_every_sample(k, pairs, monkeypatch):
     monkeypatch.setattr(Multivector, "__eq__", counting)
     vf._tableau(k)
     assert len(calls) == 100 * pairs
+
+
+def test_bilinear_is_the_triple_test():
+    # The row-by-row test of `_bilinear` keeps exactly the sign tables that
+    # pass eps(u, v ^ w) = eps(u, v) eps(u, w) on every triple: the
+    # polarizations of all 8 + 128 sign tuples over Z2^2 and Z2^3, and
+    # seeded tables of signs, most of them not bilinear.
+    import random
+
+    from clifcpt.fingroup import polarization
+
+    def triples(eps):
+        size = range(len(eps))
+        return all(eps[u][v ^ w] == eps[u][v] * eps[u][w] for u, v, w in iterproduct(size, repeat=3))
+
+    tables = [polarization(s) for k in (2, 3) for s in iterproduct((1, -1), repeat=2**k - 1)]
+    rng = random.Random(3)
+    tables += [tuple(tuple(rng.choice((1, -1)) for _ in range(4)) for _ in range(4)) for _ in range(2000)]
+    kept = [eps for eps in tables if vf._bilinear(eps)]
+    assert kept == [eps for eps in tables if triples(eps)]
+    assert len(kept) > 8 + 64
