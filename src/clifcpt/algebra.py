@@ -10,12 +10,10 @@ over one common denominator.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from math import gcd, lcm
-from types import MappingProxyType
+from math import lcm
 from typing import Callable, Mapping, NamedTuple
 
-from .exact import GaussRational, ZERO, _exact, Scalarish, common_divisor, format_parts, gauss_parts
+from .exact import Scalarish, common_divisor, format_parts, gauss_parts
 
 REAL = "real"
 COMPLEX = "complex"
@@ -108,22 +106,6 @@ def _sign_mask(y: int, neg_mask: int, top: int) -> int:
     return p ^ (y & neg_mask)
 
 
-def _swap_parity(x: int, y: int, neg_mask: int) -> int:
-    """Parity of the sign of e_x e_y: popcount(x & P) + popcount(x & y &
-    neg_mask) mod 2, P the prefix parity of y << 1 (see `_sign_mask`)."""
-    return (x & _sign_mask(y, neg_mask, x.bit_length())).bit_count() & 1
-
-
-def blade_product(x: int, y: int, sig: MetricSignature) -> tuple[int, int]:
-    """Product of two basis blades: (sign, result mask).
-
-    The result is the symmetric difference of the masks.
-    """
-    if (x | y) >> sig.n:  # a negative mask shifts to -1
-        raise ValueError(f"blade mask out of range for n={sig.n}")
-    return (-1 if _swap_parity(x, y, sig.neg_mask) else 1), x ^ y
-
-
 def signed_blade_mul(sig: MetricSignature) -> Callable[[int, int], int]:
     """The product of signed blades of `sig` held as ints: +-e_A is the
     mask A in bits 0..n-1 with the sign bit n set for -e_A. The product
@@ -168,13 +150,6 @@ def blade_square_sign(mask: int, sig: MetricSignature) -> int:
     return -1 if _square_parity(mask, sig.neg_mask) else 1
 
 
-def blades_commute(x: int, y: int, sig: MetricSignature) -> bool:
-    """Whether e_x e_y == e_y e_x (see `_commute_parity`)."""
-    if (x | y) >> sig.n:
-        raise ValueError(f"blade mask out of range for n={sig.n}")
-    return not _commute_parity(x, y)
-
-
 class Multivector:
     """Sparse multivector over a fixed MetricSignature with Gaussian
     rational coefficients.
@@ -182,7 +157,8 @@ class Multivector:
     The coefficients are stored as Gaussian-integer numerators `num`
     (blade mask -> (re, im)) over one common denominator `den`. The form
     is canonical: den > 0, gcd(den, every part) == 1 and no zero terms,
-    so equality and hashing compare ints only.
+    so equality compares ints only. It is not hashable: no group element
+    is a multivector.
     """
 
     __slots__ = ("sig", "num", "den")
@@ -202,10 +178,6 @@ class Multivector:
 
     # --- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, sig: MetricSignature) -> Multivector:
-        return cls(sig)
-
-    @classmethod
     def scalar(cls, sig: MetricSignature, value: Scalarish) -> Multivector:
         return cls(sig, {0: value})
 
@@ -213,35 +185,10 @@ class Multivector:
     def blade(cls, sig: MetricSignature, mask: int, coeff: Scalarish = 1) -> Multivector:
         return cls(sig, {mask: coeff})
 
-    @classmethod
-    def generator(cls, sig: MetricSignature, i: int) -> Multivector:
-        if not 1 <= i <= sig.n:
-            raise ValueError(f"generator index {i} out of range 1..{sig.n}")
-        return cls(sig, {1 << (i - 1): 1})
-
     # --- ring operations ----------------------------------------------
     def _check(self, other: Multivector) -> None:
         if self.sig != other.sig:
             raise SignatureMismatchError(f"{self.sig} != {other.sig}")
-
-    def _add(self, other: Multivector, sign: int) -> Multivector:
-        self._check(other)
-        g = gcd(self.den, other.den)
-        fa, fb = other.den // g, sign * (self.den // g)
-        acc = {m: (re * fa, im * fa) for m, (re, im) in self.num.items()}
-        for m, (re, im) in other.num.items():
-            old = acc.get(m, (0, 0))
-            acc[m] = (old[0] + re * fb, old[1] + im * fb)
-        return _make(self.sig, *_reduce(acc, self.den * fa))
-
-    def __add__(self, other: Multivector) -> Multivector:
-        return self._add(other, 1)
-
-    def __sub__(self, other: Multivector) -> Multivector:
-        return self._add(other, -1)
-
-    def __neg__(self) -> Multivector:
-        return _make(self.sig, {m: (-re, -im) for m, (re, im) in self.num.items()}, self.den)
 
     def scale(self, s: Scalarish) -> Multivector:
         sr, si, d = gauss_parts(s)
@@ -295,28 +242,10 @@ class Multivector:
             num[m] = (re, -im)
         return _make(self.sig, num, self.den)
 
-    # --- inspection -----------------------------------------------------
-    @property
-    def terms(self) -> Mapping[int, GaussRational]:
-        """Read-only blade -> coefficient view, without zero coefficients."""
-        return MappingProxyType({m: self.coefficient(m) for m in self.num})
-
-    def coefficient(self, mask: int) -> GaussRational:
-        parts = self.num.get(mask)
-        if parts is None:
-            return ZERO
-        return _exact(Fraction(parts[0], self.den), Fraction(parts[1], self.den))
-
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
         return self.sig == other.sig and self.den == other.den and self.num == other.num
-
-    def __hash__(self) -> int:
-        return hash((self.sig, self.den, frozenset(self.num.items())))
 
     def __str__(self) -> str:
         if not self.num:
@@ -391,7 +320,7 @@ def involution_via_omega_check(a: Multivector) -> bool:
             f"grade involution only for even n (got n={sig.n})"
         )
     omega = volume_element(sig)
-    omega_inv = omega.scale(Fraction(blade_square_sign((1 << sig.n) - 1, sig)))
+    omega_inv = omega.scale(blade_square_sign((1 << sig.n) - 1, sig))
     return a.grade_involution() == omega * a * omega_inv
 
 

@@ -1,4 +1,5 @@
-"""Exact scalar and matrix arithmetic over the Gaussian rationals.
+"""Exact matrix arithmetic over the Gaussian rationals, and the scalar
+values that matrices are read from, written as and parsed back into.
 
 Every value is immutable after construction and all operations are pure,
 so objects can be shared freely across threads and processes.
@@ -23,6 +24,8 @@ class GaussRational:
 
     Denominators are always positive and in lowest terms (guaranteed by
     Fraction), so equality and hashing are exact with a canonical zero.
+    It has no arithmetic: matrices and multivectors compute on integer
+    numerators.
     """
 
     __slots__ = ("re", "im")
@@ -30,47 +33,6 @@ class GaussRational:
     def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
         self.re = Fraction(re)
         self.im = Fraction(im)
-
-    def __add__(self, other: Scalarish) -> GaussRational:
-        other = _coerce(other)
-        return _exact(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: Scalarish) -> GaussRational:
-        other = _coerce(other)
-        return _exact(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: Scalarish) -> GaussRational:
-        other = _coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _exact(a * c - b * d, a * d + b * c)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other: Scalarish) -> GaussRational:
-        return _coerce(other) - self
-
-    def __truediv__(self, other: Scalarish) -> GaussRational:
-        other = _coerce(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussRational")
-        return _exact(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __neg__(self) -> GaussRational:
-        return _exact(-self.re, -self.im)
-
-    def conjugate(self) -> GaussRational:
-        return _exact(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -87,18 +49,6 @@ class GaussRational:
 
     def __str__(self) -> str:
         return format_gauss(self)
-
-
-def _exact(re: Fraction, im: Fraction) -> GaussRational:
-    """Internal constructor for parts that are already Fractions.
-
-    Fraction arithmetic returns values in lowest terms, so results of
-    GaussRational arithmetic skip the public constructor's coercion.
-    """
-    z = object.__new__(GaussRational)
-    z.re = re
-    z.im = im
-    return z
 
 
 def _coerce(value: Scalarish) -> GaussRational:
@@ -164,7 +114,7 @@ def parse_gauss(text: str) -> GaussRational:
         im_part = _part(im_sign, im_num, im_den) if unit else Fraction(0)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in GaussRational literal {text!r}") from None
-    return _exact(re_part, im_part)
+    return GaussRational(re_part, im_part)
 
 
 def gauss_parts(c: Scalarish) -> tuple[int, int, int]:
@@ -204,8 +154,8 @@ class GaussMatrix:
     operation loops over the nonzeros: a signed monomial matrix (one
     nonzero per row), as every generator and automorphism matrix of the
     spinor bases is, costs O(dim) per product, a dense one the usual
-    O(dim^3). `GaussRational` values are formed only by the `entries`,
-    `rows` and `to_strings` views.
+    O(dim^3). `GaussRational` values are formed only by the `rows` view,
+    which `to_strings` reads.
     """
 
     __slots__ = ("dim", "num", "den", "_hash")
@@ -253,22 +203,14 @@ class GaussMatrix:
         return cls._make(dim, tuple(((i, 1, 0),) for i in range(dim)), 1)
 
     @property
-    def entries(self) -> tuple[tuple[tuple[int, GaussRational], ...], ...]:
-        """Read-only view of the nonzeros: each row's (column, value) pairs."""
-        den = self.den
-        return tuple(
-            tuple((j, _exact(Fraction(re, den), Fraction(im, den))) for j, re, im in row)
-            for row in self.num
-        )
-
-    @property
     def rows(self) -> tuple[tuple[GaussRational, ...], ...]:
         """Read-only dense view: one tuple of dim entries per row."""
+        den = self.den
         out = []
-        for row in self.entries:
+        for row in self.num:
             dense = [ZERO] * self.dim
-            for j, v in row:
-                dense[j] = v
+            for j, re, im in row:
+                dense[j] = GaussRational(Fraction(re, den), Fraction(im, den))
             out.append(tuple(dense))
         return tuple(out)
 
@@ -323,23 +265,6 @@ class GaussMatrix:
             if _row_times(arow, brows, lf) != _row_times(crow, drows, rf):
                 return False
         return True
-
-    def __add__(self, other: GaussMatrix) -> GaussMatrix:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"cannot add dims {self.dim} and {other.dim}")
-        g = gcd(self.den, other.den)
-        fa, fb = other.den // g, self.den // g
-        out = []
-        for ra, rb in zip(self.num, other.num):
-            acc = {j: (re * fa, im * fa) for j, re, im in ra}
-            for j, re, im in rb:
-                old = acc.get(j, (0, 0))
-                acc[j] = (old[0] + re * fb, old[1] + im * fb)
-            out.append(_canonical_row(acc))
-        return GaussMatrix._make(self.dim, tuple(out), self.den * fa)
-
-    def __sub__(self, other: GaussMatrix) -> GaussMatrix:
-        return self + -other
 
     def __neg__(self) -> GaussMatrix:
         return self.scale(-1)

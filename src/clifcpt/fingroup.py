@@ -11,12 +11,11 @@ from itertools import product as iterproduct
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import Multivector
 from .exact import GaussMatrix
 
-# A group element: a matrix, or a signed blade of the Clifford algebra, as
-# a `Multivector` or as an int (see `algebra.signed_blade_mul`).
-Element = GaussMatrix | Multivector | int
+# A group element: a matrix, or a signed blade of the Clifford algebra held
+# as an int (see `algebra.signed_blade_mul`).
+Element = GaussMatrix | int
 
 CLOSURE_LIMIT = 256
 
@@ -254,23 +253,32 @@ class CayleyTable(NamedTuple):
         }
 
 
-def cayley_table(labeled: Sequence[tuple[str, Element]]) -> CayleyTable:
-    """Multiplication table of labeled representatives; every product must
-    land in {+-rep}. Matching prefers earlier representatives, which
-    makes degenerate sets (duplicate matrices) deterministic."""
+def cayley_table(
+    labeled: Sequence[tuple[str, Element]],
+    mul: Callable[[Element, Element], Element] = operator.mul,
+    minus_identity: Element | None = None,
+) -> CayleyTable:
+    """Multiplication table of labeled representatives under the product
+    `mul`; every product must land in {+-rep}. As in `signed_closure`,
+    signed blades held as ints pass their product and the int of -I, and
+    -rep is -I * rep; matrices take `*` and -rep. Matching prefers earlier
+    representatives, which makes degenerate sets (duplicate matrices or
+    blades) deterministic."""
     labels = tuple(lab for lab, _ in labeled)
-    mats = [m for _, m in labeled]
+    negated = [
+        (lab, rep, -rep if minus_identity is None else mul(minus_identity, rep)) for lab, rep in labeled
+    ]
     cells = []
     for _, x in labeled:
         row = []
         for _, y in labeled:
-            prod = x * y
+            prod = mul(x, y)
             hit = None
-            for lab, rep in labeled:
+            for lab, rep, neg in negated:
                 if prod == rep:
                     hit = (1, lab)
                     break
-                if prod == -rep:
+                if prod == neg:
                     hit = (-1, lab)
                     break
             if hit is None:

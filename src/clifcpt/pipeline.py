@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import covering, fingroup
-from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
+from .algebra import COMPLEX, REAL, MetricSignature, blade_indices, signed_blade_mul
 from .autmat import ELEMENT_NAMES, Realization, mask_label, realize
 from .classify import dimension_audit, idempotent_factor_count, primitive_idempotent, ring_type
 from .exact import GaussMatrix
@@ -277,11 +277,11 @@ def wigner_reps(basis: SpinBasis) -> list[tuple[str, GaussMatrix]]:
     return out
 
 
-def ext_reps(r: Realization) -> list[tuple[str, Multivector]]:
+def ext_reps(r: Realization) -> list[tuple[str, int]]:
     """Normalized representatives: each element replaced by the blade of
-    its generator mask, sign +1."""
-    sig = r.basis.sig
-    return [(name, Multivector.blade(sig, r.predicted.masks.get(name, 0))) for name in ELEMENT_NAMES]
+    its generator mask, sign +1, as a signed-blade int (see
+    `algebra.signed_blade_mul`), whose sign bit is then clear."""
+    return [(name, r.predicted.masks.get(name, 0)) for name in ELEMENT_NAMES]
 
 
 def cayley_for(p: int, q: int, set_name: str, basis_spec: str = "canonical"):
@@ -306,7 +306,7 @@ def cayley_for(p: int, q: int, set_name: str, basis_spec: str = "canonical"):
     legend = {"I": "1"}
     for name in ELEMENT_NAMES[1 : len(reps)]:
         legend[name] = mask_label(r.predicted.masks[name], physics)
-    return cayley_table(reps), legend
+    return cayley_table(reps, signed_blade_mul(basis.sig), 1 << basis.sig.n), legend
 
 
 # --- sweep ------------------------------------------------------------------

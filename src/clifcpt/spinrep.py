@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import COMPLEX, REAL, MetricSignature, Multivector, blade_indices
+from .algebra import COMPLEX, REAL, MetricSignature, blade_indices
 from .exact import GaussMatrix, GaussRational, I_UNIT
 
 
@@ -197,7 +197,7 @@ def build_spinbasis(sig: MetricSignature) -> SpinBasis:
 
 # The dirac preset as (phase, x, z) words on two qubits: gamma^0 = Z (x) I
 # and gamma^k = ZX (x) sigma_k, with ZX = -XZ and sigma_2 = i XZ.
-_DIRAC_WORDS = ((1, 0b00, 0b10), (-1, 0b11, 0b10), (-I_UNIT, 0b11, 0b11), (-1, 0b10, 0b11))
+_DIRAC_WORDS = ((1, 0b00, 0b10), (-1, 0b11, 0b10), (GaussRational(0, -1), 0b11, 0b11), (-1, 0b10, 0b11))
 
 
 def preset_spinbasis(name: str) -> SpinBasis:
@@ -211,7 +211,7 @@ def preset_spinbasis(name: str) -> SpinBasis:
 
 
 # The unit phases of a Pauli word, keyed by their (re, im) numerators.
-_PHASES = {(1, 0): GaussRational(1), (-1, 0): GaussRational(-1), (0, 1): I_UNIT, (0, -1): -I_UNIT}
+_PHASES = {(1, 0): GaussRational(1), (-1, 0): GaussRational(-1), (0, 1): I_UNIT, (0, -1): GaussRational(0, -1)}
 
 
 def as_word(g: GaussMatrix) -> tuple[GaussRational, int, int] | None:
@@ -372,17 +372,6 @@ def product_over(basis: SpinBasis, mask: int) -> GaussMatrix:
     for i in rest:
         out = out * basis.gens[i - 1]
     return out
-
-
-def represent(basis: SpinBasis, mv: Multivector) -> GaussMatrix:
-    """Linear extension of generator substitution; an algebra homomorphism."""
-    if mv.sig != basis.sig:
-        raise ValueError("multivector and basis signatures differ")
-    dim = basis.dim
-    acc = GaussMatrix.identity(dim).scale(0)
-    for mask, coeff in mv.terms.items():
-        acc = acc + product_over(basis, mask).scale(coeff)
-    return acc
 
 
 def save_spinbasis(basis: SpinBasis, path: str) -> None:

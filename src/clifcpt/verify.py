@@ -13,7 +13,7 @@ import time
 from itertools import product as iterproduct
 from typing import NamedTuple
 
-from . import SUITE_NAMES, algebra, covering
+from . import algebra, covering
 from .algebra import (
     COMPLEX,
     REAL,
@@ -243,13 +243,6 @@ def _fold_automorphisms(results: list[CheckResult], max_dim: int) -> list[CheckR
     return [law, *(r for r in results if r.name != "involution-laws")]
 
 
-def suite_automorphisms(max_dim: int) -> list[CheckResult]:
-    """Laws of the four involutions: the automorphism tasks, run in order
-    in this process and folded into four checks."""
-    tasks = _automorphism_tasks(max_dim)
-    return _fold_automorphisms([_run_automorphism_task(t) for t in tasks], max_dim)
-
-
 # --- dense reference -----------------------------------------------------------
 
 
@@ -402,7 +395,8 @@ def suite_groups(max_dim: int, realizations: dict | None = None) -> list[CheckRe
     def dirac_goldens():
         r = _realization(realizations, "dirac")
         assert r.signature == DIRAC_EXT_SIGNATURE, sig_str(r.signature)
-        table = cayley_table(ext_reps(r))
+        sig = r.basis.sig
+        table = cayley_table(ext_reps(r), algebra.signed_blade_mul(sig), 1 << sig.n)
         assert table.cells == signed_cells(DIRAC_EXT_TABLE), "extended-set table mismatch"
         where = _where(r.basis)
         assert r.group.order == 16, f"{where}: closure of order {r.group.order}, want 16"
@@ -628,8 +622,9 @@ def suite_coverings(max_dim: int, realizations: dict | None = None) -> list[Chec
                 idem = primitive_idempotent(sig)
                 assert idem.f * idem.f == idem.f, f"Cl({p},{q}): f = {idem.f} is not idempotent"
                 # No blade splits f: checks k and the audit against the
-                # algebra. Signs come from blade_product's sign masks, e_x e_y
-                # with sign parity |x & t_y|, not from the search's rules.
+                # algebra. Signs come from algebra._sign_mask, which this
+                # oracle and every product call: e_x e_y has sign parity
+                # |x & t_y|. The search's rules are not read.
                 neg = sig.neg_mask
                 chosen = [(c, algebra._sign_mask(c, neg, n)) for c in idem.generators_used]
                 span = {0}

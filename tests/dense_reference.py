@@ -1,4 +1,4 @@
-"""Seeded bases and a matrix closure for the metamorphic tests.
+"""Seeded bases, dense arithmetic and a matrix closure for the tests.
 
 `conjugated_bases` gives the seeded orthogonal conjugates, transposes and
 complex conjugates of canonical bases that the metamorphic tests read back
@@ -7,15 +7,120 @@ one dense reference of a realization; the Cayley conjugates are the fully
 dense ones, every entry over a denominator. `matrix_closure` closes
 matrices with the identity of their size, and `kron` is the Kronecker
 product, entry by entry.
+
+The library computes on integer numerators and has no scalar arithmetic,
+no matrix sums and no representation of a multivector by matrices; the
+references here supply them: `Gauss`, a `GaussRational` with exact
+arithmetic, `dense_rows` and `entries`, views of a matrix in `Gauss`
+values, `add` and `sub`, matrix sums, and `represent`, the linear
+extension of generator substitution.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from clifcpt.algebra import MetricSignature
-from clifcpt.exact import GaussMatrix
+from clifcpt.exact import GaussMatrix, GaussRational, _canonical_row
 from clifcpt.fingroup import signed_closure
-from clifcpt.spinrep import SpinBasis, build_spinbasis
+from clifcpt.spinrep import SpinBasis, build_spinbasis, product_over
+
+
+class Gauss(GaussRational):
+    """A GaussRational with exact arithmetic; each result is a Gauss. An
+    operand may be a GaussRational, a Fraction or an int."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, value):
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, GaussRational):
+            return cls(value.re, value.im)
+        return cls(value)
+
+    def __add__(self, other):
+        other = Gauss.of(other)
+        return Gauss(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        other = Gauss.of(other)
+        return Gauss(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        other = Gauss.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return Gauss(a * c - b * d, a * d + b * c)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __rsub__(self, other):
+        return Gauss.of(other) - self
+
+    def __truediv__(self, other):
+        other = Gauss.of(other)
+        norm = other.re * other.re + other.im * other.im
+        if norm == 0:
+            raise ZeroDivisionError("division by zero GaussRational")
+        return Gauss(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
+
+    def __neg__(self):
+        return Gauss(-self.re, -self.im)
+
+    def conjugate(self):
+        return Gauss(self.re, -self.im)
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    def __bool__(self):
+        return not self.is_zero()
+
+
+def dense_rows(m):
+    """m's rows view, each entry a Gauss."""
+    return [[Gauss.of(e) for e in row] for row in m.rows]
+
+
+def entries(m):
+    """m's nonzeros: each row's (column, Gauss value) pairs."""
+    return tuple(
+        tuple((j, Gauss(Fraction(re, m.den), Fraction(im, m.den))) for j, re, im in row) for row in m.num
+    )
+
+
+def add(a, b):
+    """a + b, formed on the integer numerators over the common denominator."""
+    g = gcd(a.den, b.den)
+    fa, fb = b.den // g, a.den // g
+    out = []
+    for ra, rb in zip(a.num, b.num):
+        acc = {j: (re * fa, im * fa) for j, re, im in ra}
+        for j, re, im in rb:
+            old = acc.get(j, (0, 0))
+            acc[j] = (old[0] + re * fb, old[1] + im * fb)
+        out.append(_canonical_row(acc))
+    return GaussMatrix._make(a.dim, tuple(out), a.den * fa)
+
+
+def sub(a, b):
+    return add(a, -b)
+
+
+def represent(basis, mv):
+    """Linear extension of generator substitution; an algebra homomorphism."""
+    if mv.sig != basis.sig:
+        raise ValueError("multivector and basis signatures differ")
+    acc = GaussMatrix.identity(basis.dim).scale(0)
+    for mask, (re, im) in mv.num.items():
+        coeff = GaussRational(Fraction(re, mv.den), Fraction(im, mv.den))
+        acc = add(acc, product_over(basis, mask).scale(coeff))
+    return acc
 
 
 def matrix_closure(mats):
@@ -27,9 +132,8 @@ def kron(a, b):
     """Kronecker product, entry by entry; the left factor varies slowest."""
     db = b.dim
     d = a.dim * db
-    return GaussMatrix(
-        [[a.rows[i // db][j // db] * b.rows[i % db][j % db] for j in range(d)] for i in range(d)]
-    )
+    ra, rb = dense_rows(a), dense_rows(b)
+    return GaussMatrix([[ra[i // db][j // db] * rb[i % db][j % db] for j in range(d)] for i in range(d)])
 
 
 def signed_permutation(rng, dim):

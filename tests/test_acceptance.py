@@ -9,7 +9,7 @@ from itertools import product as iterproduct
 import pytest
 
 from clifcpt import covering
-from clifcpt.algebra import COMPLEX, MetricSignature
+from clifcpt.algebra import COMPLEX, MetricSignature, signed_blade_mul
 from clifcpt.autmat import ELEMENT_NAMES, conditions, realize
 from clifcpt.classify import (
     dimension_audit,
@@ -41,7 +41,7 @@ from clifcpt.goldens import (
 )
 from clifcpt.pipeline import cayley_for, ext_reps, predictor_analysis, wigner_reps
 from clifcpt.spinrep import build_spinbasis, preset_spinbasis
-from clifcpt.verify import realization_matrices, suite_automorphisms
+from clifcpt.verify import realization_matrices, run_suites
 from gammas import gamma_matrices, product
 
 
@@ -84,7 +84,7 @@ def test_c01_dirac_realization():
 def test_c02_both_cayley_tableaux():
     basis = preset_spinbasis("dirac")
     r = realize(basis)
-    ext_cells = cayley_table(ext_reps(r)).cells
+    ext_cells = cayley_table(ext_reps(r), signed_blade_mul(basis.sig), 1 << basis.sig.n).cells
     wig_cells = cayley_table(wigner_reps(basis)).cells
     golden_ext = signed_cells(DIRAC_EXT_TABLE)
     golden_wig = signed_cells(WIGNER_CPT_TABLE)
@@ -180,7 +180,7 @@ def test_c07_certification_and_intertwining():
 
 
 def test_c08_automorphism_law_suite():
-    results = suite_automorphisms(8)
+    results = run_suites(("automorphisms",), 8)
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
     _report(8, "automorphism laws", f"{len(results)} checks on 100 samples per signature")

@@ -273,7 +273,7 @@ def test_seven_conditions_extend_to_random_multivectors(dirac_realization):
     import random
 
     from clifcpt.algebra import random_multivector
-    from clifcpt.spinrep import represent
+    from dense_reference import represent
 
     basis, m = dirac_realization.basis, _matrices(dirac_realization)
     rng = random.Random(23)

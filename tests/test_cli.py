@@ -209,7 +209,7 @@ def test_classification_invariant_under_orthogonal_similarity(tmp_path, capsys):
         p, q = conjugated.sig.p, conjugated.sig.q
         assert m is None or m * m.transpose() == m.identity(m.dim)
         if kind == "givens":
-            assert any(len(row) > 1 for g in conjugated.gens for row in g.entries)
+            assert any(len(row) > 1 for g in conjugated.gens for row in g.num)
         if kind == "cayley":
             for g in conjugated.gens:
                 assert g.den > 1 and all(len(row) >= g.dim - 1 for row in g.num)
@@ -797,7 +797,8 @@ def test_verify_maximality_oracle_finds_a_blade_the_search_left_out(capsys, monk
 
     # Dropping the last chosen blade leaves an idempotent that is not
     # primitive, so f * f = f still holds; only the maximality oracle,
-    # which reads blade_product, sees it, first on Cl(1,0), where k = 1.
+    # which reads algebra._sign_mask, sees it, first on Cl(1,0), where
+    # k = 1.
     raw = verify.primitive_idempotent
 
     def short(sig):
@@ -816,10 +817,10 @@ def test_verify_maximality_oracle_finds_a_blade_the_search_left_out(capsys, monk
 def test_verify_fails_when_blade_signs_drop_the_metric(capsys, monkeypatch):
     from clifcpt import algebra
 
-    # Multivector products and `blade_product` read their signs from the
-    # one sign-mask helper, and then read every generator as squaring to
-    # +1, while the closed-form square and commutation signs keep the
-    # metric.
+    # Multivector products, signed-blade products and the maximality
+    # oracle read their signs from the one sign-mask helper,
+    # algebra._sign_mask, and then read every generator as squaring to +1,
+    # while the closed-form square and commutation signs keep the metric.
     raw = algebra._sign_mask
     monkeypatch.setattr(algebra, "_sign_mask", lambda y, neg_mask, top: raw(y, 0, top))
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
@@ -972,7 +973,8 @@ def _extended_set_with_s_negated(monkeypatch):
     raw = pipeline.ext_reps
 
     def fault(r):
-        return [(name, -x if name == "S" else x) for name, x in raw(r)]
+        minus = 1 << r.basis.sig.n  # the sign bit of a signed-blade int
+        return [(name, x ^ minus if name == "S" else x) for name, x in raw(r)]
 
     monkeypatch.setattr(pipeline, "ext_reps", fault)
     monkeypatch.setattr(vf, "ext_reps", fault)

@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 
-from clifcpt.algebra import COMPLEX, MetricSignature
+from clifcpt.algebra import COMPLEX, MetricSignature, signed_blade_mul
 from clifcpt.autmat import ELEMENT_NAMES, read_signs, realize
 from clifcpt.exact import GaussMatrix, GaussRational
 from clifcpt.fingroup import (
@@ -325,10 +325,15 @@ def test_identify_wigner_closure_invariants():
     assert info["contains_minus_I"]
 
 
+def _ext_table(r):
+    """The table of the extended set of `r`, signed-blade ints."""
+    return cayley_table(ext_reps(r), signed_blade_mul(r.basis.sig), 1 << r.basis.sig.n)
+
+
 def test_cayley_tables_match_goldens():
     basis = preset_spinbasis("dirac")
     r = realize(basis)
-    ext_table = cayley_table(ext_reps(r))
+    ext_table = _ext_table(r)
     assert ext_table.labels == DIRAC_EXT_LABELS
     assert ext_table.cells == signed_cells(DIRAC_EXT_TABLE)
 
@@ -340,7 +345,7 @@ def test_cayley_tables_match_goldens():
 def test_cayley_specific_cells():
     basis = preset_spinbasis("dirac")
     r = realize(basis)
-    ext_table = cayley_table(ext_reps(r))
+    ext_table = _ext_table(r)
     # Row W, column Pi -> -K; row T, column T -> -1 in the reflection set.
     w_row = ext_table.cells[1]
     assert w_row[4] == (-1, "K")
@@ -360,7 +365,7 @@ def test_cayley_rejects_non_closed_set():
 def test_cayley_markdown_render():
     basis = preset_spinbasis("dirac")
     r = realize(basis)
-    table = cayley_table(ext_reps(r))
+    table = _ext_table(r)
     md = table.to_markdown({"W": "g0123"})
     lines = md.splitlines()
     assert lines[0].startswith("|      | I | W |")

@@ -536,6 +536,60 @@ def test_sweep_makes_no_multivector_product():
     assert _run_fresh(_COUNT_MV_PRODUCTS) == {"real": 0, "complex": 0}
 
 
+def _multivector_cayley(r, count: int, physics: bool) -> tuple:
+    """The ext (count 8) or aut (count 4) table of `r` and its legend,
+    from products of `Multivector.blade`s of the generator masks, each
+    product matched against +-rep with earlier representatives first."""
+    from clifcpt.algebra import Multivector
+    from clifcpt.autmat import ELEMENT_NAMES, mask_label
+
+    masks = [r.predicted.masks.get(name, 0) for name in ELEMENT_NAMES[:count]]
+    reps = [Multivector.blade(r.basis.sig, m) for m in masks]
+    cells = []
+    for x in reps:
+        row = []
+        for y in reps:
+            prod = x * y
+            row.append(
+                next(
+                    (sign, lab)
+                    for lab, rep in zip(ELEMENT_NAMES, reps)
+                    for sign, signed in ((1, rep), (-1, rep.scale(-1)))
+                    if prod == signed
+                )
+            )
+        cells.append(tuple(row))
+    legend = {"I": "1"}
+    for name, m in zip(ELEMENT_NAMES[1:count], masks[1:]):
+        legend[name] = mask_label(m, physics)
+    return fingroup.CayleyTable(ELEMENT_NAMES[:count], tuple(cells)), legend
+
+
+def test_ext_and_aut_tables_are_the_multivector_tables(monkeypatch):
+    # cayley_for multiplies signed-blade ints; its md and json text must
+    # be that of the Multivector products, on every canonical even cell
+    # with n <= 8 and on dirac. Multivector products refuse inside it.
+    from clifcpt.algebra import Multivector
+
+    def refuse(a, b):
+        raise AssertionError("cayley_for formed a Multivector product")
+
+    cells = [(p, n - p, "canonical") for n in range(0, 9, 2) for p in range(n + 1)]
+    cells.append((1, 3, "dirac"))
+    for p, q, basis_spec in cells:
+        r = pipeline.realize(pipeline.resolve_basis(p, q, "real", basis_spec))
+        for set_name, count in (("ext", 8), ("aut", 4)):
+            want, want_legend = _multivector_cayley(r, count, basis_spec == "dirac")
+            with monkeypatch.context() as m:
+                m.setattr(Multivector, "__mul__", refuse)
+                got, legend = pipeline.cayley_for(p, q, set_name, basis_spec)
+            where = (p, q, basis_spec, set_name)
+            assert got.to_markdown(legend) == want.to_markdown(want_legend), where
+            assert to_json(dict(got.to_json_obj(), legend=legend)) == to_json(
+                dict(want.to_json_obj(), legend=want_legend)
+            ), where
+
+
 _COUNT_LIVE_BASES = """
 import gc
 from clifcpt import pipeline

@@ -19,10 +19,9 @@ from clifcpt.spinrep import (
     build_spinbasis,
     load_spinbasis,
     preset_spinbasis,
-    represent,
     save_spinbasis,
 )
-from dense_reference import conjugated_bases, kron
+from dense_reference import conjugated_bases, dense_rows, kron, represent
 from gammas import gamma_matrices
 from pauli_bases import pauli_bases, sample_pauli_bases
 
@@ -188,7 +187,7 @@ def test_profile_masks_match_per_generator_reference(tmp_path):
     bases += pauli_bases(2) + pauli_bases(4) + sample_pauli_bases(6, 48, seed=6)
     bases += [basis for _, _, basis in conjugated_bases()]
     bases.append(_conjugated(build_spinbasis(MetricSignature(1, 3)), tmp_path))
-    assert any(len(row) > 1 for g in bases[-1].gens for row in g.entries)
+    assert any(len(row) > 1 for g in bases[-1].gens for row in g.num)
     assert len(bases) == 1 + 25 + 5 + 492 + 48 + 62 + 1
     for basis in bases:
         traits = _reference_traits(basis)
@@ -618,7 +617,7 @@ def _word_bases():
     return bases
 
 
-_UNITS = (1, -1, I_UNIT, -I_UNIT)
+_UNITS = (1, -1, I_UNIT, GaussRational(0, -1))
 
 
 def _every_word(m):
@@ -667,7 +666,7 @@ def test_as_word_agrees_with_trying_every_word():
         dim = 1 << m
         variants = list(words)
         for i, g in enumerate(words):
-            rows = [list(row) for row in g.rows]
+            rows = dense_rows(g)
             r = i % dim
             c = next(j for j, e in enumerate(rows[r]) if e)
             flipped = [row[:] for row in rows]
