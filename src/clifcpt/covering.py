@@ -14,19 +14,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fingroup import classify_form, polarization
+from .fingroup import polarization
 from .spinrep import BasisProfile
 
 
 class TheoremCoverageError(ValueError):
     """No theorem arm covers the supplied data."""
-
-
-class PredictedAut(NamedTuple):
-    triple: tuple[int, int, int]
-    group: str
-    abelian: bool
-    arm: str
 
 
 class OddReduction(NamedTuple):
@@ -117,13 +110,12 @@ def predict_realization(prof: BasisProfile) -> PredictedRealization:
     return PredictedRealization(choice_e, choice_pi, masks, signature, polarization(signature))
 
 
-def predict_aut_complex(n: int) -> PredictedAut:
-    """Over the complex field there are only two groups: the commuting one
-    with phase-normalized signature (+,+,+) for n = 0,1 mod 4 and the
-    anticommuting one with (-,-,-) for n = 2,3 mod 4."""
-    triple = (1, 1, 1) if n % 4 in (0, 1) else (-1, -1, -1)
-    form = classify_form(triple)
-    return PredictedAut(triple, form.label, form.abelian, f"complex, n mod 4 = {n % 4}")
+def predict_aut_complex(n: int) -> tuple[int, int, int]:
+    """The phase-normalized (W, E, C) square signs over the complex field:
+    (+,+,+), the commuting group, for n = 0,1 mod 4 and (-,-,-), the
+    anticommuting one, for n = 2,3 mod 4. `fingroup.classify_form` names
+    the group and its Pin cover."""
+    return (1, 1, 1) if n % 4 in (0, 1) else (-1, -1, -1)
 
 
 def reduce_odd(p: int, q: int) -> OddReduction:

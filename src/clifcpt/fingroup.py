@@ -172,32 +172,40 @@ _FORM_NAMES = {
 }
 
 
+def is_form(signs: tuple[int, ...]) -> bool:
+    """Whether signs on the nonzero vectors of Z2^2 (the W, E, C triple) or
+    Z2^3 (the seven signs W to F) are a quadratic form, that is whether
+    their polarization is bilinear: every triple is, and a seven-tuple is
+    exactly when its minus count is even.
+
+    Write q(v) = (-1)^f(v) with f(0) = 0, and f in algebraic normal form,
+    a sum of monomials x_S over sets S of coordinates. eps(u, v ^ w)
+    eps(u, v) eps(u, w) is (-1) to the sum of f over the eight sums of
+    subsets of {u, v, w}, the third difference of f at 0. A monomial of
+    degree at most 2 has third difference 0, and x1 x2 x3 has det(u, v, w),
+    trilinear, alternating and 1 on the unit vectors. So the polarization
+    is bilinear exactly when f has no monomial of degree 3: always on
+    Z2^2, and on Z2^3 when the x1 x2 x3 coefficient is 0. By Moebius
+    inversion that coefficient is the sum of f over all of Z2^3, the minus
+    count mod 2."""
+    return len(signs) == 3 or minus_count(signs) % 2 == 0
+
+
 def classify_form(signs: tuple[int, ...]) -> FormClass:
     """The class of the quadratic form with these signs on the nonzero
     vectors of Z2^2 (the W, E, C triple) or Z2^3 (the seven signs W to
     F): abelian when its polarization is trivial, and the paper's names.
     A Cliffordian fiber is a non-abelian one. Raises GroupStructureError
-    when the signs are not a form, that is when their polarization is
-    not bilinear (on Z2^3: an odd minus count)."""
-    eps = polarization(signs)
-    size = len(eps)
-    # eps(u, v ^ w) eps(u, v) eps(u, w) is the product of q over the seven
-    # nonzero sums of u, v and w: symmetric, and 1 when two are equal or
-    # one is 0. So distinct u > v > w > 0 cover every case.
-    if any(
-        eps[u][v ^ w] != eps[u][v] * eps[u][w]
-        for u in range(size)
-        for v in range(1, u)
-        for w in range(1, v)
-    ):
+    when the signs are not a form (`is_form`)."""
+    if not is_form(signs):
         raise GroupStructureError(f"signature {sig_str(signs)} is not a quadratic form")
-    abelian = all(s == 1 for row in eps for s in row)
-    label, fiber = _FORM_NAMES[size.bit_length() - 1, abelian, minus_count(signs)]
+    abelian = all(s == 1 for row in polarization(signs) for s in row)
+    label, fiber = _FORM_NAMES[len(signs).bit_length(), abelian, minus_count(signs)]
     return FormClass(abelian, label, fiber)
 
 
 def identify_abstract(group: SignedGroup) -> dict:
-    """Transparent invariants of a closed matrix group, read off its
+    """Transparent invariants of any closed group, read off its
     multiplication table: order, abelianness, center size, exponent and
     element-order histogram."""
     n = group.order
@@ -261,43 +269,27 @@ def cayley_table(
     """Multiplication table of labeled representatives under the product
     `mul`; every product must land in {+-rep}. As in `signed_closure`,
     signed blades held as ints pass their product and the int of -I, and
-    -rep is -I * rep; matrices take `*` and -rep. Matching prefers earlier
-    representatives, which makes degenerate sets (duplicate matrices or
-    blades) deterministic."""
-    labels = tuple(lab for lab, _ in labeled)
-    negated = [
-        (lab, rep, -rep if minus_identity is None else mul(minus_identity, rep)) for lab, rep in labeled
-    ]
-    cells = []
-    for _, x in labeled:
-        row = []
-        for _, y in labeled:
-            prod = mul(x, y)
-            hit = None
-            for lab, rep, neg in negated:
-                if prod == rep:
-                    hit = (1, lab)
-                    break
-                if prod == neg:
-                    hit = (-1, lab)
-                    break
-            if hit is None:
-                raise GroupStructureError("product falls outside the signed representative set")
-            row.append(hit)
-        cells.append(tuple(row))
-    return CayleyTable(labels, tuple(cells))
+    -rep is -I * rep; matrices take `*` and -rep. Each cell is one lookup
+    in an index of +rep and -rep built in representative order, in which
+    the first label wins: the earliest representative, and +rep before
+    -rep. That makes degenerate sets (duplicate matrices or blades)
+    deterministic."""
+    index: dict[Element, tuple[int, str]] = {}
+    for lab, rep in labeled:
+        index.setdefault(rep, (1, lab))
+        index.setdefault(-rep if minus_identity is None else mul(minus_identity, rep), (-1, lab))
+    cells = tuple(tuple(index.get(mul(x, y)) for _, y in labeled) for _, x in labeled)
+    if any(None in row for row in cells):
+        raise GroupStructureError("product falls outside the signed representative set")
+    return CayleyTable(tuple(lab for lab, _ in labeled), cells)
 
 
 def census_64() -> dict:
-    """Enumerate all 2^7 sign tuples and keep those with minus count in
-    {0, 2, 4, 6}; the admissible total is 1 + 21 + 35 + 7 = 64."""
-    admissible = []
-    by_minus: dict[int, int] = {}
-    for signs in iterproduct((1, -1), repeat=7):
-        mc = minus_count(signs)
-        if mc in (0, 2, 4, 6):
-            admissible.append(signs)
-            by_minus[mc] = by_minus.get(mc, 0) + 1
+    """Enumerate all 2^7 sign tuples and keep the quadratic forms, those
+    with an even minus count (`is_form`); the admissible total is
+    1 + 21 + 35 + 7 = 64."""
+    admissible = [signs for signs in iterproduct((1, -1), repeat=7) if is_form(signs)]
+    by_minus = Counter(minus_count(signs) for signs in admissible)
     return {
         "total": len(admissible),
         "by_minus_count": dict(sorted(by_minus.items())),

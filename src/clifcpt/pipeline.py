@@ -213,7 +213,8 @@ def _target_summary(target: dict) -> dict:
 
 def _classify_complex(p: int, q: int) -> dict:
     n = p + q
-    pred = covering.predict_aut_complex(n)
+    triple = covering.predict_aut_complex(n)
+    form = classify_form(triple)
     out: dict = {
         "p": p,
         "q": q,
@@ -221,10 +222,10 @@ def _classify_complex(p: int, q: int) -> dict:
         "field": COMPLEX,
         "type": "even" if n % 2 == 0 else "odd",
         "predicted": {
-            "group": pred.group,
-            "signature": sig_str(pred.triple),
-            "abelian": pred.abelian,
-            "arm": pred.arm,
+            "group": form.label,
+            "signature": sig_str(triple),
+            "abelian": form.abelian,
+            "arm": f"complex, n mod 4 = {n % 4}",
         },
     }
     if n % 2 == 1:
@@ -236,16 +237,15 @@ def _classify_complex(p: int, q: int) -> dict:
     basis = build_spinbasis(sig)
     prof = basis.profile
     r = realize(basis)
-    cover = classify_form(pred.triple)
     out["basis"] = {"provenance": basis.provenance, "dim": basis.dim, "profile": prof.as_dict()}
     out["aut"] = {
         "raw_signature": sig_str(r.signature[:3]),
-        "phase_normalized_signature": sig_str(pred.triple),
+        "phase_normalized_signature": sig_str(triple),
         "abelian": r.aut_abelian,
         "commute": [list(row[:4]) for row in r.commutation[:4]],
-        "agree": r.aut_abelian == pred.abelian,
+        "agree": r.aut_abelian == form.abelian,
     }
-    out["pin_cover"] = {"fiber": cover.fiber, "cliffordian": not cover.abelian}
+    out["pin_cover"] = {"fiber": form.fiber, "cliffordian": not form.abelian}
     return out
 
 

@@ -299,6 +299,26 @@ def test_cayley_aut_table(capsys):
     assert sorted(row_w) == sorted(doc["rows"])
 
 
+@pytest.mark.parametrize("table_set", ["ext", "aut"])
+def test_cayley_of_cl00_labels_every_cell_by_the_first_representative(table_set, capsys):
+    # On Cl(0,0) every representative is the blade 0, the identity: each
+    # cell is +I, the first label, and every legend entry is 1.
+    labels = ["I", "W", "E", "C", "Pi", "K", "S", "F"][: {"ext": 8, "aut": 4}[table_set]]
+    md = ["|      | " + " | ".join(labels) + " |", "|" + "---|" * (len(labels) + 1)]
+    md += [f"| {lab} | " + " | ".join(["I"] * len(labels)) + " |" for lab in labels]
+    md += ["", *(f"- {lab} = 1" for lab in labels)]
+    argv = ["cayley", "--p", "0", "--q", "0", "--set", table_set]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out == "\n".join(md) + "\n"
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {
+        "rows": labels,
+        "cells": [[{"sign": 1, "label": "I"}] * len(labels)] * len(labels),
+        "legend": dict.fromkeys(labels, "1"),
+    }
+
+
 def test_sweep_outputs_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

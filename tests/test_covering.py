@@ -3,6 +3,7 @@ import pytest
 from clifcpt import algebra
 from clifcpt.algebra import COMPLEX, MetricSignature, Multivector
 from clifcpt.autmat import ELEMENT_NAMES, realize
+from clifcpt.classify import ring_type
 from clifcpt.covering import (
     TheoremCoverageError,
     predict_aut_complex,
@@ -13,6 +14,7 @@ from clifcpt.exact import GaussMatrix
 from clifcpt.fingroup import GroupStructureError, census_64, classify_form
 from clifcpt.spinrep import BasisProfile, build_spinbasis, preset_spinbasis
 from clifcpt.verify import realization_matrices
+from dense_reference import conjugated_bases
 from pauli_bases import pauli_bases, sample_pauli_bases
 
 
@@ -81,11 +83,14 @@ def test_predict_realization_requires_even_dimension():
 
 
 def test_predict_aut_complex():
-    assert predict_aut_complex(4).abelian and predict_aut_complex(4).triple == (1, 1, 1)
-    assert not predict_aut_complex(2).abelian
-    assert predict_aut_complex(2).triple == (-1, -1, -1)
-    assert predict_aut_complex(5).abelian
-    assert (predict_aut_complex(4).group, predict_aut_complex(7).group) == ("Z2xZ2", "Q4/Z2")
+    def form(n):
+        return classify_form(predict_aut_complex(n))
+
+    assert form(4).abelian and predict_aut_complex(4) == (1, 1, 1)
+    assert not form(2).abelian
+    assert predict_aut_complex(2) == (-1, -1, -1)
+    assert form(5).abelian
+    assert (form(4).label, form(7).label) == ("Z2xZ2", "Q4/Z2")
 
 
 def test_predict_pi_square():
@@ -148,6 +153,30 @@ def test_predict_realization_agrees_with_enumeration(monkeypatch):
         assert pred.commutation == r.commutation, where
         pi = realization_matrices(r)[4]
         assert pred.signature[3] == (pi * pi.conj()).pm_identity(), where
+
+
+def test_signature_fixes_w_square_s_and_f_masks_and_pi_square():
+    """On every certified basis of Cl(p,q), n = p + q even: W^2 =
+    (-1)^(n(n-1)/2 + q); S is +-e_Q, the product of the generators
+    squaring to -I, when q is even and +-e_P when q is odd, and F is the
+    other; Pi^2 is +1 when the ring is a real matrix algebra and -1 when
+    it is quaternionic. Canonical, preset, conjugated and Pauli-word
+    bases, some with imaginary generators."""
+    bases = [build_spinbasis(MetricSignature(p, n - p)) for n in range(0, 13, 2) for p in range(n + 1)]
+    bases.append(preset_spinbasis("dirac"))
+    bases += [basis for _, _, basis in conjugated_bases()]
+    bases += pauli_bases(2) + pauli_bases(4) + sample_pauli_bases(6, 48, seed=6)
+    assert len(bases) == 652
+    for basis in bases:
+        p, q, n = basis.sig.p, basis.sig.q, basis.sig.n
+        where = basis.provenance, basis.sig
+        r = realize(basis)
+        assert r.signature[0] == (-1) ** (n * (n - 1) // 2 + q), where
+        neg = basis.profile.real_mask ^ basis.profile.sym_mask
+        pos = neg ^ ((1 << n) - 1)
+        s_and_f = (neg, pos) if q % 2 == 0 else (pos, neg)
+        assert (r.predicted.masks["S"], r.predicted.masks["F"]) == s_and_f, where
+        assert r.signature[3] == {"R": 1, "H": -1}[ring_type(p, q).tag], where
 
 
 def test_pt_cover_table_rows():

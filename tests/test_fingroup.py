@@ -362,6 +362,22 @@ def test_cayley_rejects_non_closed_set():
         cayley_table([("A", g0), ("B", g1)])  # product g0*g1 is outside
 
 
+def test_cayley_labels_a_repeated_representative_by_the_earliest():
+    # B is the negation of A and C repeats A, so +-B and +-C are already
+    # indexed under A: every product is labeled I or A, never B or C, and
+    # the sign tells +A from -A.
+    g = GaussMatrix([[0, 1], [-1, 0]])  # g^2 = -I
+    table = cayley_table([("I", GaussMatrix.identity(2)), ("A", g), ("B", -g), ("C", g)])
+    assert table.labels == ("I", "A", "B", "C")
+    row_a = ((1, "A"), (-1, "I"), (1, "I"), (-1, "I"))
+    assert table.cells == (
+        ((1, "I"), (1, "A"), (-1, "A"), (1, "A")),
+        row_a,
+        ((-1, "A"), (1, "I"), (-1, "I"), (1, "I")),
+        row_a,
+    )
+
+
 def test_cayley_markdown_render():
     basis = preset_spinbasis("dirac")
     r = realize(basis)

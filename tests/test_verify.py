@@ -4,6 +4,7 @@ import pytest
 
 from clifcpt import verify as vf
 from clifcpt.algebra import Multivector
+from clifcpt.fingroup import census_64, is_form, polarization
 
 
 def _reference_extension(signs):
@@ -63,22 +64,35 @@ def test_tableau_compares_every_pair_on_every_sample(k, pairs, monkeypatch):
     assert len(calls) == 100 * pairs
 
 
+def _triples(eps):
+    """Whether eps(u, v ^ w) = eps(u, v) eps(u, w) on every triple."""
+    size = range(len(eps))
+    return all(eps[u][v ^ w] == eps[u][v] * eps[u][w] for u, v, w in iterproduct(size, repeat=3))
+
+
 def test_bilinear_is_the_triple_test():
     # The row-by-row test of `_bilinear` keeps exactly the sign tables that
-    # pass eps(u, v ^ w) = eps(u, v) eps(u, w) on every triple: the
-    # polarizations of all 8 + 128 sign tuples over Z2^2 and Z2^3, and
-    # seeded tables of signs, most of them not bilinear.
+    # pass the triple test: the polarizations of all 8 + 128 sign tuples
+    # over Z2^2 and Z2^3, and seeded tables of signs, most of them not
+    # bilinear.
     import random
-
-    from clifcpt.fingroup import polarization
-
-    def triples(eps):
-        size = range(len(eps))
-        return all(eps[u][v ^ w] == eps[u][v] * eps[u][w] for u, v, w in iterproduct(size, repeat=3))
 
     tables = [polarization(s) for k in (2, 3) for s in iterproduct((1, -1), repeat=2**k - 1)]
     rng = random.Random(3)
     tables += [tuple(tuple(rng.choice((1, -1)) for _ in range(4)) for _ in range(4)) for _ in range(2000)]
     kept = [eps for eps in tables if vf._bilinear(eps)]
-    assert kept == [eps for eps in tables if triples(eps)]
+    assert kept == [eps for eps in tables if _triples(eps)]
     assert len(kept) > 8 + 64
+
+
+@pytest.mark.parametrize("k, count", [(2, 8), (3, 64)])
+def test_is_form_is_the_triple_test(k, count):
+    # The weight-parity rule of `is_form` keeps exactly the sign tuples
+    # whose polarization passes the triple test: all 8 triples on Z2^2,
+    # and the 64 of the 128 seven-tuples on Z2^3 that the census lists.
+    tuples = list(iterproduct((1, -1), repeat=2**k - 1))
+    kept = [signs for signs in tuples if is_form(signs)]
+    assert kept == [signs for signs in tuples if _triples(polarization(signs))]
+    assert len(kept) == count
+    if k == 3:
+        assert census_64()["tuples"] == kept
